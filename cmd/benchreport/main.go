@@ -46,6 +46,7 @@ type report struct {
 	GoVersion  string           `json:"go_version"`
 	GOARCH     string           `json:"goarch"`
 	NumCPU     int              `json:"num_cpu"`
+	GOMAXPROCS int              `json:"gomaxprocs"` // what the lanes actually ran on; below num_cpu under a CPU quota or an explicit setting
 	Benchmarks map[string]entry `json:"benchmarks"`
 
 	// SeedReference pins the pre-optimization numbers for the same fixtures,
@@ -172,6 +173,7 @@ func main() {
 		GoVersion:     runtime.Version(),
 		GOARCH:        runtime.GOARCH,
 		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Benchmarks:    map[string]entry{},
 		SeedReference: seedReference,
 	}

@@ -426,7 +426,7 @@ func main() {
 		fmt.Printf("elastic membership: %d joined, %d left, %d tasks stolen\n",
 			res.JoinedRanks, res.LeftRanks, res.StolenTasks)
 	}
-	fmt.Printf("%.2e FLOPs (%.1fM active pixel visits) in %s => %.2f GFLOP/s\n",
+	fmt.Printf("%.2e FLOPs (%.1fM active pixel visits) in %s => %.2f paper-equivalent GFLOP/s (32,317 FLOP/visit, §VI-B)\n",
 		flops.Total(res.Visits), float64(res.Visits)/1e6, elapsed.Round(time.Millisecond),
 		flops.Rate(res.Visits, elapsed.Seconds())/1e9)
 

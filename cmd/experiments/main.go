@@ -87,7 +87,7 @@ func usage() {
 }
 
 func table1() {
-	fmt.Println("== Table I: sustained FLOP rate (9600 nodes, 326,400 tasks) ==")
+	fmt.Println("== Table I: sustained paper-equivalent FLOP rate (32,317 FLOP/visit, §VI-B; 9600 nodes, 326,400 tasks) ==")
 	m, w := cluster.Table1Config()
 	r := cluster.Simulate(m, w, false)
 	fmt.Printf("%-22s %12s %12s\n", "", "paper TFLOP/s", "ours TFLOP/s")

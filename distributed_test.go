@@ -17,6 +17,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -267,7 +268,7 @@ func runTCP(t *testing.T, sv *Survey, init []CatalogEntry, cfg InferConfig,
 	}
 	cfg.Processes = workers
 	opts.Transport = &Transport{
-		Listener:     l,
+		Listener:     &admitAllListener{Listener: l, left: workers, all: make(chan struct{})},
 		DeadAfter:    3 * time.Second,
 		ConnectGrace: 60 * time.Second,
 	}
@@ -277,6 +278,45 @@ func runTCP(t *testing.T, sv *Survey, init []CatalogEntry, cfg InferConfig,
 		c.Wait()
 	}
 	return res, cmds, err
+}
+
+// admitAllListener holds the coordinator's Close until the whole spawned
+// fleet has been accepted. The runtime hands out work as soon as one worker
+// is ready and idle ranks steal the pools of absent ones, so on a loaded
+// machine a short run can complete while the last re-exec'd workers are still
+// regenerating the survey; their dial would then be refused and they would
+// exit 1, which TestDistributedDifferentialByteIdentical reads as a worker
+// failure. With every dial admitted first, a latecomer completes its
+// handshake and is sent Shutdown(complete) like everyone else — the schedule
+// no longer depends on how fast a fit is. The wait is bounded so a worker
+// that died before dialing cannot wedge the run.
+type admitAllListener struct {
+	net.Listener
+	mu   sync.Mutex
+	left int
+	all  chan struct{} // closed once `left` connections have been accepted
+}
+
+func (l *admitAllListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		if l.left > 0 {
+			if l.left--; l.left == 0 {
+				close(l.all)
+			}
+		}
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *admitAllListener) Close() error {
+	select {
+	case <-l.all:
+	case <-time.After(30 * time.Second):
+	}
+	return l.Listener.Close()
 }
 
 // distHash computes the run fingerprint exactly as the runtime does for a
@@ -461,31 +501,38 @@ func TestChurnElasticJoinByteIdentical(t *testing.T) {
 	baseHash := distHash(sv, init, base.Tasks, icfg, 1)
 
 	for _, workers := range []int{2, 4} {
-		// The fleet dials in three sentinel-ordered waves, so the schedule
-		// is deterministic on any machine speed. Wave 1: worker 0, killed on
+		// The fleet dials in sentinel-ordered waves, so the schedule is
+		// deterministic on any machine speed. Wave 1: worker 0, killed on
 		// its first assignment, touching `died` just before the SIGKILL.
-		// Wave 2, gated on `died`: the elastic joiner (and, at 4 workers,
-		// the leaver, which departs after one completed task) — the victim's
-		// task is still outstanding, so the coordinator is provably mid-run
-		// when the join handshake arrives, and with at least three tasks in
-		// the run the leaver is guaranteed an assignment before the pool
-		// drains. Wave 3, gated on wave 2's first assignment: the plain
-		// survivors, which must dial a live coordinator too (the wave-2
-		// task is in hand when `working` appears).
+		// Wave 2, gated on `died`: at 4 workers the leaver, which departs
+		// after one completed task and touches `leaving` on its first
+		// assignment; then the elastic joiner, gated on `leaving` (on `died`
+		// when there is no leaver) — a task is outstanding either way, so
+		// the coordinator is provably mid-run when the join handshake
+		// arrives, and the leaver holds its one task before the joiner can
+		// steal the pool dry (with both gated on `died`, a fast joiner did
+		// exactly that on four runs in ten). With at least three tasks in
+		// the run, two remain for the joiner. Wave 3, gated on the joiner's
+		// first assignment: the plain survivors, which must dial a live
+		// coordinator too (the joiner's task is in hand when `working`
+		// appears).
 		dir := t.TempDir()
 		died := filepath.Join(dir, "victim-died")
-		working := filepath.Join(dir, "wave2-working")
+		leaving := filepath.Join(dir, "leaver-working")
+		working := filepath.Join(dir, "joiner-working")
 		specs := []testWorkerSpec{{killAfter: 0, touchFile: died}}
+		joinAfter := died
 		for i := 1; i < workers; i++ {
 			sp := testWorkerSpec{killAfter: -1, startFile: working}
 			if workers == 4 && i == 1 {
 				sp.leaveAfter = 1
 				sp.startFile = died
-				sp.touchFile = working
+				sp.touchFile = leaving
+				joinAfter = leaving
 			}
 			specs = append(specs, sp)
 		}
-		specs = append(specs, testWorkerSpec{killAfter: -1, elastic: true, startFile: died, touchFile: working})
+		specs = append(specs, testWorkerSpec{killAfter: -1, elastic: true, startFile: joinAfter, touchFile: working})
 
 		res, cmds, err := runTCPChurn(t, sv, init, icfg, InferOptions{}, specs)
 		if err != nil {

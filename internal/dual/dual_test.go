@@ -147,3 +147,37 @@ func BenchmarkKernelEval(b *testing.B) {
 		_ = Mul(k, Exp(Scale(-0.5, q)))
 	}
 }
+
+// TestFirstMatchesDual pins the contract the gradient tier's component build
+// relies on: a computation carried out in First numbers reproduces the value
+// and gradient of the same computation in Dual numbers to 1e-15 relative
+// (bitwise where the compiler does not fuse multiply-adds).
+func TestFirstMatchesDual(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 200; trial++ {
+		var ds [N]Dual
+		var fs [N]First
+		for i := 0; i < N; i++ {
+			v := 0.2 + 2*r.Float64()
+			ds[i] = Var(v, i)
+			fs[i] = FirstVar(v, i)
+		}
+		// Every First op once: exp, sqr, sqrt, recip, logistic, sin, cos,
+		// mul, add, sub, scale, neg, addconst.
+		want := Sub(
+			Add(Mul(Exp(Neg(Mul(ds[0], ds[1]))), Logistic(ds[3])),
+				Mul(Recip(AddConst(Sqr(ds[4]), 3)), Sqrt(ds[2]))),
+			Scale(0.7, Mul(Sin(ds[5]), Cos(ds[0]))))
+		got := fs[0].Mul(fs[1]).Neg().Exp().Mul(fs[3].Logistic()).
+			Add(fs[4].Sqr().AddConst(3).Recip().Mul(fs[2].Sqrt())).
+			Sub(fs[5].Sin().Mul(fs[0].Cos()).Scale(0.7))
+		if math.Abs(got.V-want.V) > 1e-15*math.Abs(want.V) {
+			t.Fatalf("trial %d: value %v, dual %v", trial, got.V, want.V)
+		}
+		for i := 0; i < N; i++ {
+			if math.Abs(got.G[i]-want.G[i]) > 1e-15*(math.Abs(want.G[i])+math.Abs(want.V)) {
+				t.Fatalf("trial %d: grad[%d] %v, dual %v", trial, i, got.G[i], want.G[i])
+			}
+		}
+	}
+}

@@ -170,12 +170,28 @@ func (pb *Problem) EvalInto(theta *model.Params, s *Scratch) *Result {
 
 // evalPatchFull is the full-tier (value+gradient+Hessian) sweep of one
 // patch into its partial accumulator, using one worker's sweep state. The
-// pixel loop is the row-sweep kernel: the active rectangle is first clipped
-// to the source's culling radius (pixels outside contribute only their
-// background term, accumulated in closed form from per-row prefix sums);
-// each remaining row is evaluated by mog.SweepRow into SoA lanes, and the
-// gradient/Hessian accumulation consumes the lanes in straight-line loops
-// with the brightness blocks folded into per-patch moments.
+// active rectangle is first clipped to the source's culling radius (pixels
+// outside contribute only their background term, accumulated in closed form
+// from per-row prefix sums). Each remaining row then takes two passes (see
+// mog/rowmoment.go):
+//
+//   - Pass A, mog.SweepRowGrad, fills the value and gradient lanes. The pixel
+//     loop consumes them: the objective value, the weights ωs, ωg of the
+//     moment pass, the brightness-direction moments, and the part of the
+//     spatial Hessian that is an outer product of first derivatives,
+//
+//     2·p2·(cV·∇gs⊗∇gs + dV·∇gg⊗∇gg) + p11·∇m⊗∇m + p12·(∇m⊗∇e2 + ∇e2⊗∇m),
+//
+//     which needs each pixel's total gradients and so cannot be contracted per
+//     component. Past coordinate 1 both ∇m and ∇e2 are multiples of ∇gg (the
+//     star density has no shape derivative), so the shape rows reduce to ∇gg
+//     times a per-pixel 2-vector (position columns) or one scalar κ (shape
+//     columns).
+//
+//   - Pass B, AccumRow, folds ωs·E_c and ωg·E_c into per-component moments.
+//
+// The linear part Σ ωs·∇ᵏgs + ωg·∇ᵏgg of the spatial gradient and Hessian is
+// assembled from the moments once per patch.
 func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patch,
 	ws *sweepState, out *patchPartial) {
 
@@ -199,37 +215,31 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 
 	{
 		ev := ws.buildEvaluator(theta, p)
+		ws.mom.Reset(ev)
 		iota := p.Iota
 		b := p.Band
 		av, bv, cv, dv := &bm.A[b], &bm.B[b], &bm.C[b], &bm.D[b]
 		// Fold ι into the moments once per patch.
 		aV, bV := iota*av.Val, iota*bv.Val
 		cV, dV := iota*iota*cv.Val, iota*iota*dv.Val
+		bV2, bVdV4 := bV*bV, 4*bV*dV
 
 		lanes := ws.lanes
-		lanes.Resize(w)
-		ws.dxs = sliceutil.Grow(ws.dxs, w)
-		dxs := ws.dxs[:w]
-		for i := range dxs {
-			dxs[i] = float64(cx0+i) - srcX
-		}
+		dxs, omS, omG := ws.sizeRow(w, cx0, srcX)
 		sv := lanes.StarV
 		sg0, sg1 := lanes.StarGLane(0), lanes.StarGLane(1)
-		sh0, sh1, sh2 := lanes.StarHLane(0), lanes.StarHLane(1), lanes.StarHLane(2)
 		gvL := lanes.GalV
 		var gGL [dual.N][]float64
 		for k := 0; k < dual.N; k++ {
 			gGL[k] = lanes.GalGLane(k)
 		}
-		var gHL [dual.HessLen][]float64
-		for k := 0; k < dual.HessLen; k++ {
-			gHL[k] = lanes.GalHLane(k)
-		}
 
 		var pm patchMoments
+		var ho [dual.HessLen]float64 // outer-product part of the spatial Hessian
 		rectW := p.Rect.Width()
 		for y := cy0; y < cy1; y++ {
-			ev.SweepRow(lanes, dxs, float64(y)-srcY)
+			dy := float64(y) - srcY
+			ev.SweepRowGrad(lanes, dxs, dy)
 			base := (y-p.Rect.Y0)*rectW + (cx0 - p.Rect.X0)
 			obsRow := p.Obs[base : base+w]
 			bgRow := p.Bg[base : base+w]
@@ -246,6 +256,7 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 				vf := vbg + e2 - m*m
 				if ef <= 0 {
 					// Cannot happen with positive sky; guard anyway.
+					omS[i], omG[i] = 0, 0
 					continue
 				}
 
@@ -261,54 +272,40 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 				p11 := obs * (-4*m*inv3 - 3*vf*inv4)
 				p12 := obs * inv3
 
+				// Moment-pass weights: p1·∇ᵏm + p2·∇ᵏe2 = ωs·∇ᵏgs + ωg·∇ᵏgg up
+				// to the outer products below.
+				p2c, p2d := 2*p2*cV, 2*p2*dV
+				omS[i] = p1*aV + p2c*gs
+				omG[i] = p1*bV + p2d*gg
+
 				gsG0, gsG1 := sg0[i], sg1[i]
 				var ggG [dual.N]float64
 				for k := 0; k < dual.N; k++ {
 					ggG[k] = gGL[k][i]
 				}
 
-				// Spatial ∇m, ∇e2 (star gradients vanish past coordinate 1).
-				var gmj, ge2j [6]float64
-				gmj[0] = aV*gsG0 + bV*ggG[0]
-				gmj[1] = aV*gsG1 + bV*ggG[1]
-				ge2j[0] = 2 * (cV*gs*gsG0 + dV*gg*ggG[0])
-				ge2j[1] = 2 * (cV*gs*gsG1 + dV*gg*ggG[1])
-				for k := 2; k < 6; k++ {
-					gmj[k] = bV * ggG[k]
-					ge2j[k] = 2 * dV * gg * ggG[k]
-				}
-				for j := 0; j < 6; j++ {
-					grad[j] += p1*gmj[j] + p2*ge2j[j]
-				}
+				// Position entries of ∇m, ∇e2 and the position-position block.
+				gm0 := aV*gsG0 + bV*ggG[0]
+				gm1 := aV*gsG1 + bV*ggG[1]
+				ge0 := 2 * (cV*gs*gsG0 + dV*gg*ggG[0])
+				ge1 := 2 * (cV*gs*gsG1 + dV*gg*ggG[1])
+				ho[0] += p2c*gsG0*gsG0 + p2d*ggG[0]*ggG[0] + p11*gm0*gm0 + 2*p12*gm0*ge0
+				ho[1] += p2c*gsG0*gsG1 + p2d*ggG[0]*ggG[1] + p11*gm1*gm0 + p12*(gm1*ge0+gm0*ge1)
+				ho[2] += p2c*gsG1*gsG1 + p2d*ggG[1]*ggG[1] + p11*gm1*gm1 + 2*p12*gm1*ge1
 
-				// Spatial Hessian block. Position-position (packed 0..2) is
-				// the only block the star components reach.
-				{
-					h2m := aV*sh0[i] + bV*gHL[0][i]
-					h2e := 2 * (cV*(gs*sh0[i]+gsG0*gsG0) + dV*(gg*gHL[0][i]+ggG[0]*ggG[0]))
-					hess.Data[0] += p1*h2m + p2*h2e + p11*gmj[0]*gmj[0] + 2*p12*gmj[0]*ge2j[0]
-
-					h2m = aV*sh1[i] + bV*gHL[1][i]
-					h2e = 2 * (cV*(gs*sh1[i]+gsG0*gsG1) + dV*(gg*gHL[1][i]+ggG[0]*ggG[1]))
-					hess.Data[1*activeDim+0] += p1*h2m + p2*h2e +
-						p11*gmj[1]*gmj[0] + p12*(gmj[1]*ge2j[0]+gmj[0]*ge2j[1])
-
-					h2m = aV*sh2[i] + bV*gHL[2][i]
-					h2e = 2 * (cV*(gs*sh2[i]+gsG1*gsG1) + dV*(gg*gHL[2][i]+ggG[1]*ggG[1]))
-					hess.Data[1*activeDim+1] += p1*h2m + p2*h2e +
-						p11*gmj[1]*gmj[1] + 2*p12*gmj[1]*ge2j[1]
-				}
-				// Shape rows: the star density has no shape derivatives, so
-				// only the galaxy lanes contribute to ∇²m and ∇²e2.
-				for i2 := 2; i2 < 6; i2++ {
-					row := hess.Data[i2*activeDim:]
-					hb := i2 * (i2 + 1) / 2
-					for j2 := 0; j2 <= i2; j2++ {
-						hg := gHL[hb+j2][i]
-						h2m := bV * hg
-						h2e := 2 * dV * (gg*hg + ggG[i2]*ggG[j2])
-						row[j2] += p1*h2m + p2*h2e +
-							p11*gmj[i2]*gmj[j2] + p12*(gmj[i2]*ge2j[j2]+gmj[j2]*ge2j[i2])
+				// Shape rows: ∇gg[k] times v (position columns) or κ·∇gg[l].
+				p12g := 2 * p12 * dV * gg
+				v0 := p2d*ggG[0] + p11*bV*gm0 + p12*bV*ge0 + p12g*gm0
+				v1 := p2d*ggG[1] + p11*bV*gm1 + p12*bV*ge1 + p12g*gm1
+				kappa := p2d + p11*bV2 + p12*bVdV4*gg
+				for k := 2; k < dual.N; k++ {
+					row := ho[k*(k+1)/2:]
+					gk := ggG[k]
+					row[0] += gk * v0
+					row[1] += gk * v1
+					kg := kappa * gk
+					for l := 2; l <= k; l++ {
+						row[l] += kg * ggG[l]
 					}
 				}
 
@@ -353,6 +350,19 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 					pm.e4[j] += p12gsgg * g
 					pm.e6[j] += p12gg2 * g
 				}
+			}
+			ev.AccumRow(&ws.mom, lanes, omS, omG, dxs, dy, true)
+		}
+
+		// Spatial block: the moment-contracted linear part plus the outer
+		// products.
+		ev.MomentGrad(&ws.mom, (*[dual.N]float64)(grad[:dual.N]))
+		ev.MomentHess(&ws.mom, &ho)
+		k := 0
+		for i := 0; i < dual.N; i++ {
+			for j := 0; j <= i; j++ {
+				hess.Data[i*activeDim+j] += ho[k]
+				k++
 			}
 		}
 

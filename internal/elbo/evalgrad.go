@@ -5,7 +5,6 @@ import (
 
 	"celeste/internal/dual"
 	"celeste/internal/model"
-	"celeste/internal/sliceutil"
 )
 
 // GradResult is a middle-tier objective evaluation: value and exact gradient
@@ -27,15 +26,16 @@ func (pb *Problem) EvalGrad(theta *model.Params) *GradResult {
 
 // EvalGradInto is the gradient-only evaluation tier: the same culling
 // geometry, row sweeps, and accumulation expressions as EvalInto, with every
-// Hessian-bearing computation removed — SweepRowGrad fills only the value and
-// gradient lanes, the per-pixel consumption loop keeps only the p1/p2 chain,
-// and the brightness-direction block collapses to four scalar moments per
-// patch. Because the surviving expressions are identical to EvalInto's term
-// by term, the returned value and gradient agree with the full tier to well
-// under 1e-12 relative (see TestEvalGradIntoMatchesEvalInto), and the visit
-// counts agree exactly. The returned GradResult is owned by s and valid until
-// the next EvalGradInto with the same scratch; steady-state calls perform
-// zero heap allocations.
+// Hessian-bearing computation removed — no derivative lane is filled at all,
+// the per-pixel consumption loop keeps only the p1/p2 chain, the spatial
+// gradient comes from the degree ≤ 2 component moments, and the
+// brightness-direction block collapses to four scalar moments per patch.
+// Because the surviving expressions and accumulators are identical to
+// EvalInto's term by term, the returned value and gradient agree with the
+// full tier to well under 1e-12 relative (see
+// TestEvalGradIntoMatchesEvalInto), and the visit counts agree exactly. The
+// returned GradResult is owned by s and valid until the next EvalGradInto
+// with the same scratch; steady-state calls perform zero heap allocations.
 func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 	res := &s.gres
 	if useScalarRef {
@@ -100,8 +100,14 @@ func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 }
 
 // evalPatchGrad is the gradient tier's per-patch sweep into a partial
-// accumulator: the same culling geometry and accumulation expressions as
-// evalPatchFull with every Hessian-bearing computation removed.
+// accumulator: the same culling geometry, pixel expressions and moment pass
+// as evalPatchFull with every second-order computation removed. Pass A
+// (mog.SweepRowE) fills value lanes only — no derivative lane is written on
+// this tier — the pixel loop keeps the p1/p2 chain and the weights ωs, ωg,
+// and pass B accumulates the degree ≤ 2 moments, the same accumulators by
+// the same operations as the full tier's, from which the spatial gradient is
+// assembled once per patch. The evaluator is built to first order
+// (mog.BuildGrad).
 func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patch,
 	ws *sweepState, out *patchPartial) {
 
@@ -122,7 +128,8 @@ func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patc
 	out.visits += int64(w) * int64(cy1-cy0)
 
 	{
-		ev := ws.buildEvaluator(theta, p)
+		ev := ws.buildEvaluatorGrad(theta, p)
+		ws.mom.Reset(ev)
 		iota := p.Iota
 		b := p.Band
 		av, bv, cv, dv := &bm.A[b], &bm.B[b], &bm.C[b], &bm.D[b]
@@ -130,19 +137,8 @@ func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patc
 		cV, dV := iota*iota*cv.Val, iota*iota*dv.Val
 
 		lanes := ws.lanes
-		lanes.Resize(w)
-		ws.dxs = sliceutil.Grow(ws.dxs, w)
-		dxs := ws.dxs[:w]
-		for i := range dxs {
-			dxs[i] = float64(cx0+i) - srcX
-		}
-		sv := lanes.StarV
-		sg0, sg1 := lanes.StarGLane(0), lanes.StarGLane(1)
-		gvL := lanes.GalV
-		var gGL [dual.N][]float64
-		for k := 0; k < dual.N; k++ {
-			gGL[k] = lanes.GalGLane(k)
-		}
+		dxs, omS, omG := ws.sizeRow(w, cx0, srcX)
+		sv, gvL := lanes.StarV, lanes.GalV
 
 		// Brightness-direction moments: gradient assembly needs only the four
 		// scalar sums (the vector and second-order moments exist solely for
@@ -150,7 +146,8 @@ func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patc
 		var p1s, p1g, p2ss, p2gg float64
 		rectW := p.Rect.Width()
 		for y := cy0; y < cy1; y++ {
-			ev.SweepRowGrad(lanes, dxs, float64(y)-srcY)
+			dy := float64(y) - srcY
+			ev.SweepRowE(lanes, dxs, dy)
 			base := (y-p.Rect.Y0)*rectW + (cx0 - p.Rect.X0)
 			obsRow := p.Obs[base : base+w]
 			bgRow := p.Bg[base : base+w]
@@ -167,6 +164,7 @@ func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patc
 				vf := vbg + e2 - m*m
 				if ef <= 0 {
 					// Cannot happen with positive sky; guard anyway.
+					omS[i], omG[i] = 0, 0
 					continue
 				}
 
@@ -179,33 +177,19 @@ func (pb *Problem) evalPatchGrad(theta *model.Params, bm *brightMoments, p *Patc
 				p1 := obs*(inv+m*inv2+vf*inv3) - 1
 				p2 := -obs * inv2 / 2
 
-				gsG0, gsG1 := sg0[i], sg1[i]
-				var ggG [dual.N]float64
-				for k := 0; k < dual.N; k++ {
-					ggG[k] = gGL[k][i]
-				}
-
-				// Spatial ∇m, ∇e2 (star gradients vanish past coordinate 1).
-				var gmj, ge2j [6]float64
-				gmj[0] = aV*gsG0 + bV*ggG[0]
-				gmj[1] = aV*gsG1 + bV*ggG[1]
-				ge2j[0] = 2 * (cV*gs*gsG0 + dV*gg*ggG[0])
-				ge2j[1] = 2 * (cV*gs*gsG1 + dV*gg*ggG[1])
-				for k := 2; k < 6; k++ {
-					gmj[k] = bV * ggG[k]
-					ge2j[k] = 2 * dV * gg * ggG[k]
-				}
-				for j := 0; j < 6; j++ {
-					grad[j] += p1*gmj[j] + p2*ge2j[j]
-				}
+				p2c, p2d := 2*p2*cV, 2*p2*dV
+				omS[i] = p1*aV + p2c*gs
+				omG[i] = p1*bV + p2d*gg
 
 				p1s += p1 * gs
 				p1g += p1 * gg
 				p2ss += p2 * gs * gs
 				p2gg += p2 * gg * gg
 			}
+			ev.AccumRow(&ws.mom, lanes, omS, omG, dxs, dy, false)
 		}
 
+		ev.MomentGrad(&ws.mom, (*[dual.N]float64)(grad[:dual.N]))
 		iota2 := iota * iota
 		for li := 0; li < brightDim; li++ {
 			avG, bvG := av.Grad[li], bv.Grad[li]

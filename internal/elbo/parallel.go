@@ -8,6 +8,7 @@ import (
 	"celeste/internal/linalg"
 	"celeste/internal/model"
 	"celeste/internal/mog"
+	"celeste/internal/sliceutil"
 )
 
 // This file implements intra-evaluation parallelism: one objective
@@ -15,7 +16,10 @@ import (
 // workers. Determinism comes from the accumulator structure, not from the
 // schedule: every patch is swept into its own partial accumulator (value,
 // visits, active-block gradient, and — on the full tier — the active-block
-// Hessian), and the partials are reduced in fixed patch order afterwards.
+// Hessian; the per-component moments behind the spatial blocks live in the
+// sweeping worker's own state and are assembled into the partial before the
+// patch completes), and the partials are reduced in fixed patch order
+// afterwards.
 // Patch-to-worker assignment is a nondeterministic atomic claim, but since a
 // partial's contents depend only on its patch and the (read-only) shared
 // inputs, and the reduction order is fixed, the result is bitwise identical
@@ -41,12 +45,17 @@ type patchPartial struct {
 // sweepState owns the per-worker buffers one patch sweep needs: the spatial
 // dual evaluator (rebuilt per patch — it depends on the patch's PSF and
 // WCS), the SoA row lanes (pooled in mog so churned workers reuse warm
-// slabs), the row x-offsets, and the value-path mixture buffers. Worker slot
-// 0 belongs to the calling goroutine; the serial paths run entirely on it.
+// slabs), the per-component moment accumulators of the derivative tiers, the
+// row x-offsets and moment-pass weights, and the value-path mixture buffers.
+// Worker slot 0 belongs to the calling goroutine; the serial paths run
+// entirely on it.
 type sweepState struct {
 	ev     mog.Evaluator
 	lanes  *mog.RowLanes
+	mom    mog.Moments
 	dxs    []float64
+	omS    []float64 // moment-pass weight of the star density, per pixel
+	omG    []float64 // ... of the galaxy density
 	comb   []mog.ProfComp
 	galMix mog.Mixture
 	starV  []mog.ValueComp
@@ -73,6 +82,30 @@ func (w *sweepState) buildEvaluator(theta *model.Params, p *Patch) *mog.Evaluato
 		theta[model.ParamGalAngle], theta[model.ParamGalLogScale],
 		model.JacFromWCS(p.WCS))
 	return &w.ev
+}
+
+// buildEvaluatorGrad is buildEvaluator to first order, for the gradient
+// tier.
+func (w *sweepState) buildEvaluatorGrad(theta *model.Params, p *Patch) *mog.Evaluator {
+	w.ev.BuildGrad(p.PSF, expProf, devProf,
+		theta[model.ParamGalDevLogit], theta[model.ParamGalABLogit],
+		theta[model.ParamGalAngle], theta[model.ParamGalLogScale],
+		model.JacFromWCS(p.WCS))
+	return &w.ev
+}
+
+// sizeRow prepares the worker's row buffers for a derivative-tier sweep of
+// width n starting at pixel column x0: the lanes, the x-offsets from the
+// source centre, and the moment-pass weight rows.
+func (w *sweepState) sizeRow(n, x0 int, srcX float64) (dxs, omS, omG []float64) {
+	w.lanes.Resize(n)
+	w.dxs = sliceutil.Grow(w.dxs, n)
+	w.omS = sliceutil.Grow(w.omS, n)
+	w.omG = sliceutil.Grow(w.omG, n)
+	for i := range w.dxs {
+		w.dxs[i] = float64(x0+i) - srcX
+	}
+	return w.dxs, w.omS, w.omG
 }
 
 // galaxyMixtureInto builds the value-path galaxy appearance mixture for one

@@ -351,6 +351,75 @@ func (e *Evaluator) Build(psf Mixture, expProf, devProf []ProfComp,
 	add(devProf, rho)
 }
 
+// BuildGrad is Build carrying first derivatives only: it fills the V and G
+// parts of every component's K and Q duals by the same expressions as Build
+// (bitwise the same values where the compiler does not fuse multiply-adds)
+// and leaves their H parts zero. It serves the gradient tier, whose moment
+// assembly (MomentGrad) reads no second derivative; calling MomentHess,
+// SweepRow, EvalStar or EvalGal on an evaluator built this way is a bug.
+func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
+	rhoLogit, abLogit, angle, logScale float64, jac Jac2) {
+
+	e.jac = jac
+	e.Star = starCompsInto(e.Star[:0], psf)
+	e.Gal = e.Gal[:0]
+
+	rho := dual.FirstVar(rhoLogit, 2).Logistic()
+	ab := dual.FirstVar(abLogit, 3).Logistic()
+	th := dual.FirstVar(angle, 4)
+	sigma := dual.FirstVar(logScale, 5).Exp()
+
+	// World covariance W = R diag(s^2, (s*ab)^2) Rᵀ.
+	a := sigma.Sqr()
+	b := a.Mul(ab.Sqr())
+	s := th.Sin()
+	c := th.Cos()
+	s2 := s.Sqr()
+	c2 := c.Sqr()
+	w11 := a.Mul(c2).Add(b.Mul(s2))
+	w12 := a.Sub(b).Mul(s.Mul(c))
+	w22 := a.Mul(s2).Add(b.Mul(c2))
+
+	// Pixel covariance P = J W Jᵀ.
+	t11 := w11.Scale(jac.A11).Add(w12.Scale(jac.A12))
+	t12 := w12.Scale(jac.A11).Add(w22.Scale(jac.A12))
+	t21 := w11.Scale(jac.A21).Add(w12.Scale(jac.A22))
+	t22 := w12.Scale(jac.A21).Add(w22.Scale(jac.A22))
+	p11 := t11.Scale(jac.A11).Add(t12.Scale(jac.A12))
+	p12 := t11.Scale(jac.A21).Add(t12.Scale(jac.A22))
+	p22 := t21.Scale(jac.A21).Add(t22.Scale(jac.A22))
+
+	oneMinusRho := rho.Neg().AddConst(1)
+	add := func(prof []ProfComp, mix dual.First) {
+		for _, pc := range prof {
+			for _, pk := range psf {
+				s11 := p11.Scale(pc.Var).AddConst(pk.Sxx)
+				s12 := p12.Scale(pc.Var).AddConst(pk.Sxy)
+				s22 := p22.Scale(pc.Var).AddConst(pk.Syy)
+				det := s11.Mul(s22).Sub(s12.Sqr())
+				invDet := det.Recip()
+				wt := mix.Scale(pc.Weight * pk.Weight / (2 * math.Pi))
+				k := wt.Mul(det.Sqrt().Recip())
+				q11 := s22.Mul(invDet)
+				q12 := s12.Mul(invDet).Neg()
+				q22 := s11.Mul(invDet)
+
+				e.Gal = append(e.Gal, DualComp{})
+				dc := &e.Gal[len(e.Gal)-1]
+				dc.K.V, dc.K.G = k.V, k.G
+				dc.Q11.V, dc.Q11.G = q11.V, q11.G
+				dc.Q12.V, dc.Q12.G = q12.V, q12.G
+				dc.Q22.V, dc.Q22.G = q22.V, q22.G
+				dc.MuX, dc.MuY = pk.MuX, pk.MuY
+				dc.EStep = math.Exp(-q11.V)
+				dc.Geom.set(q11.V, q12.V, q22.V)
+			}
+		}
+	}
+	add(expProf, oneMinusRho)
+	add(devProf, rho)
+}
+
 func starComps(psf Mixture) []DualComp {
 	return starCompsInto(make([]DualComp, 0, len(psf)), psf)
 }

@@ -48,45 +48,63 @@ const rowResync = 64
 // slabs of w-wide lanes. Star components carry no shape derivatives (their K
 // and Q duals are constants), so the star side stores only the value, the
 // two position-gradient lanes, and the three position-position Hessian
-// lanes. Lanes are owned by an elbo.Scratch and reused across rows, patches,
-// and evaluations.
+// lanes. Lanes are owned by an elbo sweep worker and reused across rows,
+// patches, and evaluations.
+//
+// The Hessian lanes are filled only by SweepRow, the lane oracle, which
+// sizes them itself; the production tiers contract second derivatives into
+// per-component moments instead (rowmoment.go) and read, besides the value
+// and gradient lanes, the per-component exponential slab E that SweepRowGrad
+// and SweepRowE record for the moment pass.
 type RowLanes struct {
 	w int
 
 	StarV []float64 // len w: star density value
 	StarG []float64 // len 2w: position gradient lanes 0..1
-	StarH []float64 // len 3w: packed position Hessian lanes 0..2
+	StarH []float64 // len 3w: packed position Hessian lanes 0..2 (SweepRow only)
 
 	GalV []float64 // len w: galaxy density value
 	GalG []float64 // len dual.N*w: gradient lanes
-	GalH []float64 // len dual.HessLen*w: packed Hessian lanes
+	GalH []float64 // len dual.HessLen*w: packed Hessian lanes (SweepRow only)
+
+	// e holds, for component c of the last SweepRowGrad/SweepRowE (star
+	// components first, then galaxy), its bare exponential exp(-q/2) over
+	// the pixels span[c] — exactly zero where the pixel failed the qCutoff
+	// test. Row c starts at c*w.
+	e    []float64
+	span []rowSpan
 }
+
+// rowSpan is one component's inclusive active pixel range on the current
+// row; i1 < i0 marks a component that does not reach the row.
+type rowSpan struct{ i0, i1 int }
 
 // W returns the current lane width.
 func (l *RowLanes) W() int { return l.w }
 
-// Resize sets the lane width, growing the backing slabs as needed. Contents
-// are unspecified afterwards; SweepRow zeroes every lane it fills.
+// Resize sets the lane width, growing the value and gradient slabs as
+// needed. Contents are unspecified afterwards; every sweep zeroes the lanes
+// it fills.
 func (l *RowLanes) Resize(w int) {
 	l.w = w
 	l.StarV = sliceutil.Grow(l.StarV, w)
 	l.StarG = sliceutil.Grow(l.StarG, 2*w)
-	l.StarH = sliceutil.Grow(l.StarH, 3*w)
 	l.GalV = sliceutil.Grow(l.GalV, w)
 	l.GalG = sliceutil.Grow(l.GalG, dual.N*w)
-	l.GalH = sliceutil.Grow(l.GalH, dual.HessLen*w)
 }
 
 // StarGLane returns the star gradient lane for position coordinate k (0..1).
 func (l *RowLanes) StarGLane(k int) []float64 { return l.StarG[k*l.w : (k+1)*l.w] }
 
-// StarHLane returns the star Hessian lane for packed position index k (0..2).
+// StarHLane returns the star Hessian lane for packed position index k (0..2);
+// valid after a SweepRow at the current width.
 func (l *RowLanes) StarHLane(k int) []float64 { return l.StarH[k*l.w : (k+1)*l.w] }
 
 // GalGLane returns the galaxy gradient lane for coordinate k (0..dual.N-1).
 func (l *RowLanes) GalGLane(k int) []float64 { return l.GalG[k*l.w : (k+1)*l.w] }
 
-// GalHLane returns the galaxy Hessian lane for packed index k.
+// GalHLane returns the galaxy Hessian lane for packed index k; valid after a
+// SweepRow at the current width.
 func (l *RowLanes) GalHLane(k int) []float64 { return l.GalH[k*l.w : (k+1)*l.w] }
 
 // rowGeom holds the per-component constants of the row-interval computation,
@@ -150,6 +168,8 @@ func (e *Evaluator) SweepRow(l *RowLanes, dxs []float64, dy float64) {
 	if len(dxs) != w {
 		panic("mog: SweepRow dxs length does not match lane width")
 	}
+	l.StarH = sliceutil.Grow(l.StarH, 3*w)
+	l.GalH = sliceutil.Grow(l.GalH, dual.HessLen*w)
 	clearFloats(l.StarV)
 	clearFloats(l.StarG)
 	clearFloats(l.StarH)

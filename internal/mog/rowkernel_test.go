@@ -8,10 +8,18 @@ import (
 	"celeste/internal/rng"
 )
 
-// randomEvaluator builds an Evaluator from a random PSF, random profile
-// mixtures, and random unconstrained shape parameters — the same ingredients
-// the ELBO hot path compiles per (source, image) pair.
-func randomEvaluator(r *rng.Source) *Evaluator {
+// buildArgs is one set of Evaluator build inputs.
+type buildArgs struct {
+	psf                   Mixture
+	expP, devP            []ProfComp
+	rho, ab, th, logScale float64
+	jac                   Jac2
+}
+
+// randomBuildArgs draws a random PSF, random profile mixtures, and random
+// unconstrained shape parameters — the same ingredients the ELBO hot path
+// compiles per (source, image) pair. scaleMul stretches the galaxy.
+func randomBuildArgs(r *rng.Source, scaleMul float64) buildArgs {
 	nPSF := 1 + r.Intn(3)
 	psf := make(Mixture, 0, nPSF)
 	for i := 0; i < nPSF; i++ {
@@ -24,12 +32,22 @@ func randomEvaluator(r *rng.Source) *Evaluator {
 			Sxx: sx, Sxy: cr, Syy: sy,
 		})
 	}
-	expP := []ProfComp{{Weight: 0.7, Var: 0.3 + r.Float64()}, {Weight: 0.3, Var: 1 + 2*r.Float64()}}
-	devP := []ProfComp{{Weight: 0.6, Var: 0.2 + 0.5*r.Float64()}, {Weight: 0.4, Var: 2 + 6*r.Float64()}}
-	scale := 1e-4 * (0.5 + 3*r.Float64())
-	jac := Jac2{A11: 1 / 1.1e-4, A22: 1 / 1.1e-4, A12: 0.1 * r.Normal() / 1.1e-4, A21: 0.1 * r.Normal() / 1.1e-4}
-	return NewEvaluator(psf, expP, devP,
-		r.Normal(), r.Normal(), r.Normal(), math.Log(scale), jac)
+	a := buildArgs{psf: psf}
+	a.expP = []ProfComp{{Weight: 0.7, Var: 0.3 + r.Float64()}, {Weight: 0.3, Var: 1 + 2*r.Float64()}}
+	a.devP = []ProfComp{{Weight: 0.6, Var: 0.2 + 0.5*r.Float64()}, {Weight: 0.4, Var: 2 + 6*r.Float64()}}
+	a.logScale = math.Log(scaleMul * 1e-4 * (0.5 + 3*r.Float64()))
+	a.jac = Jac2{A11: 1 / 1.1e-4, A22: 1 / 1.1e-4, A12: 0.1 * r.Normal() / 1.1e-4, A21: 0.1 * r.Normal() / 1.1e-4}
+	a.rho, a.ab, a.th = r.Normal(), r.Normal(), r.Normal()
+	return a
+}
+
+func (a buildArgs) evaluator() *Evaluator {
+	return NewEvaluator(a.psf, a.expP, a.devP, a.rho, a.ab, a.th, a.logScale, a.jac)
+}
+
+// randomEvaluator builds an Evaluator from random build inputs.
+func randomEvaluator(r *rng.Source) *Evaluator {
+	return randomBuildArgs(r, 1).evaluator()
 }
 
 // relClose reports |a-b| <= tol relative to a per-pixel scale floor: lane
