@@ -70,15 +70,14 @@ type (
 	// uninterrupted run.
 	Checkpoint = core.Checkpoint
 	// FaultPlan schedules rank kills and stalls for fault-injected runs,
-	// honored identically by the in-process runtime and the cluster
-	// simulator.
+	// honored identically by in-process ranks and the cluster simulator.
 	FaultPlan = dtree.FaultPlan
 	// Fault is one scheduled rank failure or slowdown.
 	Fault = dtree.Fault
 	// Transport selects the TCP runtime for InferWithOptions: real worker
 	// processes connect to its Listener, pull Dtree tasks, fetch frozen
 	// stage input, and write results over the length-prefixed wire protocol.
-	// The catalog is byte-identical to the in-process runtime's.
+	// The catalog is byte-identical to a run with in-process ranks.
 	Transport = cnet.Transport
 	// WorkerOptions configures one TCP worker process (see RunWorker).
 	WorkerOptions = core.WorkerOptions
@@ -165,9 +164,10 @@ type InferResult struct {
 	TasksProcessed int
 	// FailedRanks and RequeuedTasks record injected-fault recovery.
 	FailedRanks, RequeuedTasks int
-	// JoinedRanks, LeftRanks, and StolenTasks record elastic membership on
-	// the TCP runtime: workers admitted mid-run, graceful departures (not
-	// failures), and tasks moved between rank pools by stealing.
+	// JoinedRanks and LeftRanks record elastic membership (TCP runs only:
+	// workers admitted mid-run, graceful departures that are not failures);
+	// StolenTasks counts tasks an idle rank pulled out of another rank's
+	// pool, on any run.
 	JoinedRanks, LeftRanks, StolenTasks int
 }
 
@@ -185,9 +185,9 @@ type InferOptions struct {
 	Resume *Checkpoint
 	// Faults injects rank kills and stalls into the run.
 	Faults *FaultPlan
-	// Transport, when non-nil, runs the TCP coordinator runtime instead of
-	// the in-process goroutine ranks: cfg.Processes worker processes (each
-	// started with RunWorker or `celeste -worker`) serve the run's tasks.
+	// Transport, when non-nil, makes the run's ranks cfg.Processes worker
+	// processes (each started with RunWorker or `celeste -worker`) reaching
+	// the coordinator over TCP, instead of goroutines in this process.
 	Transport *Transport
 
 	// Catalog, when non-nil, receives the run's posterior summaries as they

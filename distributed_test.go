@@ -60,7 +60,6 @@ func runTestWorker(addr string) {
 	opts := WorkerOptions{
 		Threads:        2,
 		HeartbeatEvery: 50 * time.Millisecond,
-		Poll:           2 * time.Millisecond,
 	}
 	// The churn tests order the fleet by sentinel files instead of wall-clock
 	// sleeps, so the schedule is identical on fast and loaded machines: a

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"celeste/internal/cyclades"
 	"celeste/internal/dtree"
@@ -405,14 +404,15 @@ type RunResult struct {
 	PGASLocalOps   int64
 	PGASRemoteOps  int64
 
-	// Fault-recovery accounting.
+	// Fault-recovery and load-balance accounting, filled by the run
+	// backend's one epilogue whichever link the ranks used.
 	FailedRanks   int
 	RequeuedTasks int
+	StolenTasks   int // tasks an idle rank pulled out of another rank's pool
 
-	// Elastic-membership accounting (TCP runtime only).
+	// Elastic-membership accounting: only wire ranks can join or leave.
 	JoinedRanks int // elastic workers admitted mid-run
 	LeftRanks   int // workers that departed gracefully (not failures)
-	StolenTasks int // tasks moved between rank pools by stealing
 }
 
 // RunOptions extends Run with checkpoint/resume and fault injection.
@@ -456,15 +456,17 @@ type RunOptions struct {
 	// flushes.
 	CatalogEvery int
 
-	// Faults injects rank kills and stalls into the goroutine runtime.
+	// Faults injects rank kills and stalls into in-process ranks.
 	Faults *dtree.FaultPlan
 
-	// Transport selects the runtime. Nil runs the in-process goroutine
-	// ranks (the reference implementation). Non-nil serves the run over TCP
+	// Transport selects the link between the ranks and the run's state
+	// machine. Nil means the ranks live in this process: cfg.Processes
+	// goroutines call the backend directly and touch the parameter arrays
+	// through shared-memory views. Non-nil serves the same backend over TCP
 	// to cfg.Processes real worker processes, which pull tasks, fetch
 	// frozen stage input, and write results over the wire; the catalog is
-	// byte-identical to the in-process runtime's, including across worker
-	// kills and checkpoint resumes.
+	// byte-identical either way, including across rank kills and checkpoint
+	// resumes.
 	Transport *cnet.Transport
 }
 
@@ -512,11 +514,9 @@ type runState struct {
 	catEvery   int
 	catHook    func(idx []int, entries []model.CatalogEntry)
 
-	// Fault bookkeeping: a killed rank stays dead for the rest of the run
-	// (the node is gone), and kill/delay triggers count completed tasks
-	// across stages.
-	deadRank    []bool
-	completedBy []int
+	// A retired rank (failed or left) stays dead for the rest of the run —
+	// the node is gone. Owned by the backend's lock.
+	deadRank []bool
 
 	aborted  atomic.Bool
 	abortErr error
@@ -654,19 +654,18 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 
 	cfg.defaults()
 	if opts.Transport != nil && opts.Faults != nil {
-		return nil, errors.New("core: FaultPlan injects faults into the in-process runtime; fault the TCP runtime by killing real worker processes")
+		return nil, errors.New("core: FaultPlan injects faults into in-process ranks; fault a TCP run by killing real worker processes")
 	}
 	if opts.Transport != nil && (cfg.Fit.EagerHessian || cfg.ColdSweeps) {
-		return nil, errors.New("core: the EagerHessian/ColdSweeps ablation knobs are not carried by the wire protocol; run them on the in-process runtime")
+		return nil, errors.New("core: the EagerHessian/ColdSweeps ablation knobs are not carried by the wire protocol; run them with in-process ranks")
 	}
 	priors := model.FitPriors(catalog)
 
 	st := &runState{
-		done:        make([]bool, len(tasks)),
-		every:       opts.CheckpointEvery,
-		hook:        opts.OnCheckpoint,
-		deadRank:    make([]bool, cfg.Processes),
-		completedBy: make([]int, cfg.Processes),
+		done:     make([]bool, len(tasks)),
+		every:    opts.CheckpointEvery,
+		hook:     opts.OnCheckpoint,
+		deadRank: make([]bool, cfg.Processes),
 	}
 	if opts.OnCatalog != nil {
 		st.catHook = opts.OnCatalog
@@ -722,28 +721,17 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	// Populate the work counters on every exit path — an aborted or
 	// stranded run's "partial result" contract includes them.
 	defer st.fillResult(res)
-	stages := [][]int{stage0, stage1}
+	// One state machine runs every run; Transport only picks the link its
+	// ranks reach it over.
+	b := newBackend(cfg.Processes, [][]int{stage0, stage1}, st)
+	var linkErr error
 	if opts.Transport != nil {
-		if err := cfg.serveTCP(tasks, stages, st, opts.Transport, res); err != nil {
-			return res, err
-		}
+		linkErr = b.serve(opts.Transport, cfg, len(tasks))
 	} else {
-		for s := st.stage; s < len(stages); s++ {
-			if s != st.stage {
-				// Stage transition: the live array becomes the next stage's
-				// frozen input.
-				st.freezeStage(s)
-			}
-			if err := cfg.runStage(sv, catalog, &priors, tasks, stages[s], st, opts.Faults, res); err != nil {
-				return res, err
-			}
-			if st.aborted.Load() {
-				st.mu.Lock()
-				err := st.abortErr
-				st.mu.Unlock()
-				return res, err
-			}
-		}
+		b.runRanks(&rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks}, opts.Faults)
+	}
+	if err := b.finishRun(res, linkErr); err != nil {
+		return res, err
 	}
 
 	// Summarize the final parameters into the output catalog.
@@ -844,129 +832,6 @@ func (st *runState) freezeStage(s int) {
 	st.prev, _ = pgas.FromSnapshot(st.prevSnap)
 }
 
-// runStage schedules one stage's tasks over the simulated ranks, honoring
-// the fault plan. A rank that drains the pool but finds unfinished tasks
-// polls for requeued work (another rank may die and surrender its tasks)
-// until every task in the stage is confirmed done.
-func (cfg Config) runStage(sv *survey.Survey, catalog []model.CatalogEntry,
-	priors *model.Priors, tasks []partition.Task, idx []int, st *runState,
-	faults *dtree.FaultPlan, res *RunResult) error {
-
-	if len(idx) == 0 {
-		return nil
-	}
-	doneSub := make([]bool, len(idx))
-	remaining := 0
-	for j, gi := range idx {
-		doneSub[j] = st.done[gi]
-		if !doneSub[j] {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		return nil
-	}
-	sched := dtree.NewResumed(dtree.Config{}, cfg.Processes, len(idx), doneSub)
-	// Ranks killed in an earlier stage stay dead: surrender their static
-	// allocation before anyone pulls.
-	for rank, dead := range st.deadRank {
-		if dead {
-			sched.Fail(rank)
-		}
-	}
-	// The rank loops pull through the transport-agnostic Source interface —
-	// the same face internal/net's client presents to a remote worker.
-	var src dtree.Source = sched
-
-	var stageDone atomic.Int64
-	stageDone.Store(int64(len(idx) - remaining))
-	finished := func() bool { return int(stageDone.Load()) == len(idx) }
-
-	var wg sync.WaitGroup
-	for rank := 0; rank < cfg.Processes; rank++ {
-		if st.deadRank[rank] {
-			continue
-		}
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			killAfter, hasKill := faults.KillAfter(rank)
-			for {
-				if st.aborted.Load() {
-					return
-				}
-				j, ok := src.Next(rank)
-				if !ok {
-					// Dry pool: steal from the most-loaded live rank before
-					// sleeping — the idle rank load-balances instead of
-					// spinning. Task purity keeps the catalog byte-identical
-					// whichever rank ends up executing a task.
-					j, ok = src.Steal(rank)
-				}
-				if !ok {
-					if finished() {
-						return
-					}
-					// The pool is dry but unfinished tasks are in flight on
-					// other ranks; poll for requeued work from failures. A
-					// rank with a pending kill waits here too — it dies with
-					// a task in hand, never quietly.
-					time.Sleep(200 * time.Microsecond)
-					continue
-				}
-				gi := idx[j]
-				if d := faults.DelayFor(rank, st.completedBy[rank]); d > 0 {
-					time.Sleep(time.Duration(d * float64(time.Second)))
-				}
-				dying := hasKill && st.completedBy[rank] >= killAfter
-				stats := cfg.processTask(sv, catalog, priors, st, rank, &tasks[gi])
-				if dying {
-					// The rank dies mid-task: its work is lost (never
-					// committed) and the scheduler requeues the in-flight
-					// task plus the rank's undistributed pool.
-					st.mu.Lock()
-					st.deadRank[rank] = true
-					st.mu.Unlock()
-					src.Fail(rank)
-					return
-				}
-				st.commit(gi, stats)
-				stageDone.Add(1)
-				src.Done(rank, j)
-				st.completedBy[rank]++
-			}
-		}(rank)
-	}
-	wg.Wait()
-	dead := 0
-	for _, d := range st.deadRank {
-		if d {
-			dead++
-		}
-	}
-	res.FailedRanks = dead
-	res.RequeuedTasks += int(sched.Requeued())
-	if !finished() && !st.aborted.Load() {
-		return fmt.Errorf("core: %d tasks stranded in stage %d: every surviving rank exhausted (faults killed %d of %d ranks)",
-			len(idx)-int(stageDone.Load()), st.stage, dead, cfg.Processes)
-	}
-	return nil
-}
-
-// processTask runs one task against the run's local arrays through the
-// rank's shared-memory views. The TCP worker runtime runs the identical
-// ExecTask against wire-backed views; only the transport differs.
-func (cfg Config) processTask(sv *survey.Survey, catalog []model.CatalogEntry,
-	priors *model.Priors, st *runState, rank int, task *partition.Task) Stats {
-
-	stats, err := cfg.ExecTask(sv, catalog, priors, task, st.prev.View(rank), st.cur.View(rank))
-	if err != nil {
-		// Local views never fail; an error here is a programming bug.
-		panic(err)
-	}
-	return stats
-}
-
 // taskScratch owns the per-task buffers ExecTask needs — the read index and
 // parameter staging buffers, the in-region bitmap, and the Region itself —
 // pooled so a worker executing task after task allocates nothing in steady
@@ -983,13 +848,12 @@ var taskPool = freeList[taskScratch]{newFn: func() *taskScratch { return new(tas
 
 // ExecTask executes one region task as a pure function of the frozen stage
 // input: every parameter it consumes is read through `in` (the stage-input
-// array) and every result is written through `out` (the live array). Both
-// runtimes share this function — the in-process runtime passes rank-bound
-// shared-memory views, the TCP worker runtime passes the coordinator
-// connection — which is what makes their catalogs byte-identical: the
-// computation between the reads and the writes is the same code over the
-// same bytes. Re-executing a task (after a rank failure, or on resume)
-// rewrites identical bytes.
+// array) and every result is written through `out` (the live array). Every
+// rank runs this function (rankInputs.step) — a goroutine rank over
+// shared-memory views, a worker process over the coordinator connection —
+// which is what makes their catalogs byte-identical: the computation between
+// the reads and the writes is the same code over the same bytes. Re-executing
+// a task (after a rank failure, or on resume) rewrites identical bytes.
 func (cfg Config) ExecTask(sv *survey.Survey, catalog []model.CatalogEntry,
 	priors *model.Priors, task *partition.Task, in pgas.Getter, out pgas.Putter) (Stats, error) {
 

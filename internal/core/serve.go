@@ -1,9 +1,10 @@
-// The coordinator backend: the TCP runtime's view of a run. The serve
-// backend exposes the exact runState and Dtree scheduler the in-process
-// runtime uses — task pull, idempotent commit with the checkpoint hook,
-// requeue-on-death, the stage barrier with its frozen-input discipline — to
-// internal/net's coordinator, which speaks the wire protocol to real worker
-// processes. The two runtimes therefore differ only in transport, which is
+// The run backend: the one state machine every run goes through. It owns
+// task pull and steal over the Dtree scheduler, the idempotent commit with its
+// checkpoint hook, requeue-on-death, the stage barrier with its frozen-input
+// swap, the strand decision and the fault/elastic accounting. Ranks reach it
+// over one of two links (rank.go): goroutine ranks call it directly, worker
+// processes through internal/net's coordinator, which speaks the wire
+// protocol. The two kinds of run therefore differ only in that link, which is
 // why their catalogs are byte-identical (the property the root-level
 // differential tests enforce).
 package core
@@ -17,45 +18,25 @@ import (
 	"celeste/internal/dtree"
 	"celeste/internal/model"
 	cnet "celeste/internal/net"
-	"celeste/internal/partition"
 	"celeste/internal/pgas"
 )
 
-// serveTCP runs the coordinator side of a TCP run: it serves the stage loop
-// to cfg.Processes remote workers instead of in-process goroutine ranks.
-// Stage semantics, checkpoint capture, and failure recovery are the
-// in-process runtime's own machinery.
-func (cfg Config) serveTCP(tasks []partition.Task, stages [][]int, st *runState,
-	tr *cnet.Transport, res *RunResult) error {
-
-	if tr.Listener == nil {
-		return errors.New("core: Transport requires a Listener")
-	}
+// newBackend builds the state machine of a (possibly resumed) run: the
+// scheduler for the stage the run state is in, over the tasks not yet done.
+func newBackend(procs int, stages [][]int, st *runState) *serveBackend {
 	b := &serveBackend{
-		procs:       cfg.Processes,
-		st:          st,
-		stages:      stages,
-		done:        make(chan struct{}),
-		s:           st.stage,
-		leftRank:    make(map[int]bool),
-		rejoinGrace: tr.RejoinGrace,
+		procs:    procs,
+		st:       st,
+		stages:   stages,
+		done:     make(chan struct{}),
+		s:        st.stage,
+		leftRank: make(map[int]bool),
 	}
+	b.wake.L = &b.mu
 	for _, d := range st.done {
 		if !d {
 			b.totalLeft++
 		}
-	}
-	b.welcome = cnet.RunConfig{
-		Workers:    uint32(cfg.Processes),
-		Width:      model.ParamDim,
-		Rounds:     uint32(cfg.Rounds),
-		MaxIter:    uint32(cfg.Fit.MaxIter),
-		NTasks:     uint64(len(tasks)),
-		RunHash:    st.hash,
-		Seed:       cfg.Seed,
-		TargetWork: tr.TargetWork,
-		BatchFrac:  cfg.BatchFrac,
-		GradTol:    cfg.Fit.GradTol,
 	}
 	b.setupStageLocked()
 	if b.totalLeft == 0 {
@@ -63,68 +44,79 @@ func (cfg Config) serveTCP(tasks []partition.Task, stages [][]int, st *runState,
 		// don't make workers connect for an empty run.
 		b.finish()
 	}
+	return b
+}
 
-	err := cnet.Serve(tr.Listener, b, cnet.ServeOptions{
+// serve puts the backend behind a TCP coordinator until the run is terminal:
+// cfg.Processes worker processes are its ranks.
+func (b *serveBackend) serve(tr *cnet.Transport, cfg Config, nTasks int) error {
+	if tr.Listener == nil {
+		return errors.New("core: Transport requires a Listener")
+	}
+	b.rejoinGrace = tr.RejoinGrace
+	b.welcome = cnet.RunConfig{
+		Workers:    uint32(cfg.Processes),
+		Width:      model.ParamDim,
+		Rounds:     uint32(cfg.Rounds),
+		MaxIter:    uint32(cfg.Fit.MaxIter),
+		NTasks:     uint64(nTasks),
+		RunHash:    b.st.hash,
+		Seed:       cfg.Seed,
+		TargetWork: tr.TargetWork,
+		BatchFrac:  cfg.BatchFrac,
+		GradTol:    cfg.Fit.GradTol,
+	}
+	return cnet.Serve(tr.Listener, b, cnet.ServeOptions{
 		DeadAfter:    tr.DeadAfter,
 		ConnectGrace: tr.ConnectGrace,
 	})
+}
 
+// finishRun is the one epilogue of a run, whichever link its ranks used: it
+// fills the fault and elastic-membership counters of the result and decides
+// how the run ended. linkErr is the link's own failure (a listener error).
+func (b *serveBackend) finishRun(res *RunResult, linkErr error) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.graceTimer != nil {
 		// The run ended some other way (completed, aborted, listener error)
 		// with a grace window pending; don't let it fire into a dead run.
 		b.graceTimer.Stop()
 		b.graceTimer = nil
 	}
-	dead := 0
-	for r, d := range st.deadRank {
-		// Graceful leavers are retired ranks, not failures.
-		if d && !b.leftRank[r] {
-			dead++
-		}
+	if b.sched != nil {
+		b.foldSchedLocked()
 	}
-	res.FailedRanks = dead
+	// Graceful leavers are retired ranks, not failures.
 	res.LeftRanks = len(b.leftRank)
-	res.JoinedRanks = b.procs - cfg.Processes
-	if b.sched != nil {
-		res.StolenTasks += int(b.sched.Stolen())
-	}
-	res.StolenTasks += int(b.stolen)
-	rq := b.requeued
-	if b.sched != nil {
-		rq += b.sched.Requeued()
-	}
-	res.RequeuedTasks += int(rq)
-	stranded := b.stranded
-	left := b.totalLeft
-	b.mu.Unlock()
-
-	if err != nil {
-		return err
-	}
-	if st.aborted.Load() {
-		st.mu.Lock()
-		abortErr := st.abortErr
-		st.mu.Unlock()
-		return abortErr
-	}
-	if stranded != nil {
-		return stranded
-	}
-	if left > 0 {
-		return fmt.Errorf("core: TCP run ended with %d tasks outstanding", left)
+	res.FailedRanks = b.dead - res.LeftRanks
+	res.JoinedRanks = b.joined
+	res.StolenTasks = int(b.stolen)
+	res.RequeuedTasks = int(b.requeued)
+	switch {
+	case linkErr != nil:
+		return linkErr
+	case b.st.aborted.Load():
+		b.st.mu.Lock()
+		defer b.st.mu.Unlock()
+		return b.st.abortErr
+	case b.stranded != nil:
+		return b.stranded
+	case b.totalLeft > 0:
+		return fmt.Errorf("core: run ended with %d tasks outstanding", b.totalLeft)
 	}
 	return nil
 }
 
-// serveBackend implements cnet.Backend over the run state. All scheduler and
-// array access is serialized under mu: at task granularity the wire traffic
-// is a rounding error next to the optimization work, and serialization keeps
-// the stage barrier (the frozen-input array swap) trivially safe against
-// concurrent parameter reads.
+// serveBackend implements cnet.Backend over the run state. All scheduler
+// access is serialized under mu, and so is the array access of wire ranks: at
+// task granularity the traffic is a rounding error next to the optimization
+// work, and serialization keeps the stage barrier (the frozen-input array
+// swap) trivially safe against concurrent parameter reads.
 //
 // Lock order: mu strictly outside st.mu — commit (which takes st.mu and runs
-// the checkpoint hook) is always called with mu released.
+// the checkpoint hook) is always called with mu released. wake, the
+// condition a blocked in-process pull sleeps on, lives on mu.
 type serveBackend struct {
 	procs   int
 	st      *runState
@@ -132,7 +124,8 @@ type serveBackend struct {
 	welcome cnet.RunConfig
 
 	mu        sync.Mutex
-	s         int // current stage index into stages
+	wake      sync.Cond // broadcast whenever a pull that had to wait may have a new answer
+	s         int       // current stage index into stages
 	sched     *dtree.Scheduler
 	idx       []int        // current stage's global task indices
 	g2l       map[int]int  // global -> stage-local for uncommitted tasks
@@ -140,6 +133,8 @@ type serveBackend struct {
 	totalLeft int          // uncommitted tasks in the whole run
 	requeued  int64        // folded from retired stage schedulers
 	stolen    int64        // folded from retired stage schedulers
+	dead      int          // retired ranks, failed or left
+	joined    int          // elastic ranks admitted mid-run
 	leftRank  map[int]bool // ranks that departed gracefully (not failures)
 	stranded  error
 
@@ -186,31 +181,34 @@ func (b *serveBackend) setupStageLocked() {
 	}
 }
 
-// advanceLocked moves to the next stage: the live array becomes the frozen
-// input (the same freezeStage the in-process runtime uses), and a fresh
-// scheduler distributes the next stage's tasks. Caller holds mu, and the
-// caller has established stageLeft == 0 — every task of the finished stage
-// is committed, so no worker can be holding stale stage input.
-func (b *serveBackend) advanceLocked() {
-	// Fold the retiring scheduler's requeue and steal counts exactly once:
-	// the final accounting adds the live scheduler's counts, so a scheduler
-	// must not survive past its fold.
+// foldSchedLocked retires the current scheduler, folding its requeue and
+// steal counts into the run's exactly once.
+func (b *serveBackend) foldSchedLocked() {
 	b.requeued += b.sched.Requeued()
 	b.stolen += b.sched.Stolen()
 	b.sched = nil
+}
+
+// advanceLocked moves to the next stage: the live array becomes the frozen
+// input, and a fresh scheduler distributes the next stage's tasks. Caller
+// holds mu, and the caller has established stageLeft == 0 — every task of the
+// finished stage is committed, so no rank, on either link, can be holding or
+// still reading stale stage input.
+func (b *serveBackend) advanceLocked() {
+	b.foldSchedLocked()
 	b.s++
 	if b.s < len(b.stages) {
 		b.st.freezeStage(b.s)
 		b.setupStageLocked()
 	}
+	b.wake.Broadcast()
 }
 
 // Next implements the task pull. The wait state covers the window where the
 // pool is dry but uncommitted tasks ride on other ranks: if one dies, its
-// tasks requeue and the waiting worker picks them up — the same polling loop
-// the in-process ranks run.
+// tasks requeue and the waiting rank picks them up.
 func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, false)
+	return b.pull(rank, false, false)
 }
 
 // Steal is Next with a fallback: if the rank's own pool (and its ancestor
@@ -218,35 +216,41 @@ func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
 // Only pooled tasks move — in-flight work is never duplicated — so the
 // catalog stays byte-identical regardless of who executes what.
 func (b *serveBackend) Steal(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, true)
+	return b.pull(rank, true, false)
 }
 
-func (b *serveBackend) pull(rank int, steal bool) (int, cnet.NextStatus) {
+// pull is the task hand-out. With block set (in-process ranks) the wait
+// state is not answered but slept through, on wake, until the pull has a
+// task or a terminal answer; a wire rank is told NextWait and retries.
+func (b *serveBackend) pull(rank int, steal, block bool) (int, cnet.NextStatus) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.st.aborted.Load() {
-		b.closeOnce.Do(func() { close(b.done) })
-		return 0, cnet.NextAbort
-	}
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
-		return 0, cnet.NextShutdown
-	}
 	for {
+		if b.st.aborted.Load() || b.stranded != nil {
+			b.finish()
+			return 0, cnet.NextAbort
+		}
+		if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+			return 0, cnet.NextShutdown
+		}
 		if b.s >= len(b.stages) {
-			b.closeOnce.Do(func() { close(b.done) })
+			b.finish()
 			return 0, cnet.NextShutdown
 		}
 		j, ok := b.sched.Next(rank)
 		if !ok && steal {
 			j, ok = b.sched.Steal(rank)
 		}
-		if ok {
+		switch {
+		case ok:
 			return b.idx[j], cnet.NextTask
-		}
-		if b.stageLeft > 0 {
+		case b.stageLeft == 0:
+			b.advanceLocked()
+		case block:
+			b.wake.Wait()
+		default:
 			return 0, cnet.NextWait
 		}
-		b.advanceLocked()
 	}
 }
 
@@ -275,10 +279,10 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 	b.sched.Done(rank, j)
 	b.stageLeft--
 	b.totalLeft--
-	if rank >= 0 && rank < len(b.st.completedBy) {
-		b.st.completedBy[rank]++
-	}
 	fin := b.totalLeft == 0
+	// The stage may be over, the run may be over, or the hook may have
+	// aborted it: every blocked pull may have a new answer.
+	b.wake.Broadcast()
 	b.mu.Unlock()
 	if fin {
 		b.finish()
@@ -287,8 +291,8 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 
 // Fail retires a dead rank: its in-flight tasks and undistributed pool
 // requeue to a live ancestor, and the rank stays dead for the rest of the
-// run — exactly the in-process fault semantics, driven by real connection
-// deaths instead of an injected plan.
+// run — driven by real connection deaths on the wire and by the FaultPlan
+// in-process.
 func (b *serveBackend) Fail(rank int) { b.retire(rank, false) }
 
 // Leave retires a rank that announced a graceful departure. The work
@@ -299,78 +303,64 @@ func (b *serveBackend) Leave(rank int) { b.retire(rank, true) }
 
 func (b *serveBackend) retire(rank int, graceful bool) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	// Bounds check under mu: procs grows when elastic workers join.
 	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
-		b.mu.Unlock()
 		return
 	}
 	if graceful {
 		b.leftRank[rank] = true
 	}
 	b.st.deadRank[rank] = true
+	b.dead++
 	if b.sched != nil {
 		b.sched.Fail(rank)
 	}
-	dead := 0
-	for _, d := range b.st.deadRank {
-		if d {
-			dead++
+	b.wake.Broadcast() // the requeued tasks are some blocked rank's to pull
+	if b.rejoinGrace > 0 && b.allDeadLocked() {
+		// Every rank is dead but the listener is still open: hold the run
+		// for one bounded window so a worker with rejoin budget can
+		// re-enroll and rescue it. A Join during the window grows procs,
+		// making the expiry check a no-op; nobody returning is a permanent
+		// partition and strands then.
+		if b.graceTimer == nil {
+			b.graceTimer = time.AfterFunc(b.rejoinGrace, func() {
+				b.mu.Lock()
+				defer b.mu.Unlock()
+				b.graceTimer = nil
+				b.strandIfAllDeadLocked(fmt.Sprintf(" and none re-enrolled within %v", b.rejoinGrace))
+			})
 		}
+		return
 	}
-	fin := false
-	if dead == b.procs && b.totalLeft > 0 && b.stranded == nil {
-		if b.rejoinGrace > 0 {
-			// Every rank is dead but the listener is still open: hold the
-			// run for one bounded window so a worker with rejoin budget can
-			// re-enroll and rescue it. A Join during the window grows procs,
-			// making the expiry check a no-op; nobody returning is a
-			// permanent partition and strands below.
-			if b.graceTimer == nil {
-				b.graceTimer = time.AfterFunc(b.rejoinGrace, b.strandIfStillDead)
-			}
-		} else {
-			b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every worker of %d is dead",
-				b.totalLeft, b.s, b.procs)
-			fin = true
-		}
-	}
-	b.mu.Unlock()
-	if fin {
-		b.finish()
-	}
+	b.strandIfAllDeadLocked("")
 }
 
-// strandIfStillDead is the rejoin-grace expiry: if the run is still all-dead
-// with tasks outstanding, it strands now. A rescue (elastic Join) in the
-// meantime grew procs past the dead count, and a later total-death episode
-// arms a fresh timer.
-func (b *serveBackend) strandIfStillDead() {
-	b.mu.Lock()
-	b.graceTimer = nil
-	dead := 0
-	for _, d := range b.st.deadRank {
-		if d {
-			dead++
-		}
+// allDeadLocked reports an unfinished run with no rank left to finish it.
+func (b *serveBackend) allDeadLocked() bool {
+	return b.dead == b.procs && b.totalLeft > 0 && b.stranded == nil
+}
+
+// strandIfAllDeadLocked is the run's one strand decision: with every rank
+// dead and tasks outstanding, the run ends with the stranded diagnostic. A
+// rescue (elastic Join) inside a grace window grew procs past the dead count,
+// and a later total-death episode arms a fresh timer.
+func (b *serveBackend) strandIfAllDeadLocked(detail string) {
+	if !b.allDeadLocked() {
+		return
 	}
-	fin := false
-	if dead == b.procs && b.totalLeft > 0 && b.stranded == nil {
-		b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every worker of %d is dead and none re-enrolled within %v",
-			b.totalLeft, b.s, b.procs, b.rejoinGrace)
-		fin = true
-	}
-	b.mu.Unlock()
-	if fin {
-		b.finish()
-	}
+	b.stranded = fmt.Errorf("core: %d tasks stranded in stage %d: every rank of %d is dead%s",
+		b.totalLeft, b.s, b.procs, detail)
+	b.wake.Broadcast()
+	b.finish()
 }
 
 // Join admits an elastic worker mid-run with a fresh rank past the current
 // complement. The scheduler grows a (empty-pooled) leaf the joiner steals
 // into, and both PGAS arrays repartition to carry the new rank's shard view —
 // under st.mu, since checkpoint capture reads the arrays there. A terminal
-// run (completed, aborted, or stranded) refuses the join so late dials get a
-// clean error instead of a hang.
+// run (completed, aborted, or stranded) refuses the join, and the coordinator
+// shuts the late dialer down with the run's real outcome instead of a hang.
 //
 // Admission is all-or-nothing: every repartition runs into temporaries
 // first, and any error refuses the join with the run state untouched — a
@@ -405,10 +395,10 @@ func (b *serveBackend) Join() (int, bool) {
 	// baseline is invalid.
 	st.lastCurSnap = nil
 	st.deadRank = append(st.deadRank, false)
-	st.completedBy = append(st.completedBy, 0)
 	st.mu.Unlock()
 	rank := b.procs
 	b.procs = newProcs
+	b.joined++
 	if b.sched != nil {
 		b.sched.Join()
 	}

@@ -17,10 +17,9 @@ func TestJoinRefusedOnRepartitionError(t *testing.T) {
 	const procs, nSources, nTasks = 2, 4, 2
 	mk := func() (*runState, *serveBackend) {
 		st := &runState{
-			done:        make([]bool, nTasks),
-			deadRank:    make([]bool, procs),
-			completedBy: make([]int, procs),
-			cur:         pgas.New(nSources, model.ParamDim, procs),
+			done:     make([]bool, nTasks),
+			deadRank: make([]bool, procs),
+			cur:      pgas.New(nSources, model.ParamDim, procs),
 		}
 		st.freezeStage(0)
 		b := &serveBackend{
@@ -53,9 +52,9 @@ func TestJoinRefusedOnRepartitionError(t *testing.T) {
 	if b.procs != procs {
 		t.Errorf("refused join grew procs to %d, want %d untouched", b.procs, procs)
 	}
-	if len(st.deadRank) != procs || len(st.completedBy) != procs {
-		t.Errorf("refused join grew rank bookkeeping to %d/%d entries, want %d",
-			len(st.deadRank), len(st.completedBy), procs)
+	if len(st.deadRank) != procs {
+		t.Errorf("refused join grew rank bookkeeping to %d entries, want %d",
+			len(st.deadRank), procs)
 	}
 	if got := st.cur.Snapshot().Ranks; got != procs {
 		t.Errorf("refused join repartitioned the live array to %d ranks, want %d", got, procs)

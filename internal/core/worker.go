@@ -39,9 +39,6 @@ type WorkerOptions struct {
 	// DialTimeout bounds the TCP dial and handshake (default 10s).
 	DialTimeout time.Duration
 
-	// Poll is the retry sleep while the remote pool is dry (default 2ms).
-	Poll time.Duration
-
 	// Elastic opens the handshake with Join instead of Hello: the
 	// coordinator admits this worker mid-run (even after the connect grace)
 	// with a fresh rank, and it acquires work by stealing from loaded ranks.
@@ -95,22 +92,21 @@ type WorkerOptions struct {
 func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opts WorkerOptions) error {
 	// The run reconstruction (partition + priors + hash) is a pure function
 	// of the local inputs; compute it once and reuse it across rejoins.
-	var (
-		tasks  []partition.Task
-		priors model.Priors
-		hash   uint64
-		cfg    Config
-	)
-	prepared := false
+	var in *rankInputs
+	var hash uint64
 	elastic := opts.Elastic
 	completed := 0
+	var onTask func(task int)
+	if opts.OnTask != nil {
+		onTask = func(task int) { opts.OnTask(task, completed) }
+	}
 	attempt := 0
 	var outageStart time.Time // zero while connected; set at first failure
 	for {
 		handshook := false
 		err := func() error {
 			cl, err := cnet.Dial(addr, cnet.DialOptions{
-				Timeout: opts.DialTimeout, Poll: opts.Poll, Elastic: elastic,
+				Timeout: opts.DialTimeout, Elastic: elastic,
 			})
 			if err != nil {
 				return err
@@ -122,8 +118,8 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 					"core: coordinator parameters have width %d, this build has %d",
 					w.Width, model.ParamDim)}
 			}
-			if !prepared {
-				cfg = Config{
+			if in == nil {
+				cfg := Config{
 					Threads:      opts.Threads,
 					PatchThreads: opts.PatchThreads,
 					Rounds:       int(w.Rounds),
@@ -132,17 +128,17 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 					Processes:    int(w.Workers),
 					Fit:          vi.Options{MaxIter: int(w.MaxIter), GradTol: w.GradTol},
 				}
-				tasks = partition.GenerateTwoStage(catalog, sv.Config.Region, partition.Options{
+				tasks := partition.GenerateTwoStage(catalog, sv.Config.Region, partition.Options{
 					TargetWork: w.TargetWork,
 				})
-				priors = model.FitPriors(catalog)
+				priors := model.FitPriors(catalog)
 				hash = RunHash(sv, catalog, tasks, cfg)
-				prepared = true
+				in = &rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks}
 			}
-			if uint64(len(tasks)) != w.NTasks {
+			if uint64(len(in.tasks)) != w.NTasks {
 				return &workerSetupError{fmt.Errorf(
 					"core: regenerated %d tasks, coordinator schedules %d (different run inputs?)",
-					len(tasks), w.NTasks)}
+					len(in.tasks), w.NTasks)}
 			}
 			if hash != w.RunHash {
 				return &workerSetupError{fmt.Errorf(
@@ -161,27 +157,8 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 					}
 					return errWorkerLeft
 				}
-				g, ok, err := cl.NextTask()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				if g < 0 || g >= len(tasks) {
-					return &workerSetupError{fmt.Errorf(
-						"core: coordinator assigned task %d of %d", g, len(tasks))}
-				}
-				if opts.OnTask != nil {
-					opts.OnTask(g, completed)
-				}
-				stats, err := cfg.ExecTask(sv, catalog, &priors, &tasks[g], cl, cl)
-				if err != nil {
-					return err
-				}
-				if err := cl.TaskDone(g, [3]uint64{
-					uint64(stats.Fits), uint64(stats.NewtonIters), uint64(stats.Visits),
-				}); err != nil {
+				more, err := in.step(cl, onTask)
+				if err != nil || !more {
 					return err
 				}
 				completed++

@@ -7,12 +7,12 @@
 // local pool asks its parent for a chunk, and requests cascade toward the
 // root, which owns the undistributed range.
 //
-// Two consumers drive this package: the in-process runtime below (goroutines
-// and channels standing in for MPI ranks, used by the end-to-end inference
-// driver) and the discrete-event cluster simulator (internal/cluster), which
-// replays the same allocation policy with modeled latencies to reproduce the
-// paper's scaling figures. The policy functions are pure so both agree
-// exactly.
+// Two consumers drive this package: the Scheduler below, which internal/core's
+// run backend holds for every run (goroutine ranks and TCP workers pull from
+// the same one), and the discrete-event cluster simulator (internal/cluster),
+// which replays the same allocation policy with modeled latencies to
+// reproduce the paper's scaling figures. The policy functions are pure so
+// both agree exactly.
 package dtree
 
 import (
@@ -119,30 +119,7 @@ func ChunkSize(cfg Config, remaining, subRequester, subHolder int) int {
 	return c
 }
 
-// --- In-process runtime ---
-
-// Source is the transport-agnostic pull interface a rank's work loop drives:
-// hand me a task, confirm it done, or surrender everything I hold. The
-// in-memory Scheduler implements it directly; internal/net puts a TCP client
-// in front of a remote coordinator that holds the real Scheduler, so the same
-// work loop runs unchanged whether the scheduler is a struct in this process
-// or a process on another machine.
-type Source interface {
-	// Next returns the next task for rank, or ok=false when the supply is
-	// exhausted (or the rank has been failed).
-	Next(rank int) (task int, ok bool)
-	// Done confirms that rank finished the task Next handed it.
-	Done(rank, task int)
-	// Fail removes rank from the schedule, requeueing its in-flight tasks
-	// and undistributed pool; it returns how many tasks were requeued.
-	Fail(rank int) int
-	// Steal pulls a task for an idle rank from the most-loaded live rank's
-	// undistributed pool, bypassing the ancestor-chain refill. ok=false means
-	// no rank holds stealable work (everything left is in flight).
-	Steal(rank int) (task int, ok bool)
-}
-
-var _ Source = (*Scheduler)(nil)
+// --- Scheduler ---
 
 // Scheduler runs the Dtree policy over in-process ranks. The root holds the
 // dynamic pool; every rank holds a local pool refilled through its parent
@@ -554,7 +531,7 @@ func (s *Scheduler) Run(process func(rank, task int)) {
 
 // A Fault is one scheduled failure or slowdown of a rank, triggered by that
 // rank's progress: after it has completed AfterTasks tasks. Both the
-// in-process runtime (internal/core) and the cluster simulator
+// in-process ranks of internal/core and the cluster simulator
 // (internal/cluster) honor the same plan, so a recovery observed for real at
 // laptop scale can be priced at machine scale.
 type Fault struct {

@@ -32,9 +32,10 @@ const (
 )
 
 // Backend is the run state a coordinator serves: task scheduling, the PGAS
-// arrays, and commit bookkeeping. internal/core implements it over the same
-// runState the in-process runtime uses, which is what makes the two runtimes
-// byte-identical — they share everything but the transport.
+// arrays, and commit bookkeeping. internal/core implements it once, as the
+// state machine of every run — goroutine ranks call the same methods the
+// coordinator does — which is what makes in-process and TCP runs
+// byte-identical: they share everything but the link.
 type Backend interface {
 	// Welcome returns the run parameters advertised to connecting workers.
 	Welcome() RunConfig
@@ -46,7 +47,8 @@ type Backend interface {
 	// Fail retires a dead rank, requeueing its in-flight work. Idempotent.
 	Fail(rank int)
 	// Join admits an elastic worker mid-run with a fresh rank past the
-	// static complement. ok=false refuses the join (run already terminal).
+	// static complement. ok=false refuses the join (run already terminal);
+	// the coordinator then pulls once with rank -1 to learn how the run ended.
 	Join() (rank int, ok bool)
 	// Leave retires a gracefully departing rank: its work requeues exactly
 	// as on Fail, but the departure is not counted as a failure. Idempotent.
@@ -296,7 +298,7 @@ func (s *coordinator) handle(c net.Conn) {
 	if elastic {
 		r, ok := s.b.Join()
 		if !ok {
-			sendError(fw, "net: join refused (run is terminal)")
+			s.shutdownLateJoiner(c, fw)
 			return
 		}
 		rank = r
@@ -308,6 +310,31 @@ func (s *coordinator) handle(c net.Conn) {
 		// idempotent, so even a task it had already reported is safe to
 		// re-execute elsewhere.
 		s.b.Fail(rank)
+	}
+}
+
+// shutdownLateJoiner ends the session of a verified joiner the backend
+// refused because the run went terminal while the worker was backing off or
+// hashing. That is a shutdown, not an error — a worker told "error" burns its
+// rejoin budget against a finished run and exits non-zero. How the run ended
+// is learned the way it is for every rank, from a pull's status: no rank was
+// minted, and a terminal backend hands nobody a task. The reply answers the
+// joiner's first request, so the close cannot race an unsolicited frame.
+func (s *coordinator) shutdownLateJoiner(c net.Conn, fw *frameWriter) {
+	reason := ShutdownComplete
+	if _, status := s.b.Next(-1); status == NextAbort {
+		reason = ShutdownAborted
+	}
+	for {
+		c.SetDeadline(time.Now().Add(s.opts.DeadAfter))
+		m, err := ReadMessage(c)
+		if err != nil {
+			return
+		}
+		if m.Type != MsgHeartbeat {
+			_ = fw.send(&Message{Type: MsgShutdown, Reason: reason})
+			return
+		}
 	}
 }
 
@@ -419,8 +446,8 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 
 // Transport carries the coordinator's listening socket and the run
 // parameters that only the caller knows into core.RunOptions. Setting it on
-// a run replaces the in-process goroutine ranks with cfg.Processes real
-// worker processes pulling tasks over TCP.
+// a run makes its ranks cfg.Processes real worker processes pulling tasks
+// over TCP instead of goroutines in the coordinator's process.
 type Transport struct {
 	// Listener accepts worker connections; the run closes it on completion.
 	Listener net.Listener

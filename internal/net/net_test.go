@@ -138,8 +138,8 @@ func (b *fakeBackend) Fail(rank int) {
 func (b *fakeBackend) Join() (int, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.aborted {
-		return 0, false
+	if b.aborted || len(b.committed) == int(b.cfg.NTasks) {
+		return 0, false // terminal
 	}
 	rank := int(b.cfg.Workers) + b.joined
 	b.joined++
@@ -216,7 +216,7 @@ func startServe(t *testing.T, b Backend, opts ServeOptions) (string, func() erro
 // runWorkerLoop is a minimal in-test worker: pull, read the task's element,
 // write its negation, report done.
 func runWorkerLoop(t *testing.T, addr string, hash uint64) error {
-	cl, err := Dial(addr, DialOptions{Poll: time.Millisecond})
+	cl, err := Dial(addr, DialOptions{})
 	if err != nil {
 		return err
 	}
@@ -500,7 +500,7 @@ func TestServeVersionMismatchRefused(t *testing.T) {
 func TestServeAbortShutsWorkersDown(t *testing.T) {
 	b := newFakeBackend(1, 3, 8)
 	addr, join := startServe(t, b, ServeOptions{DeadAfter: time.Second})
-	cl, err := Dial(addr, DialOptions{Poll: time.Millisecond})
+	cl, err := Dial(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ func TestElasticJoinAdmittedAfterGrace(t *testing.T) {
 	if _, err := Dial(addr, DialOptions{Timeout: time.Second}); err == nil {
 		t.Fatal("post-grace Hello was accepted")
 	}
-	cl, err := Dial(addr, DialOptions{Timeout: time.Second, Poll: time.Millisecond, Elastic: true})
+	cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
 	if err != nil {
 		t.Fatalf("elastic join refused: %v", err)
 	}
@@ -643,7 +643,7 @@ func TestJoinRefusedOnHashMismatch(t *testing.T) {
 
 	// A flapping joiner: three attempts, each with a mismatched hash.
 	for i := 0; i < 3; i++ {
-		cl, err := Dial(addr, DialOptions{Timeout: time.Second, Poll: time.Millisecond, Elastic: true})
+		cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -670,6 +670,60 @@ func TestJoinRefusedOnHashMismatch(t *testing.T) {
 	}
 	if err := join(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLateJoinOnFinishedRunIsShutdown: an elastic joiner whose handshake
+// completes after the run went terminal (it was backing off, or hashing, when
+// the last task committed) must be shut down with the run's real outcome, as
+// any rank is. Pre-fix the refused Backend.Join was answered with MsgError
+// "join refused (run is terminal)": the worker burned its rejoin budget
+// against a finished run and exited non-zero.
+func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		aborted bool
+		want    error
+	}{
+		{"complete", false, nil},
+		{"aborted", true, ErrAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newFakeBackend(1, 3, 1)
+			addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
+			// Dialed but not yet verified: the window a rejoining worker
+			// spends rebuilding and hashing its run.
+			cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if tc.aborted {
+				b.mu.Lock()
+				b.aborted = true
+				b.mu.Unlock()
+			} else {
+				b.Commit(0, 0, [3]uint64{}) // the run's only task: complete
+			}
+			if err := cl.Ready(b.cfg.RunHash, 20*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			_, ok, err := cl.NextTask()
+			if ok {
+				t.Fatal("late joiner was served a task from a terminal run")
+			}
+			if err != tc.want {
+				t.Fatalf("late joiner's pull returned %v, want %v", err, tc.want)
+			}
+			if err := join(); err != nil {
+				t.Fatal(err)
+			}
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			if b.joined != 0 || len(b.failed) != 0 {
+				t.Errorf("late joiner changed the run: joined=%d failed=%v", b.joined, b.failed)
+			}
+		})
 	}
 }
 
@@ -782,7 +836,7 @@ func TestWaitTriggersSteal(t *testing.T) {
 func TestClientCloseConcurrent(t *testing.T) {
 	b := newFakeBackend(1, 3, 1)
 	addr, join := startServe(t, b, ServeOptions{DeadAfter: time.Second})
-	cl, err := Dial(addr, DialOptions{Poll: time.Millisecond})
+	cl, err := Dial(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -802,7 +856,7 @@ func TestClientCloseConcurrent(t *testing.T) {
 	// elastic worker (the static complement of one rank is spent) so Serve
 	// exits. The closed client's rank is failed by the coordinator and its
 	// task requeues.
-	cl2, err := Dial(addr, DialOptions{Poll: time.Millisecond, Elastic: true})
+	cl2, err := Dial(addr, DialOptions{Elastic: true})
 	if err != nil {
 		t.Fatal(err)
 	}

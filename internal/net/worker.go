@@ -43,7 +43,6 @@ type Client struct {
 	hbMu  sync.Mutex
 	hbErr error // why the heartbeat loop died, if it died on its own
 
-	poll        time.Duration
 	respTimeout time.Duration
 }
 
@@ -52,13 +51,14 @@ var (
 	_ pgas.Putter = (*Client)(nil)
 )
 
+// waitPoll is how long a worker sleeps after a Wait response (and one failed
+// steal) before pulling again.
+const waitPoll = 2 * time.Millisecond
+
 // DialOptions tunes a worker connection.
 type DialOptions struct {
 	// Timeout bounds the TCP dial and each handshake read. Default 10s.
 	Timeout time.Duration
-	// Poll is how long the worker sleeps after a Wait response before
-	// pulling again. Default 2ms.
-	Poll time.Duration
 	// ResponseTimeout bounds each request's wait for its response, so a
 	// wedged coordinator (or a partition that leaves the socket open)
 	// errors the worker out instead of hanging it forever — the mirror of
@@ -75,9 +75,6 @@ type DialOptions struct {
 func (o *DialOptions) defaults() {
 	if o.Timeout == 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.Poll == 0 {
-		o.Poll = 2 * time.Millisecond
 	}
 	if o.ResponseTimeout == 0 {
 		o.ResponseTimeout = 60 * time.Second
@@ -102,7 +99,6 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 		fw:          newFrameWriter(conn),
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
-		poll:        opts.Poll,
 		respTimeout: opts.ResponseTimeout,
 	}
 	conn.SetDeadline(time.Now().Add(opts.Timeout))
@@ -275,7 +271,7 @@ func (c *Client) NextTask() (task int, ok bool, err error) {
 				continue
 			}
 			req = MsgTaskReq
-			time.Sleep(c.poll)
+			time.Sleep(waitPoll)
 		case MsgShutdown:
 			if m.Reason == ShutdownAborted {
 				return 0, false, ErrAborted
