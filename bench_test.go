@@ -131,7 +131,7 @@ func BenchmarkNewtonVsLBFGS(b *testing.B) {
 	pb, init := singleSourceScene(9)
 	b.Run("newton", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := vi.Fit(pb, init, vi.Options{GradTol: 1e-4})
+			r := vi.FitWith(pb, init, vi.Options{GradTol: 1e-4}, vi.NewScratch())
 			if i == 0 {
 				b.Logf("Newton: %d iterations, ELBO %.1f", r.Iters, r.ELBO)
 			}
@@ -152,32 +152,17 @@ func BenchmarkNewtonVsLBFGS(b *testing.B) {
 // iteration count.
 func BenchmarkHessianCost(b *testing.B) {
 	pb, init := singleSourceScene(10)
+	s := elbo.NewScratch()
 	b.Run("value-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pb.EvalValue(&init)
+			pb.EvalValueWith(&init, s)
 		}
 	})
 	b.Run("value+grad+hessian", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pb.Eval(&init)
+			pb.EvalInto(&init, s)
 		}
 	})
-}
-
-// BenchmarkELBOKernel measures the hot path itself: active-pixel-visit
-// throughput of the full derivative evaluation.
-func BenchmarkELBOKernel(b *testing.B) {
-	pb, init := singleSourceScene(11)
-	var visits int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := pb.Eval(&init)
-		visits += r.Visits
-	}
-	b.StopTimer()
-	if b.Elapsed().Seconds() > 0 {
-		b.ReportMetric(float64(visits)/b.Elapsed().Seconds(), "visits/s")
-	}
 }
 
 // BenchmarkEndToEndInfer measures the whole pipeline on a small survey.
@@ -299,7 +284,7 @@ func BenchmarkVIvsMCMC(b *testing.B) {
 
 	b.Run("vi", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r := vi.Fit(pb, init, vi.Options{MaxIter: 40})
+			r := vi.FitWith(pb, init, vi.Options{MaxIter: 40}, vi.NewScratch())
 			if i == 0 {
 				b.Logf("VI: %d Newton iterations, %d derivative evaluations",
 					r.Iters, r.FullEvals)

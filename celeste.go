@@ -19,6 +19,9 @@
 package celeste
 
 import (
+	"errors"
+	"fmt"
+
 	"celeste/internal/catserve"
 	"celeste/internal/cluster"
 	"celeste/internal/core"
@@ -313,15 +316,26 @@ func RunWorker(addr string, sv *Survey, initCatalog []CatalogEntry, opts WorkerO
 // FitSource fits a single light source against a set of images, returning
 // the refined catalog entry with posterior uncertainties, the ELBO achieved,
 // and the Newton iteration count. It is the library entry point for
-// laptop-scale use (one source, a few frames).
+// laptop-scale use (one source, a few frames). It fails when there is no
+// pixel to fit — no images, or none whose footprint reaches init.Pos —
+// because the optimum of the remaining objective is the prior, not a
+// posterior.
 func FitSource(images []*Image, priors *Priors, init CatalogEntry,
-	maxIter int) (CatalogEntry, float64, int) {
+	maxIter int) (CatalogEntry, float64, int, error) {
 
+	if len(images) == 0 {
+		return CatalogEntry{}, 0, 0, errors.New("celeste: FitSource needs at least one image")
+	}
 	radius := core.InfluenceRadiusPx(&init, images[0].WCS.PixScale())
-	pb := elbo.NewProblem(priors, images, init.Pos, radius)
-	res := vi.Fit(pb, model.InitialParams(&init), vi.Options{MaxIter: maxIter})
+	pb := new(elbo.Builder).Build(priors, images, init.Pos, radius)
+	if len(pb.Patches) == 0 {
+		return CatalogEntry{}, 0, 0, fmt.Errorf(
+			"celeste: FitSource: none of the %d images covers the source position (ra %g, dec %g)",
+			len(images), init.Pos.RA, init.Pos.Dec)
+	}
+	res := vi.FitWith(pb, model.InitialParams(&init), vi.Options{MaxIter: maxIter}, vi.NewScratch())
 	c := res.Params.Constrained()
-	return model.Summarize(init.ID, &c), res.ELBO, res.Iters
+	return model.Summarize(init.ID, &c), res.ELBO, res.Iters, nil
 }
 
 // RunPhoto runs the heuristic baseline pipeline (the Table II comparator) on

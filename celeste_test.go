@@ -86,7 +86,10 @@ func TestFitSourceFacade(t *testing.T) {
 	init := truth
 	init.Pos.RA += pixScale
 	init.ProbGal = 0.5
-	entry, elbo, iters := FitSource(images, &priors, init, 30)
+	entry, elbo, iters, err := FitSource(images, &priors, init, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if iters == 0 || elbo == 0 {
 		t.Fatal("no fit happened")
 	}
@@ -98,6 +101,25 @@ func TestFitSourceFacade(t *testing.T) {
 	}
 	if entry.FluxSD[model.RefBand] <= 0 || entry.FluxSD[model.RefBand] > 2 {
 		t.Errorf("implausible ref-band SD %v", entry.FluxSD[model.RefBand])
+	}
+}
+
+// TestFitSourceRejectsNoPixels: with no image at all, or none reaching the
+// source, there is nothing to fit; FitSource must say so instead of panicking
+// or returning the prior dressed up as a posterior.
+func TestFitSourceRejectsNoPixels(t *testing.T) {
+	priors := DefaultPriors()
+	init := CatalogEntry{Pos: SkyPos{RA: 0.003, Dec: 0.003}, Flux: [5]float64{6, 9, 12, 14, 15}}
+	if _, _, _, err := FitSource(nil, &priors, init, 30); err == nil {
+		t.Error("FitSource(nil images) returned no error")
+	}
+
+	const pixScale = 1.1e-4
+	far := &survey.Image{W: 40, H: 40, WCS: geom.NewSimpleWCS(1, 1, pixScale), PSF: psf.Default(1.2),
+		Iota: 100, Sky: 80, Pixels: make([]float64, 40*40)}
+	_, _, iters, err := FitSource([]*Image{far}, &priors, init, 30)
+	if err == nil {
+		t.Errorf("FitSource with no covering image returned no error (%d iterations)", iters)
 	}
 }
 

@@ -203,8 +203,8 @@ func perthread(seed uint64) {
 			images = append(images, im)
 		}
 	}
-	pb := elbo.NewProblem(&priors, images, truth.Pos, 12)
-	res := vi.Fit(pb, model.InitialParams(&truth), vi.Options{})
+	pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
+	res := vi.FitWith(pb, model.InitialParams(&truth), vi.Options{}, vi.NewScratch())
 	objPct := 100 * res.EvalSeconds / res.TotalSeconds
 	fmt.Printf("%-44s %6s %6s\n", "component", "paper", "ours")
 	fmt.Printf("%-44s %5.0f%% %5.1f%%\n",
@@ -413,12 +413,12 @@ func newton(seed uint64) {
 	init.Flux[model.RefBand] *= 1.3
 	ip := model.InitialParams(&init)
 
-	pbn := elbo.NewProblem(&priors, images, truth.Pos, 12)
+	pbn := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
 	tn := time.Now()
-	rn := vi.Fit(pbn, ip, vi.Options{GradTol: 1e-4})
+	rn := vi.FitWith(pbn, ip, vi.Options{GradTol: 1e-4}, vi.NewScratch())
 	newtonSec := time.Since(tn).Seconds()
 
-	pbl := elbo.NewProblem(&priors, images, truth.Pos, 12)
+	pbl := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
 	tl := time.Now()
 	// The paper observed up to 2000 L-BFGS iterations; 300 keeps this demo
 	// affordable while still showing non-convergence where Newton needs tens.

@@ -54,13 +54,14 @@ func main() {
 
 	priors := celeste.DefaultPriors()
 	fitFlux := func(target celeste.CatalogEntry, neighbor *celeste.CatalogEntry) float64 {
-		pb := elbo.NewProblem(&priors, images, target.Pos, 12)
+		var bld elbo.Builder
+		pb := bld.Build(&priors, images, target.Pos, 12)
 		if neighbor != nil {
 			np := model.InitialParams(neighbor)
 			nc := np.Constrained()
-			pb.AddNeighbor(&nc)
+			bld.AddNeighbor(&nc)
 		}
-		res := vi.Fit(pb, model.InitialParams(&target), vi.Options{MaxIter: 40})
+		res := vi.FitWith(pb, model.InitialParams(&target), vi.Options{MaxIter: 40}, vi.NewScratch())
 		c := res.Params.Constrained()
 		return c.ExpectedFluxes()[model.RefBand]
 	}

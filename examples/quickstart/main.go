@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 
 	"celeste"
@@ -61,7 +62,10 @@ func main() {
 	init.ProbGal = 0.5
 
 	priors := celeste.DefaultPriors()
-	entry, elbo, iters := celeste.FitSource(images, &priors, init, 40)
+	entry, elbo, iters, err := celeste.FitSource(images, &priors, init, 40)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("fitted catalog entry:")
 	fmt.Printf("  position error: %.3f pixels\n",

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 
 	"celeste"
@@ -55,7 +56,10 @@ func main() {
 		images := render(100+rep, faint)
 		init := faint
 		init.ProbGal = 0.5
-		entry, _, _ := celeste.FitSource(images, &priors, init, 30)
+		entry, _, _, err := celeste.FitSource(images, &priors, init, 30)
+		if err != nil {
+			log.Fatal(err)
+		}
 		ests = append(ests, entry.Flux[model.RefBand])
 		sds = append(sds, entry.FluxSD[model.RefBand])
 		fmt.Printf("  rep %d: r-flux %.2f ± %.2f (truth %.1f)\n",
@@ -84,7 +88,10 @@ func main() {
 		images := render(55, ambiguous)
 		init := ambiguous
 		init.ProbGal = 0.5
-		entry, _, _ := celeste.FitSource(images, &priors, init, 30)
+		entry, _, _, err := celeste.FitSource(images, &priors, init, 30)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  half-light radius %.1f px: P(galaxy) = %.2f ± %.2f\n",
 			scale, entry.ProbGal, entry.ProbGalSD)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"celeste/internal/elbo"
 	"celeste/internal/geom"
 	"celeste/internal/model"
 )
@@ -93,8 +92,9 @@ func TestGoldenInferRecoversTruth(t *testing.T) {
 // kernel (which changes arithmetic by ~1e-12), the lazy mode changes the
 // optimization *trajectory* — stale-but-SR1-corrected Hessian models take
 // different steps, and early sweeps stop at a loosened tolerance — so the
-// bounds are wider than TestKernelCatalogDelta's but still far inside the
-// golden test's accuracy tolerances (1 px position, 0.2 mean |log flux|):
+// bounds are wider than the kernel-vs-oracle ones (internal/elbo's
+// TestMomentKernelCatalogDelta) but still far inside the golden test's
+// accuracy tolerances (1 px position, 0.2 mean |log flux|):
 // both paths converge the final sweep to the same tolerance on the same
 // objective. The measured deltas and the per-fit evaluation-count table are
 // recorded in EXPERIMENTS.md.
@@ -141,62 +141,5 @@ func TestLazyHessianCatalogDelta(t *testing.T) {
 	}
 	if maxFlux > 0.05 {
 		t.Errorf("lazy path shifts a flux by |log ratio| %.5f vs eager reference (> 0.05)", maxFlux)
-	}
-}
-
-// TestKernelCatalogDelta is the documented catalog-delta report for the
-// row-sweep kernel: the same fixed-seed survey is inferred once on the
-// retained scalar reference path and once on the kernel path, and the
-// catalogs are compared source by source. The kernel changes results only
-// through ~1e-12 exponential-recurrence drift, the qCutoff-exact culling,
-// and floating-point reassociation in the folded Hessian blocks — all far
-// inside photon noise — but those perturbations pass through a nonconvex
-// optimizer, so the bounds below are on the optimizer's sensitivity, not on
-// kernel error. The measured deltas are recorded in EXPERIMENTS.md.
-func TestKernelCatalogDelta(t *testing.T) {
-	cfg := DefaultSurveyConfig(77)
-	cfg.Region = geom.NewBox(0, 0, 0.01, 0.01)
-	cfg.DeepRegion = geom.Box{}
-	cfg.DeepRuns = 0
-	cfg.Runs = 1
-	cfg.FieldW, cfg.FieldH = 96, 96
-	cfg.SourceDensity = 30000
-	cfg.Priors.R1Mean = [model.NumTypes]float64{math.Log(10), math.Log(12)}
-	cfg.Priors.R1SD = [model.NumTypes]float64{0.5, 0.5}
-	sv := GenerateSurvey(cfg)
-	if len(sv.Truth) < 2 {
-		t.Skip("fixed-seed survey drew too few sources")
-	}
-	init := sv.NoisyCatalog(78)
-	icfg := InferConfig{Threads: 4, Rounds: 1, MaxIter: 20}
-
-	kernel := Infer(sv, init, icfg)
-	prev := elbo.SetScalarReference(true)
-	ref := Infer(sv, init, icfg)
-	elbo.SetScalarReference(prev)
-
-	pixScale := sv.Config.PixScale
-	var maxPos, maxFlux float64
-	for i := range ref.Catalog {
-		r, k := &ref.Catalog[i], &kernel.Catalog[i]
-		if d := geom.Dist(r.Pos, k.Pos) / pixScale; d > maxPos {
-			maxPos = d
-		}
-		if r.Flux[model.RefBand] > 0 && k.Flux[model.RefBand] > 0 {
-			if d := math.Abs(math.Log(k.Flux[model.RefBand] / r.Flux[model.RefBand])); d > maxFlux {
-				maxFlux = d
-			}
-		}
-	}
-	t.Logf("kernel-vs-reference catalog delta over %d sources: max position shift %.2e px, max |log flux ratio| %.2e",
-		len(ref.Catalog), maxPos, maxFlux)
-	// Generous bounds: both far below the golden test's accuracy tolerances
-	// (1 px position, 0.2 mean |log flux|), so the kernel cannot flip the
-	// golden gate.
-	if maxPos > 0.05 {
-		t.Errorf("kernel shifts a position by %.4f px vs scalar reference (> 0.05)", maxPos)
-	}
-	if maxFlux > 0.01 {
-		t.Errorf("kernel shifts a flux by |log ratio| %.5f vs scalar reference (> 0.01)", maxFlux)
 	}
 }

@@ -61,7 +61,7 @@ func SceneImages(seed uint64) ([]*survey.Image, model.CatalogEntry) {
 func SingleSourceScene(seed uint64) (*elbo.Problem, model.Params) {
 	images, truth := SceneImages(seed)
 	priors := model.DefaultPriors()
-	pb := elbo.NewProblem(&priors, images, truth.Pos, 12)
+	pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
 	return pb, model.InitialParams(&truth)
 }
 
@@ -101,7 +101,7 @@ func MultiImageScene(seed uint64) (*elbo.Problem, model.Params) {
 		}
 	}
 	priors := model.DefaultPriors()
-	pb := elbo.NewProblem(&priors, images, truth.Pos, 12)
+	pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
 	return pb, model.InitialParams(&truth)
 }
 

@@ -42,6 +42,17 @@ func chaosConfig(threads, procs int) Config {
 		Fit: vi.Options{MaxIter: 8, GradTol: 1e-3}}
 }
 
+// run is a plain in-process run: no hooks, faults or resume state, so it
+// cannot fail.
+func run(t *testing.T, sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config) *RunResult {
+	t.Helper()
+	res, err := RunWithOptions(sv, catalog, tasks, cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func catalogsEqual(t *testing.T, want, got []model.CatalogEntry, label string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -60,13 +71,13 @@ func catalogsEqual(t *testing.T, want, got []model.CatalogEntry, label string) {
 // inputs — not of scheduling order, process count, or thread count.
 func TestRunDeterministicAcrossProcsAndThreads(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
-	base := Run(sv, noisy, tasks, chaosConfig(1, 1))
+	base := run(t, sv, noisy, tasks, chaosConfig(1, 1))
 	combos := [][2]int{{4, 2}, {2, 3}}
 	if testing.Short() {
 		combos = combos[:1]
 	}
 	for _, c := range combos {
-		res := Run(sv, noisy, tasks, chaosConfig(c[0], c[1]))
+		res := run(t, sv, noisy, tasks, chaosConfig(c[0], c[1]))
 		catalogsEqual(t, base.Catalog, res.Catalog, fmt.Sprintf("threads=%d procs=%d", c[0], c[1]))
 	}
 }
@@ -77,7 +88,7 @@ func TestRunDeterministicAcrossProcsAndThreads(t *testing.T) {
 func TestKilledRanksRecoverIdentically(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(2, 3)
-	base := Run(sv, noisy, tasks, cfg)
+	base := run(t, sv, noisy, tasks, cfg)
 
 	plans := []dtree.FaultPlan{
 		{Faults: []dtree.Fault{{Rank: 1, AfterTasks: 0, Kill: true}}},
@@ -134,7 +145,7 @@ func TestAllRanksDeadIsAnError(t *testing.T) {
 func TestDelayedRankStillCompletes(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(2, 2)
-	base := Run(sv, noisy, tasks, cfg)
+	base := run(t, sv, noisy, tasks, cfg)
 	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
 		{Rank: 1, AfterTasks: 0, DelaySeconds: 0.002},
 	}}
@@ -152,7 +163,7 @@ func TestDelayedRankStillCompletes(t *testing.T) {
 func TestCheckpointAbortResumeEveryBoundary(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(2, 2)
-	base := Run(sv, noisy, tasks, cfg)
+	base := run(t, sv, noisy, tasks, cfg)
 	total := base.TasksProcessed
 
 	boundaries := make([]int, 0, total)

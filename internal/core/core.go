@@ -5,9 +5,9 @@
 // source's light folded into the background. Threads parallelize the sweep
 // with Cyclades conflict-free batches, so concurrent updates never touch
 // overlapping sources (Section IV-D). Across tasks, the distributed driver
-// (Run) schedules regions with Dtree, keeps the global parameter state in a
-// PGAS array, and runs a second stage of shifted regions so boundary sources
-// also converge (Section IV-A).
+// (RunWithOptions) schedules regions with Dtree, keeps the global parameter
+// state in a PGAS array, and runs a second stage of shifted regions so
+// boundary sources also converge (Section IV-A).
 package core
 
 import (
@@ -40,7 +40,7 @@ type Config struct {
 	Fit       vi.Options // per-source Newton options
 	Seed      uint64     // RNG seed for Cyclades sampling
 
-	// Processes is the number of simulated scheduler ranks in Run
+	// Processes is the number of simulated scheduler ranks of a run
 	// (default 4); on a real cluster each would be an MPI process.
 	Processes int
 
@@ -415,7 +415,7 @@ type RunResult struct {
 	LeftRanks   int // workers that departed gracefully (not failures)
 }
 
-// RunOptions extends Run with checkpoint/resume and fault injection.
+// RunOptions adds checkpoint/resume and fault injection to a run.
 type RunOptions struct {
 	// CheckpointEvery fires OnCheckpoint after every that-many task
 	// completions (0 disables checkpointing).
@@ -627,28 +627,20 @@ func (st *runState) flushCatalogLocked() {
 	st.pendingSrc = st.pendingSrc[:0]
 }
 
-// Run executes the full three-level optimization over a survey: tasks from
-// the two-stage partition are scheduled with Dtree over simulated processes;
-// each task reads its sources' and fixed neighbors' parameters from the
-// frozen stage-input PGAS array, jointly optimizes the region, and writes
-// the results into the live array. The frozen read side makes every task a
-// pure function of the stage input — the property that makes tasks
+// RunWithOptions executes the full three-level optimization over a survey:
+// tasks from the two-stage partition are scheduled with Dtree over simulated
+// processes; each task reads its sources' and fixed neighbors' parameters
+// from the frozen stage-input PGAS array, jointly optimizes the region, and
+// writes the results into the live array. The frozen read side makes every
+// task a pure function of the stage input — the property that makes tasks
 // idempotent (a rescheduled task recomputes identical bytes), the catalog
 // independent of thread and process counts, and checkpoints resumable to a
 // byte-identical result.
-func Run(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config) *RunResult {
-	res, err := RunWithOptions(sv, catalog, tasks, cfg, RunOptions{})
-	if err != nil {
-		// Impossible without hooks, faults, or a resume checkpoint.
-		panic(err)
-	}
-	return res
-}
-
-// RunWithOptions is Run with checkpoint/resume and fault injection. On a
-// hook-requested abort it returns the partial result and an error wrapping
-// ErrAborted; on unrecoverable failure injection (every rank dead with tasks
-// outstanding) it returns an error describing the stranded work.
+//
+// opts adds checkpoint/resume and fault injection. On a hook-requested abort
+// it returns the partial result and an error wrapping ErrAborted; on
+// unrecoverable failure injection (every rank dead with tasks outstanding) it
+// returns an error describing the stranded work.
 func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task,
 	cfg Config, opts RunOptions) (*RunResult, error) {
 

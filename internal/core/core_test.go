@@ -61,7 +61,7 @@ func TestRunImprovesOverInitialCatalog(t *testing.T) {
 	}
 	cfg := Config{Threads: 4, Rounds: 2, Processes: 2,
 		Fit: vi.Options{MaxIter: maxIter, GradTol: 1e-4}}
-	res := Run(sv, noisy, tasks, cfg)
+	res := run(t, sv, noisy, tasks, cfg)
 
 	posBefore, fluxBefore := catalogErrors(sv, noisy)
 	posAfter, fluxAfter := catalogErrors(sv, res.Catalog)

@@ -71,7 +71,7 @@ func runBounded(t *testing.T, sv *survey.Survey, catalog []model.CatalogEntry,
 // commit must wake them, and the catalog must not care who was idle.
 func TestBlockedRanksWakeOnCompletion(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
-	base := Run(sv, noisy, tasks, chaosConfig(1, 1))
+	base := run(t, sv, noisy, tasks, chaosConfig(1, 1))
 	res, err := runBounded(t, sv, noisy, tasks, blockedConfig(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestBlockedRanksStrandWhenAllKilled(t *testing.T) {
 // each requeue and finish the run alone, byte-identically.
 func TestBlockedRankPicksUpKilledRanksTask(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
-	base := Run(sv, noisy, tasks, chaosConfig(1, 1))
+	base := run(t, sv, noisy, tasks, chaosConfig(1, 1))
 	fp := &dtree.FaultPlan{}
 	for rank := 0; rank < blockedRanks-1; rank++ {
 		fp.Faults = append(fp.Faults, dtree.Fault{Rank: rank, AfterTasks: 0, Kill: true})
@@ -169,7 +169,7 @@ func TestInProcessRunReportsStolenTasks(t *testing.T) {
 	cfg := Config{Threads: 1, PatchThreads: 1, Processes: 1, Rounds: 1, Seed: 3,
 		Fit: vi.Options{MaxIter: 2, GradTol: 1e-2}}
 	t0 := time.Now()
-	base := Run(sv, noisy, tasks, cfg)
+	base := run(t, sv, noisy, tasks, cfg)
 	// The straggler stalls, task in hand, for twice what the whole run takes
 	// one rank — sized from this binary's own speed, so the order of events
 	// holds under the race detector too.

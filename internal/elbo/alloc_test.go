@@ -50,32 +50,3 @@ func TestEvalValueWithZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("EvalValueWith allocates %v objects per run in steady state, want 0", allocs)
 	}
 }
-
-// TestEvalIntoMatchesEval guards the wrapper contract: Eval (fresh scratch)
-// and EvalInto (reused scratch, evaluated twice to exercise recycling) must
-// produce identical results.
-func TestEvalIntoMatchesEval(t *testing.T) {
-	pb, init := benchfix.SingleSourceScene(12)
-	fresh := pb.Eval(&init)
-
-	s := elbo.NewScratch()
-	pb.EvalInto(&init, s)
-	reused := pb.EvalInto(&init, s)
-
-	if fresh.Value != reused.Value {
-		t.Errorf("value differs: %v vs %v", fresh.Value, reused.Value)
-	}
-	if fresh.Visits != reused.Visits {
-		t.Errorf("visits differ: %d vs %d", fresh.Visits, reused.Visits)
-	}
-	for i := range fresh.Grad {
-		if fresh.Grad[i] != reused.Grad[i] {
-			t.Fatalf("gradient[%d] differs: %v vs %v", i, fresh.Grad[i], reused.Grad[i])
-		}
-	}
-	for i := range fresh.Hess.Data {
-		if fresh.Hess.Data[i] != reused.Hess.Data[i] {
-			t.Fatalf("hessian[%d] differs: %v vs %v", i, fresh.Hess.Data[i], reused.Hess.Data[i])
-		}
-	}
-}

@@ -9,21 +9,25 @@ import (
 	"celeste/internal/survey"
 )
 
-// Builder builds per-source Problems into pooled storage: patch structs,
-// their pixel buffers (including the background prefix sums), and the
-// neighbor-fold scratch are all retained across builds, so the block
-// coordinate ascent inner loop — thousands of NewProblem/AddNeighbor/fit
-// cycles per task — touches the heap only while patch shapes are still
-// growing. A Builder serves one goroutine; the Problem returned by Build is
-// valid until the next Build on the same Builder.
+// Builder is how a Problem is built and how neighbors are folded into it. It
+// owns the problem's storage — patch structs, their pixel buffers (including
+// the background prefix sums), and the neighbor-fold scratch — and retains
+// all of it across builds, so the block coordinate ascent inner loop
+// (thousands of Build/AddNeighbor/fit cycles per task) touches the heap only
+// while patch shapes are still growing. A Builder serves one goroutine; the
+// Problem returned by Build, patches included, is valid until the next Build
+// on the same Builder. The zero value is ready to use.
 type Builder struct {
 	pb      Problem
 	patches []*Patch
 	ns      neighborScratch
 }
 
-// Build assembles the per-source optimization problem exactly like
-// NewProblem, into the Builder's pooled storage.
+// Build assembles the per-source optimization problem from survey images:
+// for each image whose footprint contains the source position, an active
+// window of radiusPx pixels around the source becomes a patch with sky
+// background. Neighbor contributions are folded in afterwards with
+// AddNeighbor.
 func (b *Builder) Build(priors *model.Priors, images []*survey.Image, pos geom.Pt2, radiusPx float64) *Problem {
 	pb := &b.pb
 	// The anchor SD (1e-3 deg ≈ 9 px) is far looser than any detectable
@@ -80,8 +84,9 @@ func (b *Builder) Build(priors *model.Priors, images []*survey.Image, pos geom.P
 	return pb
 }
 
-// AddNeighbor folds a fixed neighbor into the last-built Problem's patch
-// backgrounds through the Builder's pooled scratch (see Problem.AddNeighbor).
+// AddNeighbor folds a fixed neighboring source's expected contribution and
+// variance into every patch background of the last-built Problem. The
+// neighbor is described by its current variational solution.
 func (b *Builder) AddNeighbor(c *model.Constrained) {
 	for _, p := range b.pb.Patches {
 		addNeighborToPatch(p, c, &b.ns)

@@ -9,6 +9,7 @@ import (
 	"celeste/internal/model"
 	"celeste/internal/mog"
 	"celeste/internal/rng"
+	"celeste/internal/survey"
 )
 
 // --- Reference implementation of the full ELBO in a 44-dim AD space ---
@@ -218,6 +219,12 @@ func refELBO(pb *Problem, theta *model.Params) *ad.Num {
 
 // --- Test fixtures ---
 
+// addNeighbor folds c into a hand-assembled problem through Builder.AddNeighbor
+// (the builder only needs to see the problem's patches).
+func addNeighbor(pb *Problem, c *model.Constrained) {
+	(&Builder{pb: *pb}).AddNeighbor(c)
+}
+
 func testPatchProblem(seed uint64) (*Problem, *model.Params) {
 	r := rng.New(seed)
 	priors := model.DefaultPriors()
@@ -283,7 +290,7 @@ func testPatchProblem(seed uint64) (*Problem, *model.Params) {
 
 func TestEvalMatchesADOracle(t *testing.T) {
 	pb, theta := testPatchProblem(31)
-	got := pb.Eval(theta)
+	got := pb.EvalInto(theta, NewScratch())
 	want := refELBO(pb, theta)
 
 	if math.Abs(got.Value-want.Val) > 1e-8*(1+math.Abs(want.Val)) {
@@ -307,7 +314,7 @@ func TestEvalMatchesADOracle(t *testing.T) {
 
 func TestHessianSymmetric(t *testing.T) {
 	pb, theta := testPatchProblem(32)
-	res := pb.Eval(theta)
+	res := pb.EvalInto(theta, NewScratch())
 	for i := 0; i < model.ParamDim; i++ {
 		for j := 0; j < i; j++ {
 			if res.Hess.At(i, j) != res.Hess.At(j, i) {
@@ -317,12 +324,12 @@ func TestHessianSymmetric(t *testing.T) {
 	}
 }
 
-func TestEvalValueMatchesEval(t *testing.T) {
+func TestEvalValueWithMatchesEvalInto(t *testing.T) {
 	pb, theta := testPatchProblem(33)
-	full := pb.Eval(theta)
-	v, visits := pb.EvalValue(theta)
+	full := pb.EvalInto(theta, NewScratch())
+	v, visits := pb.EvalValueWith(theta, NewScratch())
 	if math.Abs(v-full.Value) > 1e-8*(1+math.Abs(full.Value)) {
-		t.Errorf("EvalValue = %.12g, Eval = %.12g", v, full.Value)
+		t.Errorf("EvalValueWith = %.12g, EvalInto = %.12g", v, full.Value)
 	}
 	if visits != full.Visits {
 		t.Errorf("visits: %d vs %d", visits, full.Visits)
@@ -334,11 +341,11 @@ func TestEvalValueMatchesEval(t *testing.T) {
 
 func TestGradientAgainstFiniteDifferences(t *testing.T) {
 	pb, theta := testPatchProblem(34)
-	res := pb.Eval(theta)
+	res := pb.EvalInto(theta, NewScratch())
 	f := func(x []float64) float64 {
 		var p model.Params
 		copy(p[:], x)
-		v, _ := pb.EvalValue(&p)
+		v, _ := pb.EvalValueWith(&p, NewScratch())
 		return v
 	}
 	// Check a representative subset of coordinates with per-coordinate step
@@ -371,7 +378,7 @@ func TestNeighborContributionRaisesBackground(t *testing.T) {
 	}
 	np := model.InitialParams(&nb)
 	nc := np.Constrained()
-	pb.AddNeighbor(&nc)
+	addNeighbor(pb, &nc)
 	var raised int
 	for k := range pb.Patches[0].Bg {
 		if pb.Patches[0].Bg[k] > before[k]+1e-9 {
@@ -401,7 +408,7 @@ func TestFarNeighborIsNoop(t *testing.T) {
 	}
 	np := model.InitialParams(&nb)
 	nc := np.Constrained()
-	pb.AddNeighbor(&nc)
+	addNeighbor(pb, &nc)
 	for k := range pb.Patches[0].Bg {
 		if pb.Patches[0].Bg[k] != before[k] {
 			t.Fatalf("far neighbor changed background at %d", k)
@@ -419,24 +426,42 @@ func TestELBOIncreasesTowardTruth(t *testing.T) {
 		Flux:       [model.NumBands]float64{2, 4, 6, 7, 8},
 		GalDevFrac: 0.4, GalAxisRatio: 0.7, GalAngle: 0.8, GalScale: 2.5 * 1.1e-4,
 	})
-	vGood, _ := pb.EvalValue(&truthTheta)
+	vGood, _ := pb.EvalValueWith(&truthTheta, NewScratch())
 	bad := truthTheta
 	bad[model.ParamR1+model.Gal] -= 2 // 7x too faint
-	vBad, _ := pb.EvalValue(&bad)
+	vBad, _ := pb.EvalValueWith(&bad, NewScratch())
 	if vGood <= vBad {
 		t.Errorf("ELBO does not prefer truth: good %v <= bad %v", vGood, vBad)
 	}
 }
 
-func TestNewProblemFromSurveyImages(t *testing.T) {
-	// Smoke-test the survey-facing constructor.
-	pb, _ := testPatchProblem(38)
+func TestBuilderFromSurveyImages(t *testing.T) {
+	// Smoke-test the survey-facing constructor: two 16x16 frames, a source
+	// at pixel (8.5, 8.5), a 4-pixel window.
+	priors := model.DefaultPriors()
+	pixScale := 1.1e-4
+	var images []*survey.Image
+	for band := 2; band <= 3; band++ {
+		im := &survey.Image{
+			Band: band, W: 16, H: 16, WCS: geom.NewSimpleWCS(0, 0, pixScale),
+			PSF:  mog.Mixture{{Weight: 1, Sxx: 1.5, Syy: 1.5}},
+			Iota: 100, Sky: 80, Pixels: make([]float64, 16*16),
+		}
+		for i := range im.Pixels {
+			im.Pixels[i] = float64(i)
+		}
+		images = append(images, im)
+	}
+	pb := new(Builder).Build(&priors, images, geom.Pt2{RA: 8.5 * pixScale, Dec: 8.5 * pixScale}, 4)
 	if len(pb.Patches) != 2 {
 		t.Fatalf("patches = %d", len(pb.Patches))
 	}
 	for _, p := range pb.Patches {
 		if p.NumPix() != 100 {
 			t.Errorf("patch pixels = %d", p.NumPix())
+		}
+		if p.Obs[0] != images[0].At(p.Rect.X0, p.Rect.Y0) || p.Bg[0] != 80 || p.VBg[0] != 0 {
+			t.Errorf("patch pixel 0 = (%v, %v, %v)", p.Obs[0], p.Bg[0], p.VBg[0])
 		}
 	}
 }
@@ -445,7 +470,7 @@ func BenchmarkEvalFull(b *testing.B) {
 	pb, theta := testPatchProblem(40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = pb.Eval(theta)
+		_ = pb.EvalInto(theta, NewScratch())
 	}
 }
 
@@ -453,7 +478,7 @@ func BenchmarkEvalValue(b *testing.B) {
 	pb, theta := testPatchProblem(41)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = pb.EvalValue(theta)
+		_, _ = pb.EvalValueWith(theta, NewScratch())
 	}
 }
 
@@ -463,12 +488,12 @@ func TestSoftmaxGaugeInvariance(t *testing.T) {
 	// objective unchanged, and the gradient must sum to zero within each
 	// block (the Hessian is handled by the trust region's damping).
 	pb, theta := testPatchProblem(51)
-	base, _ := pb.EvalValue(theta)
+	base, _ := pb.EvalValueWith(theta, NewScratch())
 
 	shifted := *theta
 	shifted[model.ParamTypeStar] += 0.7
 	shifted[model.ParamTypeGal] += 0.7
-	v, _ := pb.EvalValue(&shifted)
+	v, _ := pb.EvalValueWith(&shifted, NewScratch())
 	if math.Abs(v-base) > 1e-8*(1+math.Abs(base)) {
 		t.Errorf("type-logit shift changed the objective: %v vs %v", v, base)
 	}
@@ -477,12 +502,12 @@ func TestSoftmaxGaugeInvariance(t *testing.T) {
 	for d := 0; d < model.NumPriorComps; d++ {
 		shifted[model.ParamK+d] += -1.3
 	}
-	v, _ = pb.EvalValue(&shifted)
+	v, _ = pb.EvalValueWith(&shifted, NewScratch())
 	if math.Abs(v-base) > 1e-8*(1+math.Abs(base)) {
 		t.Errorf("k-logit shift changed the objective: %v vs %v", v, base)
 	}
 
-	res := pb.Eval(theta)
+	res := pb.EvalInto(theta, NewScratch())
 	if g := res.Grad[model.ParamTypeStar] + res.Grad[model.ParamTypeGal]; math.Abs(g) > 1e-6 {
 		t.Errorf("type-logit gradient does not sum to zero: %v", g)
 	}
@@ -506,8 +531,8 @@ func TestVisitCountScalesWithRadius(t *testing.T) {
 	_ = priors
 	small := &Problem{Priors: pb8.Priors, Patches: pb8.Patches[:1]}
 	full := &Problem{Priors: pb8.Priors, Patches: pb8.Patches}
-	_, vs := small.EvalValue(theta)
-	_, vf := full.EvalValue(theta)
+	_, vs := small.EvalValueWith(theta, NewScratch())
+	_, vf := full.EvalValueWith(theta, NewScratch())
 	if vf != 2*vs {
 		t.Errorf("visits: %d vs %d (want exactly 2x for two equal patches)", vf, vs)
 	}

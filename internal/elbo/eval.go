@@ -118,16 +118,9 @@ type patchMoments struct {
 	e1, e2, e3, e4, e5, e6 [6]float64
 }
 
-// Eval computes the ELBO restricted to this source's block: the sum of
-// per-pixel delta-method Poisson terms minus the KL from the priors, with
-// exact gradient and Hessian. It allocates a fresh Scratch per call, so the
-// returned Result is owned by the caller; hot paths should hold a Scratch
-// and use EvalInto instead.
-func (pb *Problem) Eval(theta *model.Params) *Result {
-	return pb.EvalInto(theta, NewScratch())
-}
-
-// EvalInto is Eval evaluating into s's buffers. The returned Result (and its
+// EvalInto computes the ELBO restricted to this source's block — the sum of
+// per-pixel delta-method Poisson terms minus the KL from the priors — with
+// exact gradient and Hessian, into s's buffers. The returned Result (and its
 // gradient and Hessian) is owned by s and valid until the next EvalInto with
 // the same scratch; steady-state calls perform zero heap allocations.
 //
@@ -137,9 +130,6 @@ func (pb *Problem) Eval(theta *model.Params) *Result {
 // reduced in fixed patch order, so the result is bitwise independent of the
 // worker count (see parallel.go).
 func (pb *Problem) EvalInto(theta *model.Params, s *Scratch) *Result {
-	if useScalarRef {
-		return pb.evalIntoRef(theta, s)
-	}
 	s.reset()
 	res := &s.res
 
@@ -261,7 +251,8 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 				}
 
 				// Pixel objective f = obs·(log EF − VF/(2EF²)) − EF and its
-				// partials in (m, e2); see evalref.go for the derivation.
+				// partials in (m, e2): with dEF/dm = 1 and dVF/dm = −2m the
+				// 1/EF² terms of ∂²f/∂m² cancel, and ∂²f/∂e2² = 0.
 				inv := 1 / ef
 				inv2 := inv * inv
 				inv3 := inv2 * inv
@@ -400,7 +391,7 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 }
 
 // finishEval scatters the active block into the global result and adds the
-// KL and position-anchor terms; shared by the kernel and reference paths.
+// KL and position-anchor terms.
 func (pb *Problem) finishEval(theta *model.Params, s *Scratch, grad *[activeDim]float64) {
 	res := &s.res
 	hess := s.activeHess
@@ -448,20 +439,13 @@ func (pb *Problem) finishEval(theta *model.Params, s *Scratch, grad *[activeDim]
 	}
 }
 
-// EvalValue computes the objective value only (no derivatives), used for
-// trust-region ratio tests. It also returns the visit count.
-func (pb *Problem) EvalValue(theta *model.Params) (float64, int64) {
-	return pb.EvalValueWith(theta, NewScratch())
-}
-
-// EvalValueWith is EvalValue using s's buffers; steady-state calls perform
-// zero heap allocations. Like EvalInto it sweeps rows of the culled active
-// rectangle through the value row kernel, with identical culling geometry so
-// the two paths' visit counts agree.
+// EvalValueWith computes the objective value only (no derivatives), used for
+// trust-region ratio tests, with the visit count; it evaluates in s's
+// buffers, and steady-state calls perform zero heap allocations. Like
+// EvalInto it sweeps rows of the culled active rectangle through the value
+// row kernel, with identical culling geometry so the two paths' visit counts
+// agree.
 func (pb *Problem) EvalValueWith(theta *model.Params, s *Scratch) (float64, int64) {
-	if useScalarRef {
-		return pb.evalValueRef(theta, s)
-	}
 	vc := &s.job.vc
 	vc.c = theta.Constrained()
 	c := &vc.c

@@ -17,13 +17,6 @@ type GradResult struct {
 	Visits int64
 }
 
-// EvalGrad computes the ELBO value and gradient only (no Hessian). It
-// allocates a fresh Scratch per call; hot paths should hold a Scratch and use
-// EvalGradInto instead.
-func (pb *Problem) EvalGrad(theta *model.Params) *GradResult {
-	return pb.EvalGradInto(theta, NewScratch())
-}
-
 // EvalGradInto is the gradient-only evaluation tier: the same culling
 // geometry, row sweeps, and accumulation expressions as EvalInto, with every
 // Hessian-bearing computation removed — no derivative lane is filled at all,
@@ -38,13 +31,6 @@ func (pb *Problem) EvalGrad(theta *model.Params) *GradResult {
 // with the same scratch; steady-state calls perform zero heap allocations.
 func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 	res := &s.gres
-	if useScalarRef {
-		// Reference mode: derive the gradient tier from the scalar-reference
-		// full evaluation so differential experiments cover all tiers.
-		r := pb.evalIntoRef(theta, s)
-		res.Value, res.Grad, res.Visits = r.Value, r.Grad, r.Visits
-		return res
-	}
 	res.Value = 0
 	res.Visits = 0
 	for i := range res.Grad {

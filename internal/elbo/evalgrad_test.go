@@ -58,28 +58,6 @@ func TestEvalGradIntoMatchesEvalInto(t *testing.T) {
 	}
 }
 
-// TestEvalGradIntoScalarReferenceMode checks the reference-mode routing: with
-// the scalar reference selected, the gradient tier must agree with the
-// reference full tier exactly (it is derived from the same evaluation).
-func TestEvalGradIntoScalarReferenceMode(t *testing.T) {
-	pb, theta := testPatchProblem(41)
-	prev := SetScalarReference(true)
-	defer SetScalarReference(prev)
-
-	s := NewScratch()
-	want := pb.EvalInto(theta, s)
-	wantValue, wantGrad, wantVisits := want.Value, want.Grad, want.Visits
-	got := pb.EvalGradInto(theta, NewScratch())
-	if got.Value != wantValue || got.Visits != wantVisits {
-		t.Errorf("reference mode: value/visits %v/%d vs %v/%d", got.Value, got.Visits, wantValue, wantVisits)
-	}
-	for i := range wantGrad {
-		if got.Grad[i] != wantGrad[i] {
-			t.Errorf("reference mode: grad[%d] %v vs %v", i, got.Grad[i], wantGrad[i])
-		}
-	}
-}
-
 // FuzzEvalGradVsEvalInto cross-checks the gradient tier against the full
 // tier on fuzzer-chosen source parameters over the fixed two-patch problem.
 func FuzzEvalGradVsEvalInto(f *testing.F) {

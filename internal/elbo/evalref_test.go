@@ -9,25 +9,10 @@ import (
 )
 
 // This file retains the pixel-at-a-time scalar evaluation path exactly as it
-// was before the row-sweep kernel landed. It is the differential reference
-// for the kernel property tests, and SetScalarReference lets the whole
-// pipeline (including AddNeighbor) run on it to measure the catalog-level
-// delta introduced by the kernel (recorded in EXPERIMENTS.md).
-
-// useScalarRef routes EvalInto, EvalValueWith, and AddNeighbor through the
-// retained scalar reference path. It must only be toggled while no
-// evaluation is running (tests set it before spawning workers).
-var useScalarRef bool
-
-// SetScalarReference selects the retained pixel-at-a-time scalar evaluation
-// path (true) or the row-sweep kernel (false), returning the previous
-// setting. It exists for differential tests and kernel-delta experiments; it
-// is not safe to call concurrently with evaluations.
-func SetScalarReference(on bool) bool {
-	prev := useScalarRef
-	useScalarRef = on
-	return prev
-}
+// was before the row-sweep kernel landed: the differential reference of the
+// kernel property tests (kernelref_test.go) and the "scalar reference" row of
+// TestMomentKernelCatalogDelta. It lives in a test file because no production
+// path selects it.
 
 // evalIntoRef is the pre-kernel EvalInto: one EvalStar/EvalGal call per
 // pixel, full per-pixel accumulation over the active 28-dimensional block.
@@ -152,6 +137,15 @@ func (pb *Problem) evalIntoRef(theta *model.Params, s *Scratch) *Result {
 	return res
 }
 
+// evalGradRef is the reference gradient tier: the scalar full evaluation with
+// the Hessian dropped (the reference predates the tier).
+func (pb *Problem) evalGradRef(theta *model.Params, s *Scratch) *GradResult {
+	r := pb.evalIntoRef(theta, s)
+	res := &s.gres
+	res.Value, res.Grad, res.Visits = r.Value, r.Grad, r.Visits
+	return res
+}
+
 // evalValueRef is the pre-kernel EvalValueWith: compiled mixtures evaluated
 // one pixel at a time.
 func (pb *Problem) evalValueRef(theta *model.Params, s *Scratch) (float64, int64) {
@@ -242,4 +236,12 @@ func addNeighborRef(p *Patch, c *model.Constrained) {
 		}
 	}
 	p.bgPrefOK = false
+}
+
+// galaxyMixtureFor builds the neighbor's galaxy appearance mixture centered
+// at the origin (offsets applied during evaluation).
+func galaxyMixtureFor(c *model.Constrained, p *Patch) mog.Mixture {
+	comb := appendProfileBlend(nil, c.GalDevFrac)
+	return mog.GalaxyMixture(p.PSF, comb, clampAB(c.GalAxisRatio), c.GalAngle,
+		clampScale(c.GalScale), model.JacFromWCS(p.WCS))
 }

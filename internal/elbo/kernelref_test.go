@@ -33,10 +33,8 @@ func TestEvalIntoMatchesScalarReference(t *testing.T) {
 		sNew := NewScratch()
 		got := pb.EvalInto(&th, sNew)
 
-		prev := SetScalarReference(true)
 		sRef := NewScratch()
-		want := pb.EvalInto(&th, sRef)
-		SetScalarReference(prev)
+		want := pb.evalIntoRef(&th, sRef)
 
 		if math.Abs(got.Value-want.Value) > 1e-10*(1+math.Abs(want.Value)) {
 			t.Errorf("trial %d: value %.15g, ref %.15g", trial, got.Value, want.Value)
@@ -63,9 +61,7 @@ func TestEvalIntoMatchesScalarReference(t *testing.T) {
 		// Value path: same comparison, and its visits must match the
 		// derivative path's exactly (shared culling geometry).
 		gotV, gotVisits := pb.EvalValueWith(&th, sNew)
-		prev = SetScalarReference(true)
-		wantV, _ := pb.EvalValueWith(&th, sRef)
-		SetScalarReference(prev)
+		wantV, _ := pb.evalValueRef(&th, sRef)
 		if math.Abs(gotV-wantV) > 1e-10*(1+math.Abs(wantV)) {
 			t.Errorf("trial %d: value-only %.15g, ref %.15g", trial, gotV, wantV)
 		}
@@ -93,10 +89,10 @@ func TestAddNeighborMatchesScalarReference(t *testing.T) {
 		np := model.InitialParams(&nb)
 		nc := np.Constrained()
 
-		pbNew.AddNeighbor(&nc)
-		prev := SetScalarReference(true)
-		pbRef.AddNeighbor(&nc)
-		SetScalarReference(prev)
+		addNeighbor(pbNew, &nc)
+		for _, p := range pbRef.Patches {
+			addNeighborRef(p, &nc)
+		}
 
 		for pi := range pbNew.Patches {
 			pn, pr := pbNew.Patches[pi], pbRef.Patches[pi]

@@ -26,7 +26,6 @@ import (
 	"celeste/internal/model"
 	"celeste/internal/mog"
 	"celeste/internal/sliceutil"
-	"celeste/internal/survey"
 )
 
 // Patch is one image's active-pixel window around the source being
@@ -49,7 +48,7 @@ type Patch struct {
 	// the source's culling radius contribute only the theta-independent term
 	// obs·(log bg − vbg/(2bg²)) − bg, so each evaluation folds whole culled
 	// rows and row strips in via prefix sums instead of visiting the pixels.
-	// Built lazily on first use; AddNeighbor invalidates (it mutates Bg).
+	// Built lazily on first use; a neighbor fold invalidates (it mutates Bg).
 	bgPref    []float64 // per-row prefixes, Height x (Width+1)
 	bgRowPref []float64 // cumulative full-row sums, Height+1
 	bgPrefOK  bool
@@ -146,29 +145,8 @@ func (pb *Problem) InBounds(theta *model.Params) bool {
 		math.Abs(theta[model.ParamDec]-pb.PosAnchor.Dec) <= pb.PosBound
 }
 
-// NewProblem assembles a Problem from survey images: for each image whose
-// footprint contains the source position, an active window of radiusPx
-// pixels around the source becomes a patch with sky background. Neighbor
-// contributions are added separately via AddNeighbor. Hot paths building
-// problems in a loop should hold a Builder and use its Build, which reuses
-// all patch storage.
-func NewProblem(priors *model.Priors, images []*survey.Image, pos geom.Pt2, radiusPx float64) *Problem {
-	return new(Builder).Build(priors, images, pos, radiusPx)
-}
-
-// AddNeighbor folds a fixed neighboring source's expected contribution and
-// variance into every patch background. The neighbor is described by its
-// current variational solution.
-func (pb *Problem) AddNeighbor(c *model.Constrained) {
-	var ns neighborScratch
-	for _, p := range pb.Patches {
-		addNeighborToPatch(p, c, &ns)
-	}
-}
-
-// neighborScratch owns the buffers one AddNeighbor evaluation needs; the
-// pooled problem Builder retains one so the per-fit neighbor folds allocate
-// nothing in steady state.
+// neighborScratch owns the buffers one neighbor fold needs; the Builder
+// retains one so the per-fit neighbor folds allocate nothing in steady state.
 type neighborScratch struct {
 	comb            []mog.ProfComp
 	mix             mog.Mixture
@@ -182,10 +160,6 @@ type neighborScratch struct {
 // truncated densities are identically zero, so the fold is a no-op), and
 // each remaining row is swept with the exp-free recurrence kernel.
 func addNeighborToPatch(p *Patch, c *model.Constrained, ns *neighborScratch) {
-	if useScalarRef {
-		addNeighborRef(p, c)
-		return
-	}
 	// Per-band flux moments for both types.
 	m1s, m2s := model.FluxMoments(c.R1[model.Star], c.R2[model.Star], c.C1[model.Star], c.C2[model.Star])
 	m1g, m2g := model.FluxMoments(c.R1[model.Gal], c.R2[model.Gal], c.C1[model.Gal], c.C2[model.Gal])
@@ -242,14 +216,6 @@ func addNeighborToPatch(p *Patch, c *model.Constrained, ns *neighborScratch) {
 		}
 	}
 	p.bgPrefOK = false
-}
-
-// galaxyMixtureFor builds the neighbor's galaxy appearance mixture centered
-// at the origin (offsets applied during evaluation).
-func galaxyMixtureFor(c *model.Constrained, p *Patch) mog.Mixture {
-	comb := appendProfileBlend(nil, c.GalDevFrac)
-	return mog.GalaxyMixture(p.PSF, comb, clampAB(c.GalAxisRatio), c.GalAngle,
-		clampScale(c.GalScale), model.JacFromWCS(p.WCS))
 }
 
 // appendProfileBlend appends the galaxy's radial-profile mixture — the

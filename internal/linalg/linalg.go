@@ -277,29 +277,17 @@ func SolveLowerTriangular(l *Mat, y, b []float64) {
 	}
 }
 
-// EigenSym computes the full eigendecomposition of the symmetric matrix a:
-// a = V diag(w) Vᵀ with eigenvalues w ascending and eigenvectors in the
-// columns of V. Only the lower triangle of a is read. It returns an error if
-// the QL iteration fails to converge (essentially impossible for finite
-// input).
-func EigenSym(a *Mat) (w []float64, v *Mat, err error) {
-	n := a.Rows
-	w = make([]float64, n)
-	v = NewMat(n, n)
-	if err := EigenSymInto(a, w, v, make([]float64, n)); err != nil {
-		return nil, nil, err
-	}
-	return w, v, nil
-}
-
-// EigenSymInto is EigenSym writing into caller-owned storage: eigenvalues
-// into w (len n, ascending), eigenvectors into the columns of v (n x n), with
-// e (len n) as subdiagonal scratch. It allocates nothing, so a reused
-// workspace makes repeated decompositions allocation-free.
+// EigenSymInto computes the full eigendecomposition of the symmetric matrix
+// a into caller-owned storage: a = V diag(w) Vᵀ with eigenvalues into w (len
+// n, ascending) and eigenvectors into the columns of v (n x n), with e (len
+// n) as subdiagonal scratch. Only the lower triangle of a is read. It
+// allocates nothing, so a reused workspace makes repeated decompositions
+// allocation-free. It returns an error for non-finite input or if the QL
+// iteration fails to converge (essentially impossible for finite input).
 func EigenSymInto(a *Mat, w []float64, v *Mat, e []float64) error {
 	n := a.Rows
 	if a.Cols != n {
-		panic("linalg: EigenSym requires a square matrix")
+		panic("linalg: EigenSymInto requires a square matrix")
 	}
 	if len(w) != n || v.Rows != n || v.Cols != n || len(e) != n {
 		panic("linalg: EigenSymInto storage size mismatch")

@@ -27,7 +27,7 @@ func TestCholeskyAndEigenSolversAgree(t *testing.T) {
 		x1 := make([]float64, n)
 		SolveCholesky(l, x1, b)
 		// Eigen solve: x = V diag(1/w) Vᵀ b.
-		w, v, err := EigenSym(a)
+		w, v, err := eigenSym(a)
 		if err != nil {
 			return false
 		}
@@ -63,7 +63,7 @@ func TestEigenSymDiagonalMatrix(t *testing.T) {
 	for i, p := range perm {
 		a.Set(i, i, want[p])
 	}
-	w, v, err := EigenSym(a)
+	w, v, err := eigenSym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestEigenSymDiagonalMatrix(t *testing.T) {
 func TestEigenSymRejectsNaN(t *testing.T) {
 	a := NewMat(3, 3)
 	a.Set(1, 1, math.NaN())
-	if _, _, err := EigenSym(a); err == nil {
+	if _, _, err := eigenSym(a); err == nil {
 		t.Error("expected error for NaN input")
 	}
 	a = NewMat(3, 3)
 	a.Set(2, 0, math.Inf(1))
-	if _, _, err := EigenSym(a); err == nil {
+	if _, _, err := eigenSym(a); err == nil {
 		t.Error("expected error for Inf input")
 	}
 }

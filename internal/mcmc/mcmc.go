@@ -36,23 +36,27 @@ type State struct {
 
 // Problem is a single-source posterior: images with fixed backgrounds (as in
 // block coordinate ascent, neighbors enter through Patch.Bg) and the priors.
+// It owns the elbo.Builder its patches were built in — a builder's patches
+// are valid only until its next Build, and nobody else can reach this one —
+// so the patches live exactly as long as the problem.
 type Problem struct {
 	Priors  *model.Priors
-	Patches []*elbo.Patch
+	Patches []*elbo.Patch // storage owned by bld
 
+	bld              elbo.Builder
 	expProf, devProf []mog.ProfComp
 }
 
 // NewProblem builds the sampling problem over the same active patches the
 // ELBO uses.
 func NewProblem(priors *model.Priors, images []*survey.Image, pos geom.Pt2, radiusPx float64) *Problem {
-	pb := elbo.NewProblem(priors, images, pos, radiusPx)
-	return &Problem{
+	p := &Problem{
 		Priors:  priors,
-		Patches: pb.Patches,
 		expProf: galprof.Exponential(),
 		devProf: galprof.DeVaucouleurs(),
 	}
+	p.Patches = p.bld.Build(priors, images, pos, radiusPx).Patches
+	return p
 }
 
 // LogPosterior returns the unnormalized log posterior of a state: the exact

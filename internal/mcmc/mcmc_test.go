@@ -170,8 +170,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func fitVIFlux(t *testing.T, images []*survey.Image, priors *model.Priors,
 	truth model.CatalogEntry) (mean, sd float64) {
 	t.Helper()
-	pb := elbo.NewProblem(priors, images, truth.Pos, 10)
-	res := vi.Fit(pb, model.InitialParams(&truth), vi.Options{MaxIter: 40})
+	pb := new(elbo.Builder).Build(priors, images, truth.Pos, 10)
+	res := vi.FitWith(pb, model.InitialParams(&truth), vi.Options{MaxIter: 40}, vi.NewScratch())
 	c := res.Params.Constrained()
 	e := model.Summarize(0, &c)
 	return e.Flux[model.RefBand], e.FluxSD[model.RefBand]

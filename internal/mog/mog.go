@@ -82,30 +82,6 @@ func (m Mixture) Normalize() Mixture {
 	return out
 }
 
-// Convolve returns the convolution of two mixtures: the pairwise component
-// products with weights multiplied, means added, covariances added.
-func Convolve(a, b Mixture) Mixture {
-	return ConvolveInto(make(Mixture, 0, len(a)*len(b)), a, b)
-}
-
-// ConvolveInto appends the convolution of a and b to dst and returns it;
-// pass dst[:0] of a retained buffer for allocation-free reuse.
-func ConvolveInto(dst Mixture, a, b Mixture) Mixture {
-	for _, ca := range a {
-		for _, cb := range b {
-			dst = append(dst, Component{
-				Weight: ca.Weight * cb.Weight,
-				MuX:    ca.MuX + cb.MuX,
-				MuY:    ca.MuY + cb.MuY,
-				Sxx:    ca.Sxx + cb.Sxx,
-				Sxy:    ca.Sxy + cb.Sxy,
-				Syy:    ca.Syy + cb.Syy,
-			})
-		}
-	}
-	return dst
-}
-
 // ProfComp is one circular component of a galaxy radial-profile mixture:
 // a Gaussian with variance Var (in units of the squared half-light radius)
 // and mass Weight.
@@ -146,28 +122,17 @@ func (j Jac2) Apply(w11, w12, w22 float64) (p11, p12, p22 float64) {
 
 // GalaxyMixture returns the pixel-space appearance mixture of a galaxy:
 // profile components (unit total mass scaled by their weights) stretched by
-// the shape covariance, transformed by jac, convolved with the PSF.
-// The result integrates (over pixels) to prof's total weight times the PSF's
-// total weight.
+// the shape covariance, transformed by jac, convolved with the PSF — Gaussian
+// mixtures are closed under convolution, so the result has one component per
+// (profile, PSF) pair with weights multiplied and covariances added. It
+// integrates (over pixels) to prof's total weight times the PSF's total
+// weight.
 func GalaxyMixture(psf Mixture, prof []ProfComp, ab, angle, sigma float64, jac Jac2) Mixture {
-	w11, w12, w22 := GalaxyCov(ab, angle, sigma)
-	p11, p12, p22 := jac.Apply(w11, w12, w22)
-	gal := make(Mixture, len(prof))
-	for i, pc := range prof {
-		gal[i] = Component{
-			Weight: pc.Weight,
-			Sxx:    pc.Var * p11,
-			Sxy:    pc.Var * p12,
-			Syy:    pc.Var * p22,
-		}
-	}
-	return Convolve(gal, psf)
+	return GalaxyMixtureInto(make(Mixture, 0, len(prof)*len(psf)), psf, prof, ab, angle, sigma, jac)
 }
 
-// GalaxyMixtureInto appends the galaxy appearance mixture (see GalaxyMixture)
-// directly to dst — one component per (profile, PSF) pair, without building
-// the intermediate pre-convolution mixture. Pass dst[:0] of a retained buffer
-// for allocation-free reuse.
+// GalaxyMixtureInto is GalaxyMixture appending to dst; pass dst[:0] of a
+// retained buffer for allocation-free reuse.
 func GalaxyMixtureInto(dst Mixture, psf Mixture, prof []ProfComp, ab, angle, sigma float64, jac Jac2) Mixture {
 	w11, w12, w22 := GalaxyCov(ab, angle, sigma)
 	p11, p12, p22 := jac.Apply(w11, w12, w22)
@@ -263,12 +228,6 @@ type Evaluator struct {
 	Star []DualComp
 	Gal  []DualComp
 	jac  Jac2
-}
-
-// NewStarOnlyEvaluator builds an evaluator with no galaxy components
-// (used when a source is modeled as a certain star).
-func NewStarOnlyEvaluator(psf Mixture, jac Jac2) *Evaluator {
-	return &Evaluator{Star: starComps(psf), jac: jac}
 }
 
 // NewEvaluator builds star and galaxy components for one source on one
@@ -418,10 +377,6 @@ func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 	}
 	add(expProf, oneMinusRho)
 	add(devProf, rho)
-}
-
-func starComps(psf Mixture) []DualComp {
-	return starCompsInto(make([]DualComp, 0, len(psf)), psf)
 }
 
 // starCompsInto appends the PSF's star components to dst and returns it.

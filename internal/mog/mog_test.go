@@ -68,21 +68,22 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestConvolveMoments(t *testing.T) {
-	// Convolution adds means and covariances; verify via grid moments.
-	a := Mixture{{Weight: 1, MuX: 1, MuY: 0, Sxx: 1.2, Sxy: 0.1, Syy: 0.8}}
-	b := Mixture{{Weight: 1, MuX: -0.5, MuY: 0.7, Sxx: 0.6, Sxy: -0.2, Syy: 1.1}}
-	c := Convolve(a, b)
+func TestGalaxyMixtureAddsMoments(t *testing.T) {
+	// Convolving with the PSF keeps its means, adds covariances and
+	// multiplies weights, one component per (profile, PSF) pair.
+	psf := Mixture{{Weight: 0.7, MuX: -0.5, MuY: 0.7, Sxx: 0.6, Sxy: -0.2, Syy: 1.1}}
+	prof := []ProfComp{{Weight: 0.4, Var: 0.3}}
+	c := GalaxyMixture(psf, prof, 1, 0, 2, Jac2{A11: 1, A22: 1})
 	if len(c) != 1 {
 		t.Fatalf("len = %d", len(c))
 	}
-	if math.Abs(c[0].MuX-0.5) > 1e-12 || math.Abs(c[0].MuY-0.7) > 1e-12 {
+	if math.Abs(c[0].MuX+0.5) > 1e-12 || math.Abs(c[0].MuY-0.7) > 1e-12 {
 		t.Errorf("mean = (%v, %v)", c[0].MuX, c[0].MuY)
 	}
-	if math.Abs(c[0].Sxx-1.8) > 1e-12 || math.Abs(c[0].Sxy+0.1) > 1e-12 || math.Abs(c[0].Syy-1.9) > 1e-12 {
+	if math.Abs(c[0].Sxx-1.8) > 1e-12 || math.Abs(c[0].Sxy+0.2) > 1e-12 || math.Abs(c[0].Syy-2.3) > 1e-12 {
 		t.Errorf("cov = (%v, %v, %v)", c[0].Sxx, c[0].Sxy, c[0].Syy)
 	}
-	if math.Abs(c.TotalWeight()-1) > 1e-12 {
+	if math.Abs(c.TotalWeight()-0.28) > 1e-12 {
 		t.Errorf("weight = %v", c.TotalWeight())
 	}
 }
@@ -238,10 +239,15 @@ func compareDualToAD(t *testing.T, name string, got dual.Dual, want *ad.Num, tol
 	}
 }
 
+// starOnlyEvaluator builds an evaluator with no galaxy components.
+func starOnlyEvaluator(psf Mixture, jac Jac2) *Evaluator {
+	return &Evaluator{Star: starCompsInto(nil, psf), jac: jac}
+}
+
 func TestEvaluatorStarAgainstOracle(t *testing.T) {
 	psf := testPSF()
 	jac := Jac2{A11: 1 / 0.001, A22: 1 / 0.001} // world deg -> pixels at 3.6"/px
-	e := NewStarOnlyEvaluator(psf, jac)
+	e := starOnlyEvaluator(psf, jac)
 	for _, off := range [][2]float64{{0, 0}, {1.3, -0.8}, {-2.1, 2.9}} {
 		got := e.EvalStar(off[0], off[1])
 		want := refEval(psf, nil, nil, [6]float64{}, jac, off[0], off[1], true)
@@ -305,7 +311,7 @@ func TestEvaluatorGalaxyValueMatchesMixture(t *testing.T) {
 
 func TestBoundingRadius(t *testing.T) {
 	psf := testPSF()
-	e := NewStarOnlyEvaluator(psf, Jac2{A11: 1, A22: 1})
+	e := starOnlyEvaluator(psf, Jac2{A11: 1, A22: 1})
 	r := e.BoundingRadiusPx(4)
 	// Largest PSF sigma^2 is ~4.06 (trace bound 7.5) so radius >= 4*sqrt(4) = 8-ish.
 	if r < 8 || r > 20 {
@@ -333,7 +339,7 @@ func BenchmarkEvalGalPerPixel(b *testing.B) {
 
 func BenchmarkEvalStarPerPixel(b *testing.B) {
 	psf := testPSF()
-	e := NewStarOnlyEvaluator(psf, Jac2{A11: 1000, A22: 1000})
+	e := starOnlyEvaluator(psf, Jac2{A11: 1000, A22: 1000})
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {

@@ -8,11 +8,10 @@ import (
 	"celeste/internal/rng"
 )
 
-// countingObjective wraps a FullObjective and counts tier usage, exposing a
-// true gradient tier (so lazy runs are distinguishable from funcObjective's
-// Full-backed fallback).
+// countingObjective wraps a test function and counts tier usage (fnObjective
+// without the counts cannot tell a lazy run from an eager one).
 type countingObjective struct {
-	full               FullObjective
+	full               fullFn
 	fulls, grads, vals int
 }
 
@@ -115,12 +114,11 @@ func TestLazyHessianRosenbrock(t *testing.T) {
 	}
 }
 
-// TestFuncObjectiveGradTier covers the function-typed adapter's Grad: it
-// must agree with Full minus the Hessian, so NewtonTR callers can opt into
-// lazy mode without implementing the interface.
+// TestFuncObjectiveGradTier: a Grad tier that is Full minus the Hessian must
+// carry a lazy run on the nonconvex Rosenbrock function to the minimum.
 func TestFuncObjectiveGradTier(t *testing.T) {
 	x0 := []float64{-1.2, 1}
-	res := NewtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 300, LazyHessian: true})
+	res := newtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 300, LazyHessian: true})
 	if !res.Converged {
 		t.Fatalf("did not converge: %s", res.Status)
 	}
@@ -134,7 +132,7 @@ func TestFuncObjectiveGradTier(t *testing.T) {
 // TestResultRadiusReported: the final trust radius must be surfaced (the
 // cross-sweep warm start feeds it back as the next fit's initial radius).
 func TestResultRadiusReported(t *testing.T) {
-	res := NewtonTR(rosenbrockFull, rosenbrockVal, []float64{-1.2, 1}, TROptions{MaxIter: 300})
+	res := newtonTR(rosenbrockFull, rosenbrockVal, []float64{-1.2, 1}, TROptions{MaxIter: 300})
 	if !(res.Radius > 0) {
 		t.Errorf("final radius %v, want > 0", res.Radius)
 	}

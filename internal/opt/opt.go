@@ -13,42 +13,19 @@ import (
 	"celeste/internal/linalg"
 )
 
-// FullObjective returns the value, gradient, and Hessian at x. The returned
-// slices/matrix must be freshly allocated or owned by the caller.
-type FullObjective func(x []float64) (f float64, g []float64, h *linalg.Mat)
-
-// ValueObjective returns only the value at x (used for cheap trust-region
-// ratio tests).
-type ValueObjective func(x []float64) float64
-
-// Objective is the workspace-friendly objective for NewtonTRWS, exposing the
-// three evaluation tiers the trust region mixes: Full returns value,
-// gradient, and Hessian (the optimizer only reads them until the next Full
-// call, so the implementation may reuse its own buffers); Grad returns value
-// and gradient without the Hessian (the tier lazy-Hessian iterations run
-// their accepted-step bookkeeping on — the gradient slice follows the same
-// reuse contract as Full's); Value returns the value alone for trust-region
-// ratio tests.
+// Objective is what NewtonTRWS minimizes, exposing the three evaluation
+// tiers the trust region mixes: Full returns value, gradient, and Hessian
+// (the optimizer only reads them until the next Full call, so the
+// implementation may reuse its own buffers); Grad returns value and gradient
+// without the Hessian (the tier lazy-Hessian iterations run their
+// accepted-step bookkeeping on — the gradient slice follows the same reuse
+// contract as Full's); Value returns the value alone for trust-region ratio
+// tests.
 type Objective interface {
 	Full(x []float64) (f float64, g []float64, h *linalg.Mat)
 	Grad(x []float64) (f float64, g []float64)
 	Value(x []float64) float64
 }
-
-// funcObjective adapts the function-typed API to Objective; its Grad tier is
-// a Full evaluation with the Hessian dropped (function-typed callers predate
-// the tiered interface and gain nothing from lazy mode).
-type funcObjective struct {
-	full  FullObjective
-	value ValueObjective
-}
-
-func (o funcObjective) Full(x []float64) (float64, []float64, *linalg.Mat) { return o.full(x) }
-func (o funcObjective) Grad(x []float64) (float64, []float64) {
-	f, g, _ := o.full(x)
-	return f, g
-}
-func (o funcObjective) Value(x []float64) float64 { return o.value(x) }
 
 // Workspace holds every buffer a NewtonTRWS run needs: the iterate and trial
 // point, the subproblem step, and the Cholesky/eigendecomposition storage.
@@ -207,7 +184,7 @@ type Result struct {
 	Status    string
 }
 
-// TROptions configures NewtonTR.
+// TROptions configures NewtonTRWS.
 type TROptions struct {
 	MaxIter    int     // maximum outer iterations (default 100)
 	GradTol    float64 // terminate when ||g||_inf < GradTol (default 1e-8)
@@ -282,20 +259,15 @@ func (o *TROptions) defaults() {
 	}
 }
 
-// NewtonTR minimizes full (using value for ratio tests) from x0 with a
-// trust-region Newton method. The trust-region subproblem is solved exactly
-// via the symmetric eigendecomposition of the Hessian (with Cholesky fast
-// paths), which handles indefinite Hessians — the reason the paper pairs
-// Newton's method with a trust region on its nonconvex objective.
-func NewtonTR(full FullObjective, value ValueObjective, x0 []float64, opts TROptions) Result {
-	return NewtonTRWS(funcObjective{full, value}, x0, NewWorkspace(len(x0)), opts)
-}
-
-// NewtonTRWS is NewtonTR running entirely inside ws: the iterate, trial
-// point, step, and factorization storage all live in the workspace, so with
-// an objective that also reuses its buffers a whole optimization allocates
-// nothing. Result.X aliases workspace storage and is valid until the next
-// NewtonTRWS call with the same workspace.
+// NewtonTRWS minimizes obj from x0 with a trust-region Newton method. The
+// trust-region subproblem is solved exactly via the symmetric
+// eigendecomposition of the Hessian (with Cholesky fast paths), which handles
+// indefinite Hessians — the reason the paper pairs Newton's method with a
+// trust region on its nonconvex objective. It runs entirely inside ws: the
+// iterate, trial point, step, and factorization storage all live in the
+// workspace, so with an objective that also reuses its buffers a whole
+// optimization allocates nothing. Result.X aliases workspace storage and is
+// valid until the next NewtonTRWS call with the same workspace.
 //
 // With opts.LazyHessian the loop runs the three-tier scheme: the Hessian and
 // its factorization persist across iterations (staleAge counts accepted
@@ -842,7 +814,7 @@ type LBFGSOptions struct {
 
 // LBFGS minimizes fg from x0 with limited-memory BFGS and an Armijo
 // backtracking line search. It exists primarily for the Newton-vs-L-BFGS
-// ablation benchmark; Celeste proper uses NewtonTR.
+// ablation benchmark; Celeste proper uses NewtonTRWS.
 //
 // fg's returned gradient is read only until the next fg call, so the
 // objective may return the same backing slice every time — LBFGS copies what

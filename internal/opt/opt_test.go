@@ -8,6 +8,29 @@ import (
 	"celeste/internal/rng"
 )
 
+// fullFn is the shape the analytic test objectives are written in: value,
+// gradient and Hessian from one call.
+type fullFn func(x []float64) (float64, []float64, *linalg.Mat)
+
+// fnObjective adapts a test function pair to Objective; its Grad tier is a
+// Full evaluation with the Hessian dropped.
+type fnObjective struct {
+	full  fullFn
+	value func(x []float64) float64
+}
+
+func (o fnObjective) Full(x []float64) (float64, []float64, *linalg.Mat) { return o.full(x) }
+func (o fnObjective) Grad(x []float64) (float64, []float64) {
+	f, g, _ := o.full(x)
+	return f, g
+}
+func (o fnObjective) Value(x []float64) float64 { return o.value(x) }
+
+// newtonTR runs NewtonTRWS on a test function pair in a fresh workspace.
+func newtonTR(full fullFn, value func(x []float64) float64, x0 []float64, opts TROptions) Result {
+	return NewtonTRWS(fnObjective{full, value}, x0, NewWorkspace(len(x0)), opts)
+}
+
 // rosenbrock is the classic nonconvex banana function with minimum at
 // (1, ..., 1).
 func rosenbrockFull(x []float64) (float64, []float64, *linalg.Mat) {
@@ -40,7 +63,7 @@ func TestNewtonTRRosenbrock(t *testing.T) {
 		for i := range x0 {
 			x0[i] = -1.2
 		}
-		res := NewtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 300})
+		res := newtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 300})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge: %s (grad %v)", n, res.Status, res.GradNorm)
 		}
@@ -82,7 +105,7 @@ func TestNewtonTRQuadratic(t *testing.T) {
 		f, _, _ := full(x)
 		return f
 	}
-	res := NewtonTR(full, val, make([]float64, n), TROptions{})
+	res := newtonTR(full, val, make([]float64, n), TROptions{})
 	if !res.Converged {
 		t.Fatalf("did not converge: %s", res.Status)
 	}
@@ -114,7 +137,7 @@ func TestNewtonTRIndefiniteStart(t *testing.T) {
 		f, _, _ := full(x)
 		return f
 	}
-	res := NewtonTR(full, val, []float64{0.05, 1}, TROptions{})
+	res := newtonTR(full, val, []float64{0.05, 1}, TROptions{})
 	if !res.Converged {
 		t.Fatalf("did not converge: %s", res.Status)
 	}
@@ -222,7 +245,7 @@ func TestNewtonBeatsLBFGSOnIllConditioned(t *testing.T) {
 	for i := range x0 {
 		x0[i] = 1
 	}
-	newton := NewtonTR(full, val, x0, TROptions{GradTol: 1e-6})
+	newton := newtonTR(full, val, x0, TROptions{GradTol: 1e-6})
 	lbfgs := LBFGS(fg, x0, LBFGSOptions{GradTol: 1e-6})
 	if !newton.Converged {
 		t.Fatalf("Newton did not converge: %v", newton.Status)
@@ -265,6 +288,6 @@ func BenchmarkNewtonTR44(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 200})
+		newtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 200})
 	}
 }

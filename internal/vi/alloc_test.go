@@ -25,14 +25,14 @@ func TestFitWithZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestFitWithMatchesFit guards the wrapper contract: Fit (fresh scratch) and
-// FitWith (reused scratch, run twice to exercise recycling) must agree
-// exactly — buffer reuse cannot change the optimization trajectory.
-func TestFitWithMatchesFit(t *testing.T) {
+// TestFitWithScratchReuse guards the scratch contract: a fit in a fresh
+// scratch and one in a reused scratch (run twice to exercise recycling) must
+// agree exactly — buffer reuse cannot change the optimization trajectory.
+func TestFitWithScratchReuse(t *testing.T) {
 	pb, init := benchfix.SingleSourceScene(13)
 	opts := vi.Options{MaxIter: 20, GradTol: 1e-4}
 
-	fresh := vi.Fit(pb, init, opts)
+	fresh := vi.FitWith(pb, init, opts, vi.NewScratch())
 	s := vi.NewScratch()
 	vi.FitWith(pb, init, opts, s)
 	reused := vi.FitWith(pb, init, opts, s)

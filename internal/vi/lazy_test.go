@@ -26,8 +26,8 @@ func TestLazyFitMatchesEagerQuality(t *testing.T) {
 		eager := opts
 		eager.EagerHessian = true
 
-		le := Fit(pb, init, eager)
-		ll := Fit(pb, init, opts)
+		le := FitWith(pb, init, eager, NewScratch())
+		ll := FitWith(pb, init, opts, NewScratch())
 		if !le.Converged {
 			t.Fatalf("%s: eager fit did not converge: %s", tc.name, le.Status)
 		}
@@ -60,13 +60,13 @@ func TestLazyFitMatchesEagerQuality(t *testing.T) {
 // immediately, and must reach the same optimum as a cold re-fit.
 func TestFitWithWarmInitRadius(t *testing.T) {
 	pb, init := makeScene(t, 202, galTruth(), 3)
-	first := Fit(pb, init, Options{MaxIter: 120, GradTol: 1e-6})
+	first := FitWith(pb, init, Options{MaxIter: 120, GradTol: 1e-6}, NewScratch())
 	if !first.Converged {
 		t.Fatalf("first fit did not converge: %s", first.Status)
 	}
 
 	warm := Options{MaxIter: 120, GradTol: 1e-6, InitRadius: 4 * first.FinalRadius}
-	re := Fit(pb, first.Params, warm)
+	re := FitWith(pb, first.Params, warm, NewScratch())
 	if !re.Converged {
 		t.Fatalf("warm re-fit did not converge: %s", re.Status)
 	}

@@ -189,16 +189,10 @@ func (s *Scratch) scaleFor(pb *elbo.Problem) []float64 {
 	return s.scale[:]
 }
 
-// Fit maximizes the problem's ELBO from the given initialization with
+// FitWith maximizes the problem's ELBO from the given initialization with
 // Newton trust region, the paper's method of choice ("converges reliably on
-// our problem in tens of iterations", Section IV-D). It allocates a fresh
-// Scratch per call; hot paths fitting many sources should hold a Scratch and
-// use FitWith.
-func Fit(pb *elbo.Problem, init model.Params, o Options) FitResult {
-	return FitWith(pb, init, o, NewScratch())
-}
-
-// FitWith is Fit evaluating and optimizing entirely inside s's buffers.
+// our problem in tens of iterations", Section IV-D), evaluating and
+// optimizing entirely inside s's buffers.
 func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResult {
 	o.defaults()
 	if !pb.InBounds(&init) {

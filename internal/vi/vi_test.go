@@ -47,7 +47,7 @@ func makeScene(t *testing.T, seed uint64, truth model.CatalogEntry, nEpochs int)
 		}
 	}
 
-	pb := elbo.NewProblem(&priors, images, truth.Pos, 14)
+	pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 14)
 
 	// Initialize from a perturbed entry, as from a noisy existing catalog.
 	init := truth
@@ -86,7 +86,7 @@ func galTruth() model.CatalogEntry {
 func TestFitRecoversBrightStar(t *testing.T) {
 	truth := starTruth()
 	pb, init := makeScene(t, 101, truth, 2)
-	res := Fit(pb, init, Options{})
+	res := FitWith(pb, init, Options{}, NewScratch())
 	c := res.Params.Constrained()
 
 	if d := geom.Dist(c.Pos, truth.Pos) / pixScale; d > 0.25 {
@@ -113,7 +113,7 @@ func TestFitRecoversBrightStar(t *testing.T) {
 func TestFitRecoversGalaxy(t *testing.T) {
 	truth := galTruth()
 	pb, init := makeScene(t, 202, truth, 3)
-	res := Fit(pb, init, Options{})
+	res := FitWith(pb, init, Options{}, NewScratch())
 	c := res.Params.Constrained()
 
 	if d := geom.Dist(c.Pos, truth.Pos) / pixScale; d > 0.35 {
@@ -138,8 +138,8 @@ func TestFitRecoversGalaxy(t *testing.T) {
 func TestFitImprovesELBO(t *testing.T) {
 	truth := starTruth()
 	pb, init := makeScene(t, 303, truth, 1)
-	v0, _ := pb.EvalValue(&init)
-	res := Fit(pb, init, Options{MaxIter: 30})
+	v0, _ := pb.EvalValueWith(&init, elbo.NewScratch())
+	res := FitWith(pb, init, Options{MaxIter: 30}, NewScratch())
 	if res.ELBO <= v0 {
 		t.Errorf("ELBO did not improve: %v -> %v", v0, res.ELBO)
 	}
@@ -153,8 +153,8 @@ func TestMoreEpochsTightenUncertainty(t *testing.T) {
 	}
 	pb1, init1 := makeScene(t, 404, truth, 1)
 	pb4, init4 := makeScene(t, 404, truth, epochs)
-	r1 := Fit(pb1, init1, Options{})
-	r4 := Fit(pb4, init4, Options{})
+	r1 := FitWith(pb1, init1, Options{}, NewScratch())
+	r4 := FitWith(pb4, init4, Options{}, NewScratch())
 	c1 := r1.Params.Constrained()
 	c4 := r4.Params.Constrained()
 	e1 := model.Summarize(0, &c1)
@@ -176,7 +176,7 @@ func TestUncertaintyCovers(t *testing.T) {
 	var zs []float64
 	for rep := 0; rep < reps; rep++ {
 		pb, init := makeScene(t, 500+uint64(rep), truth, 2)
-		res := Fit(pb, init, Options{})
+		res := FitWith(pb, init, Options{}, NewScratch())
 		c := res.Params.Constrained()
 		e := model.Summarize(0, &c)
 		z := (e.Flux[model.RefBand] - truth.Flux[model.RefBand]) / e.FluxSD[model.RefBand]
@@ -195,7 +195,7 @@ func TestNewtonVsLBFGSIterations(t *testing.T) {
 	}
 	truth := galTruth()
 	pb, init := makeScene(t, 606, truth, 1)
-	newton := Fit(pb, init, Options{GradTol: 1e-4})
+	newton := FitWith(pb, init, Options{GradTol: 1e-4}, NewScratch())
 	lbfgs := FitLBFGS(pb, init, 120)
 	// Newton converges in tens of iterations; L-BFGS needs many more
 	// (or fails to reach tolerance at all) — Section IV-D.
@@ -246,18 +246,19 @@ func TestFitWithNeighborSubtraction(t *testing.T) {
 	}
 
 	mkProblem := func(withNeighbor bool) *elbo.Problem {
-		pb := elbo.NewProblem(&priors, images, a.Pos, 12)
+		var bld elbo.Builder
+		pb := bld.Build(&priors, images, a.Pos, 12)
 		if withNeighbor {
 			bp := model.InitialParams(&b)
 			bc := bp.Constrained()
-			pb.AddNeighbor(&bc)
+			bld.AddNeighbor(&bc)
 		}
 		return pb
 	}
 	init := model.InitialParams(&a)
 
-	with := Fit(mkProblem(true), init, Options{})
-	without := Fit(mkProblem(false), init, Options{})
+	with := FitWith(mkProblem(true), init, Options{}, NewScratch())
+	without := FitWith(mkProblem(false), init, Options{}, NewScratch())
 	cw := with.Params.Constrained()
 	cwo := without.Params.Constrained()
 	errWith := math.Abs(cw.ExpectedFluxes()[model.RefBand] - a.Flux[model.RefBand])
@@ -300,7 +301,7 @@ func BenchmarkFitStar(b *testing.B) {
 	init := model.InitialParams(&truth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pb := elbo.NewProblem(&priors, images, truth.Pos, 10)
-		Fit(pb, init, Options{MaxIter: 25, GradTol: 1e-4})
+		pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 10)
+		FitWith(pb, init, Options{MaxIter: 25, GradTol: 1e-4}, NewScratch())
 	}
 }
