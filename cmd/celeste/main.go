@@ -57,6 +57,7 @@ import (
 	"celeste/internal/geom"
 	"celeste/internal/imageio"
 	"celeste/internal/model"
+	cnet "celeste/internal/net"
 	"celeste/internal/net/chaos"
 	"celeste/internal/survey"
 )
@@ -563,14 +564,23 @@ func runSupervised(sc supConfig) error {
 				err, r, sc.Checkpoint)
 		},
 	})
-	for _, cmd := range spawned {
-		if err != nil {
-			cmd.Process.Kill()
-		}
-		if werr := cmd.Wait(); werr != nil && err == nil {
-			fmt.Fprintf(os.Stderr, "worker %d: %v\n", cmd.Process.Pid, werr)
-		}
+	// No incarnation will accept from l again, but a worker that was between
+	// rejoin attempts when the last one finished has yet to dial it: answer
+	// until the fleet has exited.
+	reason := cnet.ShutdownComplete
+	if err != nil {
+		reason = cnet.ShutdownAborted
 	}
+	cnet.Dismiss(l, reason, func() {
+		for _, cmd := range spawned {
+			if err != nil {
+				cmd.Process.Kill()
+			}
+			if werr := cmd.Wait(); werr != nil && err == nil {
+				fmt.Fprintf(os.Stderr, "worker %d: %v\n", cmd.Process.Pid, werr)
+			}
+		}
+	})
 	return err
 }
 

@@ -25,6 +25,7 @@ import (
 
 	"celeste/internal/core"
 	"celeste/internal/imageio"
+	cnet "celeste/internal/net"
 )
 
 const (
@@ -188,12 +189,15 @@ func superviseTCPRun(t *testing.T, workers int, killSchedule []int) string {
 		t.Errorf("ran %d coordinator incarnations, want %d (one per scheduled kill plus the survivor)",
 			incarnations, want)
 	}
-	// The run completed: every worker got its shutdown and must exit cleanly.
-	for i, c := range cmds {
-		if err := c.Wait(); err != nil {
-			t.Errorf("worker %d: %v", i, err)
+	// The run completed: every worker gets its shutdown — from the last
+	// incarnation, or on its next dial from here — and must exit cleanly.
+	cnet.Dismiss(l, cnet.ShutdownComplete, func() {
+		for i, c := range cmds {
+			if err := c.Wait(); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
 		}
-	}
+	})
 	return outPath
 }
 

@@ -84,7 +84,7 @@ type localLink struct {
 }
 
 func (l *localLink) NextTask() (int, bool, error) {
-	g, status := l.b.pull(l.rank, true, true)
+	g, status := l.b.Next(l.rank)
 	if status != cnet.NextTask {
 		return 0, false, nil // complete or aborted: the run's epilogue says which
 	}

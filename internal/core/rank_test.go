@@ -2,14 +2,17 @@ package core
 
 import (
 	"errors"
+	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"celeste/internal/dtree"
 	"celeste/internal/geom"
 	"celeste/internal/model"
+	cnet "celeste/internal/net"
 	"celeste/internal/partition"
 	"celeste/internal/survey"
 	"celeste/internal/vi"
@@ -187,6 +190,85 @@ func TestInProcessRunReportsStolenTasks(t *testing.T) {
 		}
 		if attempt >= 3 {
 			t.Fatalf("StolenTasks = 0 in %d runs where rank 0 idles beside rank 1's pooled task", attempt)
+		}
+	}
+}
+
+// TestWireRunReportsStolenTasks is the same shape on the other link: two
+// worker processes' worth of RunWorker over a loopback Transport. A wire pull
+// is the backend's Next, so the steal happens inside it — no second request —
+// and the run must count it and still match the in-process bytes.
+func TestWireRunReportsStolenTasks(t *testing.T) {
+	// Workers regenerate the partition, so the task list cannot be hand-made:
+	// a denser field at a tiny TargetWork yields 14 stage-0 tasks, a static
+	// first allocation 2 deep over 2 ranks.
+	scfg := survey.DefaultConfig(13)
+	scfg.Region = geom.NewBox(0, 0, 0.02, 0.02)
+	scfg.DeepRegion, scfg.DeepRuns, scfg.Runs = geom.Box{}, 0, 1
+	scfg.FieldW, scfg.FieldH = 96, 96
+	scfg.SourceDensity = 40000
+	sv := survey.Generate(scfg)
+	noisy := sv.NoisyCatalog(5)
+	const targetWork = 1
+	tasks := partition.GenerateTwoStage(noisy, sv.Config.Region, partition.Options{TargetWork: targetWork})
+	stage0 := 0
+	for _, tk := range tasks {
+		if tk.Stage == 0 {
+			stage0++
+		}
+	}
+	if stage0 < 10 {
+		t.Skipf("only %d stage-0 tasks: rank 1's first allocation is not 2 deep", stage0)
+	}
+	cfg := Config{Threads: 1, PatchThreads: 1, Processes: 1, Rounds: 1, Seed: 3,
+		Fit: vi.Options{MaxIter: 2, GradTol: 1e-2}}
+	t0 := time.Now()
+	base := run(t, sv, noisy, tasks, cfg)
+	stall := 2*time.Since(t0) + 50*time.Millisecond
+	cfg.Processes = 2
+	for attempt := 1; ; attempt++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		worker := func(onTask func(task, completed int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := RunWorker(l.Addr().String(), sv, noisy, WorkerOptions{
+					Threads: 1, PatchThreads: 1, OnTask: onTask,
+				}); err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+		}
+		// The first worker holds rank 0 by the time it is handed a task; the
+		// straggler, started then, is rank 1 and stalls with its first task in
+		// hand and the rest of its allocation pooled.
+		var straggler sync.Once
+		worker(func(int, int) {
+			straggler.Do(func() {
+				worker(func(_, completed int) {
+					if completed == 0 {
+						time.Sleep(stall)
+					}
+				})
+			})
+		})
+		res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{
+			Transport: &cnet.Transport{Listener: l, TargetWork: targetWork},
+		})
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalogsEqual(t, base.Catalog, res.Catalog, "wire run with a steal")
+		if res.StolenTasks > 0 || t.Failed() {
+			return
+		}
+		if attempt >= 3 {
+			t.Fatalf("StolenTasks = 0 in %d wire runs where rank 0 idles beside rank 1's pooled task", attempt)
 		}
 	}
 }

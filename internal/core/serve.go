@@ -18,7 +18,6 @@ import (
 	"celeste/internal/dtree"
 	"celeste/internal/model"
 	cnet "celeste/internal/net"
-	"celeste/internal/pgas"
 )
 
 // newBackend builds the state machine of a (possibly resumed) run: the
@@ -116,7 +115,7 @@ func (b *serveBackend) finishRun(res *RunResult, linkErr error) error {
 //
 // Lock order: mu strictly outside st.mu — commit (which takes st.mu and runs
 // the checkpoint hook) is always called with mu released. wake, the
-// condition a blocked in-process pull sleeps on, lives on mu.
+// condition a waiting pull sleeps on, lives on mu.
 type serveBackend struct {
 	procs   int
 	st      *runState
@@ -204,25 +203,14 @@ func (b *serveBackend) advanceLocked() {
 	b.wake.Broadcast()
 }
 
-// Next implements the task pull. The wait state covers the window where the
-// pool is dry but uncommitted tasks ride on other ranks: if one dies, its
-// tasks requeue and the waiting rank picks them up.
+// Next is the task hand-out, the same call on both links. A rank whose own
+// pool (and ancestor chain) is dry steals half the most-loaded live rank's
+// undistributed pool — only pooled tasks move, in-flight work is never
+// duplicated, so the catalog stays byte-identical regardless of who executes
+// what. With nothing to steal either but uncommitted tasks riding on other
+// ranks (one may die and requeue them, or the stage may end), the pull sleeps
+// on wake until it has a task or a terminal answer.
 func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, false, false)
-}
-
-// Steal is Next with a fallback: if the rank's own pool (and its ancestor
-// chain) is dry, pull half the most-loaded live rank's undistributed pool.
-// Only pooled tasks move — in-flight work is never duplicated — so the
-// catalog stays byte-identical regardless of who executes what.
-func (b *serveBackend) Steal(rank int) (int, cnet.NextStatus) {
-	return b.pull(rank, true, false)
-}
-
-// pull is the task hand-out. With block set (in-process ranks) the wait
-// state is not answered but slept through, on wake, until the pull has a
-// task or a terminal answer; a wire rank is told NextWait and retries.
-func (b *serveBackend) pull(rank int, steal, block bool) (int, cnet.NextStatus) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
@@ -238,7 +226,7 @@ func (b *serveBackend) pull(rank int, steal, block bool) (int, cnet.NextStatus) 
 			return 0, cnet.NextShutdown
 		}
 		j, ok := b.sched.Next(rank)
-		if !ok && steal {
+		if !ok {
 			j, ok = b.sched.Steal(rank)
 		}
 		switch {
@@ -246,10 +234,8 @@ func (b *serveBackend) pull(rank int, steal, block bool) (int, cnet.NextStatus) 
 			return b.idx[j], cnet.NextTask
 		case b.stageLeft == 0:
 			b.advanceLocked()
-		case block:
-			b.wake.Wait()
 		default:
-			return 0, cnet.NextWait
+			b.wake.Wait()
 		}
 	}
 }
@@ -440,20 +426,4 @@ func (b *serveBackend) Put(rank int, idx []uint64, vals []float64) error {
 		b.st.cur.Put(rank, int(i), vals[k*w:(k+1)*w])
 	}
 	return nil
-}
-
-// Snapshot serves the versioned PGAS snapshots the checkpoint format is
-// built from: the live array is captured fresh; the frozen stage input is
-// the serialized form every checkpoint of this stage shares.
-func (b *serveBackend) Snapshot(which byte) (*pgas.Snapshot, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch which {
-	case cnet.SnapCur:
-		return b.st.cur.Snapshot(), nil
-	case cnet.SnapStageStart:
-		return b.st.prevSnap, nil
-	default:
-		return nil, fmt.Errorf("core: unknown snapshot selector %d", which)
-	}
 }

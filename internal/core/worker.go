@@ -164,11 +164,8 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 				completed++
 			}
 		}()
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, errWorkerLeft) {
-			return nil
+		if err == nil || errors.Is(err, errWorkerLeft) || errors.Is(err, cnet.ErrComplete) {
+			return nil // the run is over, or over for this worker
 		}
 		var setup *workerSetupError
 		if errors.Is(err, cnet.ErrAborted) || errors.As(err, &setup) {

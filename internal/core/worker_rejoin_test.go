@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	cnet "celeste/internal/net"
 )
 
 // deadAddr returns a loopback address that refuses connections: it was
@@ -74,5 +76,46 @@ func TestRunWorkerNoRejoinFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("no-rejoin failure took %v, want immediate", elapsed)
+	}
+}
+
+// TestRunWorkerDialAfterRunEnded: a worker that was between rejoin attempts
+// when the last coordinator incarnation finished dials a listener its
+// supervisor still holds, with no incarnation alive to accept from it. The
+// supervisor, dismissing, answers with how the run ended and the worker exits
+// at once. Pre-fix the dial sat in the backlog for a whole DialTimeout per
+// attempt until the RejoinWindow closed (the ~1-in-36 two-minute failover
+// hang).
+func TestRunWorkerDialAfterRunEnded(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		reason byte
+		want   error
+	}{
+		{"complete", cnet.ShutdownComplete, nil},
+		{"aborted", cnet.ShutdownAborted, cnet.ErrAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			exited := make(chan error, 1)
+			go func() {
+				exited <- RunWorker(l.Addr().String(), nil, nil, WorkerOptions{
+					Rejoin: 1 << 10, RejoinWindow: 2 * time.Minute,
+				})
+			}()
+			cnet.Dismiss(l, tc.reason, func() {
+				select {
+				case err := <-exited:
+					if err != tc.want {
+						t.Errorf("late dialer exited with %v, want %v", err, tc.want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Error("late dialer still retrying after 5s")
+				}
+			})
+		})
 	}
 }

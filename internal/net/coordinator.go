@@ -11,8 +11,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"celeste/internal/pgas"
 )
 
 // NextStatus is the backend's answer to a task pull.
@@ -21,8 +19,9 @@ type NextStatus int
 const (
 	// NextTask hands the rank one task.
 	NextTask NextStatus = iota
-	// NextWait means the pool is dry but the stage is unfinished (tasks are
-	// in flight on other ranks, and a death may requeue them); retry.
+	// NextWait is the coordinator's own answer, never a backend's: the pull
+	// is still waiting when the hold expires, and the worker is told MsgWait
+	// — a keep-alive it answers by pulling again at once.
 	NextWait
 	// NextShutdown means the run is complete (or the rank is retired); the
 	// worker should exit cleanly.
@@ -39,7 +38,11 @@ const (
 type Backend interface {
 	// Welcome returns the run parameters advertised to connecting workers.
 	Welcome() RunConfig
-	// Next asks for rank's next task (a global task index).
+	// Next asks for rank's next task (a global task index), stealing from
+	// the most-loaded live rank when the rank's own supply is dry. It does
+	// not return until it has a task or a terminal answer: a rank with
+	// nothing to do yet waits inside the call, and Commit, Fail, Leave and
+	// the run's end wake it.
 	Next(rank int) (task int, status NextStatus)
 	// Commit records a completed task and its work stats. It must be
 	// idempotent: a task already committed is ignored.
@@ -53,15 +56,10 @@ type Backend interface {
 	// Leave retires a gracefully departing rank: its work requeues exactly
 	// as on Fail, but the departure is not counted as a failure. Idempotent.
 	Leave(rank int)
-	// Steal asks for a task for an idle rank, pulled from the most-loaded
-	// live rank's undistributed pool when the rank's own supply is dry.
-	Steal(rank int) (task int, status NextStatus)
 	// Get copies stage-input elements into out (len(idx)*width values).
 	Get(rank int, idx []uint64, out []float64) error
 	// Put writes result elements into the live array.
 	Put(rank int, idx []uint64, vals []float64) error
-	// Snapshot captures one of the PGAS arrays (SnapCur or SnapStageStart).
-	Snapshot(which byte) (*pgas.Snapshot, error)
 	// Done is closed when the run reaches a terminal state (complete,
 	// aborted, or stranded); Serve drains and returns after it closes.
 	Done() <-chan struct{}
@@ -70,8 +68,9 @@ type Backend interface {
 // ServeOptions tunes the coordinator's failure detection.
 type ServeOptions struct {
 	// DeadAfter is how long a worker may stay silent (no frame, not even a
-	// heartbeat) before it is declared dead and its tasks requeue.
-	// Default 10s.
+	// heartbeat) before it is declared dead and its tasks requeue. A waiting
+	// pull is held for a quarter of it before the keep-alive (see serveRank),
+	// so workers need a ResponseTimeout above DeadAfter/4. Default 10s.
 	DeadAfter time.Duration
 	// ConnectGrace is how long the coordinator waits for the full worker
 	// complement to connect before failing the absent ranks, so their
@@ -210,8 +209,10 @@ func sendError(fw *frameWriter, text string) {
 	_ = fw.send(&Message{Type: MsgError, Text: text})
 }
 
-// handle runs one worker connection: handshake, then the serve loop. Any
-// exit after rank assignment that is not a clean shutdown fails the rank.
+// handle runs one worker connection: handshake, then the serve loop. A rank
+// exists only once the handshake has verified, so a refused or abandoned
+// handshake leaves the run untouched; any exit after that which is not a
+// clean shutdown fails the rank.
 func (s *coordinator) handle(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -224,7 +225,7 @@ func (s *coordinator) handle(c net.Conn) {
 	}
 	fw := newFrameWriter(c)
 
-	// Handshake: Hello → Welcome(rank, run config) → Ready(worker's hash).
+	// Handshake: Hello or Join → Welcome(run config) → Ready(worker's hash).
 	// The handshake deadline is the connect grace, not DeadAfter: between
 	// Welcome and Ready the worker regenerates the whole run (partition +
 	// run hash over every survey pixel), which legitimately takes far
@@ -239,69 +240,44 @@ func (s *coordinator) handle(c net.Conn) {
 		}
 		return
 	}
-	// An elastic joiner is admitted only after its Ready/hash check passes:
-	// Backend.Join permanently grows the rank space and repartitions both
-	// PGAS arrays, so minting the rank first would let a flapping mismatched
-	// worker grow the run without bound — and double-count each attempt as
-	// both a joined and a failed rank. Until Join succeeds, a joiner holds no
-	// rank and a refused handshake leaves the run untouched.
-	rank := -1
-	elastic := false
-	switch m.Type {
-	case MsgHello:
-		rank = s.assignRank()
-		if rank < 0 {
-			sendError(fw, "net: no rank available (worker complement already full)")
-			return
-		}
-	case MsgJoin:
-		// Elastic admission bypasses the static complement and the connect
-		// grace seal: after the handshake verifies, the backend mints a fresh
-		// rank and the joiner acquires work by stealing. The Welcome carries a
-		// provisional rank of 0 — the worker side never uses the rank on the
-		// wire (the coordinator tracks it per connection), so the real rank
-		// need not exist yet.
-		elastic = true
-	default:
+	if m.Type != MsgHello && m.Type != MsgJoin {
 		sendError(fw, "net: expected Hello or Join to open the handshake")
 		return
 	}
-	// fail retires the rank, if one was ever assigned. A refused or failed
-	// joiner never held a rank, so there is nothing to fail — and nothing to
-	// count in the run's joined/failed accounting.
-	fail := func() {
-		if !elastic {
-			s.b.Fail(rank)
-		}
-	}
+	elastic := m.Type == MsgJoin
 	cfg := s.cfg
-	wireRank := uint32(0)
-	if !elastic {
-		wireRank = uint32(rank)
-	}
-	if err := fw.send(&Message{Type: MsgWelcome, Rank: wireRank, Welcome: &cfg}); err != nil {
-		fail()
+	if err := fw.send(&Message{Type: MsgWelcome, Welcome: &cfg}); err != nil {
 		return
 	}
 	c.SetDeadline(time.Now().Add(s.opts.ConnectGrace))
 	m, err = ReadMessage(c)
 	if err != nil || m.Type != MsgReady {
-		fail()
 		return
 	}
 	if m.Hash != s.cfg.RunHash {
 		sendError(fw, fmt.Sprintf("net: run hash mismatch: worker computed %016x, run is %016x",
 			m.Hash, s.cfg.RunHash))
-		fail()
 		return
 	}
+	// Admission, the one step the two handshakes differ in, comes last. A
+	// static rank taken before the hash verified would be failed — dead for
+	// the rest of the run — by every mis-pointed worker that dialed in, and
+	// Backend.Join permanently grows the rank space and repartitions both
+	// PGAS arrays, so a flapping mismatched joiner would grow the run without
+	// bound and count as both a joined and a failed rank.
+	var rank int
 	if elastic {
-		r, ok := s.b.Join()
-		if !ok {
+		// Elastic admission bypasses the static complement and the connect
+		// grace seal: the backend mints a fresh rank and the joiner acquires
+		// work by stealing.
+		var ok bool
+		if rank, ok = s.b.Join(); !ok {
 			s.shutdownLateJoiner(c, fw)
 			return
 		}
-		rank = r
+	} else if rank = s.assignRank(); rank < 0 {
+		sendError(fw, "net: no rank available (worker complement already full)")
+		return
 	}
 
 	if err := s.serveRank(c, fw, rank); err != nil {
@@ -344,7 +320,7 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 	width := int(s.cfg.Width)
 	// Every response write gets its own fresh deadline. Reusing the read
 	// deadline is wrong in both directions: backend work between read and
-	// write (a commit waiting out a checkpoint capture, a snapshot build) can
+	// write (a commit waiting out a checkpoint capture, a slow shard fetch) can
 	// burn through it and spuriously kill a healthy worker, while a worker
 	// that stops draining its socket mid-response must still die within
 	// DeadAfter rather than wedging this handler on a full send buffer.
@@ -353,6 +329,19 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 		return fw.send(m)
 	}
 	sendErr := func(text string) { _ = send(&Message{Type: MsgError, Text: text}) }
+	// A pull waits inside Backend.Next for as long as the rank has nothing to
+	// do, and while this handler waits with it nobody reads the worker's
+	// heartbeats or answers its ResponseTimeout. So the wait is held for at
+	// most a quarter of DeadAfter: then the worker is told MsgWait, its next
+	// frame — the same pull again, at once — is read under a fresh liveness
+	// deadline, and the backend call, still parked, is picked up where it was.
+	// A worker that died mid-wait is found out by that read, and whatever
+	// task the parked call was next handed requeues with the rank.
+	type pulled struct {
+		task   int
+		status NextStatus
+	}
+	var parked chan pulled
 	for {
 		c.SetReadDeadline(time.Now().Add(s.opts.DeadAfter))
 		m, err := ReadMessage(c)
@@ -362,18 +351,24 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 		switch m.Type {
 		case MsgHeartbeat:
 			// Liveness only; reading it already refreshed the deadline.
-		case MsgTaskReq, MsgSteal:
-			var task int
-			var status NextStatus
-			if m.Type == MsgSteal {
-				task, status = s.b.Steal(rank)
-			} else {
-				task, status = s.b.Next(rank)
+		case MsgTaskReq:
+			if parked == nil {
+				parked = make(chan pulled, 1)
+				go func(answer chan<- pulled) {
+					task, status := s.b.Next(rank)
+					answer <- pulled{task, status}
+				}(parked)
+			}
+			got := pulled{status: NextWait}
+			select {
+			case got = <-parked:
+				parked = nil
+			case <-time.After(s.opts.DeadAfter / 4):
 			}
 			var resp Message
-			switch status {
+			switch got.status {
 			case NextTask:
-				resp = Message{Type: MsgTask, Task: uint64(task)}
+				resp = Message{Type: MsgTask, Task: uint64(got.task)}
 			case NextWait:
 				resp = Message{Type: MsgWait}
 			case NextShutdown:
@@ -384,7 +379,7 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 			if err := send(&resp); err != nil {
 				return err
 			}
-			if status == NextShutdown || status == NextAbort {
+			if got.status == NextShutdown || got.status == NextAbort {
 				return nil
 			}
 		case MsgLeave:
@@ -425,15 +420,6 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 				sendErr(err.Error())
 				return err
 			}
-		case MsgSnapshotReq:
-			snap, err := s.b.Snapshot(m.Which)
-			if err != nil {
-				sendErr(err.Error())
-				return err
-			}
-			if err := send(&Message{Type: MsgSnapshot, Which: m.Which, Snap: snap}); err != nil {
-				return err
-			}
 		case MsgError:
 			return errors.New("net: worker reported: " + m.Text)
 		default:
@@ -442,6 +428,38 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 			return err
 		}
 	}
+}
+
+// Dismiss is what remains to be served of a run that is over: every dial
+// accepted on l is answered with Shutdown(reason), which the worker's Dial
+// surfaces as ErrComplete or ErrAborted. A supervisor that shares l with its
+// coordinator incarnations calls it once the last incarnation has exited, with
+// a wait that returns when its workers have: a worker that was between rejoin
+// attempts when the run ended otherwise dials into a backlog nobody accepts
+// from, and burns a dial timeout per attempt until its rejoin window closes.
+// Dismiss closes l when wait returns.
+func Dismiss(l net.Listener, reason byte, wait func()) {
+	var opts ServeOptions
+	opts.defaults()
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				// Read the Hello first: closing over unread bytes resets the
+				// connection, and the reset can overtake the Shutdown.
+				c.SetDeadline(time.Now().Add(opts.DeadAfter))
+				if _, err := ReadMessage(c); err == nil {
+					_ = newFrameWriter(c).send(&Message{Type: MsgShutdown, Reason: reason})
+				}
+			}()
+		}
+	}()
+	wait()
+	l.Close()
 }
 
 // Transport carries the coordinator's listening socket and the run

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +16,13 @@ import (
 // fakeBackend is a scripted run: nTasks tasks handed out in order, a prev
 // array served for reads, a cur array collecting writes. It implements
 // Backend without any inference machinery, so the coordinator/worker
-// plumbing is tested in isolation.
+// plumbing is tested in isolation. Like the real backend its Next waits, on
+// wake, until it has a task or a terminal answer.
 type fakeBackend struct {
 	cfg RunConfig
 
 	mu        sync.Mutex
+	wake      sync.Cond // broadcast on every change a waiting Next may have a new answer for
 	next      int
 	requeued  []int         // tasks surrendered by failed ranks, served first
 	inflight  map[int][]int // rank -> tasks handed out, not yet committed
@@ -28,11 +30,10 @@ type fakeBackend struct {
 	failed    map[int]bool
 	left      map[int]bool
 	byRank    map[int][]int
+	pulls     map[int]int // rank -> Next calls
 	aborted   bool
-	gated     bool // while true, Next only ever answers Wait
-	waits     int  // serve this many Wait responses before the first task
+	gated     bool // while true, Next hands out nothing
 	joined    int  // elastic ranks admitted
-	steals    int  // MsgSteal pulls served
 
 	slowGet time.Duration // set before serving: Get stalls this long first
 
@@ -54,10 +55,12 @@ func newFakeBackend(workers, width, nTasks int) *fakeBackend {
 		failed:    make(map[int]bool),
 		left:      make(map[int]bool),
 		byRank:    make(map[int][]int),
+		pulls:     make(map[int]int),
 		prev:      pgas.New(nTasks, width, workers),
 		cur:       pgas.New(nTasks, width, workers),
 		done:      make(chan struct{}),
 	}
+	b.wake.L = &b.mu
 	buf := make([]float64, width)
 	for i := 0; i < nTasks; i++ {
 		for k := range buf {
@@ -72,41 +75,49 @@ func (b *fakeBackend) Welcome() RunConfig    { return b.cfg }
 func (b *fakeBackend) Done() <-chan struct{} { return b.done }
 func (b *fakeBackend) finish()               { b.closeOnce.Do(func() { close(b.done) }) }
 
+// set changes scripted state under the lock and wakes every waiting Next.
+func (b *fakeBackend) set(change func()) {
+	b.mu.Lock()
+	change()
+	b.wake.Broadcast()
+	b.mu.Unlock()
+}
+
 func (b *fakeBackend) Next(rank int) (int, NextStatus) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.aborted {
-		b.finish()
-		return 0, NextAbort
-	}
-	if b.gated || b.waits > 0 {
-		if b.waits > 0 {
-			b.waits--
+	b.pulls[rank]++
+	for {
+		switch {
+		case b.aborted:
+			b.finish()
+			return 0, NextAbort
+		case b.failed[rank] || b.left[rank]:
+			return 0, NextShutdown
+		case len(b.committed) == int(b.cfg.NTasks):
+			b.finish()
+			return 0, NextShutdown
+		case b.gated:
+		case len(b.requeued) > 0:
+			n := len(b.requeued)
+			t := b.requeued[n-1]
+			b.requeued = b.requeued[:n-1]
+			b.inflight[rank] = append(b.inflight[rank], t)
+			return t, NextTask
+		case b.next < int(b.cfg.NTasks):
+			t := b.next
+			b.next++
+			b.inflight[rank] = append(b.inflight[rank], t)
+			return t, NextTask
 		}
-		return 0, NextWait
+		b.wake.Wait()
 	}
-	if n := len(b.requeued); n > 0 {
-		t := b.requeued[n-1]
-		b.requeued = b.requeued[:n-1]
-		b.inflight[rank] = append(b.inflight[rank], t)
-		return t, NextTask
-	}
-	if b.next < int(b.cfg.NTasks) {
-		t := b.next
-		b.next++
-		b.inflight[rank] = append(b.inflight[rank], t)
-		return t, NextTask
-	}
-	if len(b.committed) == int(b.cfg.NTasks) {
-		b.finish()
-		return 0, NextShutdown
-	}
-	return 0, NextWait
 }
 
 func (b *fakeBackend) Commit(rank, task int, stats [3]uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.wake.Broadcast()
 	if _, dup := b.committed[task]; dup {
 		return
 	}
@@ -133,6 +144,7 @@ func (b *fakeBackend) Fail(rank int) {
 	b.failed[rank] = true
 	b.requeued = append(b.requeued, b.inflight[rank]...)
 	b.inflight[rank] = nil
+	b.wake.Broadcast()
 }
 
 func (b *fakeBackend) Join() (int, bool) {
@@ -155,14 +167,7 @@ func (b *fakeBackend) Leave(rank int) {
 	b.left[rank] = true
 	b.requeued = append(b.requeued, b.inflight[rank]...)
 	b.inflight[rank] = nil
-}
-
-func (b *fakeBackend) Steal(rank int) (int, NextStatus) {
-	b.mu.Lock()
-	b.steals++
-	b.mu.Unlock()
-	// The scripted pool is global, so a steal serves like a plain pull.
-	return b.Next(rank)
+	b.wake.Broadcast()
 }
 
 func (b *fakeBackend) Get(rank int, idx []uint64, out []float64) error {
@@ -190,16 +195,6 @@ func (b *fakeBackend) Put(rank int, idx []uint64, vals []float64) error {
 	return nil
 }
 
-func (b *fakeBackend) Snapshot(which byte) (*pgas.Snapshot, error) {
-	switch which {
-	case SnapCur:
-		return b.cur.Snapshot(), nil
-	case SnapStageStart:
-		return b.prev.Snapshot(), nil
-	}
-	return nil, fmt.Errorf("fake: unknown selector %d", which)
-}
-
 // startServe launches Serve over a loopback listener and returns the address
 // plus a join function.
 func startServe(t *testing.T, b Backend, opts ServeOptions) (string, func() error) {
@@ -213,8 +208,7 @@ func startServe(t *testing.T, b Backend, opts ServeOptions) (string, func() erro
 	return l.Addr().String(), func() error { return <-errCh }
 }
 
-// runWorkerLoop is a minimal in-test worker: pull, read the task's element,
-// write its negation, report done.
+// runWorkerLoop is a minimal in-test worker: dial, verify, work to the end.
 func runWorkerLoop(t *testing.T, addr string, hash uint64) error {
 	cl, err := Dial(addr, DialOptions{})
 	if err != nil {
@@ -224,6 +218,12 @@ func runWorkerLoop(t *testing.T, addr string, hash uint64) error {
 	if err := cl.Ready(hash, 20*time.Millisecond); err != nil {
 		return err
 	}
+	return runWorkerLoopOn(cl)
+}
+
+// runWorkerLoopOn is the work loop of a verified client: pull, read the
+// task's element, write its negation, report done.
+func runWorkerLoopOn(cl *Client) error {
 	w := int(cl.Welcome().Width)
 	buf := make([]float64, w)
 	for {
@@ -249,13 +249,29 @@ func runWorkerLoop(t *testing.T, addr string, hash uint64) error {
 	}
 }
 
+// waitFor polls a condition on the backend's scripted state.
+func (b *fakeBackend) waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		b.mu.Lock()
+		ok := cond()
+		b.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestServeHappyPath drives two workers through a full scripted run: every
 // task committed exactly once, every Get answered from prev, every Put
 // landed in cur, ranks assigned distinctly.
 func TestServeHappyPath(t *testing.T) {
 	const nTasks, width = 9, 4
 	b := newFakeBackend(2, width, nTasks)
-	b.waits = 3 // exercise the wait/retry path too
+	b.gated = true // until both workers are in: the scripted run is over in microseconds
 	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
 
 	var wg sync.WaitGroup
@@ -267,6 +283,8 @@ func TestServeHappyPath(t *testing.T) {
 			errs[i] = runWorkerLoop(t, addr, b.cfg.RunHash)
 		}(i)
 	}
+	b.waitFor(t, "both ranks to pull", func() bool { return b.pulls[0] > 0 && b.pulls[1] > 0 })
+	b.set(func() { b.gated = false })
 	wg.Wait()
 	if err := join(); err != nil {
 		t.Fatalf("serve: %v", err)
@@ -295,65 +313,14 @@ func TestServeHappyPath(t *testing.T) {
 	}
 }
 
-// TestServeSnapshotFetch: a worker can pull both versioned arrays whole —
-// the same Snapshot machinery the checkpoint format serializes.
-func TestServeSnapshotFetch(t *testing.T) {
-	b := newFakeBackend(1, 3, 4)
-	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
-	cl, err := Dial(addr, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Ready(b.cfg.RunHash, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.Rank(); got != 0 {
-		t.Errorf("rank = %d, want 0", got)
-	}
-	snap, err := cl.FetchSnapshot(SnapStageStart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, b.prev.Snapshot()) {
-		t.Error("remote stage-start snapshot differs from the local array's")
-	}
-	if _, err := cl.FetchSnapshot(SnapCur); err != nil {
-		t.Fatal(err)
-	}
-	// Drain the run so Serve exits.
-	if err := runWorkerLoopOn(cl); err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func runWorkerLoopOn(cl *Client) error {
-	w := int(cl.Welcome().Width)
-	buf := make([]float64, w)
-	for {
-		task, ok, err := cl.NextTask()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := cl.GetMulti([]int{task}, buf); err != nil {
-			return err
-		}
-		if err := cl.TaskDone(task, [3]uint64{1, 2, 3}); err != nil {
-			return err
-		}
-	}
-}
-
 // TestServeHashMismatchRefused: a worker whose reconstructed run differs is
-// refused and its rank failed — it must never be served a task.
+// refused before it holds a rank — it is never served a task, and it costs the
+// run nothing. Pre-fix the rank was assigned on Hello and failed on the
+// refusal: one mis-pointed worker left rank 0 dead for the run, and the second
+// of two good workers after it was refused "worker complement already full".
 func TestServeHashMismatchRefused(t *testing.T) {
 	b := newFakeBackend(2, 3, 4)
+	b.gated = true // until both good workers are in
 	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
 
 	err := runWorkerLoop(t, addr, b.cfg.RunHash+1)
@@ -361,18 +328,25 @@ func TestServeHashMismatchRefused(t *testing.T) {
 		t.Fatal("mismatched worker ran to completion")
 	}
 
-	// A correct worker still finishes the run (rank 1's pool is empty in
-	// this scripted backend, so nothing strands).
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err != nil {
-		t.Fatalf("good worker: %v", err)
+	// The full complement of good workers is still admitted.
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- runWorkerLoop(t, addr, b.cfg.RunHash) }()
+	}
+	b.waitFor(t, "both static ranks to be taken", func() bool { return b.pulls[0] > 0 && b.pulls[1] > 0 })
+	b.set(func() { b.gated = false })
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("good worker: %v", err)
+		}
 	}
 	if err := join(); err != nil {
 		t.Fatal(err)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.failed[0] {
-		t.Error("mismatched worker's rank was not failed")
+	if len(b.failed) != 0 {
+		t.Errorf("the refused handshake failed ranks %v; it never held one", b.failed)
 	}
 	if len(b.committed) != 4 {
 		t.Errorf("%d tasks committed, want 4", len(b.committed))
@@ -400,7 +374,7 @@ func TestServeAbruptDeathFailsRank(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b.mu.Lock()
-		failed := b.failed[cl.Rank()]
+		failed := b.failed[0]
 		b.mu.Unlock()
 		if failed {
 			break
@@ -511,9 +485,7 @@ func TestServeAbortShutsWorkersDown(t *testing.T) {
 	if _, ok, err := cl.NextTask(); err != nil || !ok {
 		t.Fatalf("first pull: ok=%v err=%v", ok, err)
 	}
-	b.mu.Lock()
-	b.aborted = true
-	b.mu.Unlock()
+	b.set(func() { b.aborted = true })
 	if _, ok, err := cl.NextTask(); ok || !errors.Is(err, ErrAborted) {
 		t.Fatalf("post-abort pull: ok=%v err=%v, want ErrAborted", ok, err)
 	}
@@ -549,15 +521,13 @@ func TestServeConnectGraceFailsAbsentRanks(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// A post-grace connection is refused: rank assignment is sealed even
-	// though only one of three ranks ever connected.
-	if _, err := Dial(addr, DialOptions{Timeout: time.Second}); err == nil {
-		t.Error("late worker was accepted after the grace period sealed ranks")
+	// A post-grace worker is refused: rank assignment is sealed even though
+	// only one of three ranks ever connected.
+	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err == nil || !strings.Contains(err.Error(), "no rank available") {
+		t.Errorf("late worker after the grace period sealed ranks: %v, want a refusal", err)
 	}
 
-	b.mu.Lock()
-	b.gated = false
-	b.mu.Unlock()
+	b.set(func() { b.gated = false })
 	if err := <-workerErr; err != nil {
 		t.Fatal(err)
 	}
@@ -592,23 +562,18 @@ func TestElasticJoinAdmittedAfterGrace(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := Dial(addr, DialOptions{Timeout: time.Second}); err == nil {
-		t.Fatal("post-grace Hello was accepted")
+	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err == nil || !strings.Contains(err.Error(), "no rank available") {
+		t.Fatalf("post-grace Hello: %v, want a refusal", err)
 	}
 	cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
 	if err != nil {
 		t.Fatalf("elastic join refused: %v", err)
 	}
 	defer cl.Close()
-	if cl.Rank() != -1 {
-		t.Fatalf("joiner reports rank %d, want -1 (the real rank is minted server-side after the hash handshake)", cl.Rank())
-	}
 	if err := cl.Ready(b.cfg.RunHash, 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	b.mu.Lock()
-	b.gated = false
-	b.mu.Unlock()
+	b.set(func() { b.gated = false })
 	if err := runWorkerLoopOn(cl); err != nil {
 		t.Fatalf("joiner: %v", err)
 	}
@@ -699,9 +664,7 @@ func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
 			}
 			defer cl.Close()
 			if tc.aborted {
-				b.mu.Lock()
-				b.aborted = true
-				b.mu.Unlock()
+				b.set(func() { b.aborted = true })
 			} else {
 				b.Commit(0, 0, [3]uint64{}) // the run's only task: complete
 			}
@@ -808,28 +771,6 @@ func TestLeaveRequeuesWithoutFailing(t *testing.T) {
 	}
 }
 
-// TestWaitTriggersSteal: a Wait answer makes the client try one Steal pull
-// before sleeping, so an idle rank load-balances instead of spinning.
-func TestWaitTriggersSteal(t *testing.T) {
-	b := newFakeBackend(1, 3, 3)
-	b.waits = 2
-	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.steals == 0 {
-		t.Error("Wait responses never triggered a steal pull")
-	}
-	if len(b.committed) != 3 {
-		t.Errorf("%d tasks committed, want 3", len(b.committed))
-	}
-}
-
 // TestClientCloseConcurrent: Close must be safe against itself (a supervisor
 // racing the run loop's deferred teardown) — the old check-then-close on the
 // heartbeat channel double-closed and panicked under this test.
@@ -894,7 +835,7 @@ func TestHeartbeatFailureSurfaced(t *testing.T) {
 		}
 		cfg := RunConfig{Workers: 1, Width: 3, Rounds: 1, MaxIter: 1,
 			NTasks: 1, RunHash: 1, TargetWork: 1}
-		WriteMessage(bw, &Message{Type: MsgWelcome, Rank: 0, Welcome: &cfg})
+		WriteMessage(bw, &Message{Type: MsgWelcome, Welcome: &cfg})
 		bw.Flush()
 		ReadMessage(c) // Ready
 		c.Close()      // coordinator dies

@@ -3,6 +3,7 @@ package net
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -10,11 +11,11 @@ import (
 )
 
 // welcomeBytes encodes a welcome frame and returns it for field surgery.
-// Payload layout after the header: rank u32 | workers u32 | width
-// u32 | rounds u32 | maxiter u32 | ntasks u64 | runhash u64 | seed u64 |
-// targetwork f64 | batchfrac f64 | gradtol f64.
+// Payload layout after the header: workers u32 | width u32 | rounds u32 |
+// maxiter u32 | ntasks u64 | runhash u64 | seed u64 | targetwork f64 |
+// batchfrac f64 | gradtol f64.
 func welcomeBytes(t *testing.T) []byte {
-	return encoded(t, &Message{Type: MsgWelcome, Rank: 0, Welcome: sampleWelcome()})
+	return encoded(t, &Message{Type: MsgWelcome, Welcome: sampleWelcome()})
 }
 
 // TestWelcomeValidationBranches drives every bound of RunConfig.validate
@@ -32,14 +33,14 @@ func TestWelcomeValidationBranches(t *testing.T) {
 		poke func([]byte)
 		want string
 	}{
-		{"zero workers", pokeU32(4, 0), "workers"},
-		{"absurd workers", pokeU32(4, 1<<21), "workers"},
-		{"absurd width", pokeU32(8, 1<<17), "width"},
-		{"absurd rounds", pokeU32(12, 1<<21), "rounds"},
-		{"absurd maxiter", pokeU32(16, 1<<21), "rounds"},
-		{"absurd ntasks", pokeU64(20, 1<<25), "tasks"},
-		{"negative targetwork", pokeU64(44, 0x8000000000000001), "targetwork"},
-		{"batchfrac over 1", pokeU64(52, 0x4000000000000000), "targetwork"}, // 2.0
+		{"zero workers", pokeU32(0, 0), "workers"},
+		{"absurd workers", pokeU32(0, 1<<21), "workers"},
+		{"absurd width", pokeU32(4, 1<<17), "width"},
+		{"absurd rounds", pokeU32(8, 1<<21), "rounds"},
+		{"absurd maxiter", pokeU32(12, 1<<21), "rounds"},
+		{"absurd ntasks", pokeU64(16, 1<<25), "tasks"},
+		{"negative targetwork", pokeU64(40, 0x8000000000000001), "targetwork"},
+		{"batchfrac over 1", pokeU64(48, 0x4000000000000000), "targetwork"}, // 2.0
 	}
 	for _, tc := range cases {
 		b := welcomeBytes(t)
@@ -78,22 +79,10 @@ func rawWorker(t *testing.T, addr string, hash uint64) (net.Conn, *bufio.Writer)
 	return conn, bw
 }
 
-// expectRankFailed polls until the backend records the rank as failed.
+// expectRankFailed waits until the backend records the rank as failed.
 func expectRankFailed(t *testing.T, b *fakeBackend, rank int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		failed := b.failed[rank]
-		b.mu.Unlock()
-		if failed {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rank %d was never failed", rank)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	b.waitFor(t, fmt.Sprintf("rank %d to be failed", rank), func() bool { return b.failed[rank] })
 }
 
 // TestServeRejectsProtocolViolations: each way a worker can break protocol
@@ -203,7 +192,7 @@ func TestResponseTimeout(t *testing.T) {
 		if _, err := ReadMessage(c); err != nil { // Hello
 			return
 		}
-		WriteMessage(bw, &Message{Type: MsgWelcome, Rank: 0, Welcome: cfg})
+		WriteMessage(bw, &Message{Type: MsgWelcome, Welcome: cfg})
 		bw.Flush()
 		ReadMessage(c)              // Ready
 		time.Sleep(5 * time.Second) // wedge: never answer the pull
@@ -222,28 +211,5 @@ func TestResponseTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("pull took %v to fail, want the response timeout to apply", elapsed)
-	}
-}
-
-// TestSnapshotDecodeShardBudget: per-shard counts must respect the declared
-// geometry exactly — too few total values fails Validate, overdeclared
-// shards fail the running budget.
-func TestSnapshotDecodeShardBudget(t *testing.T) {
-	// Well-formed geometry (n=2, width=2, ranks=2) but shard 0 claims all 4
-	// values and shard 1 claims 4 more: the second claim must be refused.
-	p := []byte{SnapCur}
-	for _, v := range []uint64{2, 2, 2} {
-		p = binary.LittleEndian.AppendUint64(p, v)
-	}
-	p = binary.LittleEndian.AppendUint64(p, 0) // shard 0 version
-	p = binary.LittleEndian.AppendUint64(p, 4) // shard 0 count
-	for i := 0; i < 4; i++ {
-		p = binary.LittleEndian.AppendUint64(p, 0)
-	}
-	p = binary.LittleEndian.AppendUint64(p, 0) // shard 1 version
-	p = binary.LittleEndian.AppendUint64(p, 4) // shard 1 count: over budget
-	_, err := ReadMessage(strings.NewReader(string(frame(ProtocolVersion, MsgSnapshot, p))))
-	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("got %v, want a budget error", err)
 	}
 }

@@ -1,9 +1,10 @@
 // Package net is the TCP runtime that turns the repo's simulated deployment
 // into an executable one: a length-prefixed binary wire protocol carrying
 // Dtree scheduler traffic (task pull, completion, requeue-on-death) and PGAS
-// shard traffic (stage-input fetch, result write, snapshot transfer), plus
-// the coordinator that listens, assigns ranks, detects dead workers, and
-// drives the run state owned by internal/core.
+// shard traffic (stage-input fetch, result write), plus the coordinator that
+// listens, assigns ranks, detects dead workers, and drives the run state owned
+// by internal/core. The message set is what a rank needs of its backend —
+// pull, done, get, put — plus handshake, heartbeat, leave, and error.
 //
 // The goroutine runtime remains the reference implementation. Because every
 // task is a pure function of the frozen stage input (see internal/core), the
@@ -35,8 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-
-	"celeste/internal/pgas"
 )
 
 // wireMagic identifies a Celeste wire frame ("CELW").
@@ -45,9 +44,12 @@ var wireMagic = [4]byte{'C', 'E', 'L', 'W'}
 // ProtocolVersion is the wire protocol version spoken by this build. Version
 // negotiation is strict equality: a frame header carrying any other version
 // is refused before its payload is interpreted. Version 2 added the elastic
-// membership traffic (MsgJoin/MsgLeave/MsgSteal); version 3 added the
-// per-frame CRC-32C.
-const ProtocolVersion = 3
+// membership traffic (MsgJoin/MsgLeave); version 3 added the per-frame
+// CRC-32C; version 4 made the task pull one blocking, stealing request
+// (MsgWait is its keep-alive, not a poll), took the rank out of the Welcome,
+// let a Shutdown answer a Hello or Join, and dropped the steal and snapshot
+// messages.
+const ProtocolVersion = 4
 
 // headerLen is the fixed frame header size:
 // magic(4) + version(1) + type(1) + length(4) + crc(4).
@@ -67,24 +69,21 @@ func frameCRC(head []byte, payload []byte) uint32 {
 
 // Message types. Direction is noted as w→c (worker to coordinator) or c→w.
 const (
-	MsgHello       byte = iota + 1 // w→c: open handshake
-	MsgWelcome                     // c→w: rank assignment + run parameters
-	MsgReady                       // w→c: worker's independently computed run hash
-	MsgTaskReq                     // w→c: pull the next task
-	MsgTask                        // c→w: assigned global task index
-	MsgWait                        // c→w: pool dry but stage unfinished; retry
-	MsgShutdown                    // c→w: run over (complete or aborted); exit
-	MsgTaskDone                    // w→c: task committed with work stats
-	MsgGet                         // w→c: fetch stage-input elements by index
-	MsgParams                      // c→w: packed element values for a MsgGet
-	MsgPut                         // w→c: write result elements into the live array
-	MsgHeartbeat                   // w→c: liveness beacon, no response
-	MsgError                       // either: fatal protocol or state error
-	MsgSnapshotReq                 // w→c: fetch a whole PGAS snapshot
-	MsgSnapshot                    // c→w: versioned snapshot payload
-	MsgJoin                        // w→c: elastic handshake; admitted after the connect grace
-	MsgLeave                       // w→c: graceful departure; coordinator requeues the rank's work
-	MsgSteal                       // w→c: idle pull from the most-loaded live rank's pool
+	MsgHello     byte = iota + 1 // w→c: open handshake
+	MsgWelcome                   // c→w: run parameters
+	MsgReady                     // w→c: worker's independently computed run hash
+	MsgTaskReq                   // w→c: pull the next task; answered when there is one
+	MsgTask                      // c→w: assigned global task index
+	MsgWait                      // c→w: keep-alive for a pull still waiting; pull again at once
+	MsgShutdown                  // c→w: run over (complete or aborted); exit
+	MsgTaskDone                  // w→c: task committed with work stats
+	MsgGet                       // w→c: fetch stage-input elements by index
+	MsgParams                    // c→w: packed element values for a MsgGet
+	MsgPut                       // w→c: write result elements into the live array
+	MsgHeartbeat                 // w→c: liveness beacon, no response
+	MsgError                     // either: fatal protocol or state error
+	MsgJoin                      // w→c: elastic handshake; admitted after the connect grace
+	MsgLeave                     // w→c: graceful departure; coordinator requeues the rank's work
 	msgTypeEnd
 )
 
@@ -94,23 +93,13 @@ const (
 	ShutdownAborted              // a checkpoint hook or fatal state aborted the run
 )
 
-// Snapshot selectors for MsgSnapshotReq.
-const (
-	SnapCur        byte = iota // the live parameter array
-	SnapStageStart             // the frozen stage-input array
-)
-
-// maxFramePayload bounds one frame's payload. Snapshot frames are the
+// maxFramePayload bounds one frame's payload. Get/Put batches are the
 // largest legitimate traffic; 64 MiB covers ~8M float64 parameters, far
 // beyond any in-process run while keeping a hostile header cheap to refuse.
 const maxFramePayload = 1 << 26
 
 // maxBatchElems bounds the element count of one Get/Put batch.
 const maxBatchElems = 1 << 20
-
-// maxSnapshotValues bounds one snapshot's total float64 count so the declared
-// geometry can never demand more than a frame can carry.
-const maxSnapshotValues = maxFramePayload / 8
 
 // maxErrorText bounds an error message's byte length.
 const maxErrorText = 1 << 12
@@ -137,7 +126,6 @@ type RunConfig struct {
 type Message struct {
 	Type byte
 
-	Rank    uint32     // MsgWelcome
 	Welcome *RunConfig // MsgWelcome
 
 	Hash uint64 // MsgReady
@@ -149,10 +137,7 @@ type Message struct {
 	Values  []float64 // MsgParams, MsgPut
 
 	Reason byte   // MsgShutdown
-	Which  byte   // MsgSnapshotReq, MsgSnapshot
 	Text   string // MsgError
-
-	Snap *pgas.Snapshot // MsgSnapshot
 }
 
 // enc is a little appending encoder.
@@ -234,14 +219,13 @@ func (d *dec) floats(count uint64) ([]float64, error) {
 func WriteMessage(w io.Writer, m *Message) error {
 	var e enc
 	switch m.Type {
-	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave, MsgSteal:
+	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave:
 		// empty payload
 	case MsgWelcome:
 		if m.Welcome == nil {
 			return errors.New("net: MsgWelcome without a RunConfig")
 		}
 		c := m.Welcome
-		e.u32(m.Rank)
 		e.u32(c.Workers)
 		e.u32(c.Width)
 		e.u32(c.Rounds)
@@ -289,24 +273,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 		}
 		e.u32(uint32(len(t)))
 		e.b = append(e.b, t...)
-	case MsgSnapshotReq:
-		e.u8(m.Which)
-	case MsgSnapshot:
-		if m.Snap == nil {
-			return errors.New("net: MsgSnapshot without a snapshot")
-		}
-		e.u8(m.Which)
-		s := m.Snap
-		e.u64(uint64(int64(s.N)))
-		e.u64(uint64(int64(s.Width)))
-		e.u64(uint64(int64(s.Ranks)))
-		for r, data := range s.Shards {
-			e.u64(s.Versions[r])
-			e.u64(uint64(len(data)))
-			for _, v := range data {
-				e.f64(v)
-			}
-		}
 	default:
 		return fmt.Errorf("net: cannot encode message type %d", m.Type)
 	}
@@ -400,14 +366,11 @@ func decodePayload(typ byte, payload []byte) (*Message, error) {
 	m := &Message{Type: typ}
 	d := &dec{b: payload}
 	switch typ {
-	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave, MsgSteal:
+	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave:
 		// empty payload
 	case MsgWelcome:
 		var c RunConfig
 		var err error
-		if m.Rank, err = d.u32(); err != nil {
-			return nil, err
-		}
 		for _, p := range []*uint32{&c.Workers, &c.Width, &c.Rounds, &c.MaxIter} {
 			if *p, err = d.u32(); err != nil {
 				return nil, err
@@ -425,11 +388,6 @@ func decodePayload(typ byte, payload []byte) (*Message, error) {
 		}
 		if err := c.validate(); err != nil {
 			return nil, err
-		}
-		// Elastic joiners are assigned ranks past the static Workers
-		// complement, so the bound is a sanity cap, not Workers.
-		if m.Rank >= 1<<20 {
-			return nil, fmt.Errorf("net: welcome assigns implausible rank %d", m.Rank)
 		}
 		m.Welcome = &c
 	case MsgReady:
@@ -516,22 +474,6 @@ func decodePayload(typ byte, payload []byte) (*Message, error) {
 		}
 		m.Text = string(d.b[d.off : d.off+int(n)])
 		d.off += int(n)
-	case MsgSnapshotReq:
-		var err error
-		if m.Which, err = d.u8(); err != nil {
-			return nil, err
-		}
-		if m.Which > SnapStageStart {
-			return nil, fmt.Errorf("net: unknown snapshot selector %d", m.Which)
-		}
-	case MsgSnapshot:
-		var err error
-		if m.Which, err = d.u8(); err != nil {
-			return nil, err
-		}
-		if m.Snap, err = d.snapshot(); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("net: unknown message type %d", typ)
 	}
@@ -559,57 +501,6 @@ func (d *dec) indices() ([]uint64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// snapshot reads one versioned PGAS snapshot, with every count checked
-// against the snapshot's own declared geometry before allocation — the same
-// discipline as the CELK1 checkpoint reader.
-func (d *dec) snapshot() (*pgas.Snapshot, error) {
-	var n, width, ranks uint64
-	var err error
-	for _, p := range []*uint64{&n, &width, &ranks} {
-		if *p, err = d.u64(); err != nil {
-			return nil, err
-		}
-	}
-	if n > maxSnapshotValues || width == 0 || width > 1<<16 || ranks == 0 || ranks > 1<<20 {
-		return nil, fmt.Errorf("net: implausible snapshot geometry n=%d width=%d ranks=%d", n, width, ranks)
-	}
-	if n*width > maxSnapshotValues {
-		return nil, fmt.Errorf("net: snapshot holds %d values, over the %d cap", n*width, maxSnapshotValues)
-	}
-	s := &pgas.Snapshot{
-		N: int(n), Width: int(width), Ranks: int(ranks),
-		Shards:   make([][]float64, 0, min(ranks, 1<<10)),
-		Versions: make([]uint64, 0, min(ranks, 1<<10)),
-	}
-	total := uint64(0)
-	for r := uint64(0); r < ranks; r++ {
-		ver, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		// Compare against the remaining budget rather than summing first: a
-		// count near 2^64 would wrap `total += count` past the cap.
-		if count > n*width-total {
-			return nil, fmt.Errorf("net: snapshot shards exceed declared %d values", n*width)
-		}
-		total += count
-		data, err := d.floats(count)
-		if err != nil {
-			return nil, err
-		}
-		s.Versions = append(s.Versions, ver)
-		s.Shards = append(s.Shards, data)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // validate applies protocol bounds to an advertised run configuration.

@@ -3,12 +3,11 @@ package net
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
-
-	"celeste/internal/pgas"
 )
 
 // sampleWelcome returns a representative run advertisement.
@@ -20,22 +19,11 @@ func sampleWelcome() *RunConfig {
 	}
 }
 
-// sampleSnapshot builds a small live pgas snapshot with non-zero versions.
-func sampleSnapshot() *pgas.Snapshot {
-	a := pgas.New(5, 3, 2)
-	buf := []float64{0, 0, 0}
-	for i := 0; i < 5; i++ {
-		buf[0], buf[1], buf[2] = float64(i), -float64(i), 0.5*float64(i)
-		a.Put(0, i, buf)
-	}
-	return a.Snapshot()
-}
-
 // sampleMessages covers every encodable message type.
 func sampleMessages() []*Message {
 	return []*Message{
 		{Type: MsgHello},
-		{Type: MsgWelcome, Rank: 2, Welcome: sampleWelcome()},
+		{Type: MsgWelcome, Welcome: sampleWelcome()},
 		{Type: MsgReady, Hash: 0xfeed},
 		{Type: MsgTaskReq},
 		{Type: MsgTask, Task: 11},
@@ -47,11 +35,8 @@ func sampleMessages() []*Message {
 		{Type: MsgPut, Indices: []uint64{1, 3}, Values: []float64{9, 8, 7, 6}},
 		{Type: MsgHeartbeat},
 		{Type: MsgError, Text: "something broke"},
-		{Type: MsgSnapshotReq, Which: SnapStageStart},
-		{Type: MsgSnapshot, Which: SnapCur, Snap: sampleSnapshot()},
 		{Type: MsgJoin},
 		{Type: MsgLeave},
-		{Type: MsgSteal},
 	}
 }
 
@@ -99,7 +84,7 @@ func encoded(t *testing.T, m *Message) []byte {
 }
 
 func TestReadMessageRejectsMalformedFrames(t *testing.T) {
-	validWelcome := encoded(t, &Message{Type: MsgWelcome, Rank: 0, Welcome: sampleWelcome()})
+	validWelcome := encoded(t, &Message{Type: MsgWelcome, Welcome: sampleWelcome()})
 	nanParams := frame(ProtocolVersion, MsgParams, func() []byte {
 		b := binary.LittleEndian.AppendUint32(nil, 1)
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(math.NaN()))
@@ -123,14 +108,9 @@ func TestReadMessageRejectsMalformedFrames(t *testing.T) {
 		{"short payload", frame(ProtocolVersion, MsgTask, make([]byte, 4)), "truncated frame payload"},
 		{"trailing bytes", frame(ProtocolVersion, MsgTask, make([]byte, 16)), "trailing bytes"},
 		{"NaN params", nanParams, "non-finite"},
-		{"welcome rank out of range", func() []byte {
-			b := append([]byte(nil), validWelcome...)
-			binary.LittleEndian.PutUint32(b[headerLen:], 1<<21) // past the elastic rank cap
-			return reseal(b)
-		}(), "rank"},
 		{"welcome zero width", func() []byte {
 			b := append([]byte(nil), validWelcome...)
-			binary.LittleEndian.PutUint32(b[headerLen+8:], 0) // width field
+			binary.LittleEndian.PutUint32(b[headerLen+4:], 0) // width field
 			return reseal(b)
 		}(), "width"},
 		{"bit-flipped payload", func() []byte {
@@ -153,27 +133,8 @@ func TestReadMessageRejectsMalformedFrames(t *testing.T) {
 			return b
 		}()), "multiple"},
 		{"shutdown bad reason", frame(ProtocolVersion, MsgShutdown, []byte{9}), "reason"},
-		{"snapshot req bad selector", frame(ProtocolVersion, MsgSnapshotReq, []byte{9}), "selector"},
 		{"error text too long", frame(ProtocolVersion, MsgError,
 			binary.LittleEndian.AppendUint32(nil, maxErrorText+1)), "cap"},
-		{"snapshot absurd geometry", frame(ProtocolVersion, MsgSnapshot, func() []byte {
-			b := []byte{SnapCur}
-			b = binary.LittleEndian.AppendUint64(b, 1<<40) // n
-			b = binary.LittleEndian.AppendUint64(b, 44)    // width
-			b = binary.LittleEndian.AppendUint64(b, 1)     // ranks
-			return b
-		}()), "implausible"},
-		{"snapshot overflowing shard count", func() []byte {
-			// Valid geometry but a shard declaring ~2^64 values: the budget
-			// comparison must not wrap.
-			b := []byte{SnapCur}
-			b = binary.LittleEndian.AppendUint64(b, 4) // n
-			b = binary.LittleEndian.AppendUint64(b, 2) // width
-			b = binary.LittleEndian.AppendUint64(b, 1) // ranks
-			b = binary.LittleEndian.AppendUint64(b, 0) // version
-			b = binary.LittleEndian.AppendUint64(b, math.MaxUint64)
-			return frame(ProtocolVersion, MsgSnapshot, b)
-		}(), "exceed"},
 	}
 	for _, tc := range cases {
 		_, err := ReadMessage(bytes.NewReader(tc.data))
@@ -190,8 +151,9 @@ func TestReadMessageRejectsMalformedFrames(t *testing.T) {
 // TestReadMessageBadVersionIsErrBadVersion: the coordinator relies on the
 // sentinel to tell a version mismatch from line noise.
 func TestReadMessageBadVersion(t *testing.T) {
-	_, err := ReadMessage(bytes.NewReader(frame(7, MsgHello, nil)))
-	if err == nil || !strings.Contains(err.Error(), "version 7") {
+	// The previous protocol version: a v3 peer is refused, not half-understood.
+	_, err := ReadMessage(bytes.NewReader(frame(ProtocolVersion-1, MsgHello, nil)))
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 3") {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -202,9 +164,6 @@ func TestWriteMessageRejects(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &Message{Type: MsgWelcome}); err == nil {
 		t.Error("welcome without config accepted")
-	}
-	if err := WriteMessage(&buf, &Message{Type: MsgSnapshot}); err == nil {
-		t.Error("snapshot without payload accepted")
 	}
 	if err := WriteMessage(&buf, &Message{Type: 250}); err == nil {
 		t.Error("unknown type accepted")
@@ -222,23 +181,5 @@ func TestErrorTextTruncated(t *testing.T) {
 	}
 	if len(m.Text) != maxErrorText {
 		t.Fatalf("text came back %d bytes, want clipped to %d", len(m.Text), maxErrorText)
-	}
-}
-
-// TestSnapshotVersionsSurviveTheWire: the PGAS snapshot machinery is
-// versioned, and the wire carries the versions — a remote observer can tell
-// a restored array from the original's successors exactly like a local one.
-func TestSnapshotVersionsSurviveTheWire(t *testing.T) {
-	s := sampleSnapshot()
-	b := encoded(t, &Message{Type: MsgSnapshot, Which: SnapCur, Snap: s})
-	m, err := ReadMessage(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Snap.Versions, s.Versions) {
-		t.Errorf("versions %v arrived as %v", s.Versions, m.Snap.Versions)
-	}
-	if _, err := pgas.FromSnapshot(m.Snap); err != nil {
-		t.Errorf("wire snapshot does not restore: %v", err)
 	}
 }

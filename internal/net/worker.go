@@ -16,10 +16,16 @@ import (
 	"celeste/internal/pgas"
 )
 
-// ErrAborted is returned by NextTask when the coordinator ends the session
-// because the run was aborted (e.g. a checkpoint hook failed) rather than
-// completed — a worker supervisor must not read the exit as success.
+// ErrAborted is returned by NextTask, and by a Dial that lands after the run
+// ended, when the coordinator ends the session because the run was aborted
+// (e.g. a checkpoint hook failed) rather than completed — a worker supervisor
+// must not read the exit as success.
 var ErrAborted = errors.New("net: run aborted by coordinator")
+
+// ErrComplete is returned by a Dial that lands after the run completed: the
+// handshake was answered with a Shutdown instead of a Welcome. There is
+// nothing left to do, and the worker should exit cleanly.
+var ErrComplete = errors.New("net: run already complete")
 
 // Client is one worker's connection to the coordinator. Its Get/Put methods
 // implement pgas.Getter and pgas.Putter, so core.ExecTask runs against it
@@ -31,7 +37,6 @@ type Client struct {
 	fw   *frameWriter
 
 	welcome RunConfig
-	rank    int
 
 	reqMu sync.Mutex // one request/response exchange at a time
 	wmu   sync.Mutex // frame-level write interleaving (requests vs heartbeats)
@@ -51,10 +56,6 @@ var (
 	_ pgas.Putter = (*Client)(nil)
 )
 
-// waitPoll is how long a worker sleeps after a Wait response (and one failed
-// steal) before pulling again.
-const waitPoll = 2 * time.Millisecond
-
 // DialOptions tunes a worker connection.
 type DialOptions struct {
 	// Timeout bounds the TCP dial and each handshake read. Default 10s.
@@ -67,8 +68,7 @@ type DialOptions struct {
 	ResponseTimeout time.Duration
 	// Elastic opens the handshake with Join instead of Hello: the
 	// coordinator admits the worker mid-run (even after the connect grace)
-	// with a fresh rank past the static complement, and the worker acquires
-	// tasks by stealing from loaded ranks.
+	// with a fresh rank past the static complement.
 	Elastic bool
 }
 
@@ -82,9 +82,10 @@ func (o *DialOptions) defaults() {
 }
 
 // Dial connects to a coordinator and completes the opening half of the
-// handshake: Hello out, Welcome (rank assignment and run parameters) back.
-// The caller must reconstruct the run from the welcome, verify the hash, and
-// call Ready before pulling tasks.
+// handshake: Hello (or Join) out, Welcome (the run parameters) back. The
+// caller must reconstruct the run from the welcome, verify the hash, and
+// call Ready before pulling tasks. A run that is already over answers with a
+// Shutdown instead, surfaced as ErrComplete or ErrAborted.
 func Dial(addr string, opts DialOptions) (*Client, error) {
 	opts.defaults()
 	conn, err := net.DialTimeout("tcp", addr, opts.Timeout)
@@ -117,28 +118,21 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 	}
 	if m.Type != MsgWelcome {
 		conn.Close()
+		if m.Type == MsgShutdown {
+			if m.Reason == ShutdownAborted {
+				return nil, ErrAborted
+			}
+			return nil, ErrComplete
+		}
 		return nil, fmt.Errorf("net: expected Welcome, got message type %d", m.Type)
 	}
 	conn.SetDeadline(time.Time{})
 	c.welcome = *m.Welcome
-	c.rank = int(m.Rank)
-	if opts.Elastic {
-		// An elastic joiner's rank is minted by the coordinator only after
-		// the Ready/hash handshake verifies; the Welcome carries a
-		// provisional placeholder. The coordinator tracks the real rank per
-		// connection — the worker never needs it on the wire.
-		c.rank = -1
-	}
 	return c, nil
 }
 
 // Welcome returns the coordinator's advertised run parameters.
 func (c *Client) Welcome() RunConfig { return c.welcome }
-
-// Rank returns the rank the coordinator assigned this worker, or -1 for an
-// elastic joiner (its rank is minted server-side after the hash handshake
-// and never travels back over the wire).
-func (c *Client) Rank() int { return c.rank }
 
 // Ready sends the worker's independently computed run hash (the coordinator
 // refuses a mismatch) and starts the heartbeat. heartbeatEvery must be well
@@ -244,18 +238,16 @@ func (c *Client) roundTrip(req *Message) (*Message, error) {
 	return c.read()
 }
 
-// NextTask pulls the next global task index, transparently retrying through
-// Wait responses (the remote pool is dry while tasks are in flight
-// elsewhere — a death may yet requeue them to us). A Wait is answered with
-// one Steal attempt — pulling from the most-loaded live rank's pool — before
-// the worker sleeps, so an idle rank load-balances instead of spinning.
-// ok=false with a nil error means the run completed and the worker should
-// exit cleanly; an aborted run surfaces as ErrAborted so supervisors can
-// tell the two exits apart.
+// NextTask pulls the next global task index. The coordinator answers when
+// there is one — stolen from a loaded rank if this rank's own supply is dry —
+// or when the run is over; a Wait in between is only its keep-alive for a
+// pull still waiting, answered by pulling again at once. ok=false with a nil
+// error means the run completed and the worker should exit cleanly; an
+// aborted run surfaces as ErrAborted so supervisors can tell the two exits
+// apart.
 func (c *Client) NextTask() (task int, ok bool, err error) {
-	req := byte(MsgTaskReq)
 	for {
-		m, err := c.roundTrip(&Message{Type: req})
+		m, err := c.roundTrip(&Message{Type: MsgTaskReq})
 		if err != nil {
 			return 0, false, err
 		}
@@ -266,12 +258,7 @@ func (c *Client) NextTask() (task int, ok bool, err error) {
 			}
 			return int(m.Task), true, nil
 		case MsgWait:
-			if req == MsgTaskReq {
-				req = MsgSteal // dry pool: try stealing before sleeping
-				continue
-			}
-			req = MsgTaskReq
-			time.Sleep(waitPoll)
+			// keep-alive: the pull is still waiting over there
 		case MsgShutdown:
 			if m.Reason == ShutdownAborted {
 				return 0, false, ErrAborted
@@ -340,21 +327,6 @@ func (c *Client) PutMulti(idx []int, vals []float64) error {
 			len(vals), len(idx), c.welcome.Width)
 	}
 	return c.send(&Message{Type: MsgPut, Indices: toU64(idx), Values: vals})
-}
-
-// FetchSnapshot pulls a whole versioned PGAS snapshot (SnapCur or
-// SnapStageStart) over the wire — the same Snapshot machinery the checkpoint
-// format serializes, so a remote observer sees exactly what a checkpoint
-// would record.
-func (c *Client) FetchSnapshot(which byte) (*pgas.Snapshot, error) {
-	m, err := c.roundTrip(&Message{Type: MsgSnapshotReq, Which: which})
-	if err != nil {
-		return nil, err
-	}
-	if m.Type != MsgSnapshot {
-		return nil, fmt.Errorf("net: unexpected reply type %d to a snapshot request", m.Type)
-	}
-	return m.Snap, nil
 }
 
 func toU64(idx []int) []uint64 {
