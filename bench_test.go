@@ -10,11 +10,13 @@ import (
 	"testing"
 
 	"celeste/internal/benchfix"
+	"celeste/internal/catserve"
 	"celeste/internal/cluster"
 	"celeste/internal/elbo"
 	"celeste/internal/geom"
 	"celeste/internal/mcmc"
 	"celeste/internal/model"
+	"celeste/internal/psf"
 	"celeste/internal/rng"
 	"celeste/internal/survey"
 	"celeste/internal/vi"
@@ -120,7 +122,7 @@ func BenchmarkPerNodeConfigSweep(b *testing.B) {
 }
 
 // singleSourceScene builds a five-band galaxy scene for the kernel
-// benchmarks (shared with cmd/benchreport via internal/benchfix).
+// benchmarks (shared with the allocation tests via internal/benchfix).
 func singleSourceScene(seed uint64) (*elbo.Problem, model.Params) {
 	return benchfix.SingleSourceScene(seed)
 }
@@ -314,25 +316,26 @@ func sceneImagesForMCMC(seed uint64) []*survey.Image {
 	return images
 }
 
-// BenchmarkHotPath is the perf-regression harness for the per-source fit
-// pipeline: steady-state derivative evaluation, value-only evaluation, a
-// whole Newton fit, and a joint Cyclades sweep, all on fixed-seed scenes
-// with warm scratch buffers. cmd/benchreport runs the same fixtures and
-// records the numbers in BENCH_elbo.json so every PR has a perf trajectory.
-// Run with -benchmem: steady-state allocs/op must stay 0 for eval and fit.
+// BenchmarkHotPath times the per-source fit pipeline's hot paths on
+// fixed-seed scenes with warm scratch buffers: the three ELBO tiers, serial
+// and 8-worker multi-image evaluation, a whole Newton fit, a joint Cyclades
+// sweep, and the cached catalog query. Run with -benchmem. It is a tool for
+// measuring while working, not a record: bench/ is the perf record and gate,
+// and the steady-state allocation budgets of these paths are ordinary tests
+// (DESIGN.md, "Performance harness").
 func BenchmarkHotPath(b *testing.B) {
 	for _, sub := range []struct {
 		name string
 		body func(*testing.B) int64
 	}{
-		{"elbo-eval", benchfix.BenchElboEval},
-		{"elbo-eval-multi", benchfix.BenchElboEvalMulti},
-		{"elbo-eval-par", benchfix.BenchElboEvalPar},
-		{"elbo-evalgrad", benchfix.BenchElboEvalGrad},
-		{"elbo-evalvalue", benchfix.BenchElboEvalValue},
-		{"vi-fit", benchfix.BenchViFit},
-		{"core-process", benchfix.BenchCoreProcess},
-		{"catalog-query", benchfix.BenchCatalogQuery},
+		{"elbo-eval", benchElboEval},
+		{"elbo-eval-multi", benchElboEvalMulti},
+		{"elbo-eval-par", benchElboEvalPar},
+		{"elbo-evalgrad", benchElboEvalGrad},
+		{"elbo-evalvalue", benchElboEvalValue},
+		{"vi-fit", benchViFit},
+		{"core-process", benchCoreProcess},
+		{"catalog-query", benchCatalogQuery},
 	} {
 		b.Run(sub.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -342,4 +345,223 @@ func BenchmarkHotPath(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The hot-path bodies below each warm their scratch before the timed loop and
+// return the total active-pixel visits.
+
+// benchElboEval measures steady-state derivative evaluation (EvalInto).
+func benchElboEval(b *testing.B) int64 {
+	pb, init := benchfix.SingleSourceScene(11)
+	s := elbo.NewScratch()
+	pb.EvalInto(&init, s)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := pb.EvalInto(&init, s)
+		visits += r.Visits
+	}
+	return visits
+}
+
+// benchElboEvalGrad measures the middle evaluation tier (EvalGradInto): value
+// and gradient without Hessian moments, the cost of a lazy-Hessian accepted
+// step.
+func benchElboEvalGrad(b *testing.B) int64 {
+	pb, init := benchfix.SingleSourceScene(11)
+	s := elbo.NewScratch()
+	pb.EvalGradInto(&init, s)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := pb.EvalGradInto(&init, s)
+		visits += r.Visits
+	}
+	return visits
+}
+
+// benchElboEvalValue measures the value-only trust-region ratio-test path.
+func benchElboEvalValue(b *testing.B) int64 {
+	pb, init := benchfix.SingleSourceScene(11)
+	s := elbo.NewScratch()
+	pb.EvalValueWith(&init, s)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, vis := pb.EvalValueWith(&init, s)
+		visits += vis
+	}
+	return visits
+}
+
+// benchElboEvalMulti measures serial steady-state derivative evaluation on
+// the 15-patch multi-image fixture — the baseline the parallel lane's
+// speedup is read against.
+func benchElboEvalMulti(b *testing.B) int64 {
+	pb, init := multiImageScene(11)
+	s := elbo.NewScratch()
+	pb.EvalInto(&init, s)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := pb.EvalInto(&init, s)
+		visits += r.Visits
+	}
+	return visits
+}
+
+// benchElboEvalPar measures the same multi-image evaluation fanned out to 8
+// patch workers. The result is bitwise identical to benchElboEvalMulti's;
+// only the wall clock differs (by up to the core count, 15 patches / 8
+// workers bounding the critical path at 2 patch sweeps).
+func benchElboEvalPar(b *testing.B) int64 {
+	pb, init := multiImageScene(11)
+	s := elbo.NewScratch()
+	s.SetWorkers(8)
+	for i := 0; i < 5; i++ {
+		// One warmup pass is not enough here: patch claiming is racy, so a
+		// crew worker can sit out an entire evaluation and first grow its
+		// sweep buffers inside the timed loop. A few passes warm all eight.
+		pb.EvalInto(&init, s)
+	}
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := pb.EvalInto(&init, s)
+		visits += r.Visits
+	}
+	return visits
+}
+
+// benchViFit measures a whole warm-scratch Newton trust-region fit.
+func benchViFit(b *testing.B) int64 {
+	pb, init := benchfix.SingleSourceScene(11)
+	s := vi.NewScratch()
+	opts := vi.Options{MaxIter: 25, GradTol: 1e-4}
+	vi.FitWith(pb, init, opts, s)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := vi.FitWith(pb, init, opts, s)
+		visits += r.Visits
+	}
+	return visits
+}
+
+// catalogFixture builds a deterministic synthetic posterior catalog of n
+// sources over the unit sky box for the catalog-query lane.
+func catalogFixture(seed uint64, n int) (geom.Box, []model.CatalogEntry) {
+	r := rng.New(seed)
+	entries := make([]model.CatalogEntry, n)
+	for i := range entries {
+		entries[i].ID = i
+		entries[i].Pos = geom.Pt2{RA: r.Float64(), Dec: r.Float64()}
+		entries[i].ProbGal = r.Float64()
+		for b := 0; b < model.NumBands; b++ {
+			entries[i].Flux[b] = 1 + r.Float64()*1e4
+			entries[i].FluxSD[b] = r.Float64()
+		}
+	}
+	return geom.NewBox(0, 0, 1, 1), entries
+}
+
+// catalogQueryTargets returns the fixed request-target cycle the query lane
+// measures: cone, box, and brightest-N queries spread over the footprint.
+func catalogQueryTargets() []string {
+	r := rng.New(31)
+	targets := make([]string, 0, 64)
+	for i := 0; i < 48; i++ {
+		targets = append(targets, fmt.Sprintf("/cone?ra=%.4f&dec=%.4f&r=%.4f",
+			r.Float64(), r.Float64(), 0.01+r.Float64()*0.05))
+	}
+	for i := 0; i < 12; i++ {
+		x, y := r.Float64()*0.8, r.Float64()*0.8
+		targets = append(targets, fmt.Sprintf("/box?ramin=%.4f&decmin=%.4f&ramax=%.4f&decmax=%.4f",
+			x, y, x+0.1, y+0.1))
+	}
+	for n := 1; n <= 4; n++ {
+		targets = append(targets, fmt.Sprintf("/brightest?n=%d", n*8))
+	}
+	return targets
+}
+
+// benchCatalogQuery measures the cached catalog-query hot path: the fixed
+// target cycle is warmed once (cold executions populate the snapshot cache),
+// then the timed loop serves the same targets — one atomic snapshot load and
+// one lock-free cache read per query, the path the load test drives at
+// hundreds of thousands of queries per second. Returns 0 visits (no pixels).
+func benchCatalogQuery(b *testing.B) int64 {
+	box, entries := catalogFixture(29, 20000)
+	srv := catserve.NewServer(catserve.NewStore(box, entries, catserve.Options{}))
+	targets := catalogQueryTargets()
+	for _, tg := range targets {
+		if _, status := srv.Query(tg); status != 200 {
+			b.Fatalf("warming %s: status %d", tg, status)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, status := srv.Query(targets[i%len(targets)])
+		if status != 200 || len(body) == 0 {
+			b.Fatalf("query %d: status %d, %d bytes", i, status, len(body))
+		}
+	}
+	return 0
+}
+
+// benchCoreProcess measures a joint Cyclades sweep over the fixed region,
+// warming the worker-scratch pools first so the recorded allocs/op reflect
+// the steady state a long-running task sweep sees.
+func benchCoreProcess(b *testing.B) int64 {
+	rg, cfg, init := benchfix.SmallRegion(21)
+	copy(rg.Params, init)
+	cfg.Process(rg)
+	var visits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rg.Params, init)
+		st := cfg.Process(rg)
+		visits += st.Visits
+	}
+	return visits
+}
+
+// multiImageScene builds the multi-epoch fixture for the intra-fit
+// parallelism lanes: three epochs of the five-band benchfix.SceneImages galaxy (15
+// patches), with per-epoch calibration differences but identical geometry —
+// same WCS, size, and PSF across epochs — so every patch sweeps the same row
+// widths and a warm parallel scratch stays allocation-free regardless of
+// which worker claims which patch.
+func multiImageScene(seed uint64) (*elbo.Problem, model.Params) {
+	r := rng.New(seed)
+	truth := model.CatalogEntry{
+		Pos: geom.Pt2{RA: 0.003, Dec: 0.003}, ProbGal: 1,
+		Flux:       [model.NumBands]float64{10, 15, 20, 23, 25},
+		GalDevFrac: 0.3, GalAxisRatio: 0.6, GalAngle: 0.8, GalScale: 2 * benchfix.PixScale,
+	}
+	var images []*survey.Image
+	size := 48
+	for ep := 0; ep < 3; ep++ {
+		for band := 0; band < model.NumBands; band++ {
+			w := geom.NewSimpleWCS(truth.Pos.RA-float64(size)/2*benchfix.PixScale,
+				truth.Pos.Dec-float64(size)/2*benchfix.PixScale, benchfix.PixScale)
+			p := psf.Default(1.2)
+			iota := 100 + 12*float64(ep)
+			sky := 80 + 6*float64(ep)
+			im := &survey.Image{ID: ep*model.NumBands + band, Band: band,
+				W: size, H: size, WCS: w, PSF: p,
+				Iota: iota, Sky: sky, Pixels: make([]float64, size*size)}
+			for i := range im.Pixels {
+				im.Pixels[i] = sky
+			}
+			model.AddExpectedCounts(im.Pixels, size, size, w, p, &truth, band, iota, 6)
+			for i, lam := range im.Pixels {
+				im.Pixels[i] = float64(r.Poisson(lam))
+			}
+			images = append(images, im)
+		}
+	}
+	priors := model.DefaultPriors()
+	pb := new(elbo.Builder).Build(&priors, images, truth.Pos, 12)
+	return pb, model.InitialParams(&truth)
 }

@@ -58,32 +58,29 @@ import (
 	"celeste/internal/imageio"
 	"celeste/internal/model"
 	cnet "celeste/internal/net"
-	"celeste/internal/net/chaos"
 	"celeste/internal/survey"
 )
 
 // flagConfig is the subset of flags whose combinations need validating, in a
 // plain struct so the matrix is table-testable.
 type flagConfig struct {
-	Serve        string        // -serve listen address
-	Worker       string        // -worker coordinator address
-	Spawn        int           // -spawn local worker count
-	SpawnSet     bool          // -spawn appeared on the command line
-	Checkpoint   string        // -checkpoint path
-	Resume       bool          // -resume
-	Procs        int           // -procs
-	Threads      int           // -threads
-	Elastic      bool          // -elastic
-	ChurnKill    time.Duration // -churn-kill
-	ChurnAdd     time.Duration // -churn-add
-	Query        string        // -query listen address
-	Load         string        // -load catalog path
-	Supervise    bool          // -supervise
-	ServeFD      int           // -serve-fd (internal; 0 when absent — fd 0 is never a listener)
-	Rejoin       int           // -rejoin
-	RejoinWindow time.Duration // -rejoin-window
-	ChaosSeed    uint64        // -chaos-seed
-	ChaosMean    int           // -chaos-mean
+	Serve           string        // -serve listen address
+	Worker          string        // -worker coordinator address
+	Spawn           int           // -spawn local worker count
+	SpawnSet        bool          // -spawn appeared on the command line
+	Checkpoint      string        // -checkpoint path
+	CheckpointEvery int           // -checkpoint-every
+	Resume          bool          // -resume
+	Procs           int           // -procs
+	Threads         int           // -threads
+	Elastic         bool          // -elastic
+	Query           string        // -query listen address
+	Load            string        // -load catalog path
+	Supervise       bool          // -supervise
+	MaxRestarts     int           // -max-restarts
+	ServeFD         int           // -serve-fd (internal; 0 when absent — fd 0 is never a listener)
+	Rejoin          int           // -rejoin
+	RejoinWindow    time.Duration // -rejoin-window
 }
 
 // validateFlags rejects contradictory or silently misbehaving flag
@@ -110,12 +107,6 @@ func validateFlags(fc flagConfig) error {
 		return fmt.Errorf("-threads %d: need at least one thread", fc.Threads)
 	case fc.Elastic && fc.Worker == "":
 		return errors.New("-elastic only applies to -worker: elastic admission is a worker-side handshake")
-	case fc.ChurnKill < 0 || fc.ChurnAdd < 0:
-		return errors.New("churn delays must be non-negative")
-	case (fc.ChurnKill > 0 || fc.ChurnAdd > 0) && !fc.SpawnSet:
-		return errors.New("-churn-kill and -churn-add require -spawn: churn drives the locally spawned worker pool")
-	case fc.ChurnKill > 0 && fc.Spawn < 2:
-		return errors.New("-churn-kill needs -spawn of at least 2 so a survivor can finish the run")
 	case fc.Load != "" && fc.Query == "":
 		return errors.New("-load requires -query: a loaded catalog is only used to serve queries")
 	case fc.Load != "" && (fc.Worker != "" || fc.Serve != "" || fc.SpawnSet ||
@@ -131,8 +122,6 @@ func validateFlags(fc flagConfig) error {
 		return errors.New("-supervise applies to the coordinator, not -worker (workers re-enroll on their own via -rejoin)")
 	case fc.Supervise && fc.Query != "":
 		return errors.New("-supervise cannot host -query: the query service lives inside the coordinator child process")
-	case fc.Supervise && (fc.ChurnKill > 0 || fc.ChurnAdd > 0):
-		return errors.New("-supervise does not combine with churn flags: churn the workers of a plain -spawn run instead")
 	case fc.ServeFD > 0 && (fc.Serve != "" || fc.SpawnSet || fc.Supervise || fc.Worker != ""):
 		return errors.New("-serve-fd is internal to -supervise coordinator children and excludes -serve, -spawn, -supervise, and -worker")
 	case fc.Rejoin < 0:
@@ -141,12 +130,10 @@ func validateFlags(fc flagConfig) error {
 		return errors.New("-rejoin-window must be non-negative")
 	case (fc.Rejoin > 0 || fc.RejoinWindow > 0) && fc.Worker == "" && !(fc.Supervise && fc.SpawnSet):
 		return errors.New("-rejoin and -rejoin-window configure a -worker process (or the workers of a supervised -spawn)")
-	case fc.ChaosSeed != 0 && !fc.SpawnSet:
-		return errors.New("-chaos-seed requires -spawn: the chaos proxy interposes on locally spawned worker links")
-	case fc.ChaosSeed != 0 && fc.Supervise:
-		return errors.New("-chaos-seed does not combine with -supervise (the differential test harness covers chaos plus failover)")
-	case fc.ChaosMean < 0:
-		return errors.New("-chaos-mean must be non-negative")
+	case fc.Checkpoint != "" && fc.CheckpointEvery < 1:
+		return fmt.Errorf("-checkpoint-every %d: need at least 1 task between checkpoints, or no checkpoint file would ever be written", fc.CheckpointEvery)
+	case fc.Supervise && fc.MaxRestarts < 1:
+		return fmt.Errorf("-max-restarts %d: -supervise needs at least one restart (a supervisor with no restarts is a plain -serve/-spawn run)", fc.MaxRestarts)
 	}
 	return nil
 }
@@ -167,8 +154,6 @@ func main() {
 	workerAddr := flag.String("worker", "", "join the run served by the coordinator at this address as one worker process")
 	spawn := flag.Int("spawn", 0, "serve on a loopback port and fork this many local worker processes")
 	elastic := flag.Bool("elastic", false, "with -worker: join the run elastically mid-run (admitted after the connect grace with a fresh rank)")
-	churnKill := flag.Duration("churn-kill", 0, "with -spawn: SIGKILL one spawned worker after this delay (its work requeues to the survivors)")
-	churnAdd := flag.Duration("churn-add", 0, "with -spawn: start one extra elastic worker after this delay")
 	queryAddr := flag.String("query", "", "serve catalog queries over HTTP on this address, live during the fit and from the final catalog after it")
 	loadPath := flag.String("load", "", "with -query: serve this finished catalog file instead of running inference")
 	supervise := flag.Bool("supervise", false, "with -serve/-spawn and -checkpoint: fork the coordinator as a child and restart it from the checkpoint if it dies to a signal")
@@ -176,19 +161,15 @@ func main() {
 	serveFD := flag.Int("serve-fd", 0, "internal: coordinator child inherits its listening socket on this file descriptor (set by -supervise; 0: unset)")
 	rejoin := flag.Int("rejoin", 0, "with -worker: re-dial budget per outage when the coordinator connection drops (0: fail on first loss unless -elastic)")
 	rejoinWindow := flag.Duration("rejoin-window", 0, "with -worker: give up re-enrolling after this long in one outage (0: no deadline)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "with -spawn: interpose a deterministic fault-injecting proxy on worker links, seeded here (0: off)")
-	chaosMean := flag.Int("chaos-mean", 4096, "with -chaos-seed: mean bytes between injected faults per connection direction")
-	chaosBudget := flag.Int("chaos-budget", 16, "with -chaos-seed: total faults across the run before the proxy goes quiet (<0: unlimited)")
 	flag.Parse()
 
 	fc := flagConfig{
 		Serve: *serveAddr, Worker: *workerAddr, Spawn: *spawn,
-		Checkpoint: *ckPath, Resume: *resume, Procs: *procs, Threads: *threads,
-		Elastic: *elastic, ChurnKill: *churnKill, ChurnAdd: *churnAdd,
+		Checkpoint: *ckPath, CheckpointEvery: *ckEvery, Resume: *resume,
+		Procs: *procs, Threads: *threads, Elastic: *elastic,
 		Query: *queryAddr, Load: *loadPath,
-		Supervise: *supervise, ServeFD: *serveFD,
+		Supervise: *supervise, MaxRestarts: *maxRestarts, ServeFD: *serveFD,
 		Rejoin: *rejoin, RejoinWindow: *rejoinWindow,
-		ChaosSeed: *chaosSeed, ChaosMean: *chaosMean,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "spawn" {
@@ -338,59 +319,9 @@ func main() {
 		}
 		fmt.Printf("serving on %s, expecting %d workers\n", l.Addr(), *procs)
 		if fc.SpawnSet {
-			dial := l.Addr().String()
-			var workerExtra []string
-			if *chaosSeed != 0 {
-				pl, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					log.Fatal(err)
-				}
-				px := chaos.New(pl, dial, chaos.Config{
-					Seed: *chaosSeed, MeanFaultBytes: int64(*chaosMean), MaxFaults: *chaosBudget,
-				})
-				px.Start()
-				defer func() {
-					px.Close()
-					fmt.Printf("chaos: %d faults injected\n", px.Injected())
-				}()
-				dial = px.Addr().String()
-				// Faulted links sever mid-run; give the workers the budget to
-				// re-enroll instead of dying on the first reset, and hold the
-				// run open when a fault burst severs every link at once so the
-				// fleet's re-enrollment rescues it instead of stranding.
-				workerExtra = []string{"-rejoin", "64"}
-				opts.Transport.RejoinGrace = 30 * time.Second
-				fmt.Printf("chaos: faulting worker links (seed %d, mean gap %d bytes, budget %d)\n",
-					*chaosSeed, *chaosMean, *chaosBudget)
-			}
-			spawned, err = spawnWorkers(dial, *spawn, *sky, *threads, *patchThreads, false, workerExtra...)
+			spawned, err = spawnWorkers(l.Addr().String(), *spawn, *sky, *threads, *patchThreads)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if *churnKill > 0 {
-				victim := spawned[0]
-				time.AfterFunc(*churnKill, func() {
-					fmt.Printf("churn: killing worker %d\n", victim.Process.Pid)
-					victim.Process.Kill()
-				})
-			}
-			if *churnAdd > 0 {
-				addr := l.Addr().String()
-				joiner := make(chan *exec.Cmd, 1)
-				// The callback always sends exactly one value (nil if the
-				// spawn failed), so a fired timer guarantees the reaper a
-				// value to drain.
-				timer := time.AfterFunc(*churnAdd, func() {
-					extra, err := spawnWorkers(addr, 1, *sky, *threads, *patchThreads, true)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "churn: adding worker: %v\n", err)
-						joiner <- nil
-						return
-					}
-					fmt.Printf("churn: added elastic worker %d\n", extra[0].Process.Pid)
-					joiner <- extra[0]
-				})
-				defer reapJoiner(timer, joiner)
 			}
 		}
 	}
@@ -402,8 +333,7 @@ func main() {
 	}, opts)
 	for _, cmd := range spawned {
 		// Workers exit after the coordinator's shutdown message; reap them.
-		// A churn-killed worker's SIGKILL exit is expected, not an error.
-		if werr := cmd.Wait(); werr != nil && err == nil && *churnKill == 0 {
+		if werr := cmd.Wait(); werr != nil && err == nil {
 			fmt.Fprintf(os.Stderr, "worker %d: %v\n", cmd.Process.Pid, werr)
 		}
 	}
@@ -534,7 +464,7 @@ func runSupervised(sc supConfig) error {
 		if window == 0 {
 			window = 2 * time.Minute
 		}
-		spawned, err = spawnWorkers(l.Addr().String(), sc.Spawn, sc.Sky, sc.Threads, sc.PatchThreads, false,
+		spawned, err = spawnWorkers(l.Addr().String(), sc.Spawn, sc.Sky, sc.Threads, sc.PatchThreads,
 			"-rejoin", strconv.Itoa(rejoinBudget), "-rejoin-window", window.String())
 		if err != nil {
 			return err
@@ -645,23 +575,9 @@ func accuracySummary(truth, catalog []model.CatalogEntry, pixScale float64) stri
 	return s
 }
 
-// reapJoiner deterministically reaps the churn-add worker. If the timer is
-// stopped before firing, no child was (or will be) spawned. Otherwise the
-// callback is running or ran — even if it was spawned concurrently with run
-// completion — and will deliver exactly one value, so a blocking receive
-// cannot hang and cannot miss the child the way a select/default drain did.
-func reapJoiner(timer *time.Timer, joiner <-chan *exec.Cmd) {
-	if timer.Stop() {
-		return
-	}
-	if cmd := <-joiner; cmd != nil {
-		cmd.Wait()
-	}
-}
-
 // spawnWorkers forks n copies of this binary in -worker mode against addr.
 // Any extra arguments are appended to each worker's command line.
-func spawnWorkers(addr string, n int, sky string, threads, patchThreads int, elastic bool, extra ...string) ([]*exec.Cmd, error) {
+func spawnWorkers(addr string, n int, sky string, threads, patchThreads int, extra ...string) ([]*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -673,9 +589,6 @@ func spawnWorkers(addr string, n int, sky string, threads, patchThreads int, ela
 			"-sky", sky,
 			"-threads", strconv.Itoa(threads),
 			"-patch-threads", strconv.Itoa(patchThreads)}
-		if elastic {
-			args = append(args, "-elastic")
-		}
 		args = append(args, extra...)
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = os.Stdout

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -26,56 +25,51 @@ func TestValidateFlags(t *testing.T) {
 		{"plain serve", flagConfig{Serve: ":7021", Procs: 4, Threads: 8}, ""},
 		{"plain worker", flagConfig{Worker: "host:7021", Procs: 4, Threads: 8}, ""},
 		{"plain spawn", flagConfig{Spawn: 4, SpawnSet: true, Procs: 4, Threads: 8}, ""},
-		{"spawn with checkpoint", flagConfig{Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Procs: 4, Threads: 8}, ""},
-		{"serve with resume", flagConfig{Serve: ":7021", Checkpoint: "run.celk", Resume: true, Procs: 4, Threads: 8}, ""},
+		{"spawn with checkpoint", flagConfig{Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, ""},
+		{"serve with resume", flagConfig{Serve: ":7021", Checkpoint: "run.celk", CheckpointEvery: 1, Resume: true, Procs: 4, Threads: 8}, ""},
 		{"elastic worker", flagConfig{Worker: "host:7021", Elastic: true, Procs: 4, Threads: 8}, ""},
-		{"spawn with churn", flagConfig{Spawn: 4, SpawnSet: true, ChurnKill: 1, ChurnAdd: 1, Procs: 4, Threads: 8}, ""},
 		{"fit with query", flagConfig{Query: ":8080", Procs: 4, Threads: 8}, ""},
 		{"spawn with query", flagConfig{Spawn: 2, SpawnSet: true, Query: ":8080", Procs: 4, Threads: 8}, ""},
 		{"query a catalog file", flagConfig{Query: ":8080", Load: "catalog.jsonl", Procs: 4, Threads: 8}, ""},
-		{"supervised spawn", flagConfig{Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Procs: 4, Threads: 8}, ""},
-		{"supervised serve", flagConfig{Supervise: true, Serve: ":7021", Checkpoint: "run.celk", Procs: 4, Threads: 8}, ""},
-		{"supervised spawn with rejoin knobs", flagConfig{Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Rejoin: 64, RejoinWindow: time.Minute, Procs: 4, Threads: 8}, ""},
-		{"coordinator child", flagConfig{ServeFD: 3, Checkpoint: "run.celk", Resume: true, Procs: 4, Threads: 8}, ""},
+		{"supervised spawn", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, ""},
+		{"supervised serve", flagConfig{Supervise: true, MaxRestarts: 5, Serve: ":7021", Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, ""},
+		{"supervised spawn with rejoin knobs", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Rejoin: 64, RejoinWindow: time.Minute, Procs: 4, Threads: 8}, ""},
+		{"coordinator child", flagConfig{ServeFD: 3, Checkpoint: "run.celk", CheckpointEvery: 1, Resume: true, Procs: 4, Threads: 8}, ""},
 		{"worker with rejoin", flagConfig{Worker: "host:7021", Rejoin: 8, RejoinWindow: time.Minute, Procs: 4, Threads: 8}, ""},
-		{"chaos spawn", flagConfig{Spawn: 2, SpawnSet: true, ChaosSeed: 7, ChaosMean: 4096, Procs: 4, Threads: 8}, ""},
 
 		{"spawn zero", flagConfig{Spawn: 0, SpawnSet: true, Procs: 4, Threads: 8}, "-spawn"},
 		{"spawn negative", flagConfig{Spawn: -3, SpawnSet: true, Procs: 4, Threads: 8}, "-spawn"},
 		{"worker and serve", flagConfig{Worker: "a:1", Serve: ":2", Procs: 4, Threads: 8}, "mutually exclusive"},
 		{"worker and spawn", flagConfig{Worker: "a:1", Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "mutually exclusive"},
-		{"worker with checkpoint", flagConfig{Worker: "a:1", Checkpoint: "run.celk", Procs: 4, Threads: 8}, "coordinator owns checkpointing"},
+		{"worker with checkpoint", flagConfig{Worker: "a:1", Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "coordinator owns checkpointing"},
 		{"worker with resume", flagConfig{Worker: "a:1", Resume: true, Procs: 4, Threads: 8}, "coordinator owns checkpoint state"},
 		{"resume without checkpoint", flagConfig{Resume: true, Procs: 4, Threads: 8}, "-resume requires -checkpoint"},
 		{"serve and spawn", flagConfig{Serve: ":2", Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "mutually exclusive"},
 		{"zero procs", flagConfig{Procs: 0, Threads: 8}, "-procs"},
 		{"zero threads", flagConfig{Procs: 4, Threads: 0}, "-threads"},
 		{"elastic without worker", flagConfig{Elastic: true, Procs: 4, Threads: 8}, "-elastic"},
-		{"churn without spawn", flagConfig{ChurnKill: 1, Procs: 4, Threads: 8}, "require -spawn"},
-		{"churn add without spawn", flagConfig{ChurnAdd: 1, Procs: 4, Threads: 8}, "require -spawn"},
-		{"negative churn", flagConfig{Spawn: 2, SpawnSet: true, ChurnKill: -1, Procs: 4, Threads: 8}, "non-negative"},
-		{"churn kill of sole worker", flagConfig{Spawn: 1, SpawnSet: true, ChurnKill: 1, Procs: 4, Threads: 8}, "at least 2"},
 		{"load without query", flagConfig{Load: "catalog.jsonl", Procs: 4, Threads: 8}, "-load requires -query"},
 		{"load with worker", flagConfig{Query: ":8080", Load: "c.jsonl", Worker: "a:1", Procs: 4, Threads: 8}, "-load"},
 		{"load with serve", flagConfig{Query: ":8080", Load: "c.jsonl", Serve: ":2", Procs: 4, Threads: 8}, "-load"},
 		{"load with spawn", flagConfig{Query: ":8080", Load: "c.jsonl", Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "-load"},
-		{"load with checkpoint", flagConfig{Query: ":8080", Load: "c.jsonl", Checkpoint: "run.celk", Procs: 4, Threads: 8}, "-load"},
-		{"load with resume", flagConfig{Query: ":8080", Load: "c.jsonl", Checkpoint: "run.celk", Resume: true, Procs: 4, Threads: 8}, "-load"},
+		{"load with checkpoint", flagConfig{Query: ":8080", Load: "c.jsonl", Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "-load"},
+		{"load with resume", flagConfig{Query: ":8080", Load: "c.jsonl", Checkpoint: "run.celk", CheckpointEvery: 1, Resume: true, Procs: 4, Threads: 8}, "-load"},
 		{"query on a worker", flagConfig{Query: ":8080", Worker: "a:1", Procs: 4, Threads: 8}, "-query"},
-		{"supervise without checkpoint", flagConfig{Supervise: true, Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "-supervise requires -checkpoint"},
-		{"supervise without serve or spawn", flagConfig{Supervise: true, Checkpoint: "run.celk", Procs: 4, Threads: 8}, "-supervise requires -serve or -spawn"},
-		{"supervise on a worker", flagConfig{Supervise: true, Worker: "a:1", Checkpoint: "run.celk", Procs: 4, Threads: 8}, "coordinator owns checkpointing"},
-		{"supervise with query", flagConfig{Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Query: ":8080", Procs: 4, Threads: 8}, "-supervise cannot host -query"},
-		{"supervise with churn", flagConfig{Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", ChurnKill: 1, Procs: 4, Threads: 8}, "churn"},
+		{"supervise without checkpoint", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "-supervise requires -checkpoint"},
+		{"supervise without serve or spawn", flagConfig{Supervise: true, MaxRestarts: 5, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "-supervise requires -serve or -spawn"},
+		{"supervise on a worker", flagConfig{Supervise: true, MaxRestarts: 5, Worker: "a:1", Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "coordinator owns checkpointing"},
+		{"supervise with query", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Query: ":8080", Procs: 4, Threads: 8}, "-supervise cannot host -query"},
 		{"serve-fd with serve", flagConfig{ServeFD: 3, Serve: ":7021", Procs: 4, Threads: 8}, "-serve-fd is internal"},
-		{"serve-fd with supervise", flagConfig{ServeFD: 3, Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Procs: 4, Threads: 8}, "-serve-fd is internal"},
+		{"serve-fd with supervise", flagConfig{ServeFD: 3, Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "-serve-fd is internal"},
 		{"negative rejoin", flagConfig{Worker: "a:1", Rejoin: -1, Procs: 4, Threads: 8}, "-rejoin"},
 		{"negative rejoin window", flagConfig{Worker: "a:1", RejoinWindow: -1, Procs: 4, Threads: 8}, "-rejoin-window"},
 		{"rejoin without worker", flagConfig{Rejoin: 3, Procs: 4, Threads: 8}, "-rejoin"},
 		{"rejoin window on plain spawn", flagConfig{Spawn: 2, SpawnSet: true, RejoinWindow: time.Minute, Procs: 4, Threads: 8}, "-rejoin"},
-		{"chaos without spawn", flagConfig{ChaosSeed: 7, Procs: 4, Threads: 8}, "-chaos-seed requires -spawn"},
-		{"chaos with supervise", flagConfig{ChaosSeed: 7, Supervise: true, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", Procs: 4, Threads: 8}, "-chaos-seed does not combine"},
-		{"negative chaos mean", flagConfig{Spawn: 2, SpawnSet: true, ChaosSeed: 7, ChaosMean: -1, Procs: 4, Threads: 8}, "-chaos-mean"},
+		{"checkpoint every zero", flagConfig{Checkpoint: "run.celk", CheckpointEvery: 0, Procs: 4, Threads: 8}, "-checkpoint-every 0"},
+		{"checkpoint every negative", flagConfig{Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: -1, Procs: 4, Threads: 8}, "-checkpoint-every -1"},
+		{"supervised spawn never checkpointing", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 0, Procs: 4, Threads: 8}, "-checkpoint-every 0"},
+		{"supervise with zero restarts", flagConfig{Supervise: true, MaxRestarts: 0, Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "-max-restarts 0"},
+		{"supervise with negative restarts", flagConfig{Supervise: true, MaxRestarts: -1, Serve: ":7021", Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, "-max-restarts -1"},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.fc)
@@ -144,52 +138,4 @@ func TestAccuracySummary(t *testing.T) {
 			t.Errorf("summary %q does not flag the missing magnitudes", got)
 		}
 	})
-}
-
-// TestReapJoinerRace: the churn-add reaper must not miss a joiner spawned
-// concurrently with run completion. Pre-fix the deferred drain used
-// select/default, so a callback still mid-spawn when the run finished left
-// the child unreaped; the fixed reaper observes the fired timer and blocks
-// for the callback's value.
-func TestReapJoinerRace(t *testing.T) {
-	joiner := make(chan *exec.Cmd, 1)
-	fired := make(chan struct{})
-	timer := time.AfterFunc(time.Millisecond, func() {
-		close(fired)
-		time.Sleep(20 * time.Millisecond) // the spawn is still in progress...
-		joiner <- nil                     // ...and lands after reap began
-	})
-	<-fired
-	done := make(chan struct{})
-	go func() {
-		reapJoiner(timer, joiner)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("reapJoiner hung on a fired timer")
-	}
-	select {
-	case <-joiner:
-		t.Fatal("reapJoiner returned without draining the joiner value")
-	default:
-	}
-}
-
-// TestReapJoinerUnfiredTimer: a run that finishes before the churn delay
-// stops the timer and returns immediately — no value will ever arrive.
-func TestReapJoinerUnfiredTimer(t *testing.T) {
-	joiner := make(chan *exec.Cmd, 1)
-	timer := time.AfterFunc(time.Hour, func() { joiner <- nil })
-	done := make(chan struct{})
-	go func() {
-		reapJoiner(timer, joiner)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("reapJoiner blocked on a timer that never fired")
-	}
 }

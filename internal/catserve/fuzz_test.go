@@ -14,8 +14,7 @@ import (
 // counters move under the reader) the same target asked twice returns the
 // same bytes, the second time from the cache when the first succeeded.
 func FuzzServerQuery(f *testing.F) {
-	// The shapes of benchfix.CatalogQueryTargets, as literals (benchfix
-	// imports this package).
+	// The shapes of the root package's BenchmarkHotPath query cycle.
 	f.Add("/cone?ra=0.4127&dec=0.6351&r=0.0342")
 	f.Add("/cone?ra=0.9&dec=0.1&r=0.05&limit=3")
 	f.Add("/box?ramin=0.2113&decmin=0.5520&ramax=0.3113&decmax=0.6520")

@@ -506,27 +506,6 @@ func (s *Scheduler) Stats() (delivered, requests []int64) {
 	return append([]int64(nil), s.delivered...), append([]int64(nil), s.requests...)
 }
 
-// Run executes process for every task, with one goroutine per rank pulling
-// from the scheduler until exhaustion. It returns when all tasks are done.
-func (s *Scheduler) Run(process func(rank, task int)) {
-	var wg sync.WaitGroup
-	for r := 0; r < s.n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for {
-				t, ok := s.Next(rank)
-				if !ok {
-					return
-				}
-				process(rank, t)
-				s.Done(rank, t)
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
 // --- Fault injection ---
 
 // A Fault is one scheduled failure or slowdown of a rank, triggered by that

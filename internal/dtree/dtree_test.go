@@ -9,6 +9,27 @@ import (
 	"celeste/internal/rng"
 )
 
+// runAll executes process for every task, with one goroutine per rank pulling
+// from the scheduler until exhaustion. It returns when all tasks are done.
+func runAll(s *Scheduler, process func(rank, task int)) {
+	var wg sync.WaitGroup
+	for r := 0; r < s.n; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for {
+				t, ok := s.Next(rank)
+				if !ok {
+					return
+				}
+				process(rank, t)
+				s.Done(rank, t)
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
 func TestTopology(t *testing.T) {
 	if Parent(0, 8) != -1 {
 		t.Error("root parent should be -1")
@@ -72,7 +93,7 @@ func TestEveryTaskScheduledExactlyOnce(t *testing.T) {
 		s := New(Config{}, tc.n, tc.tasks)
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		s.Run(func(rank, task int) {
+		runAll(s, func(rank, task int) {
 			mu.Lock()
 			seen[task]++
 			mu.Unlock()
@@ -239,7 +260,7 @@ func TestMoreTasksThanRanksNotRequired(t *testing.T) {
 	// Fewer tasks than ranks: everything must still complete.
 	s := New(Config{}, 64, 10)
 	var count int64
-	s.Run(func(rank, task int) { atomic.AddInt64(&count, 1) })
+	runAll(s, func(rank, task int) { atomic.AddInt64(&count, 1) })
 	if count != 10 {
 		t.Errorf("executed %d of 10", count)
 	}
@@ -250,7 +271,7 @@ func TestRequestsScaleReasonably(t *testing.T) {
 	// modest compared to tasks processed.
 	n, tasks := 64, 6400
 	s := New(Config{}, n, tasks)
-	s.Run(func(rank, task int) {})
+	runAll(s, func(rank, task int) {})
 	delivered, requests := s.Stats()
 	var d, q int64
 	for r := range delivered {
@@ -268,7 +289,7 @@ func TestRequestsScaleReasonably(t *testing.T) {
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New(Config{}, 32, 10000)
-		s.Run(func(rank, task int) {})
+		runAll(s, func(rank, task int) {})
 	}
 }
 
