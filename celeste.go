@@ -167,11 +167,11 @@ type InferResult struct {
 	TasksProcessed int
 	// FailedRanks and RequeuedTasks record injected-fault recovery.
 	FailedRanks, RequeuedTasks int
-	// JoinedRanks and LeftRanks record elastic membership (TCP runs only:
-	// workers admitted mid-run, graceful departures that are not failures);
-	// StolenTasks counts tasks an idle rank pulled out of another rank's
-	// pool, on any run.
-	JoinedRanks, LeftRanks, StolenTasks int
+	// JoinedRanks counts ranks minted past the static complement (TCP runs
+	// only: workers admitted once every static rank was taken or the connect
+	// grace had sealed them); StolenTasks counts tasks an idle rank pulled out
+	// of another rank's pool, on any run.
+	JoinedRanks, StolenTasks int
 }
 
 // InferOptions controls fault tolerance for InferWithOptions.
@@ -186,7 +186,9 @@ type InferOptions struct {
 	// Resume restores a prior run's checkpoint; the run's inputs must hash
 	// identically, but Threads and Processes may differ.
 	Resume *Checkpoint
-	// Faults injects rank kills and stalls into the run.
+	// Faults injects rank kills and stalls into in-process ranks only; a run
+	// with a Transport refuses it (fault a TCP run by killing real worker
+	// processes).
 	Faults *FaultPlan
 	// Transport, when non-nil, makes the run's ranks cfg.Processes worker
 	// processes (each started with RunWorker or `celeste -worker`) reaching
@@ -274,7 +276,6 @@ func InferWithOptions(sv *Survey, initCatalog []CatalogEntry, cfg InferConfig,
 		FailedRanks:    run.FailedRanks,
 		RequeuedTasks:  run.RequeuedTasks,
 		JoinedRanks:    run.JoinedRanks,
-		LeftRanks:      run.LeftRanks,
 		StolenTasks:    run.StolenTasks,
 	}, err
 }

@@ -72,8 +72,8 @@ type flagConfig struct {
 	CheckpointEvery int           // -checkpoint-every
 	Resume          bool          // -resume
 	Procs           int           // -procs
+	ProcsSet        bool          // -procs appeared on the command line
 	Threads         int           // -threads
-	Elastic         bool          // -elastic
 	Query           string        // -query listen address
 	Load            string        // -load catalog path
 	Supervise       bool          // -supervise
@@ -103,10 +103,10 @@ func validateFlags(fc flagConfig) error {
 		return errors.New("-serve and -spawn are mutually exclusive: -spawn listens on a loopback port it picks itself")
 	case fc.Procs < 1:
 		return fmt.Errorf("-procs %d: need at least one process", fc.Procs)
+	case fc.ProcsSet && fc.SpawnSet && fc.Procs != fc.Spawn:
+		return fmt.Errorf("-procs %d with -spawn %d: -spawn N serves exactly N ranks (drop -procs or make it equal)", fc.Procs, fc.Spawn)
 	case fc.Threads < 1:
 		return fmt.Errorf("-threads %d: need at least one thread", fc.Threads)
-	case fc.Elastic && fc.Worker == "":
-		return errors.New("-elastic only applies to -worker: elastic admission is a worker-side handshake")
 	case fc.Load != "" && fc.Query == "":
 		return errors.New("-load requires -query: a loaded catalog is only used to serve queries")
 	case fc.Load != "" && (fc.Worker != "" || fc.Serve != "" || fc.SpawnSet ||
@@ -150,30 +150,32 @@ func main() {
 	ckPath := flag.String("checkpoint", "", "checkpoint file to write at task boundaries (empty: no checkpointing)")
 	ckEvery := flag.Int("checkpoint-every", 1, "tasks between checkpoints")
 	resume := flag.Bool("resume", false, "resume from -checkpoint if the file exists")
-	serveAddr := flag.String("serve", "", "serve the run over TCP on this address; -procs worker processes must connect")
+	serveAddr := flag.String("serve", "", "serve the run over TCP on this address; -procs worker processes fill its static ranks, and later ones join past them")
 	workerAddr := flag.String("worker", "", "join the run served by the coordinator at this address as one worker process")
 	spawn := flag.Int("spawn", 0, "serve on a loopback port and fork this many local worker processes")
-	elastic := flag.Bool("elastic", false, "with -worker: join the run elastically mid-run (admitted after the connect grace with a fresh rank)")
 	queryAddr := flag.String("query", "", "serve catalog queries over HTTP on this address, live during the fit and from the final catalog after it")
 	loadPath := flag.String("load", "", "with -query: serve this finished catalog file instead of running inference")
 	supervise := flag.Bool("supervise", false, "with -serve/-spawn and -checkpoint: fork the coordinator as a child and restart it from the checkpoint if it dies to a signal")
 	maxRestarts := flag.Int("max-restarts", 5, "with -supervise: coordinator restarts before giving up")
 	serveFD := flag.Int("serve-fd", 0, "internal: coordinator child inherits its listening socket on this file descriptor (set by -supervise; 0: unset)")
-	rejoin := flag.Int("rejoin", 0, "with -worker: re-dial budget per outage when the coordinator connection drops (0: fail on first loss unless -elastic)")
+	rejoin := flag.Int("rejoin", 0, "with -worker: re-dial budget per outage when the coordinator connection drops (0: fail on first loss)")
 	rejoinWindow := flag.Duration("rejoin-window", 0, "with -worker: give up re-enrolling after this long in one outage (0: no deadline)")
 	flag.Parse()
 
 	fc := flagConfig{
 		Serve: *serveAddr, Worker: *workerAddr, Spawn: *spawn,
 		Checkpoint: *ckPath, CheckpointEvery: *ckEvery, Resume: *resume,
-		Procs: *procs, Threads: *threads, Elastic: *elastic,
+		Procs: *procs, Threads: *threads,
 		Query: *queryAddr, Load: *loadPath,
 		Supervise: *supervise, MaxRestarts: *maxRestarts, ServeFD: *serveFD,
 		Rejoin: *rejoin, RejoinWindow: *rejoinWindow,
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "spawn" {
+		switch f.Name {
+		case "spawn":
 			fc.SpawnSet = true
+		case "procs":
+			fc.ProcsSet = true
 		}
 	})
 	if err := validateFlags(fc); err != nil {
@@ -233,18 +235,13 @@ func main() {
 	if *workerAddr != "" {
 		// Worker mode: pull tasks from the coordinator until the run ends.
 		// The run hash handshake proves this process reconstructed the same
-		// survey, catalog, and partition byte-for-byte.
-		wopts := celeste.WorkerOptions{Threads: *threads, PatchThreads: *patchThreads}
-		if *elastic {
-			// Elastic workers expect churn: re-dial a few times if the
-			// connection (or heartbeat) drops mid-run.
-			wopts.Elastic = true
-			wopts.Rejoin = 3
+		// survey, catalog, and partition byte-for-byte; the coordinator then
+		// decides the rank — a free static one, else a fresh one past the
+		// complement.
+		wopts := celeste.WorkerOptions{
+			Threads: *threads, PatchThreads: *patchThreads,
+			Rejoin: *rejoin, RejoinWindow: *rejoinWindow,
 		}
-		if *rejoin > 0 {
-			wopts.Rejoin = *rejoin
-		}
-		wopts.RejoinWindow = *rejoinWindow
 		if err := celeste.RunWorker(*workerAddr, sv, init, wopts); err != nil {
 			log.Fatalf("worker: %v", err)
 		}
@@ -353,9 +350,9 @@ func main() {
 		fmt.Printf("recovered from %d dead workers (%d tasks requeued)\n",
 			res.FailedRanks, res.RequeuedTasks)
 	}
-	if res.JoinedRanks > 0 || res.LeftRanks > 0 || res.StolenTasks > 0 {
-		fmt.Printf("elastic membership: %d joined, %d left, %d tasks stolen\n",
-			res.JoinedRanks, res.LeftRanks, res.StolenTasks)
+	if res.JoinedRanks > 0 || res.StolenTasks > 0 {
+		fmt.Printf("elastic membership: %d joined, %d tasks stolen\n",
+			res.JoinedRanks, res.StolenTasks)
 	}
 	fmt.Printf("%.2e FLOPs (%.1fM active pixel visits) in %s => %.2f paper-equivalent GFLOP/s (32,317 FLOP/visit, §VI-B)\n",
 		flops.Total(res.Visits), float64(res.Visits)/1e6, elapsed.Round(time.Millisecond),

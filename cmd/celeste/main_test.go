@@ -27,7 +27,8 @@ func TestValidateFlags(t *testing.T) {
 		{"plain spawn", flagConfig{Spawn: 4, SpawnSet: true, Procs: 4, Threads: 8}, ""},
 		{"spawn with checkpoint", flagConfig{Spawn: 2, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 4, Threads: 8}, ""},
 		{"serve with resume", flagConfig{Serve: ":7021", Checkpoint: "run.celk", CheckpointEvery: 1, Resume: true, Procs: 4, Threads: 8}, ""},
-		{"elastic worker", flagConfig{Worker: "host:7021", Elastic: true, Procs: 4, Threads: 8}, ""},
+		{"spawn with the same procs", flagConfig{Spawn: 2, SpawnSet: true, Procs: 2, ProcsSet: true, Threads: 8}, ""},
+		{"spawn beside the procs default", flagConfig{Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, ""},
 		{"fit with query", flagConfig{Query: ":8080", Procs: 4, Threads: 8}, ""},
 		{"spawn with query", flagConfig{Spawn: 2, SpawnSet: true, Query: ":8080", Procs: 4, Threads: 8}, ""},
 		{"query a catalog file", flagConfig{Query: ":8080", Load: "catalog.jsonl", Procs: 4, Threads: 8}, ""},
@@ -47,7 +48,8 @@ func TestValidateFlags(t *testing.T) {
 		{"serve and spawn", flagConfig{Serve: ":2", Spawn: 2, SpawnSet: true, Procs: 4, Threads: 8}, "mutually exclusive"},
 		{"zero procs", flagConfig{Procs: 0, Threads: 8}, "-procs"},
 		{"zero threads", flagConfig{Procs: 4, Threads: 0}, "-threads"},
-		{"elastic without worker", flagConfig{Elastic: true, Procs: 4, Threads: 8}, "-elastic"},
+		{"spawn with other procs", flagConfig{Spawn: 2, SpawnSet: true, Procs: 3, ProcsSet: true, Threads: 8}, "-procs 3 with -spawn 2"},
+		{"supervised spawn with other procs", flagConfig{Supervise: true, MaxRestarts: 5, Spawn: 4, SpawnSet: true, Checkpoint: "run.celk", CheckpointEvery: 1, Procs: 2, ProcsSet: true, Threads: 8}, "-procs 2 with -spawn 4"},
 		{"load without query", flagConfig{Load: "catalog.jsonl", Procs: 4, Threads: 8}, "-load requires -query"},
 		{"load with worker", flagConfig{Query: ":8080", Load: "c.jsonl", Worker: "a:1", Procs: 4, Threads: 8}, "-load"},
 		{"load with serve", flagConfig{Query: ":8080", Load: "c.jsonl", Serve: ":2", Procs: 4, Threads: 8}, "-load"},

@@ -28,14 +28,13 @@ import (
 )
 
 const (
-	workerAddrEnv    = "CELESTE_TEST_WORKER_ADDR"
-	workerKillEnv    = "CELESTE_TEST_KILL_AFTER"
-	workerDelayEnv   = "CELESTE_TEST_START_DELAY_MS"
-	workerElasticEnv = "CELESTE_TEST_ELASTIC"
-	workerLeaveEnv   = "CELESTE_TEST_LEAVE_AFTER"
-	workerStartEnv   = "CELESTE_TEST_START_FILE"
-	workerTouchEnv   = "CELESTE_TEST_TOUCH_FILE"
-	workerRejoinEnv  = "CELESTE_TEST_REJOIN"
+	workerAddrEnv   = "CELESTE_TEST_WORKER_ADDR"
+	workerKillEnv   = "CELESTE_TEST_KILL_AFTER"
+	workerDelayEnv  = "CELESTE_TEST_START_DELAY_MS"
+	workerStartEnv  = "CELESTE_TEST_START_FILE"
+	workerTouchEnv  = "CELESTE_TEST_TOUCH_FILE"
+	workerHoldEnv   = "CELESTE_TEST_HOLD_FILE"
+	workerRejoinEnv = "CELESTE_TEST_REJOIN"
 )
 
 func TestMain(m *testing.M) {
@@ -64,10 +63,11 @@ func runTestWorker(addr string) {
 	// The churn tests order the fleet by sentinel files instead of wall-clock
 	// sleeps, so the schedule is identical on fast and loaded machines: a
 	// worker with a touch file creates it upon its first task assignment —
-	// the task is then in hand, so the run is provably mid-flight — and a
-	// worker with a start file (below) holds its dial until the file exists.
-	// The SIGKILL victim touches just before dying.
-	kill, touch := -1, os.Getenv(workerTouchEnv)
+	// the worker then holds a rank and the task is in hand, so the run is
+	// provably mid-flight — a worker with a hold file then keeps that task
+	// until the file exists, and a worker with a start file (below) holds its
+	// dial until the file exists. The SIGKILL victim touches just before dying.
+	kill, touch, hold := -1, os.Getenv(workerTouchEnv), os.Getenv(workerHoldEnv)
 	if ks := os.Getenv(workerKillEnv); ks != "" {
 		k, err := strconv.Atoi(ks)
 		if err != nil {
@@ -76,10 +76,13 @@ func runTestWorker(addr string) {
 		}
 		kill = k
 	}
-	if kill >= 0 || touch != "" {
+	if kill >= 0 || touch != "" || hold != "" {
 		opts.OnTask = func(task, completed int) {
 			if touch != "" && completed == 0 {
 				os.WriteFile(touch, nil, 0o644)
+			}
+			if hold != "" && completed == 0 {
+				waitForFile(hold)
 			}
 			if kill >= 0 && completed >= kill {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -91,12 +94,7 @@ func runTestWorker(addr string) {
 		// Hold the dial until an earlier wave's sentinel appears, so the
 		// coordinator is guaranteed to still be serving (the toucher's task
 		// is outstanding) when this worker dials.
-		for {
-			if _, err := os.Stat(f); err == nil {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitForFile(f)
 	}
 	if ds := os.Getenv(workerDelayEnv); ds != "" {
 		// The chaos tests hold the healthy workers back so the kill-marked
@@ -107,11 +105,6 @@ func runTestWorker(addr string) {
 			os.Exit(2)
 		}
 		time.Sleep(time.Duration(ms) * time.Millisecond)
-	}
-	if os.Getenv(workerElasticEnv) != "" {
-		// The churn tests start this worker mid-run: it joins past the
-		// connect grace with a fresh rank and steals its way into the pool.
-		opts.Elastic = true
 	}
 	if rs := os.Getenv(workerRejoinEnv); rs != "" {
 		// The failover and chaos tests need workers that outlive coordinator
@@ -130,19 +123,21 @@ func runTestWorker(addr string) {
 		}
 		opts.RejoinWindow = 2 * time.Minute
 	}
-	if ls := os.Getenv(workerLeaveEnv); ls != "" {
-		k, err := strconv.Atoi(ls)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "worker: bad leave spec:", err)
-			os.Exit(2)
-		}
-		opts.LeaveAfter = k
-	}
 	if err := RunWorker(addr, sv, init, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// waitForFile polls until the sentinel file f exists.
+func waitForFile(f string) {
+	for {
+		if _, err := os.Stat(f); err == nil {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // distInputs builds the same small fixed-seed survey the kill/resume tests
@@ -202,12 +197,10 @@ func spawnTestWorkers(t *testing.T, addr string, n int, killAfter map[int]int) [
 
 // testWorkerSpec describes one churn-test worker process.
 type testWorkerSpec struct {
-	killAfter  int    // self-SIGKILL on the (killAfter+1)-th assignment; -1 disables
-	leaveAfter int    // announce a graceful leave after this many tasks; 0 disables
-	elastic    bool   // join mid-run via the elastic handshake
-	delayMs    int    // startup delay before dialing
-	startFile  string // hold the dial until this file exists
-	touchFile  string // create this file just before the self-SIGKILL fires
+	killAfter int    // self-SIGKILL on the (killAfter+1)-th assignment; -1 disables
+	startFile string // hold the dial until this file exists
+	touchFile string // create this file upon the first task assignment
+	holdFile  string // then keep that first task until this file exists
 }
 
 // spawnTestWorkerSpecs re-execs this test binary as one worker per spec.
@@ -224,20 +217,14 @@ func spawnTestWorkerSpecs(t *testing.T, addr string, specs []testWorkerSpec) []*
 		if sp.killAfter >= 0 {
 			cmd.Env = append(cmd.Env, workerKillEnv+"="+strconv.Itoa(sp.killAfter))
 		}
-		if sp.leaveAfter > 0 {
-			cmd.Env = append(cmd.Env, workerLeaveEnv+"="+strconv.Itoa(sp.leaveAfter))
-		}
-		if sp.elastic {
-			cmd.Env = append(cmd.Env, workerElasticEnv+"=1")
-		}
-		if sp.delayMs > 0 {
-			cmd.Env = append(cmd.Env, workerDelayEnv+"="+strconv.Itoa(sp.delayMs))
-		}
 		if sp.startFile != "" {
 			cmd.Env = append(cmd.Env, workerStartEnv+"="+sp.startFile)
 		}
 		if sp.touchFile != "" {
 			cmd.Env = append(cmd.Env, workerTouchEnv+"="+sp.touchFile)
+		}
+		if sp.holdFile != "" {
+			cmd.Env = append(cmd.Env, workerHoldEnv+"="+sp.holdFile)
 		}
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -448,28 +435,22 @@ func TestDistributedKillResumeDifferentWorkerCount(t *testing.T) {
 	}
 }
 
-// runTCPChurn serves one run to a churn fleet: the non-elastic specs form
-// the static complement the coordinator expects, elastic specs join mid-run
-// on top of it.
+// runTCPChurn serves one run with a static complement of `static` ranks to a
+// churn fleet of one worker process per spec; a spec past the complement is a
+// joiner if it dials once every static rank is taken.
 func runTCPChurn(t *testing.T, sv *Survey, init []CatalogEntry, cfg InferConfig,
-	opts InferOptions, specs []testWorkerSpec) (*InferResult, []*exec.Cmd, error) {
+	static int, specs []testWorkerSpec) (*InferResult, []*exec.Cmd, error) {
 	t.Helper()
-	static := 0
-	for _, sp := range specs {
-		if !sp.elastic {
-			static++
-		}
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Processes = static
-	opts.Transport = &Transport{
+	opts := InferOptions{Transport: &Transport{
 		Listener:     l,
 		DeadAfter:    3 * time.Second,
 		ConnectGrace: 60 * time.Second,
-	}
+	}}
 	cmds := spawnTestWorkerSpecs(t, l.Addr().String(), specs)
 	res, err := InferWithOptions(sv, init, cfg, opts)
 	for _, c := range cmds {
@@ -478,18 +459,20 @@ func runTCPChurn(t *testing.T, sv *Survey, init []CatalogEntry, cfg InferConfig,
 	return res, cmds, err
 }
 
-// TestChurnElasticJoinByteIdentical is the elastic tentpole's acceptance
-// test: mid-run an elastic worker joins (admitted after the static
-// handshake, with a fresh rank past the complement) while a static worker
-// is SIGKILLed with a task in hand — and the catalog is still byte-identical
-// to the single-process reference, with the same run hash. At spawn=4 a
-// third worker departs gracefully after its first task, which must count as
-// a leave, not a failure.
-func TestChurnElasticJoinByteIdentical(t *testing.T) {
+// TestChurnKillJoinByteIdentical is the membership-churn acceptance test: a
+// static worker is SIGKILLed with a task in hand, and mid-run one worker more
+// than the static complement dials in — the coordinator mints it a rank past
+// the complement — and the catalog is still byte-identical to the
+// single-process reference, with the same run hash.
+func TestChurnKillJoinByteIdentical(t *testing.T) {
 	sv, init, icfg := distInputs()
 	if len(init) < 4 {
 		t.Skip("fixed-seed survey too sparse")
 	}
+	// Every static survivor below holds one stage-0 task while the joiner
+	// dials, and the joiner needs one more still pooled: a finer partition
+	// than the other distributed tests use gives stage 0 three tasks.
+	icfg.TargetWork = 5e4
 	base, err := InferWithOptions(sv, init, icfg, InferOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -497,43 +480,40 @@ func TestChurnElasticJoinByteIdentical(t *testing.T) {
 	if base.TasksProcessed < 3 {
 		t.Fatalf("only %d tasks; the churn grid needs more", base.TasksProcessed)
 	}
+	stage0 := 0
+	for _, tk := range base.Tasks {
+		if tk.Stage == 0 {
+			stage0++
+		}
+	}
+	if stage0 < 3 {
+		t.Fatalf("only %d stage-0 tasks; two held by survivors and one pooled for the joiner need three", stage0)
+	}
 	baseHash := distHash(sv, init, base.Tasks, icfg, 1)
 
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3} {
 		// The fleet dials in sentinel-ordered waves, so the schedule is
-		// deterministic on any machine speed. Wave 1: worker 0, killed on
-		// its first assignment, touching `died` just before the SIGKILL.
-		// Wave 2, gated on `died`: at 4 workers the leaver, which departs
-		// after one completed task and touches `leaving` on its first
-		// assignment; then the elastic joiner, gated on `leaving` (on `died`
-		// when there is no leaver) — a task is outstanding either way, so
-		// the coordinator is provably mid-run when the join handshake
-		// arrives, and the leaver holds its one task before the joiner can
-		// steal the pool dry (with both gated on `died`, a fast joiner did
-		// exactly that on four runs in ten). With at least three tasks in
-		// the run, two remain for the joiner. Wave 3, gated on the joiner's
-		// first assignment: the plain survivors, which must dial a live
-		// coordinator too (the joiner's task is in hand when `working`
-		// appears).
+		// deterministic on any machine speed. Worker 0, the victim, takes
+		// rank 0 and is killed on its first assignment, touching `died` just
+		// before the SIGKILL; its task requeues. Each survivor then dials
+		// after the previous wave's sentinel, takes the next static rank,
+		// touches its own sentinel on its first assignment and holds that
+		// task until the joiner touches `working`. The joiner dials after the
+		// last survivor's sentinel: every static rank is taken, and the
+		// survivors' held tasks keep the run live and the stage open, with at
+		// least one stage-0 task (the victim's) still pooled for it to steal.
 		dir := t.TempDir()
-		died := filepath.Join(dir, "victim-died")
-		leaving := filepath.Join(dir, "leaver-working")
+		prev := filepath.Join(dir, "victim-died")
 		working := filepath.Join(dir, "joiner-working")
-		specs := []testWorkerSpec{{killAfter: 0, touchFile: died}}
-		joinAfter := died
+		specs := []testWorkerSpec{{killAfter: 0, touchFile: prev}}
 		for i := 1; i < workers; i++ {
-			sp := testWorkerSpec{killAfter: -1, startFile: working}
-			if workers == 4 && i == 1 {
-				sp.leaveAfter = 1
-				sp.startFile = died
-				sp.touchFile = leaving
-				joinAfter = leaving
-			}
-			specs = append(specs, sp)
+			touch := filepath.Join(dir, fmt.Sprintf("survivor%d-working", i))
+			specs = append(specs, testWorkerSpec{killAfter: -1, startFile: prev, touchFile: touch, holdFile: working})
+			prev = touch
 		}
-		specs = append(specs, testWorkerSpec{killAfter: -1, elastic: true, startFile: joinAfter, touchFile: working})
+		specs = append(specs, testWorkerSpec{killAfter: -1, startFile: prev, touchFile: working})
 
-		res, cmds, err := runTCPChurn(t, sv, init, icfg, InferOptions{}, specs)
+		res, cmds, err := runTCPChurn(t, sv, init, icfg, workers, specs)
 		if err != nil {
 			t.Fatalf("spawn=%d: %v", workers, err)
 		}
@@ -554,9 +534,6 @@ func TestChurnElasticJoinByteIdentical(t *testing.T) {
 		}
 		if res.RequeuedTasks == 0 {
 			t.Errorf("%s: the victim died with a task in hand but nothing was requeued", label)
-		}
-		if workers == 4 && res.LeftRanks != 1 {
-			t.Errorf("%s: LeftRanks = %d, want the one graceful leaver", label, res.LeftRanks)
 		}
 		for i, c := range cmds {
 			victim := i == 0

@@ -410,9 +410,8 @@ type RunResult struct {
 	RequeuedTasks int
 	StolenTasks   int // tasks an idle rank pulled out of another rank's pool
 
-	// Elastic-membership accounting: only wire ranks can join or leave.
-	JoinedRanks int // elastic workers admitted mid-run
-	LeftRanks   int // workers that departed gracefully (not failures)
+	// Membership accounting: only wire ranks can join.
+	JoinedRanks int // ranks minted past the static complement mid-run
 }
 
 // RunOptions adds checkpoint/resume and fault injection to a run.
@@ -492,7 +491,7 @@ type runState struct {
 
 	// lastCurSnap is the previous checkpoint's capture of cur, used for
 	// incremental capture (unchanged shards are shared, not re-copied). It
-	// MUST be reset to nil whenever cur is replaced (restore, elastic
+	// MUST be reset to nil whenever cur is replaced (restore, a joiner's
 	// repartition): a fresh array restarts shard versions, and a stale
 	// snapshot could falsely match them.
 	lastCurSnap *pgas.Snapshot
@@ -514,8 +513,8 @@ type runState struct {
 	catEvery   int
 	catHook    func(idx []int, entries []model.CatalogEntry)
 
-	// A retired rank (failed or left) stays dead for the rest of the run —
-	// the node is gone. Owned by the backend's lock.
+	// A retired rank stays dead for the rest of the run — the node is gone.
+	// Owned by the backend's lock.
 	deadRank []bool
 
 	aborted  atomic.Bool
@@ -542,7 +541,7 @@ func (st *runState) captureLocked() *Checkpoint {
 	// Incremental capture: shards of cur untouched since the previous
 	// checkpoint are shared with it instead of re-copied, so steady-state
 	// checkpoint cost scales with the write set, not the survey size — a
-	// membership change (join/leave) no longer implies a full stop-the-world
+	// membership change (a join) no longer implies a full stop-the-world
 	// copy of the parameter array.
 	curSnap := st.cur.SnapshotDelta(st.lastCurSnap)
 	st.lastCurSnap = curSnap

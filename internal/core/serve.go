@@ -1,9 +1,9 @@
 // The run backend: the one state machine every run goes through. It owns
 // task pull and steal over the Dtree scheduler, the idempotent commit with its
 // checkpoint hook, requeue-on-death, the stage barrier with its frozen-input
-// swap, the strand decision and the fault/elastic accounting. Ranks reach it
-// over one of two links (rank.go): goroutine ranks call it directly, worker
-// processes through internal/net's coordinator, which speaks the wire
+// swap, the strand decision and the fault and membership accounting. Ranks
+// reach it over one of two links (rank.go): goroutine ranks call it directly,
+// worker processes through internal/net's coordinator, which speaks the wire
 // protocol. The two kinds of run therefore differ only in that link, which is
 // why their catalogs are byte-identical (the property the root-level
 // differential tests enforce).
@@ -24,12 +24,11 @@ import (
 // scheduler for the stage the run state is in, over the tasks not yet done.
 func newBackend(procs int, stages [][]int, st *runState) *serveBackend {
 	b := &serveBackend{
-		procs:    procs,
-		st:       st,
-		stages:   stages,
-		done:     make(chan struct{}),
-		s:        st.stage,
-		leftRank: make(map[int]bool),
+		procs:  procs,
+		st:     st,
+		stages: stages,
+		done:   make(chan struct{}),
+		s:      st.stage,
 	}
 	b.wake.L = &b.mu
 	for _, d := range st.done {
@@ -72,7 +71,7 @@ func (b *serveBackend) serve(tr *cnet.Transport, cfg Config, nTasks int) error {
 }
 
 // finishRun is the one epilogue of a run, whichever link its ranks used: it
-// fills the fault and elastic-membership counters of the result and decides
+// fills the fault and membership counters of the result and decides
 // how the run ended. linkErr is the link's own failure (a listener error).
 func (b *serveBackend) finishRun(res *RunResult, linkErr error) error {
 	b.mu.Lock()
@@ -86,9 +85,7 @@ func (b *serveBackend) finishRun(res *RunResult, linkErr error) error {
 	if b.sched != nil {
 		b.foldSchedLocked()
 	}
-	// Graceful leavers are retired ranks, not failures.
-	res.LeftRanks = len(b.leftRank)
-	res.FailedRanks = b.dead - res.LeftRanks
+	res.FailedRanks = b.dead
 	res.JoinedRanks = b.joined
 	res.StolenTasks = int(b.stolen)
 	res.RequeuedTasks = int(b.requeued)
@@ -126,19 +123,18 @@ type serveBackend struct {
 	wake      sync.Cond // broadcast whenever a pull that had to wait may have a new answer
 	s         int       // current stage index into stages
 	sched     *dtree.Scheduler
-	idx       []int        // current stage's global task indices
-	g2l       map[int]int  // global -> stage-local for uncommitted tasks
-	stageLeft int          // uncommitted tasks in the current stage
-	totalLeft int          // uncommitted tasks in the whole run
-	requeued  int64        // folded from retired stage schedulers
-	stolen    int64        // folded from retired stage schedulers
-	dead      int          // retired ranks, failed or left
-	joined    int          // elastic ranks admitted mid-run
-	leftRank  map[int]bool // ranks that departed gracefully (not failures)
+	idx       []int       // current stage's global task indices
+	g2l       map[int]int // global -> stage-local for uncommitted tasks
+	stageLeft int         // uncommitted tasks in the current stage
+	totalLeft int         // uncommitted tasks in the whole run
+	requeued  int64       // folded from retired stage schedulers
+	stolen    int64       // folded from retired stage schedulers
+	dead      int         // retired ranks
+	joined    int         // ranks minted past the static complement
 	stranded  error
 
 	// rejoinGrace is Transport.RejoinGrace: how long an all-dead run waits
-	// for an elastic re-enrollment before stranding. graceTimer is the
+	// for a re-enrollment before stranding. graceTimer is the
 	// pending expiry check for the current all-dead episode, nil otherwise.
 	rejoinGrace time.Duration
 	graceTimer  *time.Timer
@@ -277,25 +273,14 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 
 // Fail retires a dead rank: its in-flight tasks and undistributed pool
 // requeue to a live ancestor, and the rank stays dead for the rest of the
-// run — driven by real connection deaths on the wire and by the FaultPlan
-// in-process.
-func (b *serveBackend) Fail(rank int) { b.retire(rank, false) }
-
-// Leave retires a rank that announced a graceful departure. The work
-// recovery is identical to Fail — requeue everything the rank held — but the
-// departure is recorded as a leave, not a failure, so the run's accounting
-// distinguishes churn from crashes.
-func (b *serveBackend) Leave(rank int) { b.retire(rank, true) }
-
-func (b *serveBackend) retire(rank int, graceful bool) {
+// run — driven by connections ending on the wire (a crash, a hang, or a
+// worker that simply exited) and by the FaultPlan in-process.
+func (b *serveBackend) Fail(rank int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Bounds check under mu: procs grows when elastic workers join.
+	// Bounds check under mu: procs grows when workers join.
 	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
 		return
-	}
-	if graceful {
-		b.leftRank[rank] = true
 	}
 	b.st.deadRank[rank] = true
 	b.dead++
@@ -329,7 +314,7 @@ func (b *serveBackend) allDeadLocked() bool {
 
 // strandIfAllDeadLocked is the run's one strand decision: with every rank
 // dead and tasks outstanding, the run ends with the stranded diagnostic. A
-// rescue (elastic Join) inside a grace window grew procs past the dead count,
+// rescue (a Join) inside a grace window grew procs past the dead count,
 // and a later total-death episode arms a fresh timer.
 func (b *serveBackend) strandIfAllDeadLocked(detail string) {
 	if !b.allDeadLocked() {
@@ -341,7 +326,7 @@ func (b *serveBackend) strandIfAllDeadLocked(detail string) {
 	b.finish()
 }
 
-// Join admits an elastic worker mid-run with a fresh rank past the current
+// Join admits a worker mid-run with a fresh rank past the current
 // complement. The scheduler grows a (empty-pooled) leaf the joiner steals
 // into, and both PGAS arrays repartition to carry the new rank's shard view —
 // under st.mu, since checkpoint capture reads the arrays there. A terminal

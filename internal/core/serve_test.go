@@ -7,7 +7,7 @@ import (
 	"celeste/internal/pgas"
 )
 
-// TestJoinRefusedOnRepartitionError: elastic admission must be
+// TestJoinRefusedOnRepartitionError: admission past the complement must be
 // all-or-nothing. Pre-fix, serveBackend.Join grew the rank space and then
 // silently swallowed RepartitionRanks/Repartition errors, admitting a rank
 // with no shard view in the live/frozen arrays — every Get proxied for that
@@ -27,7 +27,6 @@ func TestJoinRefusedOnRepartitionError(t *testing.T) {
 			st:        st,
 			stages:    [][]int{{0, 1}},
 			done:      make(chan struct{}),
-			leftRank:  make(map[int]bool),
 			totalLeft: nTasks,
 		}
 		b.setupStageLocked()

@@ -9,9 +9,9 @@
 // pure function of the frozen stage input, commits are idempotent, and the
 // checkpoint is written atomically. A coordinator SIGKILLed between
 // checkpoints only loses uncommitted progress; the restarted incarnation
-// resumes from the last durable cut, workers re-enroll through the elastic
-// handshake (run-hash verified), and redundantly re-executed tasks commit to
-// the same bytes.
+// resumes from the last durable cut, workers re-enroll through the one
+// handshake (run-hash verified) into its free static ranks, and redundantly
+// re-executed tasks commit to the same bytes.
 package core
 
 import (

@@ -39,19 +39,15 @@ type WorkerOptions struct {
 	// DialTimeout bounds the TCP dial and handshake (default 10s).
 	DialTimeout time.Duration
 
-	// Elastic opens the handshake with Join instead of Hello: the
-	// coordinator admits this worker mid-run (even after the connect grace)
-	// with a fresh rank, and it acquires work by stealing from loaded ranks.
-	Elastic bool
-
 	// Rejoin, when positive, turns connection and heartbeat failures into
-	// elastic re-dials (up to that many per outage) instead of hard exits:
-	// the old rank was declared dead and its work requeued, so the process
-	// comes back as a fresh rank and steals its way back in. The budget
-	// resets whenever a rejoin gets far enough to complete the run-hash
-	// handshake, so a long-lived worker rides out any number of separate
-	// outages. Aborted runs and input mismatches never rejoin — retrying a
-	// refused handshake cannot succeed.
+	// re-dials (up to that many per outage) instead of hard exits: the old
+	// rank was declared dead and its work requeued, so the process comes back
+	// as whatever rank the coordinator admits it to — a free static one (a
+	// restarted coordinator's), else a fresh one that steals its way in. The
+	// budget resets whenever a rejoin gets far enough to complete the
+	// run-hash handshake, so a long-lived worker rides out any number of
+	// separate outages. Aborted runs and input mismatches never rejoin —
+	// retrying a refused handshake cannot succeed.
 	Rejoin int
 
 	// RejoinBackoff spaces the rejoin attempts of one outage (zero value:
@@ -67,13 +63,6 @@ type WorkerOptions struct {
 	// that is never coming back.
 	RejoinWindow time.Duration
 
-	// LeaveAfter, when positive, makes the worker announce a graceful
-	// departure after completing that many tasks: the coordinator requeues
-	// nothing (the worker holds no task at the announce point), records a
-	// leave rather than a failure, and the worker exits nil. The churn tests
-	// use it to drain a worker mid-run without tripping fault accounting.
-	LeaveAfter int
-
 	// OnTask, when set, is invoked after each task assignment and before
 	// execution, with the global task index and how many tasks this worker
 	// has completed so far. The chaos tests use it to SIGKILL a worker with
@@ -88,13 +77,13 @@ type WorkerOptions struct {
 // failures, protocol violations, and input mismatches (the run-hash
 // handshake refuses a worker whose reconstructed run differs from the
 // coordinator's). With opts.Rejoin set, connection-level failures re-dial
-// elastically instead of returning.
+// instead of returning. A worker that wants to leave a run exits: its
+// connection ends, and the coordinator requeues whatever its rank held.
 func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opts WorkerOptions) error {
 	// The run reconstruction (partition + priors + hash) is a pure function
 	// of the local inputs; compute it once and reuse it across rejoins.
 	var in *rankInputs
 	var hash uint64
-	elastic := opts.Elastic
 	completed := 0
 	var onTask func(task int)
 	if opts.OnTask != nil {
@@ -105,9 +94,7 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 	for {
 		handshook := false
 		err := func() error {
-			cl, err := cnet.Dial(addr, cnet.DialOptions{
-				Timeout: opts.DialTimeout, Elastic: elastic,
-			})
+			cl, err := cnet.Dial(addr, cnet.DialOptions{Timeout: opts.DialTimeout})
 			if err != nil {
 				return err
 			}
@@ -151,12 +138,6 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 			handshook = true
 
 			for {
-				if opts.LeaveAfter > 0 && completed >= opts.LeaveAfter {
-					if err := cl.Leave(); err != nil {
-						return err
-					}
-					return errWorkerLeft
-				}
 				more, err := in.step(cl, onTask)
 				if err != nil || !more {
 					return err
@@ -164,8 +145,8 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 				completed++
 			}
 		}()
-		if err == nil || errors.Is(err, errWorkerLeft) || errors.Is(err, cnet.ErrComplete) {
-			return nil // the run is over, or over for this worker
+		if err == nil || errors.Is(err, cnet.ErrComplete) {
+			return nil // the run is over
 		}
 		var setup *workerSetupError
 		if errors.Is(err, cnet.ErrAborted) || errors.As(err, &setup) {
@@ -189,20 +170,14 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 		}
 		// Our rank is (or will shortly be) declared dead and its work
 		// requeued; back off — jittered, so a restarted coordinator is not
-		// stampeded by the whole fleet at once — then come back as a fresh
-		// elastic rank and steal back in.
+		// stampeded by the whole fleet at once — then dial again.
 		time.Sleep(opts.RejoinBackoff.Delay(attempt))
 		attempt++
-		elastic = true
 	}
 }
 
-// errWorkerLeft is the internal signal that the worker departed gracefully
-// via LeaveAfter; RunWorker translates it to a nil (clean) exit.
-var errWorkerLeft = errors.New("core: worker left gracefully")
-
 // workerSetupError marks deterministic handshake and validation failures
-// that must not trigger an elastic rejoin.
+// that must not trigger a rejoin.
 type workerSetupError struct{ err error }
 
 func (e *workerSetupError) Error() string { return e.err.Error() }

@@ -3,6 +3,7 @@ package core
 import (
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,5 +118,73 @@ func TestRunWorkerDialAfterRunEnded(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// severFirstListener hands the coordinator's end of the first connection it
+// accepts to first, so a test can cut that worker off mid-task.
+type severFirstListener struct {
+	net.Listener
+	once  sync.Once
+	first chan net.Conn
+}
+
+func (l *severFirstListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.once.Do(func() { l.first <- c })
+	}
+	return c, err
+}
+
+// TestAdmitRejoinerIntoFreeStaticRank: a worker whose rank died re-dials
+// while a static rank of the run is still free, and is admitted to it — no
+// rank is minted past the complement. This is failover's case: every worker
+// of a restarted coordinator is a rejoiner, and the new incarnation's static
+// ranks are all free. Before wire v5 the rejoin loop always re-dialed with
+// Join and was minted a fresh rank beside the free static one, whose pool it
+// then had to steal until the connect grace failed it.
+func TestAdmitRejoinerIntoFreeStaticRank(t *testing.T) {
+	sv, noisy, tasks := chaosSetup(t)
+	cfg := chaosConfig(1, 1)
+	cfg.PatchThreads = 1
+	base := run(t, sv, noisy, tasks, cfg)
+	cfg.Processes = 2
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := &severFirstListener{Listener: l, first: make(chan net.Conn, 1)}
+	// The one worker process of a two-rank run: its first connection is cut
+	// with its first task in hand, so rank 0 dies, and it comes back into
+	// rank 1, which nobody else will take.
+	var sever sync.Once
+	exited := make(chan error, 1)
+	go func() {
+		exited <- RunWorker(l.Addr().String(), sv, noisy, WorkerOptions{
+			Threads: 1, PatchThreads: 1,
+			Rejoin:        3,
+			RejoinBackoff: Backoff{Base: 10 * time.Millisecond, Jitter: -1},
+			OnTask: func(int, int) {
+				sever.Do(func() { (<-sl.first).Close() })
+			},
+		})
+	}()
+	res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{
+		Transport: &cnet.Transport{Listener: sl, TargetWork: 1e5},
+	})
+	if werr := <-exited; werr != nil {
+		t.Errorf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalogsEqual(t, base.Catalog, res.Catalog, "rejoined into a static rank")
+	if res.FailedRanks != 1 {
+		t.Errorf("FailedRanks = %d, want the cut-off rank 0", res.FailedRanks)
+	}
+	if res.JoinedRanks != 0 {
+		t.Errorf("JoinedRanks = %d, want 0: the rejoiner had a free static rank to take", res.JoinedRanks)
 	}
 }

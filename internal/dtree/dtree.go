@@ -329,8 +329,8 @@ func (s *Scheduler) Fail(rank int) int {
 	if heir < 0 {
 		// Every rank is dead: park the tasks in the orphan pool, where they
 		// are unreachable until a new rank joins. The all-dead run either
-		// strands (the caller decides how long to wait) or an elastic
-		// joiner inherits the pool and finishes the work — dropping the
+		// strands (the caller decides how long to wait) or a joiner
+		// inherits the pool and finishes the work — dropping the
 		// tasks here would turn that rescue into a silent hang.
 		for t := range s.inflight[rank] {
 			s.orphans.ranges = append(s.orphans.ranges, taskRange{t, t + 1})
@@ -439,14 +439,6 @@ func (s *Scheduler) Join() int {
 		s.orphans = pool{}
 	}
 	return rank
-}
-
-// Leave removes a rank that departs gracefully. The scheduling consequence
-// is identical to Fail — in-flight tasks and the local pool requeue to a
-// live ancestor — but callers use the distinction for accounting (a leaver
-// is not a failure).
-func (s *Scheduler) Leave(rank int) int {
-	return s.Fail(rank)
 }
 
 // refillLocked walks up the chain of live ancestors to the nearest pool with

@@ -546,21 +546,6 @@ func TestStealRespectsDeadAndInflight(t *testing.T) {
 	}
 }
 
-func TestLeaveRequeuesLikeFail(t *testing.T) {
-	s := New(Config{}, 4, 40)
-	s.Next(2)
-	// Static allocation int(0.4*40/4) = 4: one in flight, three pooled.
-	if n := s.Leave(2); n != 4 {
-		t.Fatalf("Leave requeued %d, want 4", n)
-	}
-	if _, ok := s.Next(2); ok {
-		t.Fatal("departed rank was handed a task")
-	}
-	if _, ok := s.Steal(2); ok {
-		t.Fatal("departed rank stole a task")
-	}
-}
-
 func TestFaultPlanQueries(t *testing.T) {
 	fp := &FaultPlan{Faults: []Fault{
 		{Rank: 2, AfterTasks: 5, Kill: true},
@@ -591,10 +576,10 @@ func TestFaultPlanQueries(t *testing.T) {
 }
 
 // TestTotalDeathParksOrphansForJoiner: when the last live rank fails, its
-// in-flight tasks and pool are parked, not dropped, and the next elastic
-// joiner inherits them — the scheduling half of the coordinator's rejoin
-// grace, where a run whose whole fleet was transiently partitioned is rescued
-// by the first worker to re-enroll.
+// in-flight tasks and pool are parked, not dropped, and the next joiner
+// inherits them — the scheduling half of the coordinator's rejoin grace,
+// where a run whose whole fleet was transiently partitioned is rescued by the
+// first worker to re-enroll.
 func TestTotalDeathParksOrphansForJoiner(t *testing.T) {
 	const total = 12
 	s := New(Config{}, 2, total)

@@ -41,21 +41,21 @@ type Backend interface {
 	// Next asks for rank's next task (a global task index), stealing from
 	// the most-loaded live rank when the rank's own supply is dry. It does
 	// not return until it has a task or a terminal answer: a rank with
-	// nothing to do yet waits inside the call, and Commit, Fail, Leave and
-	// the run's end wake it.
+	// nothing to do yet waits inside the call, and Commit, Fail and the
+	// run's end wake it.
 	Next(rank int) (task int, status NextStatus)
 	// Commit records a completed task and its work stats. It must be
 	// idempotent: a task already committed is ignored.
 	Commit(rank, task int, stats [3]uint64)
-	// Fail retires a dead rank, requeueing its in-flight work. Idempotent.
+	// Fail retires a rank whose connection ended, requeueing its in-flight
+	// work. Idempotent.
 	Fail(rank int)
-	// Join admits an elastic worker mid-run with a fresh rank past the
-	// static complement. ok=false refuses the join (run already terminal);
-	// the coordinator then pulls once with rank -1 to learn how the run ended.
+	// Join mints a fresh rank past the static complement for a verified
+	// worker the coordinator has no free static rank for (the complement is
+	// full, or the connect grace sealed it). ok=false refuses the join (run
+	// already terminal); the coordinator then pulls once with rank -1 to
+	// learn how the run ended.
 	Join() (rank int, ok bool)
-	// Leave retires a gracefully departing rank: its work requeues exactly
-	// as on Fail, but the departure is not counted as a failure. Idempotent.
-	Leave(rank int)
 	// Get copies stage-input elements into out (len(idx)*width values).
 	Get(rank int, idx []uint64, out []float64) error
 	// Put writes result elements into the live array.
@@ -191,8 +191,8 @@ func (s *coordinator) closeAll() {
 	s.mu.Unlock()
 }
 
-// assignRank hands out the next free rank, or -1 when the complement is full
-// or the connect grace has expired.
+// assignRank hands out the next free static rank, or -1 when the complement
+// is full or the connect grace has sealed it.
 func (s *coordinator) assignRank() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,7 +225,7 @@ func (s *coordinator) handle(c net.Conn) {
 	}
 	fw := newFrameWriter(c)
 
-	// Handshake: Hello or Join → Welcome(run config) → Ready(worker's hash).
+	// Handshake: Hello → Welcome(run config) → Ready(worker's hash).
 	// The handshake deadline is the connect grace, not DeadAfter: between
 	// Welcome and Ready the worker regenerates the whole run (partition +
 	// run hash over every survey pixel), which legitimately takes far
@@ -240,11 +240,10 @@ func (s *coordinator) handle(c net.Conn) {
 		}
 		return
 	}
-	if m.Type != MsgHello && m.Type != MsgJoin {
-		sendError(fw, "net: expected Hello or Join to open the handshake")
+	if m.Type != MsgHello {
+		sendError(fw, "net: expected Hello to open the handshake")
 		return
 	}
-	elastic := m.Type == MsgJoin
 	cfg := s.cfg
 	if err := fw.send(&Message{Type: MsgWelcome, Welcome: &cfg}); err != nil {
 		return
@@ -259,25 +258,21 @@ func (s *coordinator) handle(c net.Conn) {
 			m.Hash, s.cfg.RunHash))
 		return
 	}
-	// Admission, the one step the two handshakes differ in, comes last. A
+	// Admission comes last, and the coordinator decides it: a free static
+	// rank while the connect grace has not sealed the complement, otherwise a
+	// fresh rank minted by the backend, which the joiner fills by stealing. A
 	// static rank taken before the hash verified would be failed — dead for
 	// the rest of the run — by every mis-pointed worker that dialed in, and
 	// Backend.Join permanently grows the rank space and repartitions both
-	// PGAS arrays, so a flapping mismatched joiner would grow the run without
+	// PGAS arrays, so a flapping mismatched worker would grow the run without
 	// bound and count as both a joined and a failed rank.
-	var rank int
-	if elastic {
-		// Elastic admission bypasses the static complement and the connect
-		// grace seal: the backend mints a fresh rank and the joiner acquires
-		// work by stealing.
+	rank := s.assignRank()
+	if rank < 0 {
 		var ok bool
 		if rank, ok = s.b.Join(); !ok {
 			s.shutdownLateJoiner(c, fw)
 			return
 		}
-	} else if rank = s.assignRank(); rank < 0 {
-		sendError(fw, "net: no rank available (worker complement already full)")
-		return
 	}
 
 	if err := s.serveRank(c, fw, rank); err != nil {
@@ -382,14 +377,6 @@ func (s *coordinator) serveRank(c net.Conn, fw *frameWriter, rank int) error {
 			if got.status == NextShutdown || got.status == NextAbort {
 				return nil
 			}
-		case MsgLeave:
-			// Graceful departure: requeue the rank's work without counting a
-			// failure, confirm with a shutdown, and end the session cleanly.
-			s.b.Leave(rank)
-			if err := send(&Message{Type: MsgShutdown, Reason: ShutdownComplete}); err != nil {
-				return err
-			}
-			return nil
 		case MsgTaskDone:
 			s.b.Commit(rank, int(m.Task), m.Stats)
 		case MsgGet:
@@ -479,7 +466,7 @@ type Transport struct {
 	// last rank dies with tasks outstanding, instead of declaring the work
 	// stranded immediately: a transient total partition (every link reset at
 	// once) is survivable when workers carry a rejoin budget, because the
-	// listener stays open and the first elastic re-enrollment rescues the
+	// listener stays open and the first re-enrollment rescues the
 	// run. If the window expires with every rank still dead, the run fails
 	// with the stranded diagnostic as before — bounded, never a hang. Zero
 	// strands immediately.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,12 +27,11 @@ type fakeBackend struct {
 	inflight  map[int][]int // rank -> tasks handed out, not yet committed
 	committed map[int][3]uint64
 	failed    map[int]bool
-	left      map[int]bool
 	byRank    map[int][]int
 	pulls     map[int]int // rank -> Next calls
 	aborted   bool
 	gated     bool // while true, Next hands out nothing
-	joined    int  // elastic ranks admitted
+	joined    int  // ranks minted past the static complement
 
 	slowGet time.Duration // set before serving: Get stalls this long first
 
@@ -53,7 +51,6 @@ func newFakeBackend(workers, width, nTasks int) *fakeBackend {
 		inflight:  make(map[int][]int),
 		committed: make(map[int][3]uint64),
 		failed:    make(map[int]bool),
-		left:      make(map[int]bool),
 		byRank:    make(map[int][]int),
 		pulls:     make(map[int]int),
 		prev:      pgas.New(nTasks, width, workers),
@@ -92,7 +89,7 @@ func (b *fakeBackend) Next(rank int) (int, NextStatus) {
 		case b.aborted:
 			b.finish()
 			return 0, NextAbort
-		case b.failed[rank] || b.left[rank]:
+		case b.failed[rank]:
 			return 0, NextShutdown
 		case len(b.committed) == int(b.cfg.NTasks):
 			b.finish()
@@ -156,18 +153,6 @@ func (b *fakeBackend) Join() (int, bool) {
 	rank := int(b.cfg.Workers) + b.joined
 	b.joined++
 	return rank, true
-}
-
-func (b *fakeBackend) Leave(rank int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.left[rank] {
-		return
-	}
-	b.left[rank] = true
-	b.requeued = append(b.requeued, b.inflight[rank]...)
-	b.inflight[rank] = nil
-	b.wake.Broadcast()
 }
 
 func (b *fakeBackend) Get(rank int, idx []uint64, out []float64) error {
@@ -496,85 +481,29 @@ func TestServeAbortShutsWorkersDown(t *testing.T) {
 
 // TestServeConnectGraceFailsAbsentRanks: ranks that never connect are failed
 // after the grace period (so their statically allocated work requeues
-// instead of stranding the run), and a connection arriving after the grace
-// sealed rank assignment is refused.
+// instead of stranding the run), and a worker arriving after the grace sealed
+// static rank assignment is admitted as a joiner — a fresh rank past the
+// complement — and takes part in the run. Before wire v5 that worker was
+// refused, the complement being sealed, unless it had opened with a Join.
 func TestServeConnectGraceFailsAbsentRanks(t *testing.T) {
-	b := newFakeBackend(3, 3, 4)
-	b.gated = true // hold the run open until the test has observed the grace
+	b := newFakeBackend(3, 3, 6)
+	b.gated = true // hold the run open until the joiner is in
 	addr, join := startServe(t, b, ServeOptions{
 		DeadAfter:    5 * time.Second,
 		ConnectGrace: 100 * time.Millisecond,
 	})
 	workerErr := make(chan error, 1)
 	go func() { workerErr <- runWorkerLoop(t, addr, b.cfg.RunHash) }()
+	b.waitFor(t, "the absent ranks to be failed", func() bool { return b.failed[1] && b.failed[2] })
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		ok := b.failed[1] && b.failed[2]
-		b.mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("absent ranks were never failed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// A post-grace worker is refused: rank assignment is sealed even though
-	// only one of three ranks ever connected.
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err == nil || !strings.Contains(err.Error(), "no rank available") {
-		t.Errorf("late worker after the grace period sealed ranks: %v, want a refusal", err)
-	}
-
+	// Only one of three static ranks ever connected, but the grace sealed
+	// them: the late worker is minted rank 3.
+	late := readyClient(t, addr, b, DialOptions{Timeout: time.Second})
+	joinerErr := make(chan error, 1)
+	go func() { joinerErr <- runWorkerLoopOn(late) }()
+	b.waitFor(t, "the joiner to pull", func() bool { return b.pulls[3] > 0 })
 	b.set(func() { b.gated = false })
-	if err := <-workerErr; err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestElasticJoinAdmittedAfterGrace: the connect grace seals static rank
-// assignment (a plain Hello is refused), but an elastic Join is admitted
-// with a fresh rank past the static complement and participates in the run.
-func TestElasticJoinAdmittedAfterGrace(t *testing.T) {
-	b := newFakeBackend(2, 3, 6)
-	b.gated = true // hold the run open until the joiner is in
-	addr, join := startServe(t, b, ServeOptions{
-		DeadAfter:    5 * time.Second,
-		ConnectGrace: 80 * time.Millisecond,
-	})
-	workerErr := make(chan error, 1)
-	go func() { workerErr <- runWorkerLoop(t, addr, b.cfg.RunHash) }()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		sealed := b.failed[1] // the absent static rank was failed: grace fired
-		b.mu.Unlock()
-		if sealed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("grace never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err == nil || !strings.Contains(err.Error(), "no rank available") {
-		t.Fatalf("post-grace Hello: %v, want a refusal", err)
-	}
-	cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
-	if err != nil {
-		t.Fatalf("elastic join refused: %v", err)
-	}
-	defer cl.Close()
-	if err := cl.Ready(b.cfg.RunHash, 20*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	b.set(func() { b.gated = false })
-	if err := runWorkerLoopOn(cl); err != nil {
+	if err := <-joinerErr; err != nil {
 		t.Fatalf("joiner: %v", err)
 	}
 	if err := <-workerErr; err != nil {
@@ -589,26 +518,65 @@ func TestElasticJoinAdmittedAfterGrace(t *testing.T) {
 		t.Fatalf("%d tasks committed, want 6", len(b.committed))
 	}
 	if b.joined != 1 {
-		t.Errorf("backend admitted %d elastic ranks, want 1", b.joined)
+		t.Errorf("backend minted %d ranks past the complement, want 1", b.joined)
 	}
-	if b.failed[2] || b.left[2] {
-		t.Error("joiner's clean completion was recorded as failed/left")
+	if b.failed[3] {
+		t.Error("joiner's clean completion was recorded as failed")
 	}
 }
 
-// TestJoinRefusedOnHashMismatch: an elastic joiner whose Ready hash fails
-// verification must leave the run untouched. Pre-fix, the coordinator called
-// Backend.Join before reading Ready, so every flapping mismatched joiner
-// permanently grew the rank space (and repartitioned both PGAS arrays), and
-// was then also counted as a failed rank — double-counted in the run's
-// joined/failed accounting.
+// TestAdmitJoinerPastFullComplement: a worker whose hash verifies while every
+// static rank is taken — and the connect grace has not sealed them — is
+// admitted through Backend.Join and does work. Before wire v5 only a Join
+// handshake got that far; a Hello was refused, the complement being full.
+func TestAdmitJoinerPastFullComplement(t *testing.T) {
+	b := newFakeBackend(1, 3, 2)
+	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second, ConnectGrace: time.Minute})
+	holder := readyClient(t, addr, b, DialOptions{})
+	held, ok, err := holder.NextTask() // the one static rank is taken, its task in hand
+	if err != nil || !ok {
+		t.Fatalf("holder's pull: ok=%v err=%v", ok, err)
+	}
+
+	joiner := readyClient(t, addr, b, DialOptions{})
+	joinerErr := make(chan error, 1)
+	go func() { joinerErr <- runWorkerLoopOn(joiner) }()
+	b.waitFor(t, "the joiner to commit the pooled task", func() bool { return len(b.byRank[1]) == 1 })
+	if err := holder.TaskDone(held, [3]uint64{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := holder.NextTask(); ok || err != nil {
+		t.Fatalf("holder's final pull: ok=%v err=%v", ok, err)
+	}
+	if err := <-joinerErr; err != nil {
+		t.Fatalf("joiner: %v", err)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.joined != 1 {
+		t.Errorf("backend minted %d ranks past the complement, want 1", b.joined)
+	}
+	if len(b.failed) != 0 {
+		t.Errorf("ranks failed in a clean run: %v", b.failed)
+	}
+}
+
+// TestJoinRefusedOnHashMismatch: a worker that would be admitted past the
+// full complement, but whose Ready hash fails verification, must leave the
+// run untouched. Pre-fix, the coordinator called Backend.Join before reading
+// Ready, so every flapping mismatched joiner permanently grew the rank space
+// (and repartitioned both PGAS arrays), and was then also counted as a failed
+// rank — double-counted in the run's joined/failed accounting.
 func TestJoinRefusedOnHashMismatch(t *testing.T) {
 	b := newFakeBackend(1, 3, 2)
 	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
 
 	// A flapping joiner: three attempts, each with a mismatched hash.
 	for i := 0; i < 3; i++ {
-		cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
+		cl, err := Dial(addr, DialOptions{Timeout: time.Second})
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -638,12 +606,13 @@ func TestJoinRefusedOnHashMismatch(t *testing.T) {
 	}
 }
 
-// TestLateJoinOnFinishedRunIsShutdown: an elastic joiner whose handshake
-// completes after the run went terminal (it was backing off, or hashing, when
-// the last task committed) must be shut down with the run's real outcome, as
-// any rank is. Pre-fix the refused Backend.Join was answered with MsgError
-// "join refused (run is terminal)": the worker burned its rejoin budget
-// against a finished run and exited non-zero.
+// TestLateJoinOnFinishedRunIsShutdown: a joiner — a worker that verifies
+// with every static rank taken — whose handshake completes after the run went
+// terminal (it was backing off, or hashing, when the last task committed)
+// must be shut down with the run's real outcome, as any rank is. Pre-fix the
+// refused Backend.Join was answered with MsgError "join refused (run is
+// terminal)": the worker burned its rejoin budget against a finished run and
+// exited non-zero.
 func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -656,9 +625,15 @@ func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newFakeBackend(1, 3, 1)
 			addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
+			// The one static rank is taken (its pull proves it), so the late
+			// worker can only be admitted through Backend.Join.
+			holder := readyClient(t, addr, b, DialOptions{})
+			if _, ok, err := holder.NextTask(); err != nil || !ok {
+				t.Fatalf("holder's pull: ok=%v err=%v", ok, err)
+			}
 			// Dialed but not yet verified: the window a rejoining worker
 			// spends rebuilding and hashing its run.
-			cl, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: true})
+			cl, err := Dial(addr, DialOptions{Timeout: time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -678,6 +653,9 @@ func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
 			if err != tc.want {
 				t.Fatalf("late joiner's pull returned %v, want %v", err, tc.want)
 			}
+			if _, ok, err := holder.NextTask(); ok || err != tc.want {
+				t.Fatalf("holder's final pull: ok=%v err=%v, want %v", ok, err, tc.want)
+			}
 			if err := join(); err != nil {
 				t.Fatal(err)
 			}
@@ -687,87 +665,6 @@ func TestLateJoinOnFinishedRunIsShutdown(t *testing.T) {
 				t.Errorf("late joiner changed the run: joined=%d failed=%v", b.joined, b.failed)
 			}
 		})
-	}
-}
-
-// TestLeaveStopsHeartbeat: a graceful Leave must stop the heartbeat before
-// the coordinator retires the rank and closes the connection — pre-fix the
-// heartbeat kept ticking into the closed socket and recorded a spurious
-// HeartbeatErr, which a supervisor reads as a heartbeat death rather than a
-// clean departure.
-func TestLeaveStopsHeartbeat(t *testing.T) {
-	b := newFakeBackend(2, 3, 4)
-	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
-	cl, err := Dial(addr, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const hbEvery = 5 * time.Millisecond
-	if err := cl.Ready(b.cfg.RunHash, hbEvery); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := cl.NextTask(); err != nil || !ok {
-		t.Fatalf("task pull: ok=%v err=%v", ok, err)
-	}
-	if err := cl.Leave(); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	// Give a leaked heartbeat ample ticks to hit the retired connection.
-	time.Sleep(20 * hbEvery)
-	if err := cl.HeartbeatErr(); err != nil {
-		t.Errorf("graceful leave recorded a heartbeat error: %v", err)
-	}
-	cl.Close()
-	// The survivor finishes everything, including the leaver's requeued task.
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLeaveRequeuesWithoutFailing: a worker that announces a graceful Leave
-// has its in-flight work requeued but is not counted as a failure.
-func TestLeaveRequeuesWithoutFailing(t *testing.T) {
-	b := newFakeBackend(2, 3, 4)
-	addr, join := startServe(t, b, ServeOptions{DeadAfter: 2 * time.Second})
-	cl, err := Dial(addr, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Ready(b.cfg.RunHash, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := cl.NextTask(); err != nil || !ok {
-		t.Fatalf("task pull: ok=%v err=%v", ok, err)
-	}
-	if err := cl.Leave(); err != nil {
-		t.Fatalf("leave: %v", err)
-	}
-	cl.Close()
-	b.mu.Lock()
-	if !b.left[0] {
-		t.Error("leaver not recorded")
-	}
-	if b.failed[0] {
-		t.Error("graceful leave counted as a failure")
-	}
-	if len(b.requeued) != 1 {
-		t.Errorf("leaver's in-flight task not requeued (requeued=%v)", b.requeued)
-	}
-	b.mu.Unlock()
-	// The survivor finishes everything, including the requeued task.
-	if err := runWorkerLoop(t, addr, b.cfg.RunHash); err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.committed) != 4 {
-		t.Errorf("%d tasks committed, want 4", len(b.committed))
 	}
 }
 
@@ -794,10 +691,10 @@ func TestClientCloseConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// The backend never completes its task; finish the run with a fresh
-	// elastic worker (the static complement of one rank is spent) so Serve
-	// exits. The closed client's rank is failed by the coordinator and its
-	// task requeues.
-	cl2, err := Dial(addr, DialOptions{Elastic: true})
+	// worker — a joiner, since the static complement of one rank is spent —
+	// so Serve exits. The closed client's rank is failed by the coordinator
+	// and its task requeues.
+	cl2, err := Dial(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

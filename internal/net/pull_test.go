@@ -161,7 +161,7 @@ func TestWirePullParkedWorkerKilled(t *testing.T) {
 	holder.Close() // and the task's holder dies too: the task requeues to the dead parked pull
 	b.waitFor(t, "both dead ranks to be failed", func() bool { return b.failed[0] && b.failed[1] })
 
-	rescuer := readyClient(t, addr, b, DialOptions{Elastic: true})
+	rescuer := readyClient(t, addr, b, DialOptions{}) // both static ranks are spent: rank 2
 	if err := runWorkerLoopOn(rescuer); err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,8 @@ func TestDismissAnswersLateDials(t *testing.T) {
 		}
 		addr := l.Addr().String()
 		Dismiss(l, tc.reason, func() {
-			for _, elastic := range []bool{false, true} {
-				if _, err := Dial(addr, DialOptions{Timeout: time.Second, Elastic: elastic}); err != tc.want {
-					t.Errorf("reason %d, elastic=%v: late dial returned %v, want %v", tc.reason, elastic, err, tc.want)
-				}
+			if _, err := Dial(addr, DialOptions{Timeout: time.Second}); err != tc.want {
+				t.Errorf("reason %d: late dial returned %v, want %v", tc.reason, err, tc.want)
 			}
 		})
 		if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {

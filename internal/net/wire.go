@@ -4,7 +4,7 @@
 // shard traffic (stage-input fetch, result write), plus the coordinator that
 // listens, assigns ranks, detects dead workers, and drives the run state owned
 // by internal/core. The message set is what a rank needs of its backend —
-// pull, done, get, put — plus handshake, heartbeat, leave, and error.
+// pull, done, get, put — plus handshake, heartbeat, and error.
 //
 // The goroutine runtime remains the reference implementation. Because every
 // task is a pure function of the frozen stage input (see internal/core), the
@@ -44,12 +44,13 @@ var wireMagic = [4]byte{'C', 'E', 'L', 'W'}
 // ProtocolVersion is the wire protocol version spoken by this build. Version
 // negotiation is strict equality: a frame header carrying any other version
 // is refused before its payload is interpreted. Version 2 added the elastic
-// membership traffic (MsgJoin/MsgLeave); version 3 added the per-frame
-// CRC-32C; version 4 made the task pull one blocking, stealing request
-// (MsgWait is its keep-alive, not a poll), took the rank out of the Welcome,
-// let a Shutdown answer a Hello or Join, and dropped the steal and snapshot
-// messages.
-const ProtocolVersion = 4
+// membership traffic (Join/Leave); version 3 added the per-frame CRC-32C;
+// version 4 made the task pull one blocking, stealing request (MsgWait is its
+// keep-alive, not a poll), took the rank out of the Welcome, let a Shutdown
+// answer a Hello, and dropped the steal and snapshot messages; version 5
+// dropped Join and Leave: the coordinator decides how a worker is admitted,
+// and a worker that departs simply disconnects.
+const ProtocolVersion = 5
 
 // headerLen is the fixed frame header size:
 // magic(4) + version(1) + type(1) + length(4) + crc(4).
@@ -82,8 +83,6 @@ const (
 	MsgPut                       // w→c: write result elements into the live array
 	MsgHeartbeat                 // w→c: liveness beacon, no response
 	MsgError                     // either: fatal protocol or state error
-	MsgJoin                      // w→c: elastic handshake; admitted after the connect grace
-	MsgLeave                     // w→c: graceful departure; coordinator requeues the rank's work
 	msgTypeEnd
 )
 
@@ -219,7 +218,7 @@ func (d *dec) floats(count uint64) ([]float64, error) {
 func WriteMessage(w io.Writer, m *Message) error {
 	var e enc
 	switch m.Type {
-	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave:
+	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat:
 		// empty payload
 	case MsgWelcome:
 		if m.Welcome == nil {
@@ -366,7 +365,7 @@ func decodePayload(typ byte, payload []byte) (*Message, error) {
 	m := &Message{Type: typ}
 	d := &dec{b: payload}
 	switch typ {
-	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat, MsgJoin, MsgLeave:
+	case MsgHello, MsgTaskReq, MsgWait, MsgHeartbeat:
 		// empty payload
 	case MsgWelcome:
 		var c RunConfig

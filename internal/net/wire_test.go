@@ -35,8 +35,6 @@ func sampleMessages() []*Message {
 		{Type: MsgPut, Indices: []uint64{1, 3}, Values: []float64{9, 8, 7, 6}},
 		{Type: MsgHeartbeat},
 		{Type: MsgError, Text: "something broke"},
-		{Type: MsgJoin},
-		{Type: MsgLeave},
 	}
 }
 
@@ -151,9 +149,9 @@ func TestReadMessageRejectsMalformedFrames(t *testing.T) {
 // TestReadMessageBadVersionIsErrBadVersion: the coordinator relies on the
 // sentinel to tell a version mismatch from line noise.
 func TestReadMessageBadVersion(t *testing.T) {
-	// The previous protocol version: a v3 peer is refused, not half-understood.
+	// The previous protocol version: a v4 peer is refused, not half-understood.
 	_, err := ReadMessage(bytes.NewReader(frame(ProtocolVersion-1, MsgHello, nil)))
-	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 3") {
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 4") {
 		t.Fatalf("got %v", err)
 	}
 }

@@ -42,7 +42,6 @@ type Client struct {
 	wmu   sync.Mutex // frame-level write interleaving (requests vs heartbeats)
 
 	hbStop    chan struct{}
-	hbDone    chan struct{}
 	closeOnce sync.Once
 
 	hbMu  sync.Mutex
@@ -66,10 +65,6 @@ type DialOptions struct {
 	// the coordinator's DeadAfter. Responses are served promptly even
 	// during checkpoints, so the default 60s is generous. Default 60s.
 	ResponseTimeout time.Duration
-	// Elastic opens the handshake with Join instead of Hello: the
-	// coordinator admits the worker mid-run (even after the connect grace)
-	// with a fresh rank past the static complement.
-	Elastic bool
 }
 
 func (o *DialOptions) defaults() {
@@ -82,10 +77,11 @@ func (o *DialOptions) defaults() {
 }
 
 // Dial connects to a coordinator and completes the opening half of the
-// handshake: Hello (or Join) out, Welcome (the run parameters) back. The
-// caller must reconstruct the run from the welcome, verify the hash, and
-// call Ready before pulling tasks. A run that is already over answers with a
-// Shutdown instead, surfaced as ErrComplete or ErrAborted.
+// handshake: Hello out, Welcome (the run parameters) back. The caller must
+// reconstruct the run from the welcome, verify the hash, and call Ready
+// before pulling tasks; the coordinator then decides which rank it serves. A
+// run that is already over answers with a Shutdown instead, surfaced as
+// ErrComplete or ErrAborted.
 func Dial(addr string, opts DialOptions) (*Client, error) {
 	opts.defaults()
 	conn, err := net.DialTimeout("tcp", addr, opts.Timeout)
@@ -99,15 +95,10 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 		conn:        conn,
 		fw:          newFrameWriter(conn),
 		hbStop:      make(chan struct{}),
-		hbDone:      make(chan struct{}),
 		respTimeout: opts.ResponseTimeout,
 	}
 	conn.SetDeadline(time.Now().Add(opts.Timeout))
-	hello := MsgHello
-	if opts.Elastic {
-		hello = MsgJoin
-	}
-	if err := c.fw.send(&Message{Type: hello}); err != nil {
+	if err := c.fw.send(&Message{Type: MsgHello}); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -152,19 +143,11 @@ func (c *Client) Ready(hash uint64, heartbeatEvery time.Duration) error {
 // concurrently and more than once (the run loop's deferred teardown may race
 // a supervisor's Close).
 func (c *Client) Close() error {
-	c.stopHeartbeat()
+	c.closeOnce.Do(func() { close(c.hbStop) })
 	return c.conn.Close()
 }
 
-// stopHeartbeat asks the heartbeat loop to exit without touching the
-// connection. Safe to call concurrently and more than once; shared between
-// Close and Leave.
-func (c *Client) stopHeartbeat() {
-	c.closeOnce.Do(func() { close(c.hbStop) })
-}
-
 func (c *Client) heartbeatLoop(every time.Duration) {
-	defer close(c.hbDone)
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -183,7 +166,7 @@ func (c *Client) heartbeatLoop(every time.Duration) {
 				// rank dead and requeue its tasks — computing on is pure
 				// waste. Record why and kill the connection so the work
 				// loop's next exchange errors out promptly; the worker
-				// supervisor can then rejoin elastically or abort.
+				// supervisor can then rejoin or abort.
 				c.hbMu.Lock()
 				c.hbErr = err
 				c.hbMu.Unlock()
@@ -268,26 +251,6 @@ func (c *Client) NextTask() (task int, ok bool, err error) {
 			return 0, false, fmt.Errorf("net: unexpected reply type %d to a task pull", m.Type)
 		}
 	}
-}
-
-// Leave announces a graceful departure: the coordinator requeues whatever
-// this rank holds (without counting a failure) and confirms with a
-// shutdown. The caller should Close afterwards.
-func (c *Client) Leave() error {
-	// The coordinator retires this rank and closes the connection right
-	// after the Shutdown reply; a heartbeat racing that close would fail
-	// its send and record a spurious HeartbeatErr, which a supervisor
-	// reads as a heartbeat death rather than a graceful exit. Stop the
-	// heartbeat before announcing the departure.
-	c.stopHeartbeat()
-	m, err := c.roundTrip(&Message{Type: MsgLeave})
-	if err != nil {
-		return err
-	}
-	if m.Type != MsgShutdown {
-		return fmt.Errorf("net: unexpected reply type %d to a leave", m.Type)
-	}
-	return nil
 }
 
 // TaskDone reports a committed task with its work stats (fits, Newton
