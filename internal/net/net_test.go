@@ -480,14 +480,11 @@ func TestServeAbortShutsWorkersDown(t *testing.T) {
 }
 
 // TestServeConnectGraceFailsAbsentRanks: ranks that never connect are failed
-// after the grace period (so their statically allocated work requeues
-// instead of stranding the run), and a worker arriving after the grace sealed
-// static rank assignment is admitted as a joiner — a fresh rank past the
-// complement — and takes part in the run. Before wire v5 that worker was
-// refused, the complement being sealed, unless it had opened with a Join.
+// after the grace period, so their statically allocated work requeues and the
+// one worker that did connect finishes the run instead of stranding it.
 func TestServeConnectGraceFailsAbsentRanks(t *testing.T) {
-	b := newFakeBackend(3, 3, 6)
-	b.gated = true // hold the run open until the joiner is in
+	b := newFakeBackend(3, 3, 4)
+	b.gated = true // hold the run open until the test has observed the grace
 	addr, join := startServe(t, b, ServeOptions{
 		DeadAfter:    5 * time.Second,
 		ConnectGrace: 100 * time.Millisecond,
@@ -496,12 +493,48 @@ func TestServeConnectGraceFailsAbsentRanks(t *testing.T) {
 	go func() { workerErr <- runWorkerLoop(t, addr, b.cfg.RunHash) }()
 	b.waitFor(t, "the absent ranks to be failed", func() bool { return b.failed[1] && b.failed[2] })
 
-	// Only one of three static ranks ever connected, but the grace sealed
-	// them: the late worker is minted rank 3.
+	b.set(func() { b.gated = false })
+	if err := <-workerErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.committed) != 4 {
+		t.Fatalf("%d tasks committed, want 4", len(b.committed))
+	}
+	if len(b.byRank[0]) != 4 {
+		t.Errorf("the one connected rank committed %d tasks, want all 4", len(b.byRank[0]))
+	}
+	if b.failed[0] {
+		t.Error("the connected rank was failed by the grace")
+	}
+}
+
+// TestElasticJoinAdmittedAfterGrace: a worker arriving after the connect
+// grace sealed static rank assignment is admitted as a joiner — a fresh rank
+// past the complement — and takes part in the run. Before wire v5 that
+// worker was refused, the complement being sealed, unless it had opened with
+// an elastic Join; now the coordinator decides admission for every dial.
+func TestElasticJoinAdmittedAfterGrace(t *testing.T) {
+	b := newFakeBackend(2, 3, 6)
+	b.gated = true // hold the run open until the joiner is in
+	addr, join := startServe(t, b, ServeOptions{
+		DeadAfter:    5 * time.Second,
+		ConnectGrace: 80 * time.Millisecond,
+	})
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- runWorkerLoop(t, addr, b.cfg.RunHash) }()
+	b.waitFor(t, "the grace to fail the absent rank", func() bool { return b.failed[1] })
+
+	// Only one of two static ranks ever connected, but the grace sealed
+	// them: the late worker is minted rank 2.
 	late := readyClient(t, addr, b, DialOptions{Timeout: time.Second})
 	joinerErr := make(chan error, 1)
 	go func() { joinerErr <- runWorkerLoopOn(late) }()
-	b.waitFor(t, "the joiner to pull", func() bool { return b.pulls[3] > 0 })
+	b.waitFor(t, "the joiner to pull", func() bool { return b.pulls[2] > 0 })
 	b.set(func() { b.gated = false })
 	if err := <-joinerErr; err != nil {
 		t.Fatalf("joiner: %v", err)
@@ -520,7 +553,7 @@ func TestServeConnectGraceFailsAbsentRanks(t *testing.T) {
 	if b.joined != 1 {
 		t.Errorf("backend minted %d ranks past the complement, want 1", b.joined)
 	}
-	if b.failed[3] {
+	if b.failed[2] {
 		t.Error("joiner's clean completion was recorded as failed")
 	}
 }
