@@ -62,26 +62,20 @@ func TestCatalogQueryLoadConcurrentWithFit(t *testing.T) {
 		}
 	}
 
-	type runOut struct {
-		res *InferResult
-		err error
-	}
-	done := make(chan runOut, 1)
+	// The load starts first and the fit only once every load goroutine has
+	// completed a query: the fit lasts a few milliseconds, and under a busy
+	// scheduler it could otherwise end before any query ran.
 	start := time.Now()
-	go func() {
-		res, err := InferWithOptions(sv, init, InferConfig{
-			Threads: 2, Processes: 2, Rounds: 1, MaxIter: 10, Seed: 23,
-		}, InferOptions{Catalog: store, CatalogEvery: 1})
-		done <- runOut{res, err}
-	}()
-
 	var queries atomic.Int64
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, loaded sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		loaded.Add(1)
 		go func(off int) {
 			defer wg.Done()
+			ready := sync.OnceFunc(loaded.Done)
+			defer ready() // a failed query must not hold the fit back
 			for i := off; ; i++ {
 				select {
 				case <-stop:
@@ -94,9 +88,23 @@ func TestCatalogQueryLoadConcurrentWithFit(t *testing.T) {
 					return
 				}
 				queries.Add(1)
+				ready()
 			}
 		}(g * 8)
 	}
+	loaded.Wait()
+
+	type runOut struct {
+		res *InferResult
+		err error
+	}
+	done := make(chan runOut, 1)
+	go func() {
+		res, err := InferWithOptions(sv, init, InferConfig{
+			Threads: 2, Processes: 2, Rounds: 1, MaxIter: 10, Seed: 23,
+		}, InferOptions{Catalog: store, CatalogEvery: 1})
+		done <- runOut{res, err}
+	}()
 
 	out := <-done
 	elapsed := time.Since(start)

@@ -164,7 +164,9 @@ func (o *kernelObjective) Value(x []float64) float64 {
 	return -v
 }
 
-// fit runs the lazy-Hessian Newton trust region with vi.FitWith's settings.
+// fit runs the lazy-Hessian Newton trust region with vi.FitWith's settings,
+// less its Newton-decrement stop: the table compares kernels through the
+// gradient-tolerance trajectory its bounds were set on.
 func (o *kernelObjective) fit(init model.Params, pixScale float64) (model.Params, opt.Result) {
 	var scale [model.ParamDim]float64
 	for i := range scale {

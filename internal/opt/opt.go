@@ -63,6 +63,12 @@ type Workspace struct {
 	// and the workspace model (stale solves), and a cache built for one
 	// must not be served for the other.
 	facFor *linalg.Mat
+
+	// interior records whether the last solveTRSubproblem step is the
+	// model's minimizer strictly inside the trust region, not a step the
+	// radius clipped; only such a step's predicted decrease measures how far
+	// the model's optimum is (TROptions.DecrementTol).
+	interior bool
 }
 
 // facState is a cached factorization outcome.
@@ -230,6 +236,18 @@ type TROptions struct {
 	// steps. Scaling position coordinates to pixels bounds a stale step's
 	// position motion by the radius itself.
 	Scale []float64
+
+	// DecrementTol, when positive, is a second stopping test, free of the
+	// gradient's units: on a fresh Hessian (an exact Full evaluation, no
+	// stale or SR1-corrected model) whose trust-region step is interior, a
+	// predicted decrease −(gᵀp + ½pᵀHp) below DecrementTol ends the run as
+	// converged, without evaluating the trial point. For an interior Newton
+	// step that decrease is ½λ², λ the Newton decrement, so the iterate lies
+	// within √(2·DecrementTol) of the quadratic model's optimum in the exact
+	// Hessian's metric, in every coordinate at once — which an infinity norm
+	// over degree-scale positions and O(1) logits cannot say. A stale model
+	// or a step the radius clipped never stops a run. 0 disables the test.
+	DecrementTol float64
 }
 
 func (o *TROptions) defaults() {
@@ -372,6 +390,11 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			}
 		} else {
 			p, predicted = solveTRSubproblem(ws, h, g, radius)
+			if opts.DecrementTol > 0 && ws.interior && -predicted < opts.DecrementTol {
+				res.Converged = true
+				res.Status = "Newton decrement below tolerance"
+				return res
+			}
 		}
 		if predicted >= 0 {
 			if staleAge > 0 {
@@ -493,7 +516,8 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 // Both factorizations are cached in the workspace across calls until
 // noteHessianChanged: lazy-Hessian iterations and radius backtracking re-solve
 // against the same H, paying only the O(n²) backsolve (and, on the eigen
-// path, a Vᵀg refresh when the gradient moved).
+// path, a Vᵀg refresh when the gradient moved). Whether the step is interior
+// is left in ws.interior.
 func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64) ([]float64, float64) {
 	n := len(g)
 	p := ws.p
@@ -501,6 +525,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 		ws.noteHessianChanged()
 		ws.facFor = h
 	}
+	ws.interior = false
 
 	// Cholesky fast path.
 	if ws.cholState == facUnknown {
@@ -516,6 +541,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 			p[i] = -p[i]
 		}
 		if linalg.Norm2(p) <= radius {
+			ws.interior = true
 			return p, modelChange(h, g, p)
 		}
 	}
@@ -611,6 +637,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 		}
 		nn := linalg.Norm2(p)
 		if nn <= radius {
+			ws.interior = true
 			if gfn := math.Sqrt(gfn2); gfn > 0 {
 				// Curvature for the fill: the eigensolver's noise floor
 				// (eps·‖H‖ — the smallest curvature it could have resolved),
@@ -620,6 +647,8 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 				// ratio test governs the resulting step like any other.
 				budget := math.Sqrt(radius*radius - nn*nn)
 				dFill := math.Max(machEps*scale, gfn/budget)
+				// A fill sized by the budget ends on the boundary.
+				ws.interior = dFill > gfn/budget
 				for j := 0; j < n; j++ {
 					if w[j] >= eigFloor {
 						continue
