@@ -365,8 +365,7 @@ func benchElboEval(b *testing.B) int64 {
 }
 
 // benchElboEvalGrad measures the middle evaluation tier (EvalGradInto): value
-// and gradient without Hessian moments, the cost of a lazy-Hessian accepted
-// step.
+// and gradient without Hessian moments, the cost of one L-BFGS evaluation.
 func benchElboEvalGrad(b *testing.B) int64 {
 	pb, init := benchfix.SingleSourceScene(11)
 	s := elbo.NewScratch()

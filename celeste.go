@@ -144,13 +144,10 @@ type InferConfig struct {
 	MaxIter int
 	Seed    uint64
 
-	// EagerHessian disables the lazy-Hessian trust region (every accepted
-	// Newton step re-evaluates the full Hessian) and ColdSweeps disables the
-	// cross-sweep warm starts. Both are ablation/reference knobs: the
-	// defaults are strictly faster, and TestLazyHessianCatalogDelta bounds
-	// the catalog difference they introduce.
-	EagerHessian bool
-	ColdSweeps   bool
+	// ColdSweeps disables the cross-sweep warm starts, an ablation and
+	// reference knob; TestWarmStartCatalogDelta bounds the catalog
+	// difference it introduces.
+	ColdSweeps bool
 }
 
 // InferResult is the outcome of Infer.
@@ -260,7 +257,7 @@ func InferWithOptions(sv *Survey, initCatalog []CatalogEntry, cfg InferConfig,
 		Rounds:       cfg.Rounds,
 		Processes:    cfg.Processes,
 		Seed:         cfg.Seed,
-		Fit:          vi.Options{MaxIter: cfg.MaxIter, EagerHessian: cfg.EagerHessian},
+		Fit:          vi.Options{MaxIter: cfg.MaxIter},
 		ColdSweeps:   cfg.ColdSweeps,
 	}, runOpts)
 	if run == nil {

@@ -85,23 +85,19 @@ func TestGoldenInferRecoversTruth(t *testing.T) {
 	}
 }
 
-// TestLazyHessianCatalogDelta is the documented catalog-delta report for the
-// three-tier optimizer: the same fixed-seed survey is inferred once with the
-// lazy-Hessian trust region plus cross-sweep warm starts (the default) and
-// once on the eager-Hessian, cold-sweep reference path. Unlike the row-sweep
-// kernel (which changes arithmetic by ~1e-12), the lazy mode changes the
-// optimization *trajectory* — stale-but-SR1-corrected Hessian models take
-// different steps, and early sweeps stop at a loosened tolerance — so the
-// bounds are wider than the kernel-vs-oracle ones (internal/elbo's
+// TestWarmStartCatalogDelta is the documented catalog-delta report for the
+// cross-sweep warm starts: the same fixed-seed survey is inferred once with
+// warm starts (the default: early sweeps stop at a loosened tolerance and
+// re-fits start from the previous sweep's trust radius) and once on the
+// cold-sweep reference path. Unlike the row-sweep kernel (which changes
+// arithmetic by ~1e-12), warm starts change the optimization *trajectory*,
+// so the bounds are wider than the kernel-vs-oracle ones (internal/elbo's
 // TestMomentKernelCatalogDelta) but still far inside the golden test's
-// accuracy tolerances (1 px position, 0.2 mean |log flux|):
-// both paths end the final sweep on the same two stops — the gradient
-// tolerance, or a Newton decrement below 1e-3 nats on a fresh Hessian — on
-// the same objective, though the eager path checks the decrement at every
-// iteration and the lazy path only on its Hessian refreshes. The measured
-// deltas and the per-fit evaluation-count table are recorded in
-// EXPERIMENTS.md.
-func TestLazyHessianCatalogDelta(t *testing.T) {
+// accuracy tolerances (1 px position, 0.2 mean |log flux|): both paths end
+// the final sweep on the same two stops — the gradient tolerance, or a
+// Newton decrement below 1e-3 nats — on the same objective. The measured
+// deltas are recorded in EXPERIMENTS.md.
+func TestWarmStartCatalogDelta(t *testing.T) {
 	cfg := DefaultSurveyConfig(77)
 	cfg.Region = geom.NewBox(0, 0, 0.01, 0.01)
 	cfg.DeepRegion = geom.Box{}
@@ -118,16 +114,15 @@ func TestLazyHessianCatalogDelta(t *testing.T) {
 	init := sv.NoisyCatalog(78)
 	icfg := InferConfig{Threads: 4, Rounds: 2, MaxIter: 30}
 
-	lazy := Infer(sv, init, icfg)
-	ecfg := icfg
-	ecfg.EagerHessian = true
-	ecfg.ColdSweeps = true
-	eager := Infer(sv, init, ecfg)
+	warm := Infer(sv, init, icfg)
+	ccfg := icfg
+	ccfg.ColdSweeps = true
+	cold := Infer(sv, init, ccfg)
 
 	pixScale := sv.Config.PixScale
 	var maxPos, maxFlux float64
-	for i := range eager.Catalog {
-		r, k := &eager.Catalog[i], &lazy.Catalog[i]
+	for i := range cold.Catalog {
+		r, k := &cold.Catalog[i], &warm.Catalog[i]
 		if d := geom.Dist(r.Pos, k.Pos) / pixScale; d > maxPos {
 			maxPos = d
 		}
@@ -137,12 +132,12 @@ func TestLazyHessianCatalogDelta(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("lazy-vs-eager catalog delta over %d sources: max position shift %.2e px, max |log flux ratio| %.2e; Newton iters %d (lazy) vs %d (eager)",
-		len(eager.Catalog), maxPos, maxFlux, lazy.NewtonIters, eager.NewtonIters)
+	t.Logf("warm-vs-cold catalog delta over %d sources: max position shift %.2e px, max |log flux ratio| %.2e; Newton iters %d (warm) vs %d (cold)",
+		len(cold.Catalog), maxPos, maxFlux, warm.NewtonIters, cold.NewtonIters)
 	if maxPos > 0.2 {
-		t.Errorf("lazy path shifts a position by %.4f px vs eager reference (> 0.2)", maxPos)
+		t.Errorf("warm starts shift a position by %.4f px vs the cold-sweep reference (> 0.2)", maxPos)
 	}
 	if maxFlux > 0.05 {
-		t.Errorf("lazy path shifts a flux by |log ratio| %.5f vs eager reference (> 0.05)", maxFlux)
+		t.Errorf("warm starts shift a flux by |log ratio| %.5f vs the cold-sweep reference (> 0.05)", maxFlux)
 	}
 }

@@ -37,9 +37,14 @@ func chaosSetup(t *testing.T) (*survey.Survey, []model.CatalogEntry, []partition
 	return sv, noisy, tasks
 }
 
+// chaosConfig caps every fit at 4 Newton iterations: the chaos tests check
+// scheduling and recovery, not fit quality, and runBounded's deadlock
+// deadline must stay far above a run's compute time under -race. Capped fits
+// run on the full tier at every iteration, so 4 iterations cost about what 8
+// did when most steps ran on the cheaper gradient tier.
 func chaosConfig(threads, procs int) Config {
 	return Config{Threads: threads, Processes: procs, Rounds: 1, Seed: 3,
-		Fit: vi.Options{MaxIter: 8, GradTol: 1e-3}}
+		Fit: vi.Options{MaxIter: 4, GradTol: 1e-3}}
 }
 
 // run is a plain in-process run: no hooks, faults or resume state, so it

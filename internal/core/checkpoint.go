@@ -156,19 +156,15 @@ func RunHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.
 	wU64(cfg.Seed)
 	wInt(cfg.Fit.MaxIter)
 	wF64(cfg.Fit.GradTol)
-	// The ablation knobs change the optimization trajectory, so a checkpoint
+	// The ablation knob changes the optimization trajectory, so a checkpoint
 	// taken under one setting must not resume under another. The wire
-	// protocol does not carry them (RunWithOptions rejects them with a
-	// Transport); hashing them keeps the default-config worker handshake
+	// protocol does not carry it (RunWithOptions rejects it with a
+	// Transport); hashing it keeps the default-config worker handshake
 	// unchanged.
-	wBool := func(b bool) {
-		if b {
-			wInt(1)
-		} else {
-			wInt(0)
-		}
+	if cfg.ColdSweeps {
+		wInt(1)
+	} else {
+		wInt(0)
 	}
-	wBool(cfg.Fit.EagerHessian)
-	wBool(cfg.ColdSweeps)
 	return h.Sum64()
 }

@@ -88,7 +88,7 @@ func TestConfigDefaultsValidation(t *testing.T) {
 		{"valid values pass through untouched",
 			Config{Threads: 3, Rounds: 5, BatchFrac: 0.5, Processes: 2, PatchThreads: 6,
 				Seed: 42, ColdSweeps: true,
-				Fit: vi.Options{MaxIter: 7, GradTol: 1e-4, EagerHessian: true, InitRadius: 0.25, PatchWorkers: 2}},
+				Fit: vi.Options{MaxIter: 7, GradTol: 1e-4, InitRadius: 0.25, PatchWorkers: 2}},
 			func(t *testing.T, c *Config) {
 				if c.Threads != 3 || c.Rounds != 5 || c.BatchFrac != 0.5 || c.Processes != 2 || c.PatchThreads != 6 {
 					t.Errorf("valid config mutated: %+v", *c)
@@ -98,7 +98,7 @@ func TestConfigDefaultsValidation(t *testing.T) {
 				}
 				// Fit is normalized by vi.Options' own defaults at fit time;
 				// core's defaults() must leave a valid Fit alone.
-				if c.Fit != (vi.Options{MaxIter: 7, GradTol: 1e-4, EagerHessian: true, InitRadius: 0.25, PatchWorkers: 2}) {
+				if c.Fit != (vi.Options{MaxIter: 7, GradTol: 1e-4, InitRadius: 0.25, PatchWorkers: 2}) {
 					t.Errorf("Fit mutated: %+v", c.Fit)
 				}
 			}},

@@ -45,9 +45,9 @@ type Config struct {
 	Processes int
 
 	// ColdSweeps disables the cross-sweep warm starts: every sweep then
-	// re-fits every source cold at the full tolerance, the pre-three-tier
-	// behavior. It exists for ablations and the warm-start catalog-delta
-	// test; warm sweeps are strictly cheaper.
+	// re-fits every source cold at the full tolerance. It exists for
+	// ablations and the warm-start catalog-delta test; warm sweeps are
+	// strictly cheaper.
 	ColdSweeps bool
 
 	// PatchThreads is the second level of the thread budget: the number of
@@ -647,8 +647,8 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	if opts.Transport != nil && opts.Faults != nil {
 		return nil, errors.New("core: FaultPlan injects faults into in-process ranks; fault a TCP run by killing real worker processes")
 	}
-	if opts.Transport != nil && (cfg.Fit.EagerHessian || cfg.ColdSweeps) {
-		return nil, errors.New("core: the EagerHessian/ColdSweeps ablation knobs are not carried by the wire protocol; run them with in-process ranks")
+	if opts.Transport != nil && cfg.ColdSweeps {
+		return nil, errors.New("core: the ColdSweeps ablation knob is not carried by the wire protocol; run it with in-process ranks")
 	}
 	priors := model.FitPriors(catalog)
 

@@ -8,9 +8,9 @@ import (
 )
 
 // GradResult is a middle-tier objective evaluation: value and exact gradient
-// but no Hessian. The lazy-Hessian trust region runs its accepted-step
-// bookkeeping on this tier — most of a full evaluation's cost is the Hessian
-// lanes and their per-pixel moment assembly, which this tier skips entirely.
+// but no Hessian. L-BFGS (vi.FitLBFGS) runs on this tier — most of a full
+// evaluation's cost is the Hessian lanes and their per-pixel moment assembly,
+// which this tier skips entirely.
 type GradResult struct {
 	Value  float64
 	Grad   [model.ParamDim]float64

@@ -113,12 +113,11 @@ func TestMomentKernelMatchesLaneOracle(t *testing.T) {
 	}
 }
 
-// tierSet is one implementation of the three evaluation tiers plus the
-// neighbor fold that builds their backgrounds.
+// tierSet is one implementation of the two evaluation tiers the Newton trust
+// region runs on plus the neighbor fold that builds their backgrounds.
 type tierSet struct {
 	name  string
 	full  func(*Problem, *model.Params, *Scratch) *Result
-	grad  func(*Problem, *model.Params, *Scratch) *GradResult
 	value func(*Problem, *model.Params, *Scratch) (float64, int64)
 	fold  func(*Builder, *model.Constrained)
 }
@@ -146,15 +145,6 @@ func (o *kernelObjective) Full(x []float64) (float64, []float64, *linalg.Mat) {
 	return -r.Value, o.g[:], r.Hess
 }
 
-func (o *kernelObjective) Grad(x []float64) (float64, []float64) {
-	copy(o.theta[:], x)
-	r := o.tiers.grad(o.pb, &o.theta, o.s)
-	for i := range o.g {
-		o.g[i] = -r.Grad[i]
-	}
-	return -r.Value, o.g[:]
-}
-
 func (o *kernelObjective) Value(x []float64) float64 {
 	copy(o.theta[:], x)
 	if !o.pb.InBounds(&o.theta) {
@@ -164,18 +154,12 @@ func (o *kernelObjective) Value(x []float64) float64 {
 	return -v
 }
 
-// fit runs the lazy-Hessian Newton trust region with vi.FitWith's settings,
-// less its Newton-decrement stop: the table compares kernels through the
+// fit runs the Newton trust region with vi.FitWith's settings, less its
+// Newton-decrement stop: the table compares kernels through the
 // gradient-tolerance trajectory its bounds were set on.
-func (o *kernelObjective) fit(init model.Params, pixScale float64) (model.Params, opt.Result) {
-	var scale [model.ParamDim]float64
-	for i := range scale {
-		scale[i] = 1
-	}
-	scale[model.ParamRA], scale[model.ParamDec] = 1/pixScale, 1/pixScale
+func (o *kernelObjective) fit(init model.Params) (model.Params, opt.Result) {
 	res := opt.NewtonTRWS(o, init[:], opt.NewWorkspace(model.ParamDim), opt.TROptions{
 		MaxIter: 60, GradTol: 1e-6, InitRadius: 0.5, MaxRadius: 32,
-		LazyHessian: true, HessRefreshRadius: 0.5 / 16, Scale: scale[:],
 	})
 	var out model.Params
 	copy(out[:], res.X)
@@ -185,8 +169,8 @@ func (o *kernelObjective) fit(init model.Params, pixScale float64) (model.Params
 // TestMomentKernelCatalogDelta is the catalog-level delta report of the
 // production kernel against each retained oracle: every source of one
 // fixed-seed scene is fitted from the same initialization once per row of the
-// table — the lane oracle as the derivative tiers, the pixel-at-a-time scalar
-// reference as all three tiers and the neighbor fold, and the production
+// table — the lane oracle as the full tier, the pixel-at-a-time scalar
+// reference as both tiers and the neighbor fold, and the production
 // moment kernel — under the optimizer settings of a production fit, and the
 // fitted positions and reference-band fluxes are compared. The moment kernel
 // differs from the lane oracle by reassociation only (≤ 1e-9 norm-wise per
@@ -210,9 +194,9 @@ func TestMomentKernelCatalogDelta(t *testing.T) {
 
 	kernelFold := (*Builder).AddNeighbor
 	kernels := []tierSet{
-		{"moment kernel", (*Problem).EvalInto, (*Problem).EvalGradInto, (*Problem).EvalValueWith, kernelFold},
-		{"lane oracle", (*Problem).laneEvalInto, (*Problem).laneEvalGradInto, (*Problem).EvalValueWith, kernelFold},
-		{"scalar reference", (*Problem).evalIntoRef, (*Problem).evalGradRef, (*Problem).evalValueRef,
+		{"moment kernel", (*Problem).EvalInto, (*Problem).EvalValueWith, kernelFold},
+		{"lane oracle", (*Problem).laneEvalInto, (*Problem).EvalValueWith, kernelFold},
+		{"scalar reference", (*Problem).evalIntoRef, (*Problem).evalValueRef,
 			func(b *Builder, c *model.Constrained) {
 				for _, p := range b.pb.Patches {
 					addNeighborRef(p, c)
@@ -241,7 +225,7 @@ func TestMomentKernelCatalogDelta(t *testing.T) {
 				}
 			}
 			obj := &kernelObjective{pb: pb, s: s, tiers: k}
-			theta, res := obj.fit(model.InitialParams(&init[i]), cfg.PixScale)
+			theta, res := obj.fit(model.InitialParams(&init[i]))
 			iters[ki] += res.Iters
 			c := theta.Constrained()
 			fitted[ki] = append(fitted[ki], model.Summarize(init[i].ID, &c))

@@ -211,26 +211,6 @@ func Cholesky(l, a *Mat) error {
 	return nil
 }
 
-// CholeskyShifted computes the lower Cholesky factor of A + σI (only the
-// lower triangle of A is read), writing it into l, which must not alias a.
-// It returns ErrNotPositiveDefinite if the shifted matrix is not positive
-// definite. The Levenberg-style trust-region fast path uses it to factor
-// regularized Hessian models without materializing the shift.
-func CholeskyShifted(l, a *Mat, sigma float64) error {
-	n := a.Rows
-	if a.Cols != n || l.Rows != n || l.Cols != n {
-		panic("linalg: CholeskyShifted requires square matrices of equal size")
-	}
-	if l == a {
-		panic("linalg: CholeskyShifted factor must not alias the input")
-	}
-	l.CopyFrom(a)
-	for i := 0; i < n; i++ {
-		l.Data[i*n+i] += sigma
-	}
-	return Cholesky(l, l)
-}
-
 // SolveCholesky solves A x = b given the lower Cholesky factor L of A,
 // writing the solution into x (which may alias b).
 func SolveCholesky(l *Mat, x, b []float64) {

@@ -48,68 +48,27 @@ const decrementStatus = "Newton decrement below tolerance"
 // objective (the position's gradient floor sits above GradTol, so it ends by
 // collapsing the radius), while the decrement stops it — with the gradient
 // norm still above GradTol, within the tolerance of the optimum's value, and
-// on fewer evaluations — eager and lazy alike.
+// on fewer evaluations.
 func TestDecrementStopsMixedScales(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		gradOnly := newtonTR(mixedFull, mixedValue, mixedStart(), TROptions{LazyHessian: lazy})
-		if gradOnly.Status == "gradient tolerance reached" {
-			t.Fatalf("lazy=%v: the gradient-only run reached GradTol (norm %g); the fixture lost its point",
-				lazy, gradOnly.GradNorm)
+	gradOnly := newtonTR(mixedFull, mixedValue, mixedStart(), TROptions{})
+	if gradOnly.Status == "gradient tolerance reached" {
+		t.Fatalf("the gradient-only run reached GradTol (norm %g); the fixture lost its point", gradOnly.GradNorm)
+	}
+	best := gradOnly.F
+	for _, tol := range []float64{1e-3, 1e-12} {
+		res := newtonTR(mixedFull, mixedValue, mixedStart(), TROptions{DecrementTol: tol})
+		if res.Status != decrementStatus || !res.Converged {
+			t.Errorf("tol=%g: stopped with %q (converged %v), want the decrement stop", tol, res.Status, res.Converged)
 		}
-		best := gradOnly.F
-		for _, tol := range []float64{1e-3, 1e-12} {
-			res := newtonTR(mixedFull, mixedValue, mixedStart(), TROptions{LazyHessian: lazy, DecrementTol: tol})
-			if res.Status != decrementStatus || !res.Converged {
-				t.Errorf("lazy=%v tol=%g: stopped with %q (converged %v), want the decrement stop",
-					lazy, tol, res.Status, res.Converged)
-			}
-			if !(res.GradNorm > 1e-8) {
-				t.Errorf("lazy=%v tol=%g: gradient norm %g at the stop; the gradient test would have stopped it",
-					lazy, tol, res.GradNorm)
-			}
-			if gap := res.F - best; !(gap <= tol) {
-				t.Errorf("lazy=%v tol=%g: stopped %g above the optimum's value", lazy, tol, gap)
-			}
-			if res.FullEvals+res.GradEvals+res.ValEvals >= gradOnly.FullEvals+gradOnly.GradEvals+gradOnly.ValEvals {
-				t.Errorf("lazy=%v tol=%g: %d/%d/%d evaluations, the gradient-only run %d/%d/%d",
-					lazy, tol, res.FullEvals, res.GradEvals, res.ValEvals,
-					gradOnly.FullEvals, gradOnly.GradEvals, gradOnly.ValEvals)
-			}
+		if !(res.GradNorm > 1e-8) {
+			t.Errorf("tol=%g: gradient norm %g at the stop; the gradient test would have stopped it", tol, res.GradNorm)
 		}
-	}
-}
-
-// lastFullObjective records where the Hessian was last evaluated.
-type lastFullObjective struct {
-	countingObjective
-	lastFull []float64
-}
-
-func (o *lastFullObjective) Full(x []float64) (float64, []float64, *linalg.Mat) {
-	o.lastFull = append(o.lastFull[:0], x...)
-	return o.countingObjective.Full(x)
-}
-
-// TestDecrementIgnoresStaleModel: a lazy run started near the optimum takes
-// one fresh step, after which its SR1-corrected stale model predicts far less
-// than the tolerance. That model must not stop the run: it stops only once a
-// Hessian refresh at the point it returns confirms the decrement.
-func TestDecrementIgnoresStaleModel(t *testing.T) {
-	x0 := []float64{posAt + (posOff+0.01)*posPx, math.Ln2 + 0.01}
-	obj := &lastFullObjective{countingObjective: countingObjective{full: mixedFull}}
-	res := NewtonTRWS(obj, x0, NewWorkspace(2), TROptions{LazyHessian: true, DecrementTol: 1e-3})
-	if res.Status != decrementStatus {
-		t.Fatalf("stopped with %q, want the decrement stop", res.Status)
-	}
-	if res.GradEvals == 0 {
-		t.Fatal("no gradient-tier step: the run never stood on a stale model")
-	}
-	if res.FullEvals < 2 {
-		t.Errorf("%d Full evaluations: the run stopped on the stale model", res.FullEvals)
-	}
-	for i := range res.X {
-		if obj.lastFull[i] != res.X[i] {
-			t.Fatalf("stopped at %v, but the Hessian was last evaluated at %v", res.X, obj.lastFull)
+		if gap := res.F - best; !(gap <= tol) {
+			t.Errorf("tol=%g: stopped %g above the optimum's value", tol, gap)
+		}
+		if res.FullEvals+res.ValEvals >= gradOnly.FullEvals+gradOnly.ValEvals {
+			t.Errorf("tol=%g: %d/%d evaluations, the gradient-only run %d/%d",
+				tol, res.FullEvals, res.ValEvals, gradOnly.FullEvals, gradOnly.ValEvals)
 		}
 	}
 }

@@ -3,50 +3,7 @@ package vi
 import (
 	"math"
 	"testing"
-
-	"celeste/internal/elbo"
-	"celeste/internal/geom"
-	"celeste/internal/model"
 )
-
-// TestScaleForUsesFinestPixelScale is the regression test for the trust-region
-// scaling bug: scaleFor used Patches[0].WCS.PixScale() only, so on a
-// mixed-resolution patch set where a coarser image happened to sort first, the
-// position scaling let one trust-region step move the source several pixels on
-// the finest image. The finest scale across ALL patches is the binding one.
-func TestScaleForUsesFinestPixelScale(t *testing.T) {
-	coarse, fine := 2e-4, 1e-4
-	pb := &elbo.Problem{Patches: []*elbo.Patch{
-		{WCS: geom.NewSimpleWCS(0, 0, coarse)}, // coarse image first: the pre-fix code picked this one
-		{WCS: geom.NewSimpleWCS(0, 0, fine)},
-	}}
-	s := NewScratch()
-	scale := s.scaleFor(pb)
-	if got, want := scale[model.ParamRA], 1/fine; got != want {
-		t.Errorf("scale[RA] = %v, want 1/finest = %v (coarse-first patch order)", got, want)
-	}
-	if got, want := scale[model.ParamDec], 1/fine; got != want {
-		t.Errorf("scale[Dec] = %v, want 1/finest = %v", got, want)
-	}
-	for i, v := range scale {
-		if i != int(model.ParamRA) && i != int(model.ParamDec) && v != 1 {
-			t.Errorf("scale[%d] = %v, want 1", i, v)
-		}
-	}
-
-	// Order independence: finest-first must give the same scaling.
-	pb.Patches[0], pb.Patches[1] = pb.Patches[1], pb.Patches[0]
-	scale = s.scaleFor(pb)
-	if got, want := scale[model.ParamRA], 1/fine; got != want {
-		t.Errorf("scale[RA] = %v after reorder, want %v", got, want)
-	}
-
-	// No patches: positions fall back to unit scale rather than divide by zero.
-	scale = s.scaleFor(&elbo.Problem{})
-	if scale[model.ParamRA] != 1 {
-		t.Errorf("empty problem: scale[RA] = %v, want 1", scale[model.ParamRA])
-	}
-}
 
 // TestFitPatchWorkersMatchesSerial locks in the intra-fit parallelism
 // contract: a fit with PatchWorkers > 1 must reproduce the serial fit exactly

@@ -38,12 +38,6 @@ type Options struct {
 	// comes first.
 	GradTol float64
 
-	// EagerHessian disables the lazy-Hessian trust region and re-evaluates
-	// the full tier (value+gradient+Hessian) at every accepted step, the
-	// pre-three-tier behavior. It exists for ablations and differential
-	// tests; the lazy default is strictly cheaper on the fixture workloads.
-	EagerHessian bool
-
 	// InitRadius overrides the initial trust radius (0 keeps the default
 	// 0.5). Cross-sweep warm starts pass the previous sweep's converged
 	// radius so a re-fit skips the radius walk-down.
@@ -82,7 +76,7 @@ type FitResult struct {
 	ELBO      float64
 	Iters     int
 	FullEvals int
-	GradEvals int // gradient-tier evaluations (lazy-Hessian iterations)
+	GradEvals int // gradient-tier evaluations (L-BFGS)
 	ValEvals  int
 	Visits    int64 // active pixel visits (FLOP accounting)
 	Converged bool
@@ -107,10 +101,9 @@ type FitResult struct {
 // what lets a Cyclades worker sweep thousands of sources without touching
 // the garbage collector.
 type Scratch struct {
-	es    *elbo.Scratch
-	ws    *opt.Workspace
-	g     []float64
-	scale [model.ParamDim]float64
+	es *elbo.Scratch
+	ws *opt.Workspace
+	g  []float64
 
 	// Per-fit state while a FitWith call is running.
 	pb      *elbo.Problem
@@ -147,21 +140,6 @@ func (s *Scratch) Full(x []float64) (float64, []float64, *linalg.Mat) {
 	return -r.Value, s.g, h
 }
 
-// Grad implements opt.Objective: the negated ELBO with gradient but no
-// Hessian — the middle evaluation tier lazy-Hessian iterations run on. The
-// returned slice is scratch-owned and valid until the next call.
-func (s *Scratch) Grad(x []float64) (float64, []float64) {
-	copy(s.theta[:], x)
-	t0 := time.Now()
-	r := s.pb.EvalGradInto(&s.theta, s.es)
-	s.evalSec += time.Since(t0).Seconds()
-	s.visits += r.Visits
-	for i := range s.g {
-		s.g[i] = -r.Grad[i]
-	}
-	return -r.Value, s.g
-}
-
 // Value implements opt.Objective: the negated ELBO value only. Trial points
 // outside the problem's position domain evaluate to +Inf — beyond the patch
 // window the likelihood gradient vanishes, and without the barrier a fit
@@ -177,30 +155,6 @@ func (s *Scratch) Value(x []float64) float64 {
 	s.evalSec += time.Since(t0).Seconds()
 	s.visits += vis
 	return -v
-}
-
-// scaleFor builds the trust-region coordinate scaling for a problem: unit
-// for every parameter except the two position coordinates, which are scaled
-// from degrees to pixels using the finest pixel scale across the problem's
-// patches. The finest scale is the binding one: on a mixed-resolution patch
-// set a radius derived from a coarser image would let one trust-region step
-// move the source several pixels on the finest image — exactly the
-// barrier-jumping failure mode the elliptical region exists to prevent.
-func (s *Scratch) scaleFor(pb *elbo.Problem) []float64 {
-	for i := range s.scale {
-		s.scale[i] = 1
-	}
-	finest := 0.0
-	for _, p := range pb.Patches {
-		if ps := p.WCS.PixScale(); ps > 0 && (finest == 0 || ps < finest) {
-			finest = ps
-		}
-	}
-	if finest > 0 {
-		s.scale[model.ParamRA] = 1 / finest
-		s.scale[model.ParamDec] = 1 / finest
-	}
-	return s.scale[:]
 }
 
 // FitWith maximizes the problem's ELBO from the given initialization with
@@ -227,7 +181,7 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 	s.es.SetWorkers(o.PatchWorkers)
 	start := time.Now()
 
-	res := opt.NewtonTRWS(s, init[:], s.ws, s.trOptions(pb, o))
+	res := opt.NewtonTRWS(s, init[:], s.ws, trOptions(o))
 	s.pb = nil // release the problem for the GC between fits
 
 	var out FitResult
@@ -235,7 +189,6 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 	out.ELBO = -res.F
 	out.Iters = res.Iters
 	out.FullEvals = res.FullEvals
-	out.GradEvals = res.GradEvals
 	out.ValEvals = res.ValEvals
 	out.Visits = s.visits
 	out.Converged = res.Converged
@@ -246,39 +199,25 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 	return out
 }
 
-// trOptions is the trust-region configuration of a fit of pb under o (with
+// trOptions is the trust-region configuration of a fit under o (with
 // defaults applied).
-func (s *Scratch) trOptions(pb *elbo.Problem, o Options) opt.TROptions {
+func trOptions(o Options) opt.TROptions {
 	return opt.TROptions{
 		MaxIter: o.MaxIter,
 		GradTol: o.GradTol,
 		// Parameters mix degree-scale positions with O(1) logits; a modest
 		// initial radius keeps the first steps honest, and the cap keeps
 		// trial points out of exp-overflow territory.
-		InitRadius:  o.InitRadius,
-		MaxRadius:   32,
-		LazyHessian: !o.EagerHessian,
-		// Pin the radius-collapse refresh trigger to the nominal fit scale:
-		// the opt default (InitRadius/16) would inflate with a warm-start
-		// radius and force eager refreshes on exactly the warm re-fits the
-		// lazy tier should make cheap.
-		HessRefreshRadius: 0.5 / 16,
-		// Elliptical trust region: position coordinates scaled to pixels, so
-		// the radius bounds position motion in pixels rather than degrees —
-		// one radius-0.5 step can move a source half a pixel, not half a
-		// degree. An exact Hessian makes the spherical region safe (the
-		// ~1e11 deg⁻² position curvature keeps Newton steps tiny), but a
-		// stale lazy model that underestimates that curvature could other-
-		// wise jump a faint source across a likelihood barrier onto a
-		// brighter neighbor.
-		Scale:        s.scaleFor(pb),
+		InitRadius:   o.InitRadius,
+		MaxRadius:    32,
 		DecrementTol: decrementTol,
 	}
 }
 
-// FitLBFGS is the ablation path: same objective, optimized with L-BFGS using
-// gradients only. The paper reports it needs up to 2000 iterations where
-// Newton needs tens (Section IV-D); the ablation benchmark regenerates that
+// FitLBFGS is the ablation path: same objective, optimized with L-BFGS on
+// the gradient tier (EvalGradInto), which skips every Hessian-bearing
+// computation. The paper reports it needs up to 2000 iterations where Newton
+// needs tens (Section IV-D); the ablation benchmark regenerates that
 // comparison.
 func FitLBFGS(pb *elbo.Problem, init model.Params, maxIter int) FitResult {
 	if !pb.InBounds(&init) {
@@ -298,7 +237,7 @@ func FitLBFGS(pb *elbo.Problem, init model.Params, maxIter int) FitResult {
 		if !pb.InBounds(&p) {
 			return math.Inf(1), g[:]
 		}
-		r := pb.EvalInto(&p, es)
+		r := pb.EvalGradInto(&p, es)
 		visits += r.Visits
 		for i := range g {
 			g[i] = -r.Grad[i]
@@ -314,7 +253,7 @@ func FitLBFGS(pb *elbo.Problem, init model.Params, maxIter int) FitResult {
 	copy(out.Params[:], res.X)
 	out.ELBO = -res.F
 	out.Iters = res.Iters
-	out.FullEvals = res.FullEvals
+	out.GradEvals = res.GradEvals
 	out.Visits = visits
 	out.Converged = res.Converged
 	out.Status = res.Status
