@@ -1,12 +1,14 @@
 // Package ad implements forward-mode automatic differentiation carrying a
 // value, a dense gradient, and a packed symmetric Hessian through arithmetic.
-// Celeste uses it where the paper uses ForwardDiff.jl/ReverseDiff.jl: the
-// KL-divergence terms and flux-moment computations of the ELBO (whose
-// dimension is small and whose sparsity does not matter), and as the oracle
-// against which every hand-coded derivative in the hot path is tested.
+// It is a test-only oracle: no production package imports it (CI checks). The
+// whole-objective reference refELBO and its KL and flux-moment sections check
+// the hand-coded derivatives of internal/elbo, and mog's and dual's tests
+// check theirs, the way the paper checks its hand-coded derivatives against
+// ForwardDiff.jl. Gradient and Hessian are the finite-difference oracles for
+// the AD itself.
 //
-// A Num with dimension n costs O(n^2) per multiplication, so keep n modest
-// (Celeste's largest block is 44).
+// A Num with dimension n costs O(n^2) per multiplication and every operation
+// allocates its result; both are fine for tests.
 package ad
 
 import "math"
@@ -18,11 +20,6 @@ type Num struct {
 	Val  float64
 	Grad []float64
 	Hess []float64
-
-	// space, when non-nil, is the arena this Num was drawn from; derived
-	// Nums are drawn from the same arena so a whole expression tree can be
-	// recycled with Space.Reset.
-	space *Space
 }
 
 // Dim returns the differentiation dimension of x.
@@ -42,23 +39,9 @@ func PackedIndex(i, j int) int { return i*(i+1)/2 + j }
 // PackedLen returns the packed Hessian length for dimension n.
 func PackedLen(n int) int { return n * (n + 1) / 2 }
 
-// Space fixes the differentiation dimension for a family of Nums and owns
-// the arena they are drawn from. Every Num created through a Space — directly
-// via Const/Var or transitively via arithmetic on such Nums — comes from the
-// arena; Reset recycles them all at once, so a computation repeated with the
-// same shape performs zero heap allocations in steady state.
+// Space fixes the differentiation dimension for a family of Nums.
 type Space struct {
-	n     int
-	arena []*Num
-	used  int
-
-	// gradOnly suppresses Hessian propagation: operations on Nums drawn from
-	// the space compute values and gradients only, leaving Hess storage
-	// stale. The gradient-only ELBO tier flips this on for its KL and
-	// flux-moment subgraphs — the Hessian loop is O(n²) per operation and is
-	// most of their cost. Alternating modes on one space is safe because
-	// full-mode operations overwrite every Hessian entry of their results.
-	gradOnly bool
+	n int
 }
 
 // NewSpace returns a Space of dimension n.
@@ -67,55 +50,9 @@ func NewSpace(n int) *Space { return &Space{n: n} }
 // Dim returns the space dimension.
 func (s *Space) Dim() int { return s.n }
 
-// GradOnly reports whether Hessian propagation is currently suppressed.
-func (s *Space) GradOnly() bool { return s.gradOnly }
-
-// SetGradOnly switches Hessian propagation off (true) or on (false) for
-// subsequent operations on Nums drawn from this space, returning the previous
-// setting. With gradOnly set, the Hess storage of every produced Num is stale
-// and must not be read.
-func (s *Space) SetGradOnly(on bool) bool {
-	prev := s.gradOnly
-	s.gradOnly = on
-	return prev
-}
-
-// Reset recycles every Num drawn from the space. All previously returned
-// Nums are invalidated: subsequent operations on the space reuse their
-// storage.
-func (s *Space) Reset() { s.used = 0 }
-
-// alloc returns a Num with uninitialized (possibly stale) derivatives; the
-// caller must overwrite every Grad and Hess entry.
-func (s *Space) alloc() *Num {
-	if s.used < len(s.arena) {
-		x := s.arena[s.used]
-		s.used++
-		return x
-	}
-	x := &Num{
-		Grad:  make([]float64, s.n),
-		Hess:  make([]float64, PackedLen(s.n)),
-		space: s,
-	}
-	s.arena = append(s.arena, x)
-	s.used++
-	return x
-}
-
 // Const returns a constant (zero derivatives).
 func (s *Space) Const(v float64) *Num {
-	x := s.alloc()
-	x.Val = v
-	for i := range x.Grad {
-		x.Grad[i] = 0
-	}
-	if !s.gradOnly {
-		for i := range x.Hess {
-			x.Hess[i] = 0
-		}
-	}
-	return x
+	return &Num{Val: v, Grad: make([]float64, s.n), Hess: make([]float64, PackedLen(s.n))}
 }
 
 // Var returns the i-th independent variable with value v.
@@ -137,13 +74,8 @@ func (s *Space) Vars(vals []float64) []*Num {
 	return xs
 }
 
-// newLike returns a Num for a derived value: from x's arena when x has one
-// (unary/binary overwrite every derivative entry, so no zeroing is needed),
-// freshly allocated otherwise.
+// newLike returns a Num of x's dimension for a derived value.
 func newLike(x *Num) *Num {
-	if x.space != nil {
-		return x.space.alloc()
-	}
 	return &Num{Grad: make([]float64, len(x.Grad)), Hess: make([]float64, len(x.Hess))}
 }
 
@@ -153,9 +85,6 @@ func unary(x *Num, f0, f1, f2 float64) *Num {
 	y.Val = f0
 	for i, g := range x.Grad {
 		y.Grad[i] = f1 * g
-	}
-	if x.space != nil && x.space.gradOnly {
-		return y
 	}
 	k := 0
 	for i := 0; i < len(x.Grad); i++ {
@@ -174,9 +103,6 @@ func binary(a, b *Num, f0, fa, fb, faa, fab, fbb float64) *Num {
 	y.Val = f0
 	for i := range a.Grad {
 		y.Grad[i] = fa*a.Grad[i] + fb*b.Grad[i]
-	}
-	if a.space != nil && a.space.gradOnly {
-		return y
 	}
 	k := 0
 	for i := 0; i < len(a.Grad); i++ {
@@ -319,16 +245,8 @@ func LogSumExp(xs []*Num) *Num {
 
 // Softmax returns the softmax of xs.
 func Softmax(xs []*Num) []*Num {
-	return SoftmaxInto(make([]*Num, len(xs)), xs)
-}
-
-// SoftmaxInto writes the softmax of xs into out (len(out) == len(xs)) and
-// returns it, allocating nothing beyond what the xs' arena provides.
-func SoftmaxInto(out, xs []*Num) []*Num {
-	if len(out) != len(xs) {
-		panic("ad: SoftmaxInto length mismatch")
-	}
 	lse := LogSumExp(xs)
+	out := make([]*Num, len(xs))
 	for i, x := range xs {
 		out[i] = Exp(Sub(x, lse))
 	}

@@ -253,6 +253,32 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsPreviousNumericsRevision: a checkpoint hashed by a build
+// at the previous numerics revision — same inputs, catalog bytes that differ
+// by design — must be refused, not resumed into a mixed catalog.
+func TestResumeRejectsPreviousNumericsRevision(t *testing.T) {
+	sv, noisy, tasks := chaosSetup(t)
+	cfg := chaosConfig(1, 2)
+	var captured *Checkpoint
+	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{
+		CheckpointEvery: 1,
+		OnCheckpoint: func(ck *Checkpoint) error {
+			captured = ck
+			return errors.New("stop")
+		},
+	})
+	if !errors.Is(err, ErrAborted) || captured == nil {
+		t.Fatalf("no checkpoint captured: %v", err)
+	}
+	if got := runHash(sv, noisy, tasks, cfg, numericsRevision); got != captured.Hash {
+		t.Fatalf("checkpoint hash %016x, runHash at the current revision %016x", captured.Hash, got)
+	}
+	captured.Hash = runHash(sv, noisy, tasks, cfg, numericsRevision-1)
+	if _, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Resume: captured}); err == nil {
+		t.Fatal("resume accepted a checkpoint hashed at the previous numerics revision")
+	}
+}
+
 func countTrue(bs []bool) int {
 	n := 0
 	for _, b := range bs {

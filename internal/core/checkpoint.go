@@ -77,15 +77,29 @@ func (ck *Checkpoint) Validate() error {
 	return nil
 }
 
-// RunHash fingerprints everything that determines a run's output: the survey
-// (config and pixel data), the initialization catalog, the task partition,
-// and the numerically relevant config fields. Threads, PatchThreads, and
-// Processes are deliberately excluded — the stage-frozen read discipline
-// makes the result independent of the source-level split, the fixed-order
-// partial reduction makes per-fit evaluations bitwise independent of the
-// patch-level split, and a checkpoint may legally resume at a different
-// {threads, patch threads, procs} than it was taken at.
+// numericsRevision names the arithmetic this build computes a catalog with.
+// RunHash folds it in, so a checkpoint written by, or a worker running, a
+// build whose catalog bytes differ by design is refused instead of mixing two
+// arithmetics into one catalog. Bump it with every change that moves catalog
+// bytes on purpose. 1: closed-form KL and flux-moment derivatives (the
+// revision the hash first carried).
+const numericsRevision = 1
+
+// RunHash fingerprints everything that determines a run's output: the build's
+// numerics revision, the survey (config and pixel data), the initialization
+// catalog, the task partition, and the numerically relevant config fields.
+// Threads, PatchThreads, and Processes are deliberately excluded — the
+// stage-frozen read discipline makes the result independent of the
+// source-level split, the fixed-order partial reduction makes per-fit
+// evaluations bitwise independent of the patch-level split, and a checkpoint
+// may legally resume at a different {threads, patch threads, procs} than it
+// was taken at.
 func RunHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config) uint64 {
+	return runHash(sv, catalog, tasks, cfg, numericsRevision)
+}
+
+// runHash is RunHash at a given numerics revision.
+func runHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config, revision int) uint64 {
 	cfg.defaults()
 	h := fnv.New64a()
 	wU64 := func(v uint64) {
@@ -97,6 +111,7 @@ func RunHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.
 	wF64 := func(v float64) { wU64(math.Float64bits(v)) }
 	wBox := func(b geom.Box) { wF64(b.MinRA); wF64(b.MinDec); wF64(b.MaxRA); wF64(b.MaxDec) }
 
+	wInt(revision)
 	c := &sv.Config
 	wU64(c.Seed)
 	wBox(c.Region)

@@ -130,7 +130,7 @@ type Region struct {
 }
 
 // workerScratch owns everything one sweep thread needs: the fit scratch
-// (ELBO buffers, AD arenas, trust-region workspace, row-sweep lanes), the
+// (ELBO buffers, trust-region workspace, row-sweep lanes), the
 // pooled problem builder (patch storage and neighbor-fold buffers), and the
 // neighbor-dedup bitmap. Pooled across Process calls so a steady-state
 // sweep performs no per-fit heap allocations.
@@ -143,7 +143,7 @@ type workerScratch struct {
 
 // freeList is a mutex-guarded scratch pool. Unlike sync.Pool it is immune
 // to GC clearing: a garbage collection mid-sweep must not discard the warm
-// AD arenas and lane slabs and force a multi-thousand-allocation rebuild.
+// lane slabs and patch buffers and force a rebuild.
 // Retention is bounded by the high-water mark of concurrent users (ranks x
 // threads), which is exactly the working set a long-running worker needs.
 type freeList[T any] struct {
@@ -236,7 +236,7 @@ func (cfg Config) Process(rg *Region) Stats {
 	}
 
 	// Each worker thread owns one scratch for the whole sweep: every source
-	// it fits reuses the same problem builder, ELBO buffers, AD arenas, and
+	// it fits reuses the same problem builder, ELBO buffers, and
 	// trust-region workspace, so the steady-state inner loop never touches
 	// the heap (Section VI-B budgets the per-source Newton fit as the unit
 	// of work; the scratch is what keeps that unit allocation-free).

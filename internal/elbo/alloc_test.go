@@ -14,7 +14,7 @@ import (
 func TestEvalIntoZeroAllocSteadyState(t *testing.T) {
 	pb, init := benchfix.SingleSourceScene(11)
 	s := elbo.NewScratch()
-	pb.EvalInto(&init, s) // warm the arenas and component buffers
+	pb.EvalInto(&init, s) // warm the component buffers and lane slabs
 
 	if allocs := testing.AllocsPerRun(10, func() {
 		pb.EvalInto(&init, s)

@@ -90,15 +90,13 @@ func refSpatial(s *ad.Space, xs []*ad.Num, anchor geom.Pt2, p *Patch,
 	return star, gal
 }
 
-// refELBO is the oracle: the entire objective in one 44-dim AD pass.
-func refELBO(pb *Problem, theta *model.Params) *ad.Num {
-	s := ad.NewSpace(model.ParamDim)
-	xs := s.Vars(theta[:])
-
-	chi := ad.Softmax([]*ad.Num{xs[model.ParamTypeStar], xs[model.ParamTypeGal]})
-
-	// Flux moments per type and band.
-	var el, el2 [model.NumTypes][model.NumBands]*ad.Num
+// refFluxMoments returns the type weights χ = softmax(a) and each type's
+// per-band flux moments E[ℓ_b], E[ℓ_b²] as AD graphs over xs (the 44
+// parameters): the oracle of computeBrightMoments.
+func refFluxMoments(xs []*ad.Num) (chi []*ad.Num, el, el2 [model.NumTypes][model.NumBands]*ad.Num) {
+	for _, l := range refLogSoftmax([]*ad.Num{xs[model.ParamTypeStar], xs[model.ParamTypeGal]}) {
+		chi = append(chi, ad.Exp(l))
+	}
 	for t := 0; t < model.NumTypes; t++ {
 		r1 := xs[model.ParamR1+t]
 		r2 := ad.Exp(xs[model.ParamR2+t])
@@ -117,6 +115,105 @@ func refELBO(pb *Problem, theta *model.Params) *ad.Num {
 			el2[t][b] = ad.Exp(ad.Add(ad.Scale(2, m), ad.Scale(2, v)))
 		}
 	}
+	return chi, el, el2
+}
+
+// refLogSoftmax returns log softmax(xs) as x_j − x_m − log1p(Σ_{k≠m}
+// exp(x_k − x_m)) around the largest entry x_m: finite where a softmax entry
+// underflows to 0, and with no 1 − q cancellation in its derivatives, so it
+// stays an accurate oracle at large logit gaps.
+func refLogSoftmax(xs []*ad.Num) []*ad.Num {
+	m := 0
+	for i, x := range xs {
+		if x.Val > xs[m].Val {
+			m = i
+		}
+	}
+	var sum *ad.Num
+	for i, x := range xs {
+		if i == m {
+			continue
+		}
+		e := ad.Exp(ad.Sub(x, xs[m]))
+		if sum == nil {
+			sum = e
+		} else {
+			sum = ad.Add(sum, e)
+		}
+	}
+	l1p := ad.Log1p(sum)
+	out := make([]*ad.Num, len(xs))
+	for i, x := range xs {
+		if i == m {
+			out[i] = ad.Neg(l1p)
+		} else {
+			out[i] = ad.Sub(ad.Sub(x, xs[m]), l1p)
+		}
+	}
+	return out
+}
+
+// refKL returns the total KL from the priors as an AD graph over xs (the 44
+// parameters): the oracle of computeKL, term by term as its doc states it.
+func refKL(xs []*ad.Num, priors *model.Priors) *ad.Num {
+	var total *ad.Num
+	add := func(t *ad.Num) {
+		if total == nil {
+			total = t
+		} else {
+			total = ad.Add(total, t)
+		}
+	}
+	normalKL := func(x, logVar *ad.Num, m, v float64) *ad.Num {
+		d := ad.AddConst(x, -m)
+		vx := ad.Exp(logVar)
+		return ad.Scale(0.5, ad.Add(
+			ad.Scale(1/v, ad.Add(vx, ad.Sqr(d))),
+			ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/v, vx))), -1)))
+	}
+
+	logChi := refLogSoftmax([]*ad.Num{xs[model.ParamTypeStar], xs[model.ParamTypeGal]})
+	priorChi := [2]float64{1 - priors.ProbGal, priors.ProbGal}
+	for t := 0; t < model.NumTypes; t++ {
+		add(ad.Mul(ad.Exp(logChi[t]), ad.AddConst(logChi[t], -logc(priorChi[t]))))
+	}
+	for t := 0; t < model.NumTypes; t++ {
+		klR := normalKL(xs[model.ParamR1+t], xs[model.ParamR2+t],
+			priors.R1Mean[t], priors.R1SD[t]*priors.R1SD[t])
+
+		logK := refLogSoftmax(xs[model.ParamK+model.NumPriorComps*t : model.ParamK+model.NumPriorComps*(t+1)])
+		var klK, klC *ad.Num
+		for dd := 0; dd < model.NumPriorComps; dd++ {
+			kd := ad.Exp(logK[dd])
+			term := ad.Mul(kd, ad.AddConst(logK[dd], -logc(priors.KWeight[t][dd])))
+			var comp *ad.Num
+			for i := 0; i < model.NumColors; i++ {
+				c := normalKL(xs[model.ParamC1+4*t+i], xs[model.ParamC2+4*t+i],
+					priors.CMean[t][dd][i], priors.CVar[t][dd][i])
+				if comp == nil {
+					comp = c
+				} else {
+					comp = ad.Add(comp, c)
+				}
+			}
+			w := ad.Mul(kd, comp)
+			if klK == nil {
+				klK, klC = term, w
+			} else {
+				klK, klC = ad.Add(klK, term), ad.Add(klC, w)
+			}
+		}
+		add(ad.Mul(ad.AddConst(ad.Exp(logChi[t]), klWeightFloor),
+			ad.Add(klR, ad.Add(klK, klC))))
+	}
+	return total
+}
+
+// refELBO is the oracle: the entire objective in one 44-dim AD pass.
+func refELBO(pb *Problem, theta *model.Params) *ad.Num {
+	s := ad.NewSpace(model.ParamDim)
+	xs := s.Vars(theta[:])
+	chi, el, el2 := refFluxMoments(xs)
 
 	anchor := geom.Pt2{RA: theta[model.ParamRA], Dec: theta[model.ParamDec]}
 	var total *ad.Num
@@ -152,61 +249,7 @@ func refELBO(pb *Problem, theta *model.Params) *ad.Num {
 		}
 	}
 
-	// KL terms.
-	priors := pb.Priors
-	priorChi := [2]float64{1 - priors.ProbGal, priors.ProbGal}
-	for t := 0; t < model.NumTypes; t++ {
-		addTerm(ad.Neg(ad.Mul(chi[t], ad.AddConst(ad.Log(chi[t]), -logc(priorChi[t])))))
-	}
-	for t := 0; t < model.NumTypes; t++ {
-		r1 := xs[model.ParamR1+t]
-		r2 := ad.Exp(xs[model.ParamR2+t])
-		pm := priors.R1Mean[t]
-		pv := priors.R1SD[t] * priors.R1SD[t]
-		d := ad.AddConst(r1, -pm)
-		klR := ad.Scale(0.5, ad.Add(
-			ad.Scale(1/pv, ad.Add(r2, ad.Sqr(d))),
-			ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/pv, r2))), -1)))
-
-		klogits := make([]*ad.Num, model.NumPriorComps)
-		for dd := 0; dd < model.NumPriorComps; dd++ {
-			klogits[dd] = xs[model.ParamK+model.NumPriorComps*t+dd]
-		}
-		kk := ad.Softmax(klogits)
-		var klK, klC *ad.Num
-		for dd := 0; dd < model.NumPriorComps; dd++ {
-			term := ad.Mul(kk[dd], ad.AddConst(ad.Log(kk[dd]), -logc(priors.KWeight[t][dd])))
-			if klK == nil {
-				klK = term
-			} else {
-				klK = ad.Add(klK, term)
-			}
-			var comp *ad.Num
-			for i := 0; i < model.NumColors; i++ {
-				c1 := xs[model.ParamC1+4*t+i]
-				c2 := ad.Exp(xs[model.ParamC2+4*t+i])
-				pmc := priors.CMean[t][dd][i]
-				pvc := priors.CVar[t][dd][i]
-				dc := ad.AddConst(c1, -pmc)
-				term := ad.Scale(0.5, ad.Add(
-					ad.Scale(1/pvc, ad.Add(c2, ad.Sqr(dc))),
-					ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/pvc, c2))), -1)))
-				if comp == nil {
-					comp = term
-				} else {
-					comp = ad.Add(comp, term)
-				}
-			}
-			w := ad.Mul(kk[dd], comp)
-			if klC == nil {
-				klC = w
-			} else {
-				klC = ad.Add(klC, w)
-			}
-		}
-		addTerm(ad.Neg(ad.Mul(ad.AddConst(chi[t], klWeightFloor),
-			ad.Add(klR, ad.Add(klK, klC)))))
-	}
+	addTerm(ad.Neg(refKL(xs, pb.Priors)))
 
 	// Position anchor.
 	if pb.PosPenalty > 0 {

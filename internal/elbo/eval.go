@@ -439,21 +439,16 @@ func (pb *Problem) finishEval(theta *model.Params, s *Scratch, grad *[activeDim]
 	}
 }
 
-// EvalValueWith computes the objective value only (no derivatives), used for
-// trust-region ratio tests, with the visit count; it evaluates in s's
-// buffers, and steady-state calls perform zero heap allocations. Like
+// EvalValueWith computes the objective value only (no pixel derivatives),
+// used for trust-region ratio tests, with the visit count; it evaluates in
+// s's buffers, and steady-state calls perform zero heap allocations. Like
 // EvalInto it sweeps rows of the culled active rectangle through the value
 // row kernel, with identical culling geometry so the two paths' visit counts
-// agree.
+// agree, and it reads the same flux moments and KL as the derivative tiers.
 func (pb *Problem) EvalValueWith(theta *model.Params, s *Scratch) (float64, int64) {
-	vc := &s.job.vc
-	vc.c = theta.Constrained()
-	c := &vc.c
-	vc.m1s, vc.m2s = model.FluxMoments(c.R1[model.Star], c.R2[model.Star], c.C1[model.Star], c.C2[model.Star])
-	vc.m1g, vc.m2g = model.FluxMoments(c.R1[model.Gal], c.R2[model.Gal], c.C1[model.Gal], c.C2[model.Gal])
-	vc.chiS, vc.chiG = 1-c.ProbGal, c.ProbGal
-
-	s.runPatches(pb, theta, nil, tierValue)
+	s.job.c = theta.Constrained()
+	bm := s.computeBrightMoments(theta)
+	s.runPatches(pb, theta, bm, tierValue)
 
 	var value float64
 	var visits int64
@@ -461,8 +456,7 @@ func (pb *Problem) EvalValueWith(theta *model.Params, s *Scratch) (float64, int6
 		value += s.parts[i].value
 		visits += s.parts[i].visits
 	}
-	kl := klValue(theta, pb.Priors)
-	value -= kl
+	value -= s.computeKL(theta, pb.Priors).Val
 	if pb.PosPenalty > 0 {
 		dra := theta[model.ParamRA] - pb.PosAnchor.RA
 		ddec := theta[model.ParamDec] - pb.PosAnchor.Dec
@@ -472,14 +466,13 @@ func (pb *Problem) EvalValueWith(theta *model.Params, s *Scratch) (float64, int6
 }
 
 // evalPatchValue is the value tier's per-patch sweep into a partial
-// accumulator, using one worker's sweep state and the caller-computed value
-// constants (constrained parameters and flux moments).
-func (pb *Problem) evalPatchValue(theta *model.Params, vc *valueConsts, p *Patch,
-	ws *sweepState, out *patchPartial) {
+// accumulator, using one worker's sweep state, the constrained parameters
+// and the flux moments the derivative tiers read.
+func (pb *Problem) evalPatchValue(theta *model.Params, c *model.Constrained, bm *brightMoments,
+	p *Patch, ws *sweepState, out *patchPartial) {
 
 	out.value = 0
 	out.visits = 0
-	c := &vc.c
 
 	px, py := p.WCS.WorldToPix(c.Pos)
 	cx0, cy0, cx1, cy1 := cullRect(p.Rect, px, py, cullRadiusPx(theta, p))
@@ -497,10 +490,8 @@ func (pb *Problem) evalPatchValue(theta *model.Params, vc *valueConsts, p *Patch
 	ws.galV = mog.CompileInto(ws.galV[:0], ws.galaxyMixtureInto(c, p))
 	iota := p.Iota
 	b := p.Band
-	aV := iota * vc.chiS * vc.m1s[b]
-	bV := iota * vc.chiG * vc.m1g[b]
-	cV := iota * iota * vc.chiS * vc.m2s[b]
-	dV := iota * iota * vc.chiG * vc.m2g[b]
+	aV, bV := iota*bm.A[b].Val, iota*bm.B[b].Val
+	cV, dV := iota*iota*bm.C[b].Val, iota*iota*bm.D[b].Val
 
 	ws.dxs = sliceutil.Grow(ws.dxs, w)
 	ws.rowS = sliceutil.Grow(ws.rowS, w)

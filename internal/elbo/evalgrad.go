@@ -37,20 +37,6 @@ func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 		res.Grad[i] = 0
 	}
 
-	// The KL and flux-moment AD subgraphs propagate gradients only on this
-	// tier — their Hessian loops are O(dim²) per operation and the gradient
-	// values are bitwise identical either way.
-	s.bmSpaceT.SetGradOnly(true)
-	s.bmSpace2.SetGradOnly(true)
-	s.klSpaceT.SetGradOnly(true)
-	s.klSpace2.SetGradOnly(true)
-	defer func() {
-		s.bmSpaceT.SetGradOnly(false)
-		s.bmSpace2.SetGradOnly(false)
-		s.klSpaceT.SetGradOnly(false)
-		s.klSpace2.SetGradOnly(false)
-	}()
-
 	bm := s.computeBrightMoments(theta)
 	s.runPatches(pb, theta, bm, tierGrad)
 
@@ -65,8 +51,7 @@ func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 	}
 
 	// Scatter the active block, then the KL and anchor terms — the same
-	// subgraphs EvalInto differentiates, so the shared coordinates match it
-	// exactly.
+	// computeKL EvalInto reads, so the shared coordinates match it exactly.
 	for i := 0; i < activeDim; i++ {
 		res.Grad[activeGlobal(i)] += grad[i]
 	}

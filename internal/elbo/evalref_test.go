@@ -190,8 +190,7 @@ func (pb *Problem) evalValueRef(theta *model.Params, s *Scratch) (float64, int64
 			}
 		}
 	}
-	kl := klValue(theta, pb.Priors)
-	value -= kl
+	value -= s.computeKL(theta, pb.Priors).Val
 	if pb.PosPenalty > 0 {
 		dra := theta[model.ParamRA] - pb.PosAnchor.RA
 		ddec := theta[model.ParamDec] - pb.PosAnchor.Dec

@@ -3,7 +3,6 @@ package elbo
 import (
 	"math"
 
-	"celeste/internal/ad"
 	"celeste/internal/galprof"
 	"celeste/internal/mathx"
 	"celeste/internal/model"
@@ -42,12 +41,39 @@ var klGlobal = func() [klDim]int {
 	return m
 }()
 
-// bmTDim is the dimension of one type's flux-moment subgraph: r1, r2, and
-// the color means and log-variances.
+// bmTDim is the size of one type's flux-moment block: r1, r2, and the color
+// means and log-variances.
 const bmTDim = 2 + 2*model.NumColors
 
+// klTDim is the size of one type's KL block: r1, r2, four color means, four
+// color log-variances, and the responsibility logits.
+const klTDim = bmTDim + model.NumPriorComps
+
+// klTMap maps a type's block indices to KL-subspace indices (global−6):
+// [r1, r2, c1[0..3], c2[0..3], k[0..7]]. The brightness subspace shares this
+// indexing, and its flux-moment block is the leading bmTDim entries.
+var klTMap = func() [model.NumTypes][klTDim]int {
+	var m [model.NumTypes][klTDim]int
+	for t := 0; t < model.NumTypes; t++ {
+		m[t][0] = model.ParamR1 + t - 6
+		m[t][1] = model.ParamR2 + t - 6
+		for i := 0; i < model.NumColors; i++ {
+			m[t][2+i] = model.ParamC1 + 4*t + i - 6
+			m[t][2+model.NumColors+i] = model.ParamC2 + 4*t + i - 6
+		}
+		for d := 0; d < model.NumPriorComps; d++ {
+			m[t][bmTDim+d] = model.ParamK + model.NumPriorComps*t + d - 6
+		}
+	}
+	return m
+}()
+
+// Every Hessian below is a lower triangle packed row-wise: entry (i, j),
+// i >= j, at i*(i+1)/2 + j.
+func packedIdx(i, j int) int { return i*(i+1)/2 + j }
+
 // bmNum is one assembled flux moment with derivatives over the brightDim
-// subspace, packed like an ad.Num of that dimension.
+// subspace.
 type bmNum struct {
 	Val  float64
 	Grad [brightDim]float64
@@ -62,289 +88,265 @@ type brightMoments struct {
 	A, B, C, D [model.NumBands]bmNum
 }
 
-// computeBrightMoments differentiates the flux moments with respect to the
-// 22 brightness coordinates at the current parameter values. Like computeKL
-// it exploits block separability: each moment is χ_t(a)·E(b_t) with E
-// touching only one type's bmTDim parameters, so E runs in a small AD space
-// (the first bmTDim entries of that type's klTMap — the brightness subspace
-// shares the KL subspace's indexing) and the χ coupling is assembled by
-// hand. Everything draws from the scratch's arenas; steady-state calls
-// allocate nothing, and in gradient-only mode the Hessian assembly is
-// skipped.
-func (s *Scratch) computeBrightMoments(theta *model.Params) *brightMoments {
-	gradOnly := s.bmSpaceT.GradOnly()
-
-	s.bmSpace2.Reset()
-	s.bmA[0] = s.bmSpace2.Var(theta[model.ParamTypeStar], 0)
-	s.bmA[1] = s.bmSpace2.Var(theta[model.ParamTypeGal], 1)
-	chi := ad.SoftmaxInto(s.bmChi[:], s.bmA[:]) // [star, gal]
-
-	bm := &s.bm
-	st := s.bmSpaceT
-	for t := 0; t < model.NumTypes; t++ {
-		st.Reset()
-		idx := klTMap[t][:bmTDim] // r1, r2, c1[..], c2[..] subspace indices
-		r1 := st.Var(theta[model.ParamR1+t], 0)
-		r2 := ad.Exp(st.Var(theta[model.ParamR2+t], 1))
-		c1 := s.bmC1[:]
-		c2 := s.bmC2[:]
-		for i := 0; i < model.NumColors; i++ {
-			c1[i] = st.Var(theta[model.ParamC1+4*t+i], 2+i)
-			c2[i] = ad.Exp(st.Var(theta[model.ParamC2+4*t+i], 2+model.NumColors+i))
-		}
-		for b := 0; b < model.NumBands; b++ {
-			m := r1
-			v := r2
-			for i := 0; i < model.NumColors; i++ {
-				beta := model.BandCoeff[b][i]
-				if beta == 0 {
-					continue
-				}
-				m = ad.Add(m, ad.Scale(beta, c1[i]))
-				v = ad.Add(v, ad.Scale(beta*beta, c2[i]))
-			}
-			el := ad.Exp(ad.Add(m, ad.Scale(0.5, v)))
-			el2 := ad.Exp(ad.Add(ad.Scale(2, m), ad.Scale(2, v)))
-			if t == model.Star {
-				assembleBM(&bm.A[b], chi[0], el, idx, gradOnly)
-				assembleBM(&bm.C[b], chi[0], el2, idx, gradOnly)
-			} else {
-				assembleBM(&bm.B[b], chi[1], el, idx, gradOnly)
-				assembleBM(&bm.D[b], chi[1], el2, idx, gradOnly)
-			}
-		}
-	}
-	return bm
-}
-
-// assembleBM fills out with the product w(a)·inner(b) by the same
-// hand-assembled chain rule computeKL uses: the two subgraphs (the 2-dim
-// type weight and one type's bmTDim flux subgraph) meet only through the
-// scalar product. idx maps inner's variable indices to brightness-subspace
-// indices; every entry outside the touched blocks is exactly zero, matching
-// what the dense 22-dim graph used to propagate.
-func assembleBM(out *bmNum, w, inner *ad.Num, idx []int, gradOnly bool) {
-	out.Val = w.Val * inner.Val
-	for i := range out.Grad {
-		out.Grad[i] = 0
-	}
-	out.Grad[0] = inner.Val * w.Grad[0]
-	out.Grad[1] = inner.Val * w.Grad[1]
-	for k, kg := range idx {
-		out.Grad[kg] = w.Val * inner.Grad[k]
-	}
-	if gradOnly {
-		return
-	}
-	for i := range out.Hess {
-		out.Hess[i] = 0
-	}
-	out.Hess[0] = inner.Val * w.Hess[0]
-	out.Hess[1] = inner.Val * w.Hess[1]
-	out.Hess[2] = inner.Val * w.Hess[2]
-	for k, kg := range idx {
-		base := kg * (kg + 1) / 2
-		row := out.Hess[base:]
-		gk := inner.Grad[k]
-		row[0] = w.Grad[0] * gk
-		row[1] = w.Grad[1] * gk
-		hb := k * (k + 1) / 2
-		for l := 0; l <= k; l++ {
-			row[idx[l]] = w.Val * inner.Hess[hb+l]
-		}
-	}
-}
-
-// klTDim is the dimension of one type's KL subgraph: r1, r2, four color
-// means, four color log-variances, and the responsibility logits.
-const klTDim = 2 + 2*model.NumColors + model.NumPriorComps
-
-// klTMap maps a type's subgraph variable indices to KL-subspace indices
-// (global−6): [r1, r2, c1[0..3], c2[0..3], k[0..7]].
-var klTMap = func() [model.NumTypes][klTDim]int {
-	var m [model.NumTypes][klTDim]int
-	for t := 0; t < model.NumTypes; t++ {
-		m[t][0] = model.ParamR1 + t - 6
-		m[t][1] = model.ParamR2 + t - 6
-		for i := 0; i < model.NumColors; i++ {
-			m[t][2+i] = model.ParamC1 + 4*t + i - 6
-			m[t][2+model.NumColors+i] = model.ParamC2 + 4*t + i - 6
-		}
-		for d := 0; d < model.NumPriorComps; d++ {
-			m[t][2+2*model.NumColors+d] = model.ParamK + model.NumPriorComps*t + d - 6
-		}
-	}
-	return m
-}()
-
-// klResult is the KL total with derivatives over the klDim subspace, packed
-// like an ad.Num of that dimension (lower-triangle Hessian).
+// klResult is the KL total with derivatives over the klDim subspace.
 type klResult struct {
 	Val  float64
 	Grad [klDim]float64
 	Hess [klDim * (klDim + 1) / 2]float64
 }
 
+// pairNum is a function of the two type logits (subspace indices 0 and 1 of
+// both the KL and the brightness subspace) with its derivatives.
+type pairNum struct {
+	Val  float64
+	Grad [2]float64
+	Hess [3]float64
+}
+
+// typeNum is a function of one type's klTDim block (klTMap order) with its
+// derivatives. A flux moment fills only the leading bmTDim block, whose
+// packed rows are a prefix of the whole triangle.
+type typeNum struct {
+	Val  float64
+	Grad [klTDim]float64
+	Hess [klTDim * (klTDim + 1) / 2]float64
+}
+
+// typeWeights returns χ = softmax(a) over the two type logits a as
+// functions of a. With two types 1 − χ_0 = χ_1, so the derivatives are
+// written in p = χ_0χ_1 and χ_1 − χ_0 and never subtract from 1:
+// ∇χ_0 = (p, −p) and ∇²χ_0 = p(χ_1 − χ_0)·[[1, −1], [−1, 1]]; χ_1 mirrors it.
+func typeWeights(theta *model.Params) (chi [model.NumTypes]pairNum) {
+	a := [model.NumTypes]float64{theta[model.ParamTypeStar], theta[model.ParamTypeGal]}
+	lse := mathx.LogSumExp(a[:])
+	q0, q1 := math.Exp(a[0]-lse), math.Exp(a[1]-lse)
+	p, h := q0*q1, q0*q1*(q1-q0)
+	chi[model.Star] = pairNum{Val: q0, Grad: [2]float64{p, -p}, Hess: [3]float64{h, -h, h}}
+	chi[model.Gal] = pairNum{Val: q1, Grad: [2]float64{-p, p}, Hess: [3]float64{-h, h, -h}}
+	return chi
+}
+
+// softmaxTerm writes F(z) = Σ_d q_d·(log q_d + s_d), q = softmax(z), with
+// z-independent s_d, into grad[off+j] and the packed hess block over rows and
+// columns off..off+len(z)−1, and returns F. With r_d = log q_d + s_d − F,
+//
+//	∂F/∂z_j = q_j·r_j,   ∂²F/∂z_j∂z_l = δ_jl·q_j(r_j + 1) − q_j q_l(r_j + r_l + 1),
+//
+// the blocks q_j(δ_jl − q_l) applied to r. log q_d is z_d − lse(z), never the
+// log of q_d, so a q_d that underflows to 0 contributes exactly 0. q and r
+// are the caller's buffers, len(z) each; q is left holding the softmax for
+// the caller's cross terms.
+func softmaxTerm(z, s, q, r []float64, off int, grad, hess []float64) float64 {
+	lse := mathx.LogSumExp(z)
+	var f float64
+	for d := range z {
+		ld := z[d] - lse
+		q[d] = math.Exp(ld)
+		r[d] = ld + s[d]
+		f += q[d] * r[d]
+	}
+	for d := range r {
+		r[d] -= f
+	}
+	for j := range z {
+		grad[off+j] = q[j] * r[j]
+		row := hess[packedIdx(off+j, off):]
+		for l := 0; l <= j; l++ {
+			h := -q[j] * q[l] * (r[j] + r[l] + 1)
+			if l == j {
+				h += q[j] * (r[j] + 1)
+			}
+			row[l] = h
+		}
+	}
+	return f
+}
+
+// klNormal returns KL(N(x, e^y) || N(m, v)) and its derivatives in the mean
+// x and the log-variance y. The Hessian is diagonal: ∂²/∂x∂y = 0.
+func klNormal(x, y, m, v float64) (val, gx, gy, hxx, hyy float64) {
+	d := x - m
+	ev := math.Exp(y) / v
+	val = 0.5 * (ev + d*d/v - 1 - y + math.Log(v))
+	return val, d / v, 0.5 * (ev - 1), 1 / v, 0.5 * ev
+}
+
+// addProduct adds w·inner to the packed result (val, grad, hess) by the
+// chain rule ∇²(w·inner) = w·∇²inner + ∇w⊗∇inner + ∇inner⊗∇w + inner·∇²w.
+// w depends on result coordinates 0 and 1 (the type logits); inner on the
+// coordinates idx, which are increasing and past 1, so the two blocks are
+// disjoint and every entry written lies in the lower triangle.
+func addProduct(val *float64, grad, hess []float64, w *pairNum, inner *typeNum, idx []int) {
+	*val += w.Val * inner.Val
+	grad[0] += inner.Val * w.Grad[0]
+	grad[1] += inner.Val * w.Grad[1]
+	for k := range w.Hess {
+		hess[k] += inner.Val * w.Hess[k]
+	}
+	for k, kg := range idx {
+		gk := inner.Grad[k]
+		grad[kg] += w.Val * gk
+		row := hess[packedIdx(kg, 0):]
+		row[0] += w.Grad[0] * gk
+		row[1] += w.Grad[1] * gk
+		ih := inner.Hess[packedIdx(k, 0):]
+		for l := 0; l <= k; l++ {
+			row[idx[l]] += w.Val * ih[l]
+		}
+	}
+}
+
+// computeBrightMoments differentiates the flux moments with respect to the
+// brightness subspace at the current parameters. Each moment is χ_t(a)·E with
+// E = exp(α·m + γ·v) touching only type t's bmTDim block, where log ℓ_b has
+// mean m = r1 + Σ β_i c1_i and variance v = r2 + Σ β_i² c2_i (E[ℓ_b]:
+// α, γ = 1, ½; E[ℓ_b²]: 2, 2). With u = α∇m + γ∇v,
+//
+//	∇E = E·u,   ∇²E = E·(u uᵀ + γ·∇²v),
+//
+// and ∇²v = diag(∇v) because each term of v is the exponential of a single
+// log-variance. E's values come from model.FluxMoments; the χ coupling is
+// added by addProduct. All three tiers read the result.
+func (s *Scratch) computeBrightMoments(theta *model.Params) *brightMoments {
+	bm := &s.bm
+	*bm = brightMoments{}
+	chi := typeWeights(theta)
+	c := theta.Constrained()
+	var e typeNum
+	for t := 0; t < model.NumTypes; t++ {
+		m1, m2 := model.FluxMoments(c.R1[t], c.R2[t], c.C1[t], c.C2[t])
+		idx := klTMap[t][:bmTDim]
+		for b := 0; b < model.NumBands; b++ {
+			var dm, dv [bmTDim]float64 // ∇m, ∇v over the block
+			dm[0] = 1
+			dv[1] = c.R2[t]
+			for i := 0; i < model.NumColors; i++ {
+				beta := model.BandCoeff[b][i]
+				dm[2+i] = beta
+				dv[2+model.NumColors+i] = beta * beta * c.C2[t][i]
+			}
+			first, second := &bm.A[b], &bm.C[b]
+			if t == model.Gal {
+				first, second = &bm.B[b], &bm.D[b]
+			}
+			fluxInner(&e, m1[b], 1, 0.5, &dm, &dv)
+			addProduct(&first.Val, first.Grad[:], first.Hess[:], &chi[t], &e, idx)
+			fluxInner(&e, m2[b], 2, 2, &dm, &dv)
+			addProduct(&second.Val, second.Grad[:], second.Hess[:], &chi[t], &e, idx)
+		}
+	}
+	return bm
+}
+
+// fluxInner fills the leading bmTDim block of e with E = exp(α·m + γ·v),
+// given its value and ∇m, ∇v (see computeBrightMoments).
+func fluxInner(e *typeNum, val, alpha, gamma float64, dm, dv *[bmTDim]float64) {
+	var u [bmTDim]float64
+	for k := range u {
+		u[k] = alpha*dm[k] + gamma*dv[k]
+	}
+	e.Val = val
+	for k := range u {
+		e.Grad[k] = val * u[k]
+		row := e.Hess[packedIdx(k, 0):]
+		for l := 0; l <= k; l++ {
+			row[l] = val * u[k] * u[l]
+		}
+		row[k] += val * gamma * dv[k]
+	}
+}
+
 // computeKL returns the total KL divergence from the priors with derivatives
 // in the KL subspace (global indices 6..43):
 //
-//	KL(q(a)||p(a)) + Σ_t (q(a=t)+ε)·[KL_r(t) + KL_k(t) + Σ_d q(k=d)·KL_c(t,d)]
+//	KL(q(a)||p(a)) + Σ_t w_t·[KL_r(t) + Σ_d q(k=d)·(log q(k=d)/p(k=d) + KL_c(t,d))]
 //
-// The KL is block-separable: each type's inner term touches only that type's
-// klTDim parameters, coupled to the rest solely through the scalar weight
-// w_t = q(a=t)+ε. So instead of differentiating one graph over all klDim
-// coordinates — whose O(klDim²)-per-operation Hessians used to dominate the
-// whole evaluation's fixed cost — the inner terms run in a klTDim-dimensional
-// space, the type weights in a 2-dimensional one, and the chain rule
-//
-//	∇²(w·inner) = w·∇²inner + ∇w⊗∇inner + inner·∇²w
-//
-// is assembled by hand into the packed klDim result. Every intermediate
-// comes from the scratch's arenas, so steady-state calls allocate nothing;
-// when the scratch's KL spaces are in gradient-only mode the Hessian
-// assembly is skipped entirely.
+// with w_t = q(a=t) + klWeightFloor. The normal KLs (KL_r, and KL_c summed
+// over colors) have diagonal derivatives in each mean and log-variance; the
+// two softmax-weighted sums go through softmaxTerm, with the colors' cross
+// terms ∂²/∂k_d∂x = q_d·(∂KL_c(t,d)/∂x − Σ_e q_e ∂KL_c(t,e)/∂x). Each
+// type's bracket touches only its klTDim block and meets the type logits
+// only through the scalar weight, so addProduct assembles the total. All
+// three tiers read the result.
 func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *klResult {
 	out := &sc.klOut
-	gradOnly := sc.klSpaceT.GradOnly()
-	out.Val = 0
-	for i := range out.Grad {
-		out.Grad[i] = 0
-	}
-	if !gradOnly {
-		for i := range out.Hess {
-			out.Hess[i] = 0
-		}
-	}
+	*out = klResult{}
+	a := [model.NumTypes]float64{theta[model.ParamTypeStar], theta[model.ParamTypeGal]}
+	s := [model.NumTypes]float64{-logc(1 - priors.ProbGal), -logc(priors.ProbGal)}
+	var q, r [model.NumTypes]float64
+	out.Val = softmaxTerm(a[:], s[:], q[:], r[:], 0, out.Grad[:], out.Hess[:])
 
-	// Type-indicator subgraph (dimension 2): softmax weights, their KL
-	// against the prior, and the floored inner weights w_t.
-	s2 := sc.klSpace2
-	s2.Reset()
-	sc.klA[0] = s2.Var(theta[model.ParamTypeStar], 0)
-	sc.klA[1] = s2.Var(theta[model.ParamTypeGal], 1)
-	chi := ad.SoftmaxInto(sc.klChi[:], sc.klA[:])
-	priorChi := [2]float64{1 - priors.ProbGal, priors.ProbGal}
-	var typeKL *ad.Num
+	// The type-conditional KL is weighted by q(a=t) with a small floor: when
+	// one type's probability collapses, its brightness and color parameters
+	// would otherwise be untethered (zero gradient from both likelihood and
+	// KL) and could freeze at arbitrary values that later poison mixture
+	// summaries. The floor keeps them anchored to the prior at negligible
+	// cost to the bound.
+	chi := typeWeights(theta)
+	var inner typeNum
 	for t := 0; t < model.NumTypes; t++ {
-		term := ad.Mul(chi[t], ad.Sub(ad.Log(chi[t]),
-			s2.Const(logc(priorChi[t]))))
-		if typeKL == nil {
-			typeKL = term
-		} else {
-			typeKL = ad.Add(typeKL, term)
-		}
-	}
-	out.Val = typeKL.Val
-	out.Grad[0] = typeKL.Grad[0]
-	out.Grad[1] = typeKL.Grad[1]
-	if !gradOnly {
-		// KL-subspace indices 0 and 1 are the chi logits, so the 2-dim
-		// packed triangle maps to packed entries 0..2 verbatim.
-		out.Hess[0] = typeKL.Hess[0]
-		out.Hess[1] = typeKL.Hess[1]
-		out.Hess[2] = typeKL.Hess[2]
-	}
-
-	st := sc.klSpaceT
-	for t := 0; t < model.NumTypes; t++ {
-		// The type-conditional KL is weighted by q(a=t) with a small floor:
-		// when one type's probability collapses, its brightness and color
-		// parameters would otherwise be untethered (zero gradient from both
-		// likelihood and KL) and could freeze at arbitrary values that later
-		// poison mixture summaries. The floor keeps them anchored to the
-		// prior at negligible cost to the bound.
-		w := ad.AddConst(chi[t], klWeightFloor)
-
-		st.Reset()
-		idx := &klTMap[t]
-		vars := sc.klTVars[:]
-		for k := 0; k < klTDim; k++ {
-			vars[k] = st.Var(theta[6+idx[k]], k)
-		}
-
-		// KL of the log-normal brightness against the log-normal prior
-		// (normal KL on the log scale).
-		r1 := vars[0]
-		r2 := ad.Exp(vars[1])
-		pm := priors.R1Mean[t]
-		pv := priors.R1SD[t] * priors.R1SD[t]
-		d := ad.AddConst(r1, -pm)
-		klR := ad.Scale(0.5, ad.Add(
-			ad.Scale(1/pv, ad.Add(r2, ad.Sqr(d))),
-			ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/pv, r2))), -1)))
-
-		// Categorical responsibilities against the prior mixture weights.
-		klogits := vars[2+2*model.NumColors : 2+2*model.NumColors+model.NumPriorComps]
-		k := ad.SoftmaxInto(sc.klK[:], klogits)
-		var klK *ad.Num
-		for dd := 0; dd < model.NumPriorComps; dd++ {
-			term := ad.Mul(k[dd], ad.Sub(ad.Log(k[dd]),
-				st.Const(logc(priors.KWeight[t][dd]))))
-			if klK == nil {
-				klK = term
-			} else {
-				klK = ad.Add(klK, term)
-			}
-		}
-
-		// Colors: responsibility-weighted normal KLs against each prior
-		// component.
-		var klC *ad.Num
-		for dd := 0; dd < model.NumPriorComps; dd++ {
-			var comp *ad.Num
-			for i := 0; i < model.NumColors; i++ {
-				c1 := vars[2+i]
-				c2 := ad.Exp(vars[2+model.NumColors+i])
-				pmc := priors.CMean[t][dd][i]
-				pvc := priors.CVar[t][dd][i]
-				dc := ad.AddConst(c1, -pmc)
-				term := ad.Scale(0.5, ad.Add(
-					ad.Scale(1/pvc, ad.Add(c2, ad.Sqr(dc))),
-					ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/pvc, c2))), -1)))
-				if comp == nil {
-					comp = term
-				} else {
-					comp = ad.Add(comp, term)
-				}
-			}
-			weighted := ad.Mul(k[dd], comp)
-			if klC == nil {
-				klC = weighted
-			} else {
-				klC = ad.Add(klC, weighted)
-			}
-		}
-
-		inner := ad.Add(ad.Add(klR, klK), klC)
-
-		// Hand-assembled chain rule for w(a)·inner(b): the two subgraphs
-		// meet only through the scalar weight.
-		out.Val += w.Val * inner.Val
-		out.Grad[0] += inner.Val * w.Grad[0]
-		out.Grad[1] += inner.Val * w.Grad[1]
-		for kk := 0; kk < klTDim; kk++ {
-			out.Grad[idx[kk]] += w.Val * inner.Grad[kk]
-		}
-		if gradOnly {
-			continue
-		}
-		out.Hess[0] += inner.Val * w.Hess[0]
-		out.Hess[1] += inner.Val * w.Hess[1]
-		out.Hess[2] += inner.Val * w.Hess[2]
-		for kk := 0; kk < klTDim; kk++ {
-			kg := idx[kk]
-			base := kg * (kg + 1) / 2
-			row := out.Hess[base:]
-			gk := inner.Grad[kk]
-			row[0] += w.Grad[0] * gk
-			row[1] += w.Grad[1] * gk
-			hb := kk * (kk + 1) / 2
-			for ll := 0; ll <= kk; ll++ {
-				row[idx[ll]] += w.Val * inner.Hess[hb+ll]
-			}
-		}
+		klTypeInner(&inner, theta, priors, t)
+		w := chi[t]
+		w.Val += klWeightFloor
+		addProduct(&out.Val, out.Grad[:], out.Hess[:], &w, &inner, klTMap[t][:])
 	}
 	return out
+}
+
+// klTypeInner fills inner with type t's bracket of computeKL over its klTDim
+// block.
+func klTypeInner(inner *typeNum, theta *model.Params, priors *model.Priors, t int) {
+	*inner = typeNum{}
+	idx := &klTMap[t]
+	x := func(k int) float64 { return theta[6+idx[k]] }
+
+	// Log-normal brightness against the log-normal prior (normal KL on the
+	// log scale).
+	pm, psd := priors.R1Mean[t], priors.R1SD[t]
+	klR, g0, g1, h00, h11 := klNormal(x(0), x(1), pm, psd*psd)
+	inner.Grad[0], inner.Grad[1] = g0, g1
+	inner.Hess[packedIdx(0, 0)], inner.Hess[packedIdx(1, 1)] = h00, h11
+
+	// Colors against each prior component: KL_c(t,d) and its per-color
+	// derivatives in the mean (gm, hm) and log-variance (gv, hv).
+	var gm, gv, hm, hv [model.NumPriorComps][model.NumColors]float64
+	var q, r, s [model.NumPriorComps]float64
+	for d := 0; d < model.NumPriorComps; d++ {
+		var kc float64
+		for i := 0; i < model.NumColors; i++ {
+			v, g1, g2, h1, h2 := klNormal(x(2+i), x(2+model.NumColors+i),
+				priors.CMean[t][d][i], priors.CVar[t][d][i])
+			kc += v
+			gm[d][i], gv[d][i], hm[d][i], hv[d][i] = g1, g2, h1, h2
+		}
+		s[d] = kc - logc(priors.KWeight[t][d])
+	}
+
+	// Responsibilities: the categorical KL and the colors' weighted sum in
+	// one softmax term.
+	var z [model.NumPriorComps]float64
+	for d := range z {
+		z[d] = x(bmTDim + d)
+	}
+	inner.Val = klR + softmaxTerm(z[:], s[:], q[:], r[:], bmTDim, inner.Grad[:], inner.Hess[:])
+
+	for i := 0; i < model.NumColors; i++ {
+		ci, vi := 2+i, 2+model.NumColors+i
+		var g1, g2, h1, h2 float64
+		for d := 0; d < model.NumPriorComps; d++ {
+			g1 += q[d] * gm[d][i]
+			g2 += q[d] * gv[d][i]
+			h1 += q[d] * hm[d][i]
+			h2 += q[d] * hv[d][i]
+		}
+		inner.Grad[ci], inner.Grad[vi] = g1, g2
+		inner.Hess[packedIdx(ci, ci)], inner.Hess[packedIdx(vi, vi)] = h1, h2
+		for d := 0; d < model.NumPriorComps; d++ {
+			row := inner.Hess[packedIdx(bmTDim+d, 0):]
+			row[ci] = q[d] * (gm[d][i] - g1)
+			row[vi] = q[d] * (gv[d][i] - g2)
+		}
+	}
 }
 
 // klWeightFloor anchors the unused source type's parameters to the prior.
@@ -352,26 +354,4 @@ const klWeightFloor = 1e-3
 
 func logc(p float64) float64 {
 	return math.Log(mathx.Clamp(p, mathx.Eps, 1))
-}
-
-// klValue computes the same KL total as computeKL without derivatives.
-func klValue(theta *model.Params, priors *model.Priors) float64 {
-	c := theta.Constrained()
-	chi := [2]float64{1 - c.ProbGal, c.ProbGal}
-	priorChi := [2]float64{1 - priors.ProbGal, priors.ProbGal}
-	total := mathx.KLBernoulli(chi[1], priorChi[1])
-	for t := 0; t < model.NumTypes; t++ {
-		inner := mathx.KLNormal(c.R1[t], c.R2[t], priors.R1Mean[t], priors.R1SD[t]*priors.R1SD[t])
-		inner += mathx.KLCategorical(c.K[t][:], priors.KWeight[t][:])
-		for dd := 0; dd < model.NumPriorComps; dd++ {
-			var comp float64
-			for i := 0; i < model.NumColors; i++ {
-				comp += mathx.KLNormal(c.C1[t][i], c.C2[t][i],
-					priors.CMean[t][dd][i], priors.CVar[t][dd][i])
-			}
-			inner += c.K[t][dd] * comp
-		}
-		total += (chi[t] + klWeightFloor) * inner
-	}
-	return total
 }

@@ -127,25 +127,16 @@ const (
 	tierValue
 )
 
-// valueConsts carries the value tier's per-evaluation constants (computed
-// once by the caller, read-only for workers): the constrained parameters and
-// the flux moments folded with the type probabilities.
-type valueConsts struct {
-	c                  model.Constrained
-	chiS, chiG         float64
-	m1s, m2s, m1g, m2g [model.NumBands]float64
-}
-
 // parJob is the shared state of one fan-out: the read-only inputs (problem,
-// parameters, brightness moments or value constants), the partial slots, the
-// atomic next-patch claim counter, and the completion barrier. It lives
-// inside a Scratch so dispatch allocates nothing; the input pointers are
-// cleared when the fan-out completes.
+// parameters, brightness moments, and the value tier's constrained
+// parameters), the partial slots, the atomic next-patch claim counter, and
+// the completion barrier. It lives inside a Scratch so dispatch allocates
+// nothing; the input pointers are cleared when the fan-out completes.
 type parJob struct {
 	pb     *Problem
 	theta  *model.Params
 	bm     *brightMoments
-	vc     valueConsts
+	c      model.Constrained
 	tier   evalTier
 	parts  []patchPartial
 	states []*sweepState
@@ -171,7 +162,7 @@ func (j *parJob) run(slot int) {
 		case tierGrad:
 			j.pb.evalPatchGrad(j.theta, j.bm, p, w, out)
 		default:
-			j.pb.evalPatchValue(j.theta, &j.vc, p, w, out)
+			j.pb.evalPatchValue(j.theta, &j.c, j.bm, p, w, out)
 		}
 	}
 }
@@ -263,7 +254,7 @@ func (s *Scratch) ensureParts(n int, needHess bool) {
 }
 
 // runPatches fans the per-patch sweeps of one evaluation out to the crew
-// (value tier callers fill s.job.vc first). The caller participates as
+// (value tier callers fill s.job.c first). The caller participates as
 // worker slot 0, so a single-worker scratch — or a problem with one patch —
 // runs the identical code path inline with no synchronization. On return
 // every partial in s.parts[:len(pb.Patches)] is complete.

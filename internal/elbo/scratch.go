@@ -1,14 +1,13 @@
 package elbo
 
 import (
-	"celeste/internal/ad"
 	"celeste/internal/linalg"
 	"celeste/internal/model"
 )
 
 // Scratch owns every buffer one objective evaluation needs: the Result
-// (with its 44x44 Hessian), the 28x28 active-block accumulator, the AD
-// arenas for the brightness-moment and KL subgraphs, the per-worker sweep
+// (with its 44x44 Hessian), the 28x28 active-block accumulator, the
+// closed-form flux moments and KL with their derivatives, the per-worker sweep
 // states (spatial dual evaluator, SoA row lanes, value-path mixture
 // buffers), and the per-patch partial accumulators the fixed-order reduction
 // consumes. One Scratch serves one goroutine — with SetWorkers(n > 1) the
@@ -21,28 +20,10 @@ type Scratch struct {
 	gres       GradResult  // gradient-tier result (EvalGradInto)
 	activeHess *linalg.Mat // activeDim x activeDim, lower triangle
 
-	// Brightness-moment AD subgraphs: a bmTDim-dimensional space for the
-	// per-type flux subgraphs and a 2-dimensional one for the type weights,
-	// assembled by hand into bm (see computeBrightMoments).
-	bmSpaceT *ad.Space
-	bmSpace2 *ad.Space
-	bmA      [2]*ad.Num
-	bmChi    [2]*ad.Num
-	bmC1     [model.NumColors]*ad.Num
-	bmC2     [model.NumColors]*ad.Num
-	bm       brightMoments
-
-	// KL AD subgraphs: one klTDim-dimensional space per-type inner terms
-	// run in (sequentially, reset between types), a 2-dimensional space for
-	// the type-indicator weights, and the packed klDim-dimensional output
-	// the hand-assembled chain rule fills (see computeKL).
-	klSpaceT *ad.Space
-	klSpace2 *ad.Space
-	klTVars  [klTDim]*ad.Num
-	klA      [2]*ad.Num
-	klChi    [2]*ad.Num
-	klK      [model.NumPriorComps]*ad.Num
-	klOut    klResult
+	// The flux moments and the KL with their derivatives, as the last
+	// computeBrightMoments and computeKL left them.
+	bm    brightMoments
+	klOut klResult
 
 	// Patch fan-out state (see parallel.go): one sweep state per worker
 	// (slot 0 is the owning goroutine), the per-patch partial accumulators,
@@ -58,10 +39,6 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		res:        Result{Hess: linalg.NewMat(model.ParamDim, model.ParamDim)},
 		activeHess: linalg.NewMat(activeDim, activeDim),
-		bmSpaceT:   ad.NewSpace(bmTDim),
-		bmSpace2:   ad.NewSpace(2),
-		klSpaceT:   ad.NewSpace(klTDim),
-		klSpace2:   ad.NewSpace(2),
 		states:     []*sweepState{newSweepState()},
 	}
 }
