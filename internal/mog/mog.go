@@ -228,6 +228,11 @@ type Evaluator struct {
 	Star []DualComp
 	Gal  []DualComp
 	jac  Jac2
+
+	// galTab is the galaxy lane pass's constant table (see rowgrad.go), a
+	// 16-byte-aligned view into galBuf. SweepRowGrad rewrites its per-row
+	// entries, so an Evaluator sweeps one row at a time.
+	galTab, galBuf []float64
 }
 
 // NewEvaluator builds star and galaxy components for one source on one
@@ -292,22 +297,28 @@ func (e *Evaluator) Build(psf Mixture, expProf, devProf []ProfComp,
 				det := dual.Sub(dual.Mul(s11, s22), dual.Sqr(s12))
 				invDet := dual.Recip(det)
 				wt := dual.Scale(pc.Weight*pk.Weight/(2*math.Pi), mix)
-				q11 := dual.Mul(s22, invDet)
-				dc := DualComp{
-					K:   dual.Mul(wt, dual.Recip(dual.Sqrt(det))),
-					Q11: q11,
-					Q12: dual.Neg(dual.Mul(s12, invDet)),
-					Q22: dual.Mul(s11, invDet),
-					MuX: pk.MuX, MuY: pk.MuY,
-					EStep: math.Exp(-q11.V),
+				// Built in place: every field is assigned, so a reused
+				// slot needs no clearing and no component is copied.
+				n := len(e.Gal)
+				if n < cap(e.Gal) {
+					e.Gal = e.Gal[:n+1]
+				} else {
+					e.Gal = append(e.Gal, DualComp{})
 				}
+				dc := &e.Gal[n]
+				dc.K = dual.Mul(wt, dual.Recip(dual.Sqrt(det)))
+				dc.Q11 = dual.Mul(s22, invDet)
+				dc.Q12 = dual.Neg(dual.Mul(s12, invDet))
+				dc.Q22 = dual.Mul(s11, invDet)
+				dc.MuX, dc.MuY = pk.MuX, pk.MuY
+				dc.EStep = math.Exp(-dc.Q11.V)
 				dc.Geom.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
-				e.Gal = append(e.Gal, dc)
 			}
 		}
 	}
 	add(expProf, oneMinusRho)
 	add(devProf, rho)
+	e.fillGalTab()
 }
 
 // BuildGrad is Build carrying first derivatives only: it fills the V and G
@@ -377,6 +388,7 @@ func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 	}
 	add(expProf, oneMinusRho)
 	add(devProf, rho)
+	e.fillGalTab()
 }
 
 // starCompsInto appends the PSF's star components to dst and returns it.

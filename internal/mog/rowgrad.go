@@ -2,17 +2,19 @@ package mog
 
 import (
 	"math"
+	"unsafe"
 
 	"celeste/internal/dual"
 	"celeste/internal/sliceutil"
 )
 
 // This file implements the first-order row sweeps — pass A of the
-// moment-contracted derivative tiers (see rowmoment.go). Both record, per
-// component, the bare exponential E = exp(-q/2) over its active span into the
+// moment-contracted derivative tiers (see rowmoment.go). Both run, per
+// component, the serial part of a row sweep (eRow: SweepRow's active
+// interval, exp-free recurrence and bitwise qCutoff decisions) into the
 // lanes' E slab, which the moment pass re-reads instead of re-running the
-// recurrence; both share SweepRow's active intervals, exp-free recurrence and
-// bitwise qCutoff decisions.
+// recurrence, and then add the component's terms to the lanes pixel by pixel
+// from that slab.
 //
 //   - SweepRowGrad fills the value and gradient lanes: the full tier's pass A
 //     (its per-pixel outer products and brightness vector moments need the
@@ -73,6 +75,8 @@ func (l *RowLanes) growE(n int) {
 
 // sweepCompsE accumulates the density values of comps into dst and records
 // each component's exponential row; slab rows start at component index base.
+// A rejected pixel's E is 0, so kv*E adds +0 there and leaves dst's bits as
+// they are (dst starts at +0 and never holds −0).
 func sweepCompsE(l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy float64) {
 	w := l.w
 	for ci := range comps {
@@ -81,41 +85,52 @@ func sweepCompsE(l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy
 		if kv == 0 {
 			continue
 		}
-		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
 		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		i0, i1, ok := rowInterval(dxs, c.Q11.V, &c.Geom, c.MuX, d2)
 		if !ok {
 			continue
 		}
 		l.span[base+ci] = rowSpan{i0, i1}
 		erow := l.e[(base+ci)*w : (base+ci+1)*w]
-
-		var ev, rr float64
-		n := 0
+		c.eRow(erow, dxs, d2, i0, i1)
 		for i := i0; i <= i1; i++ {
-			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				dst[i] += kv * ev
-				erow[i] = ev
-			} else {
-				erow[i] = 0
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
+			dst[i] += kv * erow[i]
 		}
 	}
 }
 
-// sweepStarGrad is sweepStar without the position-position Hessian lanes.
+// eRow writes the component's bare exponential exp(-q/2) at the pixels
+// i0..i1 of a row at y-offset d2 into erow, exactly zero where q > qCutoff.
+// It is the serial part of a row sweep: the exponential recurrence with its
+// resyncs and the cutoff test, the same operations as SweepRow's.
+func (c *DualComp) eRow(erow, dxs []float64, d2 float64, i0, i1 int) {
+	q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
+	s22 := d2 * d2
+	var ev, rr float64
+	n := 0
+	for i := i0; i <= i1; i++ {
+		d1 := dxs[i] - c.MuX
+		s11, s12 := d1*d1, d1*d2
+		qv := q11*s11 + 2*q12*s12 + q22*s22
+		if n == 0 {
+			ev = math.Exp(-0.5 * qv)
+			rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
+			n = rowResync
+		}
+		if qv <= qCutoff {
+			erow[i] = ev
+		} else {
+			erow[i] = 0
+		}
+		ev *= rr
+		rr *= c.EStep
+		n--
+	}
+}
+
+// sweepStarGrad is sweepStar without the position-position Hessian lanes:
+// eRow, then the two gradient lanes at the pixels with E ≠ 0 (exactly the
+// accepted ones).
 func (e *Evaluator) sweepStarGrad(l *RowLanes, dxs []float64, dy float64) {
 	g10, g11 := -e.jac.A11, -e.jac.A12
 	g20, g21 := -e.jac.A21, -e.jac.A22
@@ -128,116 +143,141 @@ func (e *Evaluator) sweepStarGrad(l *RowLanes, dxs []float64, dy float64) {
 		kv := c.K.V
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
 		d2 := dy - c.MuY
-		s22 := d2 * d2
 		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
 		if !ok {
 			continue
 		}
 		l.span[ci] = rowSpan{i0, i1}
 		erow := l.e[ci*w : (ci+1)*w]
-
-		var ev, rr float64
-		n := 0
+		c.eRow(erow, dxs, d2, i0, i1)
 		for i := i0; i <= i1; i++ {
+			ev := erow[i]
+			if ev == 0 {
+				continue
+			}
 			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				tq1 := 2 * (q11*d1 + q12*d2)
-				tq2 := 2 * (q12*d1 + q22*d2)
-				qg0 := tq1*g10 + tq2*g20
-				qg1 := tq1*g11 + tq2*g21
-				ke := kv * ev
-				sv[i] += ke
-				sg0[i] -= 0.5 * ke * qg0
-				sg1[i] -= 0.5 * ke * qg1
-				erow[i] = ev
-			} else {
-				erow[i] = 0
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
+			tq1 := 2 * (q11*d1 + q12*d2)
+			tq2 := 2 * (q12*d1 + q22*d2)
+			qg0 := tq1*g10 + tq2*g20
+			qg1 := tq1*g11 + tq2*g21
+			ke := kv * ev
+			sv[i] += ke
+			sg0[i] -= 0.5 * ke * qg0
+			sg1[i] -= 0.5 * ke * qg1
 		}
 	}
 }
 
-// sweepGalGrad is sweepGal keeping only the value and gradient lanes: the
-// row-hoisted shape-gradient coefficients survive, the Hessian hoists and the
-// per-pixel ta/tb bookkeeping do not.
+// sweepGalGrad is sweepGal keeping only the value and gradient lanes, in two
+// loops per component. The serial loop keeps what carries state from pixel
+// to pixel — the active interval, the exponential recurrence with its
+// resyncs and the qCutoff test — and writes only the component's E row.
+// The lane pass (galLanes) then reads that row and, pixel by pixel
+// independently, adds the component's value and six gradient terms, masked
+// by E ≠ 0. Every accepted pixel has E ≥ e⁻²⁵ > 0 and every rejected one
+// E = 0, so the mask is exactly the acceptance test; each pixel gets the same
+// IEEE operations in the same order as the fused loop, and each lane is
+// summed over components in component order, so the lanes are bit for bit
+// those of a fused sweep.
 func (e *Evaluator) sweepGalGrad(l *RowLanes, dxs []float64, dy float64) {
-	g10, g11 := -e.jac.A11, -e.jac.A12
-	g20, g21 := -e.jac.A21, -e.jac.A22
 	w := l.w
 	nStar := len(e.Star)
-	gv := l.GalV
-	var gG [dual.N][]float64
-	for k := 0; k < dual.N; k++ {
-		gG[k] = l.GalG[k*w : (k+1)*w]
-	}
-
-	// Row-hoisted shape-gradient coefficients: qg_k = sa*s11 + sb*s12 + sc.
-	var sa, sb, sc [dual.N]float64
-
 	for ci := range e.Gal {
 		c := &e.Gal[ci]
-		kv := c.K.V
-		if kv == 0 {
+		if c.K.V == 0 {
 			continue
 		}
-		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
 		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		i0, i1, ok := rowInterval(dxs, c.Q11.V, &c.Geom, c.MuX, d2)
 		if !ok {
 			continue
 		}
 		l.span[nStar+ci] = rowSpan{i0, i1}
 		erow := l.e[(nStar+ci)*w : (nStar+ci+1)*w]
-		halfkv := 0.5 * kv
+		c.eRow(erow, dxs, d2, i0, i1)
+
+		t := e.galTab[ci*2*galTabLen : (ci+1)*2*galTabLen]
+		setPair(t, gtD2, d2)
+		setPair(t, gtQ12D2, c.Q12.V*d2)
+		setPair(t, gtQ22D2, c.Q22.V*d2)
 		for k := 2; k < dual.N; k++ {
-			sa[k] = c.Q11.G[k]
-			sb[k] = 2 * c.Q12.G[k]
-			sc[k] = c.Q22.G[k] * s22
+			setPair(t, gtSC+k-2, c.Q22.G[k]*(d2*d2))
 		}
+		galLanes(t, dxs[i0:i1+1], erow[i0:i1+1], l.GalV[i0:i1+1], l.GalG[i0:], w)
+	}
+}
 
-		var ev, rr float64
-		n := 0
-		for i := i0; i <= i1; i++ {
-			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				tq1 := 2 * (q11*d1 + q12*d2)
-				tq2 := 2 * (q12*d1 + q22*d2)
-				qg0 := tq1*g10 + tq2*g20
-				qg1 := tq1*g11 + tq2*g21
+// The lane pass reads its per-component constants from the evaluator's
+// galaxy table: galTabLen entries per component, each stored twice (one
+// 16-byte pair, the two lanes of an SSE2 register) and the whole table
+// 16-byte aligned. Build fills the entries up to gtD2 once per patch;
+// sweepGalGrad rewrites the d2-dependent rest per (component, row). The
+// names give the fused sweep's quantities: the pixel-independent operands
+// of tq1 = 2*(q11*d1 + q12*d2), tq2 = 2*(q12*d1 + q22*d2), the position
+// chain rule g, and the shape gradient t_k = K.G[k] − ½K·(sa_k·s11 + sb_k·s12
+// + sc_k).
+const (
+	gtMuX = iota
+	gtQ11
+	gtQ12
+	gtG10
+	gtG20
+	gtG11
+	gtG21
+	gtKV
+	gtHalfKV
+	gtHalf
+	gtKG // K.G[2..5]
 
-				ke := kv * ev
-				gv[i] += ke
-				gG[0][i] -= 0.5 * ke * qg0
-				gG[1][i] -= 0.5 * ke * qg1
-				for k := 2; k < dual.N; k++ {
-					t := c.K.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
-					gG[k][i] += ev * t
-				}
-				erow[i] = ev
-			} else {
-				erow[i] = 0
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
+	gtSA      = gtKG + 4 // Q11.G[2..5]
+	gtSB      = gtSA + 4 // 2*Q12.G[2..5]
+	gtD2      = gtSB + 4 // row entries from here on
+	gtQ12D2   = gtD2 + 1 // q12*d2
+	gtQ22D2   = gtD2 + 2 // q22*d2
+	gtSC      = gtD2 + 3 // Q22.G[2..5]*d2²
+	galTabLen = gtSC + 4
+)
+
+// setPair stores v into both lanes of table entry i.
+func setPair(t []float64, i int, v float64) { t[2*i], t[2*i+1] = v, v }
+
+// fillGalTab sizes the galaxy table for e.Gal and writes every entry that
+// does not depend on the row.
+func (e *Evaluator) fillGalTab() {
+	n := 2 * galTabLen * len(e.Gal)
+	e.galBuf = sliceutil.Grow(e.galBuf, n+1)
+	off := int(uintptr(unsafe.Pointer(&e.galBuf[0]))&15) / 8
+	e.galTab = e.galBuf[off : off+n]
+	g10, g11 := -e.jac.A11, -e.jac.A12
+	g20, g21 := -e.jac.A21, -e.jac.A22
+	for ci := range e.Gal {
+		c := &e.Gal[ci]
+		t := e.galTab[ci*2*galTabLen : (ci+1)*2*galTabLen]
+		setPair(t, gtMuX, c.MuX)
+		setPair(t, gtQ11, c.Q11.V)
+		setPair(t, gtQ12, c.Q12.V)
+		setPair(t, gtG10, g10)
+		setPair(t, gtG20, g20)
+		setPair(t, gtG11, g11)
+		setPair(t, gtG21, g21)
+		setPair(t, gtKV, c.K.V)
+		setPair(t, gtHalfKV, 0.5*c.K.V)
+		setPair(t, gtHalf, 0.5)
+		for k := 2; k < dual.N; k++ {
+			setPair(t, gtKG+k-2, c.K.G[k])
+			setPair(t, gtSA+k-2, c.Q11.G[k])
+			setPair(t, gtSB+k-2, 2*c.Q12.G[k])
 		}
+	}
+}
+
+// checkGalLanes panics unless the lane pass's slices are consistent: one
+// component's table, equal-length dxs, erow and gv, and a gG holding six
+// lanes of stride w from its start.
+func checkGalLanes(t, dxs, erow, gv, gG []float64, w int) {
+	n := len(dxs)
+	if len(t) != 2*galTabLen || len(erow) != n || len(gv) != n || n > w ||
+		len(gG) < (dual.N-1)*w+n {
+		panic("mog: galLanes slice lengths")
 	}
 }
