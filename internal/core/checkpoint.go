@@ -82,8 +82,10 @@ func (ck *Checkpoint) Validate() error {
 // build whose catalog bytes differ by design is refused instead of mixing two
 // arithmetics into one catalog. Bump it with every change that moves catalog
 // bytes on purpose. 1: closed-form KL and flux-moment derivatives (the
-// revision the hash first carried).
-const numericsRevision = 1
+// revision the hash first carried). 2: the row sweeps carry each Gaussian
+// component's exponential from row to row and split it into two chains
+// along the row (internal/mog, egen.go).
+const numericsRevision = 2
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

@@ -1,8 +1,13 @@
 //go:build amd64 && !amd64.v3
 
-// The pin holds where the compiler fuses no multiply-adds: amd64 at the
-// baseline levels (GOAMD64 v1, v2). Another architecture or level computes
-// the same catalog to rounding, not to the byte.
+// The pin holds where the compiler fuses no multiply-adds — amd64 at the
+// baseline levels (GOAMD64 v1, v2) — and the CPU has FMA. The standard
+// library's math.Exp is amd64 assembly that picks an FMA path at run time,
+// so the same binary writes other catalog bytes on a CPU without FMA, or
+// under GODEBUG=cpu.fma=off, and this test fails there. Another architecture
+// or level computes the same catalog to rounding, not to the byte. An owned,
+// dispatch-free Exp (ROADMAP, "One catalog on every CPU") would make the pin
+// hold on every amd64 CPU.
 
 package core
 
@@ -26,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 1
-	pinSHA256   = "62998a02807b511c02d05eb6605f2bfa58dbc339e01c7e62ee4a38b94cf80d61"
+	pinRevision = 2
+	pinSHA256   = "954c6a9457577822a5eeb4a35784008b18b60f5533c3751c790b9a470d91cade"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

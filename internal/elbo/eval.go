@@ -501,10 +501,12 @@ func (pb *Problem) evalPatchValue(theta *model.Params, c *model.Constrained, bm 
 		dxs[i] = float64(cx0+i) - px
 	}
 	rectW := p.Rect.Width()
+	ws.starGen.Reset()
+	ws.galGen.Reset()
 	for y := cy0; y < cy1; y++ {
 		dy := float64(y) - py
-		mog.SweepRowValue(rowS, ws.starV, dxs, dy)
-		mog.SweepRowValue(rowG, ws.galV, dxs, dy)
+		ws.starGen.SweepRowValue(rowS, ws.starV, dxs, dy)
+		ws.galGen.SweepRowValue(rowG, ws.galV, dxs, dy)
 		base := (y-p.Rect.Y0)*rectW + (cx0 - p.Rect.X0)
 		obsRow := p.Obs[base : base+w]
 		bgRow := p.Bg[base : base+w]

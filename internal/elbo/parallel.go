@@ -60,8 +60,11 @@ type sweepState struct {
 	galMix mog.Mixture
 	starV  []mog.ValueComp
 	galV   []mog.ValueComp
-	rowS   []float64
-	rowG   []float64
+	// starGen and galGen carry starV's and galV's exponentials from row to
+	// row of the value tier's patch sweep.
+	starGen, galGen mog.EGen
+	rowS            []float64
+	rowG            []float64
 }
 
 func newSweepState() *sweepState {

@@ -151,6 +151,7 @@ type neighborScratch struct {
 	comb            []mog.ProfComp
 	mix             mog.Mixture
 	star, gal       []mog.ValueComp
+	starGen, galGen mog.EGen // row-to-row state of star and gal
 	dxs, rowS, rowG []float64
 }
 
@@ -202,10 +203,12 @@ func addNeighborToPatch(p *Patch, c *model.Constrained, ns *neighborScratch) {
 
 	iota := p.Iota
 	rectW := p.Rect.Width()
+	ns.starGen.Reset()
+	ns.galGen.Reset()
 	for y := y0; y < y1; y++ {
 		dy := float64(y) - py
-		mog.SweepRowValue(rowS, ns.star, dxs, dy)
-		mog.SweepRowValue(rowG, ns.gal, dxs, dy)
+		ns.starGen.SweepRowValue(rowS, ns.star, dxs, dy)
+		ns.galGen.SweepRowValue(rowG, ns.gal, dxs, dy)
 		k := (y-p.Rect.Y0)*rectW + (x0 - p.Rect.X0)
 		for i := 0; i < w; i++ {
 			gs, gg := rowS[i], rowG[i]

@@ -159,12 +159,8 @@ type ValueComp struct {
 	K, Q11, Q12, Q22 float64
 	MuX, MuY         float64
 
-	// EStep is exp(-Q11), the constant second-difference ratio of the
-	// row-sweep exponential recurrence (see rowkernel.go).
-	EStep float64
-
-	// Geom holds the hoisted row-interval constants (see rowkernel.go).
-	Geom rowGeom
+	// Row holds the row-sweep constants (see egen.go).
+	Row rowConst
 }
 
 // CompileInto appends m's components in compiled form to dst and returns it;
@@ -179,9 +175,8 @@ func CompileInto(dst []ValueComp, m Mixture) []ValueComp {
 			Q12: -c.Sxy * inv,
 			Q22: c.Sxx * inv,
 			MuX: c.MuX, MuY: c.MuY,
-			EStep: math.Exp(-c.Syy * inv),
 		}
-		vc.Geom.set(vc.Q11, vc.Q12, vc.Q22)
+		vc.Row.set(vc.Q11, vc.Q12, vc.Q22)
 		dst = append(dst, vc)
 	}
 	return dst
@@ -212,12 +207,9 @@ type DualComp struct {
 	Q11, Q12, Q22 dual.Dual
 	MuX, MuY      float64
 
-	// EStep is exp(-Q11.V), the constant second-difference ratio of the
-	// row-sweep exponential recurrence (see rowkernel.go).
-	EStep float64
-
-	// Geom holds the hoisted row-interval constants (see rowkernel.go).
-	Geom rowGeom
+	// Row holds the row-sweep constants of the values Q11.V, Q12.V, Q22.V
+	// (see egen.go).
+	Row rowConst
 }
 
 // Evaluator evaluates a source's star and galaxy spatial densities at pixel
@@ -233,6 +225,10 @@ type Evaluator struct {
 	// 16-byte-aligned view into galBuf. SweepRowGrad rewrites its per-row
 	// entries, so an Evaluator sweeps one row at a time.
 	galTab, galBuf []float64
+
+	// gen carries the components' exponentials from row to row of the
+	// patch the evaluator was built for (see egen.go).
+	gen EGen
 }
 
 // NewEvaluator builds star and galaxy components for one source on one
@@ -254,7 +250,9 @@ func NewEvaluator(psf Mixture, expProf, devProf []ProfComp,
 // Build (re)initializes e in place with the same semantics as NewEvaluator,
 // reusing the Star and Gal component storage from previous builds. After the
 // component counts stabilize it allocates nothing, so one Evaluator can serve
-// every (patch, iteration) pair of a fit.
+// every (patch, iteration) pair of a fit. Build starts a patch: the next row
+// sweep is the patch's first row, and each later one sweeps the row below
+// the last.
 func (e *Evaluator) Build(psf Mixture, expProf, devProf []ProfComp,
 	rhoLogit, abLogit, angle, logScale float64, jac Jac2) {
 
@@ -311,14 +309,14 @@ func (e *Evaluator) Build(psf Mixture, expProf, devProf []ProfComp,
 				dc.Q12 = dual.Neg(dual.Mul(s12, invDet))
 				dc.Q22 = dual.Mul(s11, invDet)
 				dc.MuX, dc.MuY = pk.MuX, pk.MuY
-				dc.EStep = math.Exp(-dc.Q11.V)
-				dc.Geom.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
+				dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
 			}
 		}
 	}
 	add(expProf, oneMinusRho)
 	add(devProf, rho)
 	e.fillGalTab()
+	e.gen.Reset()
 }
 
 // BuildGrad is Build carrying first derivatives only: it fills the V and G
@@ -381,15 +379,24 @@ func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 				dc.Q12.V, dc.Q12.G = q12.V, q12.G
 				dc.Q22.V, dc.Q22.G = q22.V, q22.G
 				dc.MuX, dc.MuY = pk.MuX, pk.MuY
-				dc.EStep = math.Exp(-q11.V)
-				dc.Geom.set(q11.V, q12.V, q22.V)
+				dc.Row.set(q11.V, q12.V, q22.V)
 			}
 		}
 	}
 	add(expProf, oneMinusRho)
 	add(devProf, rho)
 	e.fillGalTab()
+	e.gen.Reset()
 }
+
+// ResetRows restarts the patch: the next row sweep is its first row again,
+// with every component resynced exactly, so a repeated sweep of the same rows
+// reproduces the first bit for bit.
+func (e *Evaluator) ResetRows() { e.gen.Reset() }
+
+// Resyncs returns the number of exact exponential resyncs the evaluator's
+// row sweeps have made over its lifetime (see egen.go).
+func (e *Evaluator) Resyncs() int64 { return e.gen.Resyncs() }
 
 // starCompsInto appends the PSF's star components to dst and returns it.
 func starCompsInto(dst []DualComp, psf Mixture) []DualComp {
@@ -402,9 +409,8 @@ func starCompsInto(dst []DualComp, psf Mixture) []DualComp {
 			Q12: dual.Const(-c.Sxy * inv),
 			Q22: dual.Const(c.Sxx * inv),
 			MuX: c.MuX, MuY: c.MuY,
-			EStep: math.Exp(-c.Syy * inv),
 		}
-		dc.Geom.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
+		dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
 		dst = append(dst, dc)
 	}
 	return dst

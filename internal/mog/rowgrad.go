@@ -1,7 +1,6 @@
 package mog
 
 import (
-	"math"
 	"unsafe"
 
 	"celeste/internal/dual"
@@ -10,11 +9,11 @@ import (
 
 // This file implements the first-order row sweeps — pass A of the
 // moment-contracted derivative tiers (see rowmoment.go). Both run, per
-// component, the serial part of a row sweep (eRow: SweepRow's active
-// interval, exp-free recurrence and bitwise qCutoff decisions) into the
-// lanes' E slab, which the moment pass re-reads instead of re-running the
-// recurrence, and then add the component's terms to the lanes pixel by pixel
-// from that slab.
+// component, the serial part of a row sweep (the E generator, egen.go: the
+// active interval, the carried exponential recurrence and the bitwise
+// qCutoff decisions) into the lanes' E slab, which the moment pass re-reads
+// instead of re-running the recurrence, and then add the component's terms
+// to the lanes pixel by pixel from that slab.
 //
 //   - SweepRowGrad fills the value and gradient lanes: the full tier's pass A
 //     (its per-pixel outer products and brightness vector moments need the
@@ -36,7 +35,7 @@ func (e *Evaluator) SweepRowGrad(l *RowLanes, dxs []float64, dy float64) {
 	clearFloats(l.StarG)
 	clearFloats(l.GalV)
 	clearFloats(l.GalG)
-	l.growE(len(e.Star) + len(e.Gal))
+	e.beginRow(l)
 	if w == 0 {
 		return
 	}
@@ -55,12 +54,21 @@ func (e *Evaluator) SweepRowE(l *RowLanes, dxs []float64, dy float64) {
 	}
 	clearFloats(l.StarV)
 	clearFloats(l.GalV)
-	l.growE(len(e.Star) + len(e.Gal))
+	e.beginRow(l)
 	if w == 0 {
 		return
 	}
-	sweepCompsE(l, 0, e.Star, l.StarV, dxs, dy)
-	sweepCompsE(l, len(e.Star), e.Gal, l.GalV, dxs, dy)
+	e.sweepCompsE(l, 0, e.Star, l.StarV, dxs, dy)
+	e.sweepCompsE(l, len(e.Star), e.Gal, l.GalV, dxs, dy)
+}
+
+// beginRow starts the next row of the evaluator's patch: it sizes l's E slab
+// and span table, marking every component inactive, and advances the
+// generator.
+func (e *Evaluator) beginRow(l *RowLanes) {
+	n := len(e.Star) + len(e.Gal)
+	l.growE(n)
+	e.gen.begin(n)
 }
 
 // growE sizes the E slab and the span table for n components at the current
@@ -77,60 +85,26 @@ func (l *RowLanes) growE(n int) {
 // each component's exponential row; slab rows start at component index base.
 // A rejected pixel's E is 0, so kv*E adds +0 there and leaves dst's bits as
 // they are (dst starts at +0 and never holds −0).
-func sweepCompsE(l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy float64) {
-	w := l.w
+func (e *Evaluator) sweepCompsE(l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy float64) {
 	for ci := range comps {
 		c := &comps[ci]
 		kv := c.K.V
 		if kv == 0 {
 			continue
 		}
-		d2 := dy - c.MuY
-		i0, i1, ok := rowInterval(dxs, c.Q11.V, &c.Geom, c.MuX, d2)
+		erow, _, i0, i1, ok := e.gen.eRow(l, base+ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[base+ci] = rowSpan{i0, i1}
-		erow := l.e[(base+ci)*w : (base+ci+1)*w]
-		c.eRow(erow, dxs, d2, i0, i1)
 		for i := i0; i <= i1; i++ {
 			dst[i] += kv * erow[i]
 		}
 	}
 }
 
-// eRow writes the component's bare exponential exp(-q/2) at the pixels
-// i0..i1 of a row at y-offset d2 into erow, exactly zero where q > qCutoff.
-// It is the serial part of a row sweep: the exponential recurrence with its
-// resyncs and the cutoff test, the same operations as SweepRow's.
-func (c *DualComp) eRow(erow, dxs []float64, d2 float64, i0, i1 int) {
-	q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-	s22 := d2 * d2
-	var ev, rr float64
-	n := 0
-	for i := i0; i <= i1; i++ {
-		d1 := dxs[i] - c.MuX
-		s11, s12 := d1*d1, d1*d2
-		qv := q11*s11 + 2*q12*s12 + q22*s22
-		if n == 0 {
-			ev = math.Exp(-0.5 * qv)
-			rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-			n = rowResync
-		}
-		if qv <= qCutoff {
-			erow[i] = ev
-		} else {
-			erow[i] = 0
-		}
-		ev *= rr
-		rr *= c.EStep
-		n--
-	}
-}
-
 // sweepStarGrad is sweepStar without the position-position Hessian lanes:
-// eRow, then the two gradient lanes at the pixels with E ≠ 0 (exactly the
-// accepted ones).
+// the E generator, then the two gradient lanes at the pixels with E ≠ 0
+// (exactly the accepted ones).
 func (e *Evaluator) sweepStarGrad(l *RowLanes, dxs []float64, dy float64) {
 	g10, g11 := -e.jac.A11, -e.jac.A12
 	g20, g21 := -e.jac.A21, -e.jac.A22
@@ -142,14 +116,10 @@ func (e *Evaluator) sweepStarGrad(l *RowLanes, dxs []float64, dy float64) {
 		c := &e.Star[ci]
 		kv := c.K.V
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := e.gen.eRow(l, ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[ci] = rowSpan{i0, i1}
-		erow := l.e[ci*w : (ci+1)*w]
-		c.eRow(erow, dxs, d2, i0, i1)
 		for i := i0; i <= i1; i++ {
 			ev := erow[i]
 			if ev == 0 {
@@ -169,9 +139,10 @@ func (e *Evaluator) sweepStarGrad(l *RowLanes, dxs []float64, dy float64) {
 }
 
 // sweepGalGrad is sweepGal keeping only the value and gradient lanes, in two
-// loops per component. The serial loop keeps what carries state from pixel
-// to pixel — the active interval, the exponential recurrence with its
-// resyncs and the qCutoff test — and writes only the component's E row.
+// loops per component. The serial loop, the E generator, keeps what carries
+// state from pixel to pixel — the active interval, the exponential
+// recurrence with its resyncs and the qCutoff test — and writes only the
+// component's E row.
 // The lane pass (galLanes) then reads that row and, pixel by pixel
 // independently, adds the component's value and six gradient terms, masked
 // by E ≠ 0. Every accepted pixel has E ≥ e⁻²⁵ > 0 and every rejected one
@@ -187,14 +158,10 @@ func (e *Evaluator) sweepGalGrad(l *RowLanes, dxs []float64, dy float64) {
 		if c.K.V == 0 {
 			continue
 		}
-		d2 := dy - c.MuY
-		i0, i1, ok := rowInterval(dxs, c.Q11.V, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := e.gen.eRow(l, nStar+ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[nStar+ci] = rowSpan{i0, i1}
-		erow := l.e[(nStar+ci)*w : (nStar+ci+1)*w]
-		c.eRow(erow, dxs, d2, i0, i1)
 
 		t := e.galTab[ci*2*galTabLen : (ci+1)*2*galTabLen]
 		setPair(t, gtD2, d2)

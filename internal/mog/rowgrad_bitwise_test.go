@@ -14,53 +14,36 @@ import (
 	"celeste/internal/rng"
 )
 
-// sweepCompsEFused is the value-only pass A as one fused loop per
-// component, kept verbatim as the reference for sweepCompsE.
-func sweepCompsEFused(l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy float64) {
-	w := l.w
+// The references below are the pass-A sweeps as one fused loop per
+// component: E from a generator of their own (the shared E generator code,
+// with its own state), then every lane term of an accepted pixel in the same
+// loop. They pin the lane split — the serial E loop, then the lane pass — to
+// the fused loop it replaced.
+
+// sweepCompsEFused is the value-only pass A with the value lanes added in
+// the E loop.
+func sweepCompsEFused(g *EGen, l *RowLanes, base int, comps []DualComp, dst, dxs []float64, dy float64) {
 	for ci := range comps {
 		c := &comps[ci]
 		kv := c.K.V
 		if kv == 0 {
 			continue
 		}
-		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, _, i0, i1, ok := g.eRow(l, base+ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[base+ci] = rowSpan{i0, i1}
-		erow := l.e[(base+ci)*w : (base+ci+1)*w]
-
-		var ev, rr float64
-		n := 0
 		for i := i0; i <= i1; i++ {
-			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
+			if ev := erow[i]; ev != 0 {
 				dst[i] += kv * ev
-				erow[i] = ev
-			} else {
-				erow[i] = 0
 			}
-			ev *= rr
-			rr *= c.EStep
-			n--
 		}
 	}
 }
 
 // sweepStarGradFused is the star half of pass A as one fused loop per
-// component, kept verbatim as the reference for sweepStarGrad.
-func (e *Evaluator) sweepStarGradFused(l *RowLanes, dxs []float64, dy float64) {
+// component.
+func (e *Evaluator) sweepStarGradFused(g *EGen, l *RowLanes, dxs []float64, dy float64) {
 	g10, g11 := -e.jac.A11, -e.jac.A12
 	g20, g21 := -e.jac.A21, -e.jac.A22
 	w := l.w
@@ -71,50 +54,32 @@ func (e *Evaluator) sweepStarGradFused(l *RowLanes, dxs []float64, dy float64) {
 		c := &e.Star[ci]
 		kv := c.K.V
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := g.eRow(l, ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[ci] = rowSpan{i0, i1}
-		erow := l.e[ci*w : (ci+1)*w]
-
-		var ev, rr float64
-		n := 0
 		for i := i0; i <= i1; i++ {
+			ev := erow[i]
+			if ev == 0 {
+				continue
+			}
 			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				tq1 := 2 * (q11*d1 + q12*d2)
-				tq2 := 2 * (q12*d1 + q22*d2)
-				qg0 := tq1*g10 + tq2*g20
-				qg1 := tq1*g11 + tq2*g21
-				ke := kv * ev
-				sv[i] += ke
-				sg0[i] -= 0.5 * ke * qg0
-				sg1[i] -= 0.5 * ke * qg1
-				erow[i] = ev
-			} else {
-				erow[i] = 0
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
+			tq1 := 2 * (q11*d1 + q12*d2)
+			tq2 := 2 * (q12*d1 + q22*d2)
+			qg0 := tq1*g10 + tq2*g20
+			qg1 := tq1*g11 + tq2*g21
+			ke := kv * ev
+			sv[i] += ke
+			sg0[i] -= 0.5 * ke * qg0
+			sg1[i] -= 0.5 * ke * qg1
 		}
 	}
 }
 
 // sweepGalGradFused is the galaxy pass A as one fused loop per component —
-// recurrence, cutoff test and lane updates together — kept verbatim as the
-// reference the two-loop sweepGalGrad must match bit for bit.
-func (e *Evaluator) sweepGalGradFused(l *RowLanes, dxs []float64, dy float64) {
+// E, cutoff mask and lane updates together — the reference the two-loop
+// sweepGalGrad must match bit for bit.
+func (e *Evaluator) sweepGalGradFused(g *EGen, l *RowLanes, dxs []float64, dy float64) {
 	g10, g11 := -e.jac.A11, -e.jac.A12
 	g20, g21 := -e.jac.A21, -e.jac.A22
 	w := l.w
@@ -135,81 +100,70 @@ func (e *Evaluator) sweepGalGradFused(l *RowLanes, dxs []float64, dy float64) {
 			continue
 		}
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := g.eRow(l, nStar+ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
-		l.span[nStar+ci] = rowSpan{i0, i1}
-		erow := l.e[(nStar+ci)*w : (nStar+ci+1)*w]
+		s22 := d2 * d2
 		halfkv := 0.5 * kv
 		for k := 2; k < dual.N; k++ {
 			sa[k] = c.Q11.G[k]
 			sb[k] = 2 * c.Q12.G[k]
 			sc[k] = c.Q22.G[k] * s22
 		}
-
-		var ev, rr float64
-		n := 0
 		for i := i0; i <= i1; i++ {
+			ev := erow[i]
+			if ev == 0 {
+				continue
+			}
 			d1 := dxs[i] - c.MuX
 			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				tq1 := 2 * (q11*d1 + q12*d2)
-				tq2 := 2 * (q12*d1 + q22*d2)
-				qg0 := tq1*g10 + tq2*g20
-				qg1 := tq1*g11 + tq2*g21
+			tq1 := 2 * (q11*d1 + q12*d2)
+			tq2 := 2 * (q12*d1 + q22*d2)
+			qg0 := tq1*g10 + tq2*g20
+			qg1 := tq1*g11 + tq2*g21
 
-				ke := kv * ev
-				gv[i] += ke
-				gG[0][i] -= 0.5 * ke * qg0
-				gG[1][i] -= 0.5 * ke * qg1
-				for k := 2; k < dual.N; k++ {
-					t := c.K.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
-					gG[k][i] += ev * t
-				}
-				erow[i] = ev
-			} else {
-				erow[i] = 0
+			ke := kv * ev
+			gv[i] += ke
+			gG[0][i] -= 0.5 * ke * qg0
+			gG[1][i] -= 0.5 * ke * qg1
+			for k := 2; k < dual.N; k++ {
+				t := c.K.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
+				gG[k][i] += ev * t
 			}
-			ev *= rr
-			rr *= c.EStep
-			n--
 		}
 	}
 }
 
-// sweepRowGradFused is SweepRowGrad with the fused star and galaxy passes.
-func (e *Evaluator) sweepRowGradFused(l *RowLanes, dxs []float64, dy float64) {
+// sweepRowGradFused is SweepRowGrad with the fused star and galaxy passes,
+// taking E from g.
+func (e *Evaluator) sweepRowGradFused(g *EGen, l *RowLanes, dxs []float64, dy float64) {
 	clearFloats(l.StarV)
 	clearFloats(l.StarG)
 	clearFloats(l.GalV)
 	clearFloats(l.GalG)
-	l.growE(len(e.Star) + len(e.Gal))
+	n := len(e.Star) + len(e.Gal)
+	l.growE(n)
+	g.begin(n)
 	if l.w == 0 {
 		return
 	}
-	e.sweepStarGradFused(l, dxs, dy)
-	e.sweepGalGradFused(l, dxs, dy)
+	e.sweepStarGradFused(g, l, dxs, dy)
+	e.sweepGalGradFused(g, l, dxs, dy)
 }
 
-// sweepRowEFused is SweepRowE with the fused value loops.
-func (e *Evaluator) sweepRowEFused(l *RowLanes, dxs []float64, dy float64) {
+// sweepRowEFused is SweepRowE with the fused value loops, taking E from g.
+func (e *Evaluator) sweepRowEFused(g *EGen, l *RowLanes, dxs []float64, dy float64) {
 	clearFloats(l.StarV)
 	clearFloats(l.GalV)
-	l.growE(len(e.Star) + len(e.Gal))
+	n := len(e.Star) + len(e.Gal)
+	l.growE(n)
+	g.begin(n)
 	if l.w == 0 {
 		return
 	}
-	sweepCompsEFused(l, 0, e.Star, l.StarV, dxs, dy)
-	sweepCompsEFused(l, len(e.Star), e.Gal, l.GalV, dxs, dy)
+	sweepCompsEFused(g, l, 0, e.Star, l.StarV, dxs, dy)
+	sweepCompsEFused(g, l, len(e.Star), e.Gal, l.GalV, dxs, dy)
 }
 
 // bitwiseCover counts the span shapes a bitwise comparison has exercised.
@@ -217,39 +171,37 @@ type bitwiseCover struct {
 	oddSpans, clipLo, clipHi, allRejected, rejectedInSpan, zeroK int
 }
 
-// sameBits reports whether a and b hold the same float64 bit patterns.
-func sameBits(a, b []float64) (int, bool) {
-	if len(a) != len(b) {
-		return -1, false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
-// checkRowBitwise sweeps one row with SweepRowGrad into got and with the
-// fused reference into want (both reused across rows, as a sweep worker
-// reuses its lanes) and fails unless every value and gradient lane, the E
-// slab and the span table agree bit for bit; then the same for SweepRowE's
+// checkPatchBitwise sweeps rows rows of a patch, from y-offset y0 down,
+// with SweepRowGrad into got and with the fused reference into want (both
+// reused across rows, as a sweep worker reuses its lanes), each from a
+// reset, and fails unless every value and gradient lane, the E slab and the
+// span table agree bit for bit on every row; then the same for SweepRowE's
 // value lanes, slab and spans.
-func checkRowBitwise(t *testing.T, label string, e *Evaluator, got, want *RowLanes,
-	dxs []float64, dy float64, cov *bitwiseCover) {
+func checkPatchBitwise(t *testing.T, label string, e *Evaluator, got, want *RowLanes,
+	dxs []float64, y0 float64, rows int, cov *bitwiseCover) {
 	t.Helper()
 	w := len(dxs)
 	got.Resize(w)
 	want.Resize(w)
-	e.SweepRowGrad(got, dxs, dy)
-	e.sweepRowGradFused(want, dxs, dy)
-	compareLanes(t, label+" SweepRowGrad", dy, got, want, true)
-	if cov != nil {
-		cov.count(e, got)
+	var ref EGen
+	e.ResetRows()
+	for y := 0; y < rows; y++ {
+		dy := y0 + float64(y)
+		e.SweepRowGrad(got, dxs, dy)
+		e.sweepRowGradFused(&ref, want, dxs, dy)
+		compareLanes(t, label+" SweepRowGrad", dy, got, want, true)
+		if cov != nil {
+			cov.count(e, got)
+		}
 	}
-	e.SweepRowE(got, dxs, dy)
-	e.sweepRowEFused(want, dxs, dy)
-	compareLanes(t, label+" SweepRowE", dy, got, want, false)
+	e.ResetRows()
+	ref.Reset()
+	for y := 0; y < rows; y++ {
+		dy := y0 + float64(y)
+		e.SweepRowE(got, dxs, dy)
+		e.sweepRowEFused(&ref, want, dxs, dy)
+		compareLanes(t, label+" SweepRowE", dy, got, want, false)
+	}
 }
 
 // compareLanes fails unless got and want hold bitwise the same value lanes,
@@ -320,15 +272,6 @@ func (cov *bitwiseCover) count(e *Evaluator, l *RowLanes) {
 	}
 }
 
-// rowDxs returns the x-offsets of w unit-spaced pixels starting at x0.
-func rowDxs(w int, x0 float64) []float64 {
-	dxs := make([]float64, w)
-	for i := range dxs {
-		dxs[i] = float64(i) + x0
-	}
-	return dxs
-}
-
 // TestSweepRowGradBitwiseVsFused pins the two-loop galaxy pass A to the fused
 // loop it replaced: over random evaluators (PSF components with non-zero
 // means), widths 1 to 3 (the lane pass's odd tail) and wider rows, every row
@@ -342,7 +285,7 @@ func TestSweepRowGradBitwiseVsFused(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		scaleMul := 1.0
 		if trial%4 == 3 {
-			scaleMul = 8 // spans longer than the recurrence's resync period
+			scaleMul = 8 // spans longer than the in-row resync period
 		}
 		a := randomBuildArgs(r, scaleMul)
 		if trial%5 == 4 {
@@ -355,10 +298,7 @@ func TestSweepRowGradBitwiseVsFused(t *testing.T) {
 		}
 		x0 := -float64(w)/2 - 6*r.Normal() - r.Float64()
 		dxs := rowDxs(w, x0)
-		y0 := -20 - r.Float64()
-		for y := 0; y < 40; y++ {
-			checkRowBitwise(t, "trial", e, &got, &want, dxs, y0+float64(y), &cov)
-		}
+		checkPatchBitwise(t, "trial", e, &got, &want, dxs, -20-r.Float64(), 40, &cov)
 	}
 	t.Logf("coverage %+v", cov)
 	if cov.oddSpans == 0 || cov.clipLo == 0 || cov.clipHi == 0 || cov.allRejected == 0 ||
@@ -385,7 +325,6 @@ func FuzzSweepRowGradBitwise(f *testing.F) {
 		e := a.evaluator()
 		var got, want RowLanes
 		dxs := rowDxs(w, x0)
-		checkRowBitwise(t, "fuzz", e, &got, &want, dxs, dy, nil)
-		checkRowBitwise(t, "fuzz next row", e, &got, &want, dxs, dy+1, nil)
+		checkPatchBitwise(t, "fuzz", e, &got, &want, dxs, dy, 2, nil)
 	})
 }

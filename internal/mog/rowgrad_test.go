@@ -29,6 +29,7 @@ func TestSweepRowGradMatchesSweepRow(t *testing.T) {
 		full.Resize(w)
 		e.SweepRow(&full, dxs, dy)
 		grad.Resize(w)
+		e.ResetRows()
 		e.SweepRowGrad(&grad, dxs, dy)
 
 		for i := 0; i < w; i++ {

@@ -14,20 +14,21 @@ import (
 // beyond ~1e-12 relative:
 //
 //   - Active-interval culling: along a row the Gaussian exponent q(x) is an
-//     upward parabola in x, so the pixels with q <= qCutoff form one interval
-//     computed in O(1) per component per row. Components that cannot reach
-//     the row cost nothing; narrow components touch only the few pixels they
-//     reach. The per-pixel cutoff test is still applied inside the
-//     (conservatively widened) interval with bitwise the same expression as
-//     the scalar reference, so truncation decisions are identical.
+//     upward parabola in x, so the pixels with q <= qCutoff form one run,
+//     bounded in O(1) per component per row (rowInterval, or on a carried
+//     row the previous row's run). Components that cannot reach the row cost
+//     nothing; narrow components touch only the few pixels they reach. The
+//     cutoff test finds the run's ends with bitwise the same expression as
+//     the scalar reference, and the pixels between them are proven accepted,
+//     so truncation decisions are identical.
 //
-//   - Exp-free Gaussian recurrence: along a row, q(x+1) = q(x) + dq(x) with
-//     dq(x+1) = dq(x) + 2*q11, so E(x) = exp(-q(x)/2) satisfies
-//     E(x+1) = E(x)*r(x), r(x+1) = r(x)*s with the constant s = exp(-q11) —
-//     two multiplies per pixel per component instead of one math.Exp. E is
-//     resynced with an exact math.Exp at the start of each component's active
-//     interval and every rowResync pixels, bounding the multiplicative drift
-//     below ~1e-12 relative (see TestRowSweepDriftBound).
+//   - Exp-free Gaussian recurrence: E = exp(-q/2) comes from the E generator
+//     (egen.go), which carries each component's exponential state from row to
+//     row of a patch and along each row in two interleaved multiply chains.
+//     A component pays exact math.Exp resyncs on its first row of the patch
+//     and then only every carryResync carried steps, every rowResync pixels
+//     along a row, or when the carried state leaves the normal range; the
+//     drift stays below 1e-12 relative (see TestRowSweepDriftBound).
 //
 //   - Fused star+galaxy evaluation with hoisted row coefficients: one call
 //     fills both star and galaxy lanes; per row, every pixel-independent
@@ -36,12 +37,9 @@ import (
 //     in d1) is hoisted out of the pixel loop, and the star components —
 //     whose K and Q carry no derivatives — collapse to a 6-lane specialized
 //     path.
-
-// rowResync is the resync period of the exponential recurrence: after this
-// many pixels the recurrence state is recomputed with exact math.Exp calls.
-// 64 steps of two rounding errors each compound to ~64^2/2 ulps ≈ 2e-13
-// relative, comfortably below the 1e-12 drift budget.
-const rowResync = 64
+//
+// The rows of one patch are swept in order, top to bottom, one call per row;
+// the sweeps carry state in the evaluator, which Build resets.
 
 // RowLanes is the structure-of-arrays output of one row sweep: per-pixel
 // star and galaxy spatial densities with their dual derivatives, as flat
@@ -107,38 +105,21 @@ func (l *RowLanes) GalGLane(k int) []float64 { return l.GalG[k*l.w : (k+1)*l.w] 
 // SweepRow at the current width.
 func (l *RowLanes) GalHLane(k int) []float64 { return l.GalH[k*l.w : (k+1)*l.w] }
 
-// rowGeom holds the per-component constants of the row-interval computation,
-// hoisted out of the per-row path: Q12OverQ11 = q12/q11, QminCoef =
-// q22 − q12²/q11 (the Schur complement, i.e. the effective row-direction
-// precision), and InvQ11 = 1/q11. Division-free rowInterval calls save two
-// divides per (component, row) across every sweep tier.
-type rowGeom struct {
-	Q12OverQ11, QminCoef, InvQ11 float64
-}
-
-// set precomputes the constants for precision entries (q11, q12, q22).
-func (g *rowGeom) set(q11, q12, q22 float64) {
-	g.Q12OverQ11 = q12 / q11
-	g.QminCoef = q22 - q12*q12/q11
-	g.InvQ11 = 1 / q11
-}
-
 // rowInterval returns the inclusive index range [i0, i1] of dxs whose pixels
-// can satisfy q <= qCutoff for a component with precision q11 (and hoisted
-// geometry g), x-mean mux, and fixed y-offset d2. The interval is widened
-// conservatively (analytic margin plus one pixel per side) so it can only
-// over-include; the per-pixel cutoff test keeps truncation decisions exact.
-// ok is false when the whole row is out of reach. dxs must be unit-spaced
-// ascending.
-func rowInterval(dxs []float64, q11 float64, g *rowGeom, mux, d2 float64) (i0, i1 int, ok bool) {
+// can satisfy q <= qCutoff for a component with row constants k, x-mean mux,
+// and fixed y-offset d2. The interval is widened conservatively (analytic
+// margin plus one pixel per side) so it can only over-include; the per-pixel
+// cutoff test keeps truncation decisions exact. ok is false when the whole
+// row is out of reach. dxs must be unit-spaced ascending.
+func rowInterval(dxs []float64, k *rowConst, mux, d2 float64) (i0, i1 int, ok bool) {
 	// q(d1) = q11*d1^2 + 2*q12*d1*d2 + q22*d2^2: vertex and minimum.
-	d1c := -g.Q12OverQ11 * d2
-	qmin := g.QminCoef * d2 * d2
+	d1c := -k.q12OverQ11 * d2
+	qmin := k.qminCoef * d2 * d2
 	rem := qCutoff + 1e-9*(1+math.Abs(qmin)) - qmin
-	if rem < 0 || q11 <= 0 {
+	if rem < 0 || k.q11 <= 0 {
 		return 0, 0, false
 	}
-	h := math.Sqrt(rem*g.InvQ11) + 1e-6
+	h := math.Sqrt(rem*k.invQ11) + 1e-6
 	lo := d1c - h + mux
 	hi := d1c + h + mux
 	w := len(dxs)
@@ -162,7 +143,9 @@ func rowInterval(dxs []float64, q11 float64, g *rowGeom, mux, d2 float64) (i0, i
 // (float64(x) - srcX, unit-spaced), dy the y-offset of the row; both in
 // pixels, exactly as EvalStar/EvalGal receive them. Lane i then matches
 // EvalStar(dxs[i], dy) / EvalGal(dxs[i], dy) to ~1e-12 relative, with
-// identical qCutoff truncation decisions.
+// identical qCutoff truncation decisions. Like SweepRowGrad it sweeps the
+// next row of the evaluator's patch and records the E slab, bitwise the one
+// SweepRowGrad records for the same row.
 func (e *Evaluator) SweepRow(l *RowLanes, dxs []float64, dy float64) {
 	w := l.w
 	if len(dxs) != w {
@@ -176,6 +159,7 @@ func (e *Evaluator) SweepRow(l *RowLanes, dxs []float64, dy float64) {
 	clearFloats(l.GalV)
 	clearFloats(l.GalG)
 	clearFloats(l.GalH)
+	e.beginRow(l)
 	if w == 0 {
 		return
 	}
@@ -204,9 +188,7 @@ func (e *Evaluator) sweepStar(l *RowLanes, dxs []float64, dy float64) {
 		c := &e.Star[ci]
 		kv := c.K.V
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := e.gen.eRow(l, ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
@@ -215,33 +197,23 @@ func (e *Evaluator) sweepStar(l *RowLanes, dxs []float64, dy float64) {
 		hs1 := 2 * (q11*g10*g11 + q12*(g10*g21+g11*g20) + q22*g20*g21)
 		hs2 := 2 * (q11*g11*g11 + 2*q12*g11*g21 + q22*g21*g21)
 
-		var ev, rr float64
-		n := 0
 		for i := i0; i <= i1; i++ {
+			ev := erow[i]
+			if ev == 0 {
+				continue
+			}
 			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
-				tq1 := 2 * (q11*d1 + q12*d2)
-				tq2 := 2 * (q12*d1 + q22*d2)
-				qg0 := tq1*g10 + tq2*g20
-				qg1 := tq1*g11 + tq2*g21
-				ke := kv * ev
-				sv[i] += ke
-				sg0[i] -= 0.5 * ke * qg0
-				sg1[i] -= 0.5 * ke * qg1
-				sh0[i] += ke * (0.25*qg0*qg0 - 0.5*hs0)
-				sh1[i] += ke * (0.25*qg0*qg1 - 0.5*hs1)
-				sh2[i] += ke * (0.25*qg1*qg1 - 0.5*hs2)
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
+			tq1 := 2 * (q11*d1 + q12*d2)
+			tq2 := 2 * (q12*d1 + q22*d2)
+			qg0 := tq1*g10 + tq2*g20
+			qg1 := tq1*g11 + tq2*g21
+			ke := kv * ev
+			sv[i] += ke
+			sg0[i] -= 0.5 * ke * qg0
+			sg1[i] -= 0.5 * ke * qg1
+			sh0[i] += ke * (0.25*qg0*qg0 - 0.5*hs0)
+			sh1[i] += ke * (0.25*qg0*qg1 - 0.5*hs1)
+			sh2[i] += ke * (0.25*qg1*qg1 - 0.5*hs2)
 		}
 	}
 }
@@ -292,12 +264,11 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 			continue
 		}
 		q11, q12, q22 := c.Q11.V, c.Q12.V, c.Q22.V
-		d2 := dy - c.MuY
-		s22 := d2 * d2
-		i0, i1, ok := rowInterval(dxs, q11, &c.Geom, c.MuX, d2)
+		erow, d2, i0, i1, ok := e.gen.eRow(l, len(e.Star)+ci, c, dxs, dy)
 		if !ok {
 			continue
 		}
+		s22 := d2 * d2
 
 		hs0 := 2 * (q11*g10*g10 + 2*q12*g10*g20 + q22*g20*g20)
 		hs1 := 2 * (q11*g10*g11 + q12*(g10*g21+g11*g20) + q22*g20*g21)
@@ -320,18 +291,11 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 				m2[h] = -kv * c.Q12.H[h]
 			}
 		}
-		var ev, rr float64
-		n := 0
 		for i := i0; i <= i1; i++ {
-			d1 := dxs[i] - c.MuX
-			s11, s12 := d1*d1, d1*d2
-			qv := q11*s11 + 2*q12*s12 + q22*s22
-			if n == 0 {
-				ev = math.Exp(-0.5 * qv)
-				rr = math.Exp(-0.5 * (q11*(2*d1+1) + 2*q12*d2))
-				n = rowResync
-			}
-			if qv <= qCutoff {
+			ev := erow[i]
+			if ev != 0 {
+				d1 := dxs[i] - c.MuX
+				s11, s12 := d1*d1, d1*d2
 				tq1 := 2 * (q11*d1 + q12*d2)
 				tq2 := 2 * (q12*d1 + q22*d2)
 				qg0 := tq1*g10 + tq2*g20
@@ -364,46 +328,6 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 					}
 				}
 			}
-			ev *= rr
-			rr *= c.EStep
-			n--
-		}
-	}
-}
-
-// SweepRowValue is the value-only row sweep over compiled components: dst[i]
-// accumulates the mixture density at pixel offset (dxs[i], dy), matching
-// EvalComps(comps, dxs[i], dy) to ~1e-12 relative with identical qCutoff
-// truncation decisions. dst is zeroed first; dxs must be unit-spaced
-// ascending and len(dst) == len(dxs).
-func SweepRowValue(dst []float64, comps []ValueComp, dxs []float64, dy float64) {
-	if len(dst) != len(dxs) {
-		panic("mog: SweepRowValue dst length does not match dxs")
-	}
-	clearFloats(dst)
-	for ci := range comps {
-		c := &comps[ci]
-		d2 := dy - c.MuY
-		i0, i1, ok := rowInterval(dxs, c.Q11, &c.Geom, c.MuX, d2)
-		if !ok {
-			continue
-		}
-		var ev, rr float64
-		n := 0
-		for i := i0; i <= i1; i++ {
-			d1 := dxs[i] - c.MuX
-			q := c.Q11*d1*d1 + 2*c.Q12*d1*d2 + c.Q22*d2*d2
-			if n == 0 {
-				ev = math.Exp(-0.5 * q)
-				rr = math.Exp(-0.5 * (c.Q11*(2*d1+1) + 2*c.Q12*d2))
-				n = rowResync
-			}
-			if q <= qCutoff {
-				dst[i] += c.K * ev
-			}
-			ev *= rr
-			rr *= c.EStep
-			n--
 		}
 	}
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // momentCase is one differential comparison of the moment kernel against the
-// lane oracle: an evaluator pair (second-order and first-order builds of the
-// same parameters), a w x h pixel block at a sub-pixel source offset, and
+// lane oracle: evaluators built from the same parameters (second order for
+// the full tier and, on its own row state, the oracle; first order for the
+// gradient tier), a w x h pixel block at a sub-pixel source offset, and
 // per-pixel weights.
 type momentCase struct {
-	full, first *Evaluator
-	w, h        int
-	x0, y0      float64 // offsets of the block's first pixel from the source
-	ws, wg      []float64
+	full, oracle, first *Evaluator
+	w, h                int
+	x0, y0              float64 // offsets of the block's first pixel from the source
+	ws, wg              []float64
 }
 
 // normClose reports max|got-want| <= tol * max|want| (norm-wise agreement).
@@ -57,7 +58,7 @@ func (mc *momentCase) check(t *testing.T, label string) {
 		dy := mc.y0 + float64(y)
 		ws, wg := mc.ws[y*w:(y+1)*w], mc.wg[y*w:(y+1)*w]
 
-		e.SweepRow(&oracle, dxs, dy)
+		mc.oracle.SweepRow(&oracle, dxs, dy)
 		for i := 0; i < w; i++ {
 			for k := 0; k < 2; k++ {
 				wantG[k] += ws[i] * oracle.StarGLane(k)[i]
@@ -161,6 +162,7 @@ func randomMomentCase(r *rng.Source) *momentCase {
 // build sets the evaluator pair from one set of build inputs.
 func (mc *momentCase) build(a buildArgs) {
 	mc.full = a.evaluator()
+	mc.oracle = a.evaluator()
 	mc.first = &Evaluator{}
 	mc.first.BuildGrad(a.psf, a.expP, a.devP, a.rho, a.ab, a.th, a.logScale, a.jac)
 }
@@ -199,7 +201,8 @@ func TestHessianLanesSizedOnlyBySweepRow(t *testing.T) {
 }
 
 // TestBuildGradMatchesBuild pins the first-order build to the second-order
-// one: every value and gradient entry of every component agrees to 1e-15.
+// one: every value and gradient entry of every component agrees to 1e-15,
+// and the whole set of row-sweep constants bit for bit.
 func TestBuildGradMatchesBuild(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 100; trial++ {
@@ -220,7 +223,7 @@ func TestBuildGradMatchesBuild(t *testing.T) {
 					}
 				}
 			}
-			if a.EStep != b.EStep || a.Geom != b.Geom || a.MuX != b.MuX || a.MuY != b.MuY {
+			if a.Row != b.Row || a.MuX != b.MuX || a.MuY != b.MuY {
 				t.Fatalf("trial %d comp %d: row constants differ", trial, ci)
 			}
 		}
