@@ -102,7 +102,7 @@ func TestCatalogQueryLoadConcurrentWithFit(t *testing.T) {
 	go func() {
 		res, err := InferWithOptions(sv, init, InferConfig{
 			Threads: 2, Processes: 2, Rounds: 1, MaxIter: 10, Seed: 23,
-		}, InferOptions{Catalog: store, CatalogEvery: 1})
+		}, InferOptions{Catalog: store})
 		done <- runOut{res, err}
 	}()
 

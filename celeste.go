@@ -25,7 +25,6 @@ import (
 	"celeste/internal/catserve"
 	"celeste/internal/cluster"
 	"celeste/internal/core"
-	"celeste/internal/dtree"
 	"celeste/internal/elbo"
 	"celeste/internal/geom"
 	"celeste/internal/model"
@@ -72,11 +71,6 @@ type (
 	// boundary; resuming it yields a catalog byte-identical to the
 	// uninterrupted run.
 	Checkpoint = core.Checkpoint
-	// FaultPlan schedules rank kills and stalls for fault-injected runs,
-	// honored identically by in-process ranks and the cluster simulator.
-	FaultPlan = dtree.FaultPlan
-	// Fault is one scheduled rank failure or slowdown.
-	Fault = dtree.Fault
 	// Transport selects the TCP runtime for InferWithOptions: real worker
 	// processes connect to its Listener, pull Dtree tasks, fetch frozen
 	// stage input, and write results over the length-prefixed wire protocol.
@@ -183,25 +177,18 @@ type InferOptions struct {
 	// Resume restores a prior run's checkpoint; the run's inputs must hash
 	// identically, but Threads and Processes may differ.
 	Resume *Checkpoint
-	// Faults injects rank kills and stalls into in-process ranks only; a run
-	// with a Transport refuses it (fault a TCP run by killing real worker
-	// processes).
-	Faults *FaultPlan
 	// Transport, when non-nil, makes the run's ranks cfg.Processes worker
 	// processes (each started with RunWorker or `celeste -worker`) reaching
 	// the coordinator over TCP, instead of goroutines in this process.
 	Transport *Transport
 
 	// Catalog, when non-nil, receives the run's posterior summaries as they
-	// commit: every CatalogEvery task completions the touched sources are
-	// re-summarized from the live parameter array and folded into the store,
-	// and at run completion the store is brought byte-identical to the
-	// returned catalog. Queries against the store (directly or through a
+	// commit: every CheckpointEvery task completions (every completion when
+	// that is 0) the touched sources are re-summarized from the live
+	// parameter array and folded into the store, and at run completion the
+	// store is brought byte-identical to the returned catalog. Queries against the store (directly or through a
 	// CatalogServer) run concurrently with the fit, lock-free.
 	Catalog *CatalogStore
-	// CatalogEvery batches task commits per catalog update (0 inherits
-	// CheckpointEvery, else every commit updates).
-	CatalogEvery int
 }
 
 // Infer runs the full pipeline on a survey: two-stage sky partition from the
@@ -211,14 +198,14 @@ type InferOptions struct {
 func Infer(sv *Survey, initCatalog []CatalogEntry, cfg InferConfig) *InferResult {
 	res, err := InferWithOptions(sv, initCatalog, cfg, InferOptions{})
 	if err != nil {
-		// Impossible without checkpoint hooks, faults, or a resume state.
+		// Impossible without checkpoint hooks or a resume state.
 		panic(err)
 	}
 	return res
 }
 
 // InferWithOptions is the resumable entry point: Infer plus periodic
-// checkpoint capture, resumption from a checkpoint, and fault injection.
+// checkpoint capture and resumption from a checkpoint.
 // The task partition is regenerated deterministically from the inputs, so a
 // resumed run only needs the survey, the same initialization catalog, and
 // the checkpoint.
@@ -243,13 +230,11 @@ func InferWithOptions(sv *Survey, initCatalog []CatalogEntry, cfg InferConfig,
 		CheckpointEvery: opts.CheckpointEvery,
 		OnCheckpoint:    opts.OnCheckpoint,
 		Resume:          opts.Resume,
-		Faults:          opts.Faults,
 		Transport:       opts.Transport,
 	}
 	if opts.Catalog != nil {
 		store := opts.Catalog
 		runOpts.OnCatalog = store.Apply
-		runOpts.CatalogEvery = opts.CatalogEvery
 	}
 	run, err := core.RunWithOptions(sv, initCatalog, tasks, core.Config{
 		Threads:      cfg.Threads,

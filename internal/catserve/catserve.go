@@ -30,25 +30,22 @@ import (
 	"celeste/internal/model"
 )
 
+// The grid is sized so the mean occupied leaf cell holds about
+// targetPerCell entries, and the quadtree is at most maxDepth deep
+// (4^maxDepth cells).
+const (
+	targetPerCell = 32
+	maxDepth      = 8
+)
+
 // Options tunes index construction.
 type Options struct {
-	// TargetPerCell sizes the grid: the leaf depth is chosen so the mean
-	// occupied cell holds about this many entries. Default 32.
-	TargetPerCell int
-	// MaxDepth caps the quadtree depth (4^depth cells). Default 8.
-	MaxDepth int
 	// CacheCap bounds the number of serialized responses each snapshot's
 	// query cache retains. Default 16384; negative disables caching.
 	CacheCap int
 }
 
 func (o *Options) defaults() {
-	if o.TargetPerCell <= 0 {
-		o.TargetPerCell = 32
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 8
-	}
 	if o.CacheCap == 0 {
 		o.CacheCap = 16384
 	}
@@ -108,7 +105,7 @@ func NewStore(bounds geom.Box, entries []model.CatalogEntry, opts Options) *Stor
 		bounds = geom.NewBox(0, 0, 1, 1)
 	}
 	depth := 1
-	for depth < opts.MaxDepth && (1<<(2*depth))*opts.TargetPerCell < len(entries) {
+	for depth < maxDepth && (1<<(2*depth))*targetPerCell < len(entries) {
 		depth++
 	}
 	s := &Store{
@@ -121,7 +118,7 @@ func NewStore(bounds geom.Box, entries []model.CatalogEntry, opts Options) *Stor
 		loc:      make([]int32, len(entries)),
 	}
 	// Bucket entries per cell, then assemble the tree bottom-up.
-	buckets := make(map[int32]*cellEdit, len(entries)/opts.TargetPerCell+1)
+	buckets := make(map[int32]*cellEdit, len(entries)/targetPerCell+1)
 	for i := range entries {
 		key := s.keyFor(entries[i].Pos)
 		s.loc[i] = key

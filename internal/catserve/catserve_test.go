@@ -351,7 +351,7 @@ func TestDepthScalesWithCatalog(t *testing.T) {
 	if small.depth >= big.depth {
 		t.Fatalf("depth did not grow with catalog size: small=%d big=%d", small.depth, big.depth)
 	}
-	if big.depth > 8 {
-		t.Fatalf("depth %d exceeds MaxDepth default", big.depth)
+	if big.depth > maxDepth {
+		t.Fatalf("depth %d exceeds maxDepth", big.depth)
 	}
 }

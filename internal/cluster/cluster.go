@@ -241,30 +241,26 @@ func (h *procHeap) Pop() interface{} {
 // synchronizedStart replicates the Section VII-D performance-run setup:
 // processes block after loading images and start computing together.
 func Simulate(m Machine, w Workload, synchronizedStart bool) *Result {
-	return SimulateWithFaults(m, w, synchronizedStart, nil)
-}
-
-// SimulateWithFaults is Simulate with a fault plan injected: killed
-// processes die halfway through the task that follows their trigger count —
-// the partial work is lost, the in-flight task and the process's
-// undistributed pool are requeued through Dtree onto the survivors — and
-// delayed processes stall before each subsequent task. Recovery cost lands
-// where the paper's Section VII accounting would see it: re-executed work in
-// TaskProcessing on the inheriting processes, the dead process's silence in
-// LoadImbalance, and the wasted partial execution plus stalls in Other.
-func SimulateWithFaults(m Machine, w Workload, synchronizedStart bool, fp *dtree.FaultPlan) *Result {
-	return SimulateOpts(m, w, synchronizedStart, SimOptions{Faults: fp})
+	return SimulateOpts(m, w, synchronizedStart, SimOptions{})
 }
 
 // SimOptions extends the simulation with elastic-runtime behaviors.
 type SimOptions struct {
-	// Faults is the injected fault plan (nil for a fault-free run).
+	// Faults is the injected fault plan (nil for a fault-free run). Killed
+	// processes die halfway through the task that follows their trigger
+	// count — the partial work is lost, the in-flight task and the
+	// process's undistributed pool are requeued through Dtree onto the
+	// survivors — and delayed processes stall before each subsequent task.
+	// Recovery cost lands where the paper's Section VII accounting would
+	// see it: re-executed work in TaskProcessing on the inheriting
+	// processes, the dead process's silence in LoadImbalance, and the
+	// wasted partial execution plus stalls in Other.
 	Faults *dtree.FaultPlan
 
 	// Steal lets an idle process pull from the most-loaded live process's
 	// pool when its own subtree is dry, mirroring the TCP runtime's work
 	// stealing. Off by default — the static-partition baseline the paper
-	// measures — so Simulate/SimulateWithFaults results are unchanged.
+	// measures — so Simulate's results are unchanged.
 	Steal bool
 }
 

@@ -207,7 +207,7 @@ func TestSimulateWithFaultsRecovers(t *testing.T) {
 		{Rank: 17, AfterTasks: 0, Kill: true},
 		{Rank: 0, AfterTasks: 2, Kill: true}, // the Dtree root dies too
 	}}
-	res := SimulateWithFaults(m, w, false, fp)
+	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 
 	if res.FailedProcs != 3 {
 		t.Fatalf("FailedProcs = %d, want 3", res.FailedProcs)
@@ -241,7 +241,7 @@ func TestSimulateWithStragglerDelay(t *testing.T) {
 	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
 		{Rank: 5, AfterTasks: 0, DelaySeconds: 300},
 	}}
-	res := SimulateWithFaults(m, w, false, fp)
+	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 	if res.Visits != base.Visits {
 		t.Errorf("straggler changed completed work: %d vs %d", res.Visits, base.Visits)
 	}
@@ -257,13 +257,13 @@ func TestSimulateWithStragglerDelay(t *testing.T) {
 
 func TestFaultFreeSimulationUnchanged(t *testing.T) {
 	// The fault plumbing must not perturb the calibrated fault-free model:
-	// nil-plan results are identical to Simulate's.
+	// an empty plan's results are identical to Simulate's.
 	m := DefaultMachine(4)
 	w := DefaultWorkload(500)
 	a := Simulate(m, w, false)
-	b := SimulateWithFaults(m, w, false, nil)
+	b := SimulateOpts(m, w, false, SimOptions{Faults: &dtree.FaultPlan{}})
 	if a.Makespan != b.Makespan || a.Visits != b.Visits || a.Components != b.Components {
-		t.Errorf("nil fault plan changed the simulation: %+v vs %+v", a.Components, b.Components)
+		t.Errorf("empty fault plan changed the simulation: %+v vs %+v", a.Components, b.Components)
 	}
 }
 
@@ -283,7 +283,7 @@ func TestLateKillAfterSurvivorsDrainStillCompletes(t *testing.T) {
 		{Rank: 1, AfterTasks: 0, DelaySeconds: 1e5},
 		{Rank: 1, AfterTasks: 2, Kill: true},
 	}}
-	res := SimulateWithFaults(m, w, false, fp)
+	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 	if res.FailedProcs != 1 {
 		t.Fatalf("FailedProcs = %d, want the stalled child killed", res.FailedProcs)
 	}

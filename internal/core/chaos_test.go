@@ -97,13 +97,16 @@ func TestKilledRanksRecoverIdentically(t *testing.T) {
 
 	plans := []dtree.FaultPlan{
 		{Faults: []dtree.Fault{{Rank: 1, AfterTasks: 0, Kill: true}}},
+		// The Dtree root, which holds the dynamic pool, dies on its first
+		// task.
+		{Faults: []dtree.Fault{{Rank: 0, AfterTasks: 0, Kill: true}}},
 		{Faults: []dtree.Fault{
 			{Rank: 0, AfterTasks: 1, Kill: true}, // the root dies too
 			{Rank: 2, AfterTasks: 0, Kill: true},
 		}},
 	}
 	if testing.Short() {
-		plans = plans[:1]
+		plans = plans[:2]
 	}
 	for pi, fp := range plans {
 		fp := fp
@@ -113,7 +116,7 @@ func TestKilledRanksRecoverIdentically(t *testing.T) {
 		// run legitimately completes fault-free. Retry the scheduling race;
 		// every attempt that does land the kills must recover identically.
 		for attempt := 1; ; attempt++ {
-			res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: &fp})
+			res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: &fp})
 			if err != nil {
 				t.Fatalf("plan %d: %v", pi, err)
 			}
@@ -139,7 +142,7 @@ func TestAllRanksDeadIsAnError(t *testing.T) {
 		{Rank: 0, AfterTasks: 0, Kill: true},
 		{Rank: 1, AfterTasks: 0, Kill: true},
 	}}
-	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: fp})
+	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: fp})
 	if err == nil {
 		t.Fatal("run with every rank killed reported success")
 	}
@@ -154,7 +157,7 @@ func TestDelayedRankStillCompletes(t *testing.T) {
 	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
 		{Rank: 1, AfterTasks: 0, DelaySeconds: 0.002},
 	}}
-	res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: fp})
+	res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: fp})
 	if err != nil {
 		t.Fatal(err)
 	}

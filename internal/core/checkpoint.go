@@ -169,7 +169,6 @@ func runHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.
 	}
 
 	wInt(cfg.Rounds)
-	wF64(cfg.BatchFrac)
 	wU64(cfg.Seed)
 	wInt(cfg.Fit.MaxIter)
 	wF64(cfg.Fit.GradTol)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -13,10 +12,9 @@ import (
 // normalization bug: defaults() used to treat only the zero value as "unset",
 // so a negative Threads flowed through and sized the worker slice with a
 // negative length (a panic), a negative Rounds silently skipped every sweep
-// while converting to a huge uint32 on the wire, and a NaN BatchFrac produced
-// a zero batch size that stalled the Cyclades planner. Every numeric field
-// must normalize negative, zero, and (where float) NaN inputs; valid values
-// must pass through untouched.
+// while converting to a huge uint32 on the wire. Every numeric field must
+// normalize negative and zero inputs; valid values must pass through
+// untouched.
 func TestConfigDefaultsValidation(t *testing.T) {
 	defThreads := runtime.NumCPU()
 	if defThreads > 8 {
@@ -45,9 +43,6 @@ func TestConfigDefaultsValidation(t *testing.T) {
 			if c.Rounds != 2 {
 				t.Errorf("Rounds = %d, want 2", c.Rounds)
 			}
-			if c.BatchFrac != 0.34 {
-				t.Errorf("BatchFrac = %v, want 0.34", c.BatchFrac)
-			}
 			if c.Processes != 4 {
 				t.Errorf("Processes = %d, want 4", c.Processes)
 			}
@@ -65,16 +60,6 @@ func TestConfigDefaultsValidation(t *testing.T) {
 				t.Errorf("Rounds = %d, want 2", c.Rounds)
 			}
 		}},
-		{"negative BatchFrac normalizes", Config{BatchFrac: -0.5}, func(t *testing.T, c *Config) {
-			if c.BatchFrac != 0.34 {
-				t.Errorf("BatchFrac = %v, want 0.34", c.BatchFrac)
-			}
-		}},
-		{"NaN BatchFrac normalizes", Config{BatchFrac: math.NaN()}, func(t *testing.T, c *Config) {
-			if c.BatchFrac != 0.34 {
-				t.Errorf("BatchFrac = %v, want 0.34", c.BatchFrac)
-			}
-		}},
 		{"negative Processes normalizes", Config{Processes: -7}, func(t *testing.T, c *Config) {
 			if c.Processes != 4 {
 				t.Errorf("Processes = %d, want 4", c.Processes)
@@ -86,11 +71,11 @@ func TestConfigDefaultsValidation(t *testing.T) {
 			}
 		}},
 		{"valid values pass through untouched",
-			Config{Threads: 3, Rounds: 5, BatchFrac: 0.5, Processes: 2, PatchThreads: 6,
+			Config{Threads: 3, Rounds: 5, Processes: 2, PatchThreads: 6,
 				Seed: 42, ColdSweeps: true,
 				Fit: vi.Options{MaxIter: 7, GradTol: 1e-4, InitRadius: 0.25, PatchWorkers: 2}},
 			func(t *testing.T, c *Config) {
-				if c.Threads != 3 || c.Rounds != 5 || c.BatchFrac != 0.5 || c.Processes != 2 || c.PatchThreads != 6 {
+				if c.Threads != 3 || c.Rounds != 5 || c.Processes != 2 || c.PatchThreads != 6 {
 					t.Errorf("valid config mutated: %+v", *c)
 				}
 				if c.Seed != 42 || !c.ColdSweeps {
@@ -100,12 +85,6 @@ func TestConfigDefaultsValidation(t *testing.T) {
 				// core's defaults() must leave a valid Fit alone.
 				if c.Fit != (vi.Options{MaxIter: 7, GradTol: 1e-4, InitRadius: 0.25, PatchWorkers: 2}) {
 					t.Errorf("Fit mutated: %+v", c.Fit)
-				}
-			}},
-		{"BatchFrac above 1 is left alone (clamping would change working configs)",
-			Config{BatchFrac: 1.5}, func(t *testing.T, c *Config) {
-				if c.BatchFrac != 1.5 {
-					t.Errorf("BatchFrac = %v, want 1.5", c.BatchFrac)
 				}
 			}},
 	}

@@ -34,11 +34,10 @@ import (
 
 // Config controls joint inference.
 type Config struct {
-	Threads   int        // worker threads per task (default: NumCPU, max 8)
-	Rounds    int        // coordinate-ascent sweeps per task (default 2)
-	BatchFrac float64    // Cyclades sample fraction per batch (default 0.34)
-	Fit       vi.Options // per-source Newton options
-	Seed      uint64     // RNG seed for Cyclades sampling
+	Threads int        // worker threads per task (default: NumCPU, max 8)
+	Rounds  int        // coordinate-ascent sweeps per task (default 2)
+	Fit     vi.Options // per-source Newton options
+	Seed    uint64     // RNG seed for Cyclades sampling
 
 	// Processes is the number of simulated scheduler ranks of a run
 	// (default 4); on a real cluster each would be an MPI process.
@@ -63,8 +62,13 @@ type Config struct {
 	PatchThreads int
 }
 
+// batchFrac is the Cyclades sample fraction per batch: each batch samples
+// this share of a task's sources (arXiv:1801.10277 §IV), a fixed part of the
+// method rather than a run setting.
+const batchFrac = 0.34
+
 // defaults fills unset fields and clamps invalid ones. Zero means "use the
-// default", but negative or NaN values must be normalized too: a negative
+// default", but negative values must be normalized too: a negative
 // Threads used to flow through and size the worker slice with a negative
 // length (a panic), and a negative Rounds silently skipped every sweep
 // locally while converting to a huge uint32 on the wire.
@@ -77,9 +81,6 @@ func (c *Config) defaults() {
 	}
 	if c.Rounds < 1 {
 		c.Rounds = 2
-	}
-	if !(c.BatchFrac > 0) { // catches negative, zero, and NaN
-		c.BatchFrac = 0.34
 	}
 	if c.Processes < 1 {
 		c.Processes = 4
@@ -230,7 +231,7 @@ func (cfg Config) Process(rg *Region) Stats {
 	graph := &ps.graph
 	r := rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 
-	batchSize := int(cfg.BatchFrac * float64(n))
+	batchSize := int(batchFrac * float64(n))
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -436,10 +437,11 @@ type RunOptions struct {
 	Resume *Checkpoint
 
 	// OnCatalog streams incremental posterior summaries to a catalog
-	// consumer (the catserve index): after every CatalogEvery task commits,
-	// the hook receives the global source indices refreshed by those tasks
-	// and their freshly summarized catalog entries — the same math that
-	// builds the final output catalog, applied to the live parameter array.
+	// consumer (the catserve index): after every CheckpointEvery task
+	// commits (every commit when CheckpointEvery is 0), the hook receives
+	// the global source indices refreshed by those tasks and their freshly
+	// summarized catalog entries — the same math that builds the final
+	// output catalog, applied to the live parameter array.
 	// When the run completes, the hook fires one final time with every
 	// source and the exact entries of RunResult.Catalog, so a consumer's
 	// last state is byte-identical to the written catalog even on resumed
@@ -450,13 +452,9 @@ type RunOptions struct {
 	// must not call back into the run.
 	OnCatalog func(idx []int, entries []model.CatalogEntry)
 
-	// CatalogEvery sets how many task commits are batched per OnCatalog
-	// flush. 0 inherits CheckpointEvery; if that is also 0, every commit
-	// flushes.
-	CatalogEvery int
-
-	// Faults injects rank kills and stalls into in-process ranks.
-	Faults *dtree.FaultPlan
+	// faults injects rank kills and stalls into in-process ranks. Only
+	// this package's tests set it.
+	faults *dtree.FaultPlan
 
 	// Transport selects the link between the ranks and the run's state
 	// machine. Nil means the ranks live in this process: cfg.Processes
@@ -644,7 +642,7 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	cfg Config, opts RunOptions) (*RunResult, error) {
 
 	cfg.defaults()
-	if opts.Transport != nil && opts.Faults != nil {
+	if opts.Transport != nil && opts.faults != nil {
 		return nil, errors.New("core: FaultPlan injects faults into in-process ranks; fault a TCP run by killing real worker processes")
 	}
 	if opts.Transport != nil && cfg.ColdSweeps {
@@ -662,10 +660,7 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 		st.catHook = opts.OnCatalog
 		st.tasks = tasks
 		st.catalog = catalog
-		st.catEvery = opts.CatalogEvery
-		if st.catEvery <= 0 {
-			st.catEvery = opts.CheckpointEvery
-		}
+		st.catEvery = opts.CheckpointEvery
 		if st.catEvery <= 0 {
 			st.catEvery = 1
 		}
@@ -719,7 +714,7 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	if opts.Transport != nil {
 		linkErr = b.serve(opts.Transport, cfg, len(tasks))
 	} else {
-		b.runRanks(&rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks}, opts.Faults)
+		b.runRanks(&rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks}, opts.faults)
 	}
 	if err := b.finishRun(res, linkErr); err != nil {
 		return res, err

@@ -178,7 +178,6 @@ func TestOnCatalogStreaming(t *testing.T) {
 	}
 	var flushes []flush
 	res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{
-		CatalogEvery: 1,
 		OnCatalog: func(idx []int, ents []model.CatalogEntry) {
 			if len(idx) != len(ents) {
 				t.Errorf("flush with %d indices but %d entries", len(idx), len(ents))
@@ -190,7 +189,8 @@ func TestOnCatalogStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// CatalogEvery=1: one flush per committed task plus the final full flush.
+	// CheckpointEvery=0: one flush per committed task plus the final full
+	// flush.
 	if want := len(tasks) + 1; len(flushes) != want {
 		t.Fatalf("got %d flushes, want %d (one per task + final)", len(flushes), want)
 	}
@@ -229,8 +229,9 @@ func TestOnCatalogStreaming(t *testing.T) {
 	}
 }
 
-// TestOnCatalogBatching checks that CatalogEvery batches commits: with an
-// interval larger than the task count, only the final full flush fires.
+// TestOnCatalogBatching checks that catalog flushes follow CheckpointEvery:
+// with an interval larger than the task count, only the final full flush
+// fires.
 func TestOnCatalogBatching(t *testing.T) {
 	sv := smallSurvey(19)
 	if len(sv.Truth) < 3 {
@@ -242,7 +243,7 @@ func TestOnCatalogBatching(t *testing.T) {
 
 	calls := 0
 	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{
-		CatalogEvery: len(tasks) + 100,
+		CheckpointEvery: len(tasks) + 100,
 		OnCatalog: func(idx []int, ents []model.CatalogEntry) {
 			calls++
 			if len(idx) != len(noisy) {

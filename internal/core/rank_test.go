@@ -110,7 +110,7 @@ func TestBlockedRanksStrandWhenAllKilled(t *testing.T) {
 	for rank := 0; rank < blockedRanks; rank++ {
 		fp.Faults = append(fp.Faults, dtree.Fault{Rank: rank, AfterTasks: 0, Kill: true})
 	}
-	res, err := runBounded(t, sv, noisy, tasks, blockedConfig(), RunOptions{Faults: fp})
+	res, err := runBounded(t, sv, noisy, tasks, blockedConfig(), RunOptions{faults: fp})
 	if err == nil || !strings.Contains(err.Error(), "stranded") {
 		t.Fatalf("all-killed run returned %v, want the stranded diagnostic", err)
 	}
@@ -134,7 +134,7 @@ func TestBlockedRankPicksUpKilledRanksTask(t *testing.T) {
 	// A kill fires only when its rank draws a task; retry the (improbable)
 	// schedule where the survivor drains the run before any doomed rank runs.
 	for attempt := 1; ; attempt++ {
-		res, err := runBounded(t, sv, noisy, tasks, blockedConfig(), RunOptions{Faults: fp})
+		res, err := runBounded(t, sv, noisy, tasks, blockedConfig(), RunOptions{faults: fp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestInProcessRunReportsStolenTasks(t *testing.T) {
 	fp := &dtree.FaultPlan{Faults: []dtree.Fault{{Rank: 1, AfterTasks: 0, DelaySeconds: stall.Seconds()}}}
 	cfg.Processes = 2
 	for attempt := 1; ; attempt++ {
-		res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Faults: fp})
+		res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: fp})
 		if err != nil {
 			t.Fatal(err)
 		}

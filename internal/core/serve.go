@@ -61,7 +61,6 @@ func (b *serveBackend) serve(tr *cnet.Transport, cfg Config, nTasks int) error {
 		RunHash:    b.st.hash,
 		Seed:       cfg.Seed,
 		TargetWork: tr.TargetWork,
-		BatchFrac:  cfg.BatchFrac,
 		GradTol:    cfg.Fit.GradTol,
 	}
 	return cnet.Serve(tr.Listener, b, cnet.ServeOptions{

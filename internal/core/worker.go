@@ -110,7 +110,6 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 					Threads:      opts.Threads,
 					PatchThreads: opts.PatchThreads,
 					Rounds:       int(w.Rounds),
-					BatchFrac:    w.BatchFrac,
 					Seed:         w.Seed,
 					Processes:    int(w.Workers),
 					Fit:          vi.Options{MaxIter: int(w.MaxIter), GradTol: w.GradTol},

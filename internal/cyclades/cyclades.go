@@ -36,17 +36,6 @@ func (g *Graph) AddEdge(a, b int) {
 	g.adj[b] = append(g.adj[b], a)
 }
 
-// Degree returns the number of conflicts of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
-// VisitNeighbors calls fn for every vertex conflicting with v (a vertex may
-// be visited more than once if parallel edges were added).
-func (g *Graph) VisitNeighbors(v int, fn func(w int)) {
-	for _, w := range g.adj[v] {
-		fn(w)
-	}
-}
-
 // BuildConflictGraph constructs the conflict graph for light sources:
 // sources conflict when closer than the sum of their influence radii
 // (their light reaches common pixels). radii are in degrees. Hot paths that

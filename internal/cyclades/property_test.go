@@ -44,12 +44,12 @@ func checkPlan(t *testing.T, g *Graph, batches []Batch, label string) {
 		// Isolation: any edge with both ends sampled this batch must be
 		// intra-component.
 		for v, cv := range comp {
-			g.VisitNeighbors(v, func(w int) {
+			for _, w := range g.adj[v] {
 				if cw, in := comp[w]; in && cw != cv {
 					t.Fatalf("%s: batch %d splits edge (%d,%d) across components %d and %d",
 						label, bi, v, w, cv, cw)
 				}
-			})
+			}
 		}
 		// Connectivity: each component must be connected within the sampled
 		// subgraph — otherwise Assign serializes unrelated work and thread
@@ -77,12 +77,12 @@ func connectedInSample(g *Graph, c []int, comp map[int]int, ci int) bool {
 	for len(frontier) > 0 {
 		v := frontier[0]
 		frontier = frontier[1:]
-		g.VisitNeighbors(v, func(w int) {
+		for _, w := range g.adj[v] {
 			if cw, in := comp[w]; in && cw == ci && !visited[w] {
 				visited[w] = true
 				frontier = append(frontier, w)
 			}
-		})
+		}
 	}
 	return len(visited) == len(c)
 }

@@ -183,25 +183,3 @@ func Cos(a Dual) Dual {
 	s, c := math.Sincos(a.V)
 	return unary(a, c, -s, -c)
 }
-
-// AddTo accumulates src into dst in place (dst += src).
-func AddTo(dst *Dual, src Dual) {
-	dst.V += src.V
-	for i := 0; i < N; i++ {
-		dst.G[i] += src.G[i]
-	}
-	for k := 0; k < HessLen; k++ {
-		dst.H[k] += src.H[k]
-	}
-}
-
-// MulAddTo accumulates c*src into dst in place (dst += c*src).
-func MulAddTo(dst *Dual, c float64, src Dual) {
-	dst.V += c * src.V
-	for i := 0; i < N; i++ {
-		dst.G[i] += c * src.G[i]
-	}
-	for k := 0; k < HessLen; k++ {
-		dst.H[k] += c * src.H[k]
-	}
-}

@@ -92,18 +92,6 @@ func TestRandomizedOpsAgainstAD(t *testing.T) {
 	}
 }
 
-func TestAccumulators(t *testing.T) {
-	a := Var(1.5, 0)
-	b := Var(2.5, 1)
-	var acc Dual
-	AddTo(&acc, Mul(a, b))
-	MulAddTo(&acc, 3, Sqr(a))
-	want := Add(Mul(a, b), Scale(3, Sqr(a)))
-	if acc != want {
-		t.Errorf("accumulators disagree: %+v vs %+v", acc, want)
-	}
-}
-
 func TestIdx(t *testing.T) {
 	// Idx must enumerate the packed lower triangle row-wise.
 	k := 0

@@ -500,8 +500,8 @@ func TestBuilderFromSurveyImages(t *testing.T) {
 		t.Fatalf("patches = %d", len(pb.Patches))
 	}
 	for _, p := range pb.Patches {
-		if p.NumPix() != 100 {
-			t.Errorf("patch pixels = %d", p.NumPix())
+		if n := p.Rect.Width() * p.Rect.Height(); n != 100 {
+			t.Errorf("patch pixels = %d", n)
 		}
 		if p.Obs[0] != images[0].At(p.Rect.X0, p.Rect.Y0) || p.Bg[0] != 80 || p.VBg[0] != 0 {
 			t.Errorf("patch pixel 0 = (%v, %v, %v)", p.Obs[0], p.Bg[0], p.VBg[0])

@@ -11,9 +11,10 @@
 //   - the six spatial parameters flow through the per-pixel Gaussian-mixture
 //     densities (internal/dual, internal/mog);
 //   - the 22 brightness parameters flow through per-band flux moments,
-//     differentiated once per evaluation with internal/ad;
+//     differentiated once per evaluation in closed form (moments.go);
 //   - the 16 color-prior responsibilities (plus brightness) appear only in
-//     the KL terms, differentiated with internal/ad;
+//     the KL terms, also differentiated in closed form (moments.go;
+//     internal/ad is the tests' oracle for both);
 //   - per pixel, only a rank-2 chain (source mean counts m and second moment
 //     e2) connects the blocks, so the Hessian assembly is O(28²) per pixel
 //     instead of O(44²) per arithmetic operation.
@@ -53,9 +54,6 @@ type Patch struct {
 	bgRowPref []float64 // cumulative full-row sums, Height+1
 	bgPrefOK  bool
 }
-
-// NumPix returns the number of active pixels in the patch.
-func (p *Patch) NumPix() int { return p.Rect.Width() * p.Rect.Height() }
 
 // ensureBgPrefix builds the background-term prefix sums (see the field
 // comment). Pixels with non-positive background contribute zero, mirroring

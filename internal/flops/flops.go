@@ -35,13 +35,3 @@ func Rate(visits int64, seconds float64) float64 {
 	}
 	return Total(visits) / seconds
 }
-
-// TeraRate returns TFLOP/s.
-func TeraRate(visits int64, seconds float64) float64 {
-	return Rate(visits, seconds) / 1e12
-}
-
-// PetaRate returns PFLOP/s.
-func PetaRate(visits int64, seconds float64) float64 {
-	return Rate(visits, seconds) / 1e15
-}

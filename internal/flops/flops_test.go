@@ -24,12 +24,6 @@ func TestRates(t *testing.T) {
 	if got := Rate(visits, 0); got != 0 {
 		t.Errorf("Rate with zero time = %v", got)
 	}
-	if got := TeraRate(visits, 10); math.Abs(got-fl/10/1e12) > 1e-9 {
-		t.Errorf("TeraRate = %v", got)
-	}
-	if got := PetaRate(visits, 10); math.Abs(got-fl/10/1e15) > 1e-12 {
-		t.Errorf("PetaRate = %v", got)
-	}
 }
 
 func TestPaperScaleSanity(t *testing.T) {

@@ -51,21 +51,6 @@ func (b Box) Intersects(o Box) bool {
 		b.MinDec < o.MaxDec && o.MinDec < b.MaxDec
 }
 
-// Intersect returns the overlap of two boxes; ok is false if they are
-// disjoint.
-func (b Box) Intersect(o Box) (Box, bool) {
-	r := Box{
-		MinRA:  math.Max(b.MinRA, o.MinRA),
-		MinDec: math.Max(b.MinDec, o.MinDec),
-		MaxRA:  math.Min(b.MaxRA, o.MaxRA),
-		MaxDec: math.Min(b.MaxDec, o.MaxDec),
-	}
-	if r.MinRA >= r.MaxRA || r.MinDec >= r.MaxDec {
-		return Box{}, false
-	}
-	return r, true
-}
-
 // Expand returns the box grown by margin degrees on every side.
 func (b Box) Expand(margin float64) Box {
 	return Box{
@@ -198,24 +183,6 @@ func (w WCS) Footprint(width, height int) Box {
 		maxDec = math.Max(maxDec, p.Dec)
 	}
 	return Box{MinRA: minRA, MinDec: minDec, MaxRA: maxRA, MaxDec: maxDec}
-}
-
-// WorldBoxToPixRect returns the pixel rectangle covering the world box under
-// w, clipped to a width x height image.
-func (w WCS) WorldBoxToPixRect(b Box, width, height int) PixRect {
-	x0, y0 := w.WorldToPix(Pt2{RA: b.MinRA, Dec: b.MinDec})
-	x1, y1 := w.WorldToPix(Pt2{RA: b.MaxRA, Dec: b.MaxDec})
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
-	r := PixRect{
-		X0: int(math.Floor(x0)), Y0: int(math.Floor(y0)),
-		X1: int(math.Ceil(x1)) + 1, Y1: int(math.Ceil(y1)) + 1,
-	}
-	return r.Clip(width, height)
 }
 
 // Dist returns the flat-sky distance between two points in degrees.

@@ -22,20 +22,12 @@ func TestBoxContains(t *testing.T) {
 func TestBoxIntersect(t *testing.T) {
 	a := NewBox(0, 0, 2, 2)
 	b := NewBox(1, 1, 3, 3)
-	got, ok := a.Intersect(b)
-	if !ok {
-		t.Fatal("boxes should intersect")
-	}
-	want := NewBox(1, 1, 2, 2)
-	if got != want {
-		t.Errorf("intersection = %v, want %v", got, want)
+	if !a.Intersects(b) {
+		t.Error("overlapping boxes should intersect")
 	}
 	c := NewBox(5, 5, 6, 6)
-	if _, ok := a.Intersect(c); ok {
-		t.Error("disjoint boxes should not intersect")
-	}
 	if a.Intersects(c) {
-		t.Error("Intersects disagrees")
+		t.Error("disjoint boxes should not intersect")
 	}
 	// Touching boxes have zero-area overlap.
 	d := NewBox(2, 0, 4, 2)
@@ -118,23 +110,6 @@ func TestFootprint(t *testing.T) {
 	}
 	if math.Abs(fp.MaxDec-(10+0.495)) > 1e-12 {
 		t.Errorf("MaxDec = %v", fp.MaxDec)
-	}
-}
-
-func TestWorldBoxToPixRect(t *testing.T) {
-	w := NewSimpleWCS(0, 0, 0.1)
-	r := w.WorldBoxToPixRect(NewBox(0.2, 0.3, 0.55, 0.75), 100, 100)
-	if r.Empty() {
-		t.Fatal("rect should not be empty")
-	}
-	// Pixels 2..6 in x (0.2/0.1=2 through ceil(5.5)+1), clipped sane.
-	if r.X0 > 2 || r.X1 < 6 || r.Y0 > 3 || r.Y1 < 8 {
-		t.Errorf("rect = %+v", r)
-	}
-	// Fully outside the image clips to empty.
-	r = w.WorldBoxToPixRect(NewBox(100, 100, 101, 101), 100, 100)
-	if !r.Empty() {
-		t.Errorf("out-of-image rect = %+v, want empty", r)
 	}
 }
 

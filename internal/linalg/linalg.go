@@ -240,23 +240,6 @@ func SolveCholesky(l *Mat, x, b []float64) {
 	}
 }
 
-// SolveLowerTriangular solves L y = b for lower-triangular L, writing into y
-// (which may alias b).
-func SolveLowerTriangular(l *Mat, y, b []float64) {
-	n := l.Rows
-	if &y[0] != &b[0] {
-		copy(y, b)
-	}
-	for i := 0; i < n; i++ {
-		s := y[i]
-		row := l.Data[i*n:]
-		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
-		}
-		y[i] = s / row[i]
-	}
-}
-
 // EigenSymInto computes the full eigendecomposition of the symmetric matrix
 // a into caller-owned storage: a = V diag(w) Vᵀ with eigenvalues into w (len
 // n, ascending) and eigenvectors into the columns of v (n x n), with e (len
@@ -515,15 +498,4 @@ func QuadForm(a *Mat, x []float64) float64 {
 		}
 	}
 	return q
-}
-
-// Inverse2x2 inverts [[a,b],[c,d]] returning the inverse entries and the
-// determinant. It panics on singular input.
-func Inverse2x2(a, b, c, d float64) (ia, ib, ic, id, det float64) {
-	det = a*d - b*c
-	if det == 0 {
-		panic("linalg: singular 2x2 matrix")
-	}
-	inv := 1 / det
-	return d * inv, -b * inv, -c * inv, a * inv, det
 }

@@ -254,37 +254,6 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func TestInverse2x2(t *testing.T) {
-	ia, ib, ic, id, det := Inverse2x2(2, 1, 1, 2)
-	if det != 3 {
-		t.Errorf("det = %v", det)
-	}
-	// A * A^-1 = I.
-	if math.Abs(2*ia+1*ic-1) > 1e-14 || math.Abs(2*ib+1*id) > 1e-14 {
-		t.Errorf("inverse wrong: %v %v %v %v", ia, ib, ic, id)
-	}
-}
-
-func TestSolveLowerTriangular(t *testing.T) {
-	l := NewMat(3, 3)
-	l.Set(0, 0, 2)
-	l.Set(1, 0, 1)
-	l.Set(1, 1, 3)
-	l.Set(2, 0, 4)
-	l.Set(2, 1, 5)
-	l.Set(2, 2, 6)
-	x := []float64{1, -1, 2}
-	b := make([]float64, 3)
-	l.MulVec(b, x)
-	y := make([]float64, 3)
-	SolveLowerTriangular(l, y, b)
-	for i := range x {
-		if math.Abs(y[i]-x[i]) > 1e-12 {
-			t.Fatalf("y = %v, want %v", y, x)
-		}
-	}
-}
-
 func BenchmarkCholesky44(b *testing.B) {
 	r := rng.New(1)
 	a := randSPD(r, 44)

@@ -114,30 +114,6 @@ func NormalLogPDF(x, mu, sigma float64) float64 {
 	return -0.5*z*z - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
 }
 
-// NormalCDF returns P(Z <= x) for Z ~ N(0,1).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// LogNormalMean returns E[X] for log X ~ N(mu, v).
-func LogNormalMean(mu, v float64) float64 { return math.Exp(mu + v/2) }
-
-// LogNormalSecondMoment returns E[X^2] for log X ~ N(mu, v).
-func LogNormalSecondMoment(mu, v float64) float64 { return math.Exp(2*mu + 2*v) }
-
-// KLBernoulli returns KL(Bern(q) || Bern(p)).
-func KLBernoulli(q, p float64) float64 {
-	q = Clamp(q, Eps, 1-Eps)
-	p = Clamp(p, Eps, 1-Eps)
-	return q*math.Log(q/p) + (1-q)*math.Log((1-q)/(1-p))
-}
-
-// KLNormal returns KL(N(m1,v1) || N(m2,v2)) for variances v1, v2.
-func KLNormal(m1, v1, m2, v2 float64) float64 {
-	d := m1 - m2
-	return 0.5 * (v1/v2 + d*d/v2 - 1 + math.Log(v2/v1))
-}
-
 // KLCategorical returns KL(q || p) for probability vectors q, p.
 func KLCategorical(q, p []float64) float64 {
 	if len(q) != len(p) {
@@ -180,11 +156,6 @@ func MagFromFlux(nmgy float64) float64 {
 		return math.Inf(1)
 	}
 	return 22.5 - 2.5*math.Log10(nmgy)
-}
-
-// FluxFromMag converts an SDSS-style magnitude to flux in nanomaggies.
-func FluxFromMag(mag float64) float64 {
-	return math.Pow(10, (22.5-mag)/2.5)
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

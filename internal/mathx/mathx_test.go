@@ -111,53 +111,6 @@ func TestNormalLogPDF(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1.959963984540054, 0.975},
-		{-1.959963984540054, 0.025},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.x); !almostEq(got, c.want, 1e-9) {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestKLBernoulli(t *testing.T) {
-	if got := KLBernoulli(0.3, 0.3); !almostEq(got, 0, 1e-12) {
-		t.Errorf("KL(q||q) = %v, want 0", got)
-	}
-	f := func(q, p float64) bool {
-		q = Clamp(math.Abs(math.Mod(q, 1)), 0.01, 0.99)
-		p = Clamp(math.Abs(math.Mod(p, 1)), 0.01, 0.99)
-		return KLBernoulli(q, p) >= -1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKLNormal(t *testing.T) {
-	if got := KLNormal(1.5, 2.0, 1.5, 2.0); !almostEq(got, 0, 1e-12) {
-		t.Errorf("KL(q||q) = %v, want 0", got)
-	}
-	// Known value: KL(N(0,1) || N(1,1)) = 0.5.
-	if got := KLNormal(0, 1, 1, 1); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("KL = %v, want 0.5", got)
-	}
-	f := func(m1, v1, m2, v2 float64) bool {
-		m1 = math.Mod(m1, 10)
-		m2 = math.Mod(m2, 10)
-		v1 = Clamp(math.Abs(math.Mod(v1, 10)), 0.1, 10)
-		v2 = Clamp(math.Abs(math.Mod(v2, 10)), 0.1, 10)
-		return KLNormal(m1, v1, m2, v2) >= -1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestKLCategorical(t *testing.T) {
 	q := []float64{0.2, 0.3, 0.5}
 	if got := KLCategorical(q, q); !almostEq(got, 0, 1e-12) {
@@ -201,7 +154,7 @@ func TestAngleDistDeg(t *testing.T) {
 func TestMagFluxRoundTrip(t *testing.T) {
 	f := func(mag float64) bool {
 		mag = 15 + math.Mod(mag, 10) // realistic magnitude range
-		return almostEq(MagFromFlux(FluxFromMag(mag)), mag, 1e-10)
+		return almostEq(MagFromFlux(math.Pow(10, (22.5-mag)/2.5)), mag, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -222,19 +175,5 @@ func TestMeanStdDev(t *testing.T) {
 	}
 	if got := StdDev([]float64{1}); got != 0 {
 		t.Errorf("StdDev single = %v, want 0", got)
-	}
-}
-
-func TestLogNormalMoments(t *testing.T) {
-	mu, v := 1.2, 0.49
-	m1 := LogNormalMean(mu, v)
-	m2 := LogNormalSecondMoment(mu, v)
-	if want := math.Exp(mu + v/2); !almostEq(m1, want, 1e-12) {
-		t.Errorf("mean = %v, want %v", m1, want)
-	}
-	// Var = (exp(v)-1) exp(2mu+v) must equal m2 - m1^2.
-	wantVar := (math.Exp(v) - 1) * math.Exp(2*mu+v)
-	if got := m2 - m1*m1; !almostEq(got, wantVar, 1e-10) {
-		t.Errorf("var = %v, want %v", got, wantVar)
 	}
 }

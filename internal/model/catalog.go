@@ -39,9 +39,6 @@ type CatalogEntry struct {
 // IsGal reports whether the entry is more likely a galaxy than a star.
 func (e *CatalogEntry) IsGal() bool { return e.ProbGal >= 0.5 }
 
-// RefMag returns the reference-band magnitude.
-func (e *CatalogEntry) RefMag() float64 { return mathx.MagFromFlux(e.Flux[RefBand]) }
-
 // Colors returns the entry's color vector.
 func (e *CatalogEntry) Colors() [NumColors]float64 { return ColorsFromFluxes(e.Flux) }
 

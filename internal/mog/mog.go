@@ -516,32 +516,3 @@ func (e *Evaluator) EvalStar(dx, dy float64) dual.Dual {
 func (e *Evaluator) EvalGal(dx, dy float64) dual.Dual {
 	return e.evalComps(e.Gal, dx, dy)
 }
-
-// BoundingRadiusPx returns a conservative pixel radius containing nearly all
-// (1 - ~1e-4) of the source's flux: nSigma times the largest component
-// standard deviation plus the largest mean offset.
-func (e *Evaluator) BoundingRadiusPx(nSigma float64) float64 {
-	var maxVar, maxOff float64
-	scan := func(comps []DualComp) {
-		for i := range comps {
-			c := &comps[i]
-			// Largest eigenvalue of the covariance = 1/smallest of precision.
-			// Use trace bound: lambda_max(S) <= Sxx + Syy = (Q22+Q11)/det(Q).
-			detQ := c.Q11.V*c.Q22.V - c.Q12.V*c.Q12.V
-			if detQ <= 0 {
-				continue
-			}
-			tr := (c.Q11.V + c.Q22.V) / detQ
-			if tr > maxVar {
-				maxVar = tr
-			}
-			off := math.Hypot(c.MuX, c.MuY)
-			if off > maxOff {
-				maxOff = off
-			}
-		}
-	}
-	scan(e.Star)
-	scan(e.Gal)
-	return nSigma*math.Sqrt(maxVar) + maxOff
-}

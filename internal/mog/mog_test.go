@@ -311,15 +311,25 @@ func TestEvaluatorGalaxyValueMatchesMixture(t *testing.T) {
 
 func TestBoundingRadius(t *testing.T) {
 	psf := testPSF()
-	e := starOnlyEvaluator(psf, Jac2{A11: 1, A22: 1})
-	r := e.BoundingRadiusPx(4)
-	// Largest PSF sigma^2 is ~4.06 (trace bound 7.5) so radius >= 4*sqrt(4) = 8-ish.
-	if r < 8 || r > 20 {
+	comps := CompileInto(nil, psf)
+	r := ValueBoundingRadiusPx(comps)
+	// Largest PSF sigma^2 is ~4.06 (trace bound 7.5), so the radius is about
+	// CullSigma*sqrt(7.5) ~ 19 px plus the mean offsets.
+	if r < 8 || r > 30 {
 		t.Errorf("bounding radius = %v", r)
 	}
-	// Density at the bounding radius must be negligible relative to center.
-	if got := psf.Eval(r, 0) / psf.Eval(0, 0); got > 1e-3 {
-		t.Errorf("density ratio at radius = %v", got)
+	// On and beyond the radius every component is past qCutoff, so the
+	// truncated density is exactly zero there.
+	for k := 0; k < 64; k++ {
+		th := 2 * math.Pi * float64(k) / 64
+		for _, f := range []float64{1, 1.5} {
+			if v := EvalComps(comps, f*r*math.Cos(th), f*r*math.Sin(th)); v != 0 {
+				t.Fatalf("density %v at %v x radius, angle %v", v, f, th)
+			}
+		}
+	}
+	if EvalComps(comps, 0, 0) <= 0 {
+		t.Error("zero density at the center")
 	}
 }
 

@@ -336,8 +336,7 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 // component's exponent exceeds qCutoff (so EvalComps is exactly zero):
 // sqrt(qCutoff) times the largest component standard deviation (by the trace
 // bound on the covariance) plus the largest mean offset, with a small
-// absolute margin. The analogous dual-path bound is
-// (*Evaluator).BoundingRadiusPx(CullSigma).
+// absolute margin.
 func ValueBoundingRadiusPx(comps []ValueComp) float64 {
 	var maxVar, maxOff float64
 	for i := range comps {

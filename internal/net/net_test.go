@@ -46,7 +46,7 @@ func newFakeBackend(workers, width, nTasks int) *fakeBackend {
 		cfg: RunConfig{
 			Workers: uint32(workers), Width: uint32(width),
 			Rounds: 1, MaxIter: 8, NTasks: uint64(nTasks),
-			RunHash: 0xc0ffee, Seed: 7, TargetWork: 1e5, BatchFrac: 0.34,
+			RunHash: 0xc0ffee, Seed: 7, TargetWork: 1e5,
 		},
 		inflight:  make(map[int][]int),
 		committed: make(map[int][3]uint64),

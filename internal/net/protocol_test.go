@@ -13,7 +13,7 @@ import (
 // welcomeBytes encodes a welcome frame and returns it for field surgery.
 // Payload layout after the header: workers u32 | width u32 | rounds u32 |
 // maxiter u32 | ntasks u64 | runhash u64 | seed u64 | targetwork f64 |
-// batchfrac f64 | gradtol f64.
+// gradtol f64.
 func welcomeBytes(t *testing.T) []byte {
 	return encoded(t, &Message{Type: MsgWelcome, Welcome: sampleWelcome()})
 }
@@ -40,7 +40,7 @@ func TestWelcomeValidationBranches(t *testing.T) {
 		{"absurd maxiter", pokeU32(12, 1<<21), "rounds"},
 		{"absurd ntasks", pokeU64(16, 1<<25), "tasks"},
 		{"negative targetwork", pokeU64(40, 0x8000000000000001), "targetwork"},
-		{"batchfrac over 1", pokeU64(48, 0x4000000000000000), "targetwork"}, // 2.0
+		{"negative gradtol", pokeU64(48, 0x8000000000000001), "gradtol"},
 	}
 	for _, tc := range cases {
 		b := welcomeBytes(t)

@@ -49,8 +49,10 @@ var wireMagic = [4]byte{'C', 'E', 'L', 'W'}
 // keep-alive, not a poll), took the rank out of the Welcome, let a Shutdown
 // answer a Hello, and dropped the steal and snapshot messages; version 5
 // dropped Join and Leave: the coordinator decides how a worker is admitted,
-// and a worker that departs simply disconnects.
-const ProtocolVersion = 5
+// and a worker that departs simply disconnects; version 6 dropped the
+// Cyclades batch fraction from the Welcome: it is a constant of the method,
+// not a run setting.
+const ProtocolVersion = 6
 
 // headerLen is the fixed frame header size:
 // magic(4) + version(1) + type(1) + length(4) + crc(4).
@@ -116,7 +118,6 @@ type RunConfig struct {
 	RunHash    uint64 // core.RunHash over the run inputs
 	Seed       uint64 // Cyclades sampling seed
 	TargetWork float64
-	BatchFrac  float64
 	GradTol    float64
 }
 
@@ -233,7 +234,6 @@ func WriteMessage(w io.Writer, m *Message) error {
 		e.u64(c.RunHash)
 		e.u64(c.Seed)
 		e.f64(c.TargetWork)
-		e.f64(c.BatchFrac)
 		e.f64(c.GradTol)
 	case MsgReady:
 		e.u64(m.Hash)
@@ -380,7 +380,7 @@ func decodePayload(typ byte, payload []byte) (*Message, error) {
 				return nil, err
 			}
 		}
-		for _, p := range []*float64{&c.TargetWork, &c.BatchFrac, &c.GradTol} {
+		for _, p := range []*float64{&c.TargetWork, &c.GradTol} {
 			if *p, err = d.finiteF64(); err != nil {
 				return nil, err
 			}
@@ -513,9 +513,9 @@ func (c *RunConfig) validate() error {
 		return fmt.Errorf("net: welcome declares %d tasks", c.NTasks)
 	case c.Rounds > 1<<20 || c.MaxIter > 1<<20:
 		return fmt.Errorf("net: welcome declares rounds=%d maxiter=%d", c.Rounds, c.MaxIter)
-	case c.TargetWork < 0 || c.BatchFrac < 0 || c.BatchFrac > 1 || c.GradTol < 0:
-		return fmt.Errorf("net: welcome declares targetwork=%g batchfrac=%g gradtol=%g",
-			c.TargetWork, c.BatchFrac, c.GradTol)
+	case c.TargetWork < 0 || c.GradTol < 0:
+		return fmt.Errorf("net: welcome declares targetwork=%g gradtol=%g",
+			c.TargetWork, c.GradTol)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package net
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -15,7 +17,7 @@ func sampleWelcome() *RunConfig {
 	return &RunConfig{
 		Workers: 4, Width: 44, Rounds: 2, MaxIter: 40,
 		NTasks: 17, RunHash: 0xdeadbeefcafe, Seed: 9,
-		TargetWork: 1e5, BatchFrac: 0.34, GradTol: 1e-3,
+		TargetWork: 1e5, GradTol: 1e-3,
 	}
 }
 
@@ -51,6 +53,34 @@ func TestMessageRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("type %d: round trip mismatch:\n sent %+v\n  got %+v", m.Type, m, got)
 		}
+	}
+}
+
+// The bytes of one encoded frame of every type in sampleMessages, at wire
+// version pinVersion. A change to a payload layout bumps ProtocolVersion and
+// re-pins both constants in the same change.
+const (
+	pinVersion      = 6
+	pinFramesSHA256 = "a5185f881a82fefc7903cfa337936c713fae09b18ba8f39749dbc69e39e2a19a"
+)
+
+// TestFramesPinned fails when the encoding of any message type moves while
+// ProtocolVersion does not, so a layout change cannot ship without the
+// version bump that keeps a peer of the other build from reading one
+// frame's fields as another's.
+func TestFramesPinned(t *testing.T) {
+	h := sha256.New()
+	for _, m := range sampleMessages() {
+		h.Write(encoded(t, m))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if ProtocolVersion != pinVersion {
+		t.Fatalf("ProtocolVersion is %d but the frame pin is for version %d: set pinVersion = %d and pinFramesSHA256 = %q",
+			ProtocolVersion, pinVersion, ProtocolVersion, got)
+	}
+	if got != pinFramesSHA256 {
+		t.Fatalf("frame bytes moved at wire version %d: sha256 %s, pinned %s",
+			pinVersion, got, pinFramesSHA256)
 	}
 }
 
@@ -149,9 +179,9 @@ func TestReadMessageRejectsMalformedFrames(t *testing.T) {
 // TestReadMessageBadVersionIsErrBadVersion: the coordinator relies on the
 // sentinel to tell a version mismatch from line noise.
 func TestReadMessageBadVersion(t *testing.T) {
-	// The previous protocol version: a v4 peer is refused, not half-understood.
+	// The previous protocol version: a v5 peer is refused, not half-understood.
 	_, err := ReadMessage(bytes.NewReader(frame(ProtocolVersion-1, MsgHello, nil)))
-	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 4") {
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 5") {
 		t.Fatalf("got %v", err)
 	}
 }

@@ -110,7 +110,6 @@ type TROptions struct {
 	GradTol    float64 // terminate when ||g||_inf < GradTol (default 1e-8)
 	InitRadius float64 // initial trust radius (default 1)
 	MaxRadius  float64 // radius cap (default 1e3)
-	MinRadius  float64 // radius floor: treat as converged (default 1e-12)
 
 	// DecrementTol, when positive, is a second stopping test, free of the
 	// gradient's units: when the trust-region step is interior, a predicted
@@ -139,10 +138,11 @@ func (o *TROptions) defaults() {
 	if o.MaxRadius == 0 {
 		o.MaxRadius = 1e3
 	}
-	if o.MinRadius == 0 {
-		o.MinRadius = 1e-12
-	}
 }
+
+// minRadius is the trust-radius floor: a run whose radius shrinks below it
+// ends as collapsed.
+const minRadius = 1e-12
 
 // NewtonTRWS minimizes obj from x0 with a trust-region Newton method. The
 // trust-region subproblem is solved exactly via the symmetric
@@ -190,7 +190,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 		if predicted >= 0 {
 			// No descent possible within the model; shrink and retry.
 			radius *= 0.25
-			if radius < opts.MinRadius {
+			if radius < minRadius {
 				res.Status = "trust region collapsed"
 				res.Converged = gnorm < 1e-4
 				res.Radius = radius
@@ -221,7 +221,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			ws.noteHessianChanged()
 			res.F = f
 		}
-		if radius < opts.MinRadius {
+		if radius < minRadius {
 			res.Status = "trust region collapsed"
 			res.Converged = infNorm(g) < 1e-4
 			res.GradNorm = infNorm(g)
@@ -289,17 +289,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 	}
 	if ws.eigState == facFailed {
 		// Numerical disaster: fall back to steepest descent to the boundary.
-		gn := linalg.Norm2(g)
-		if gn == 0 {
-			for i := range p {
-				p[i] = 0
-			}
-			return p, 0
-		}
-		for i := range p {
-			p[i] = -g[i] / gn * radius
-		}
-		return p, modelChange(h, g, p)
+		return steepestToBoundary(p, h, g, radius)
 	}
 	lmin := w[0]
 
@@ -316,17 +306,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 	scale := math.Max(math.Abs(w[0]), math.Abs(w[n-1]))
 	if scale == 0 {
 		// Zero Hessian: linear model, steepest descent to the boundary.
-		gn := linalg.Norm2(g)
-		if gn == 0 {
-			for i := range p {
-				p[i] = 0
-			}
-			return p, 0
-		}
-		for i := range p {
-			p[i] = -g[i] / gn * radius
-		}
-		return p, modelChange(h, g, p)
+		return steepestToBoundary(p, h, g, radius)
 	}
 	eigFloor := eigFloorRel * scale
 	if lmin >= -eigFloor {
@@ -457,6 +437,23 @@ func modelChange(h *linalg.Mat, g, p []float64) float64 {
 	return linalg.Dot(g, p) + 0.5*linalg.QuadForm(h, p)
 }
 
+// steepestToBoundary writes into p the steepest-descent step to the
+// trust-region boundary (zero when g is zero) and returns it with its
+// predicted change in objective.
+func steepestToBoundary(p []float64, h *linalg.Mat, g []float64, radius float64) ([]float64, float64) {
+	gn := linalg.Norm2(g)
+	if gn == 0 {
+		for i := range p {
+			p[i] = 0
+		}
+		return p, 0
+	}
+	for i := range p {
+		p[i] = -g[i] / gn * radius
+	}
+	return p, modelChange(h, g, p)
+}
+
 func infNorm(g []float64) float64 {
 	var m float64
 	for _, v := range g {
@@ -471,8 +468,10 @@ func infNorm(g []float64) float64 {
 type LBFGSOptions struct {
 	MaxIter int     // default 2000 (the paper's observed worst case)
 	GradTol float64 // default 1e-8
-	Memory  int     // default 10
 }
+
+// lbfgsMemory is the number of s/y pairs LBFGS keeps.
+const lbfgsMemory = 10
 
 // LBFGS minimizes fg from x0 with limited-memory BFGS and an Armijo
 // backtracking line search. It exists primarily for the Newton-vs-L-BFGS
@@ -491,11 +490,8 @@ func LBFGS(fg func(x []float64) (float64, []float64), x0 []float64, opts LBFGSOp
 	if opts.GradTol == 0 {
 		opts.GradTol = 1e-8
 	}
-	if opts.Memory == 0 {
-		opts.Memory = 10
-	}
 	n := len(x0)
-	m := opts.Memory
+	m := lbfgsMemory
 	x := append([]float64(nil), x0...)
 	res := Result{X: x}
 

@@ -30,10 +30,6 @@ type Options struct {
 	// visits. The paper sizes tasks at roughly 500 sources; callers should
 	// pick TargetWork accordingly for their catalogs.
 	TargetWork float64
-	// MinBoxDeg stops subdivision below this box edge (prevents splitting a
-	// single bright source's pixels across tasks). Default: 8 pixels' worth
-	// at SDSS scale.
-	MinBoxDeg float64
 	// Coverage estimates how many epochs image a position (>= 1). Nil means
 	// uniform coverage of 1.
 	Coverage func(geom.Pt2) float64
@@ -43,10 +39,12 @@ func (o *Options) defaults() {
 	if o.TargetWork == 0 {
 		o.TargetWork = 2e5
 	}
-	if o.MinBoxDeg == 0 {
-		o.MinBoxDeg = 8 * 1.1e-4
-	}
 }
+
+// minBoxDeg stops subdivision below this box edge (prevents splitting a
+// single bright source's pixels across tasks): 8 pixels' worth at SDSS
+// scale.
+const minBoxDeg = 8 * 1.1e-4
 
 // SourceWork estimates the active-pixel-visit work of fitting one source:
 // the active window area grows with brightness (brighter sources spread
@@ -166,7 +164,7 @@ func generateStage(catalog []model.CatalogEntry, region geom.Box, opts Options,
 		for _, it := range sel {
 			total += it.work
 		}
-		splittable := box.Width() > 2*opts.MinBoxDeg || box.Height() > 2*opts.MinBoxDeg
+		splittable := box.Width() > 2*minBoxDeg || box.Height() > 2*minBoxDeg
 		if total <= opts.TargetWork || len(sel) <= 1 || !splittable {
 			t := Task{
 				ID: idBase + len(tasks), Stage: stage, Box: box, Work: total,
@@ -180,9 +178,9 @@ func generateStage(catalog []model.CatalogEntry, region geom.Box, opts Options,
 		}
 		// Split the longer axis at the work-weighted median.
 		alongRA := box.Width() >= box.Height()
-		if box.Width() <= 2*opts.MinBoxDeg {
+		if box.Width() <= 2*minBoxDeg {
 			alongRA = false
-		} else if box.Height() <= 2*opts.MinBoxDeg {
+		} else if box.Height() <= 2*minBoxDeg {
 			alongRA = true
 		}
 		key := func(it item) float64 {
@@ -210,10 +208,10 @@ func generateStage(catalog []model.CatalogEntry, region geom.Box, opts Options,
 		at := (key(sel[cut-1]) + key(sel[cut])) / 2
 		var lo, hi geom.Box
 		if alongRA {
-			at = clampSplit(at, box.MinRA, box.MaxRA, opts.MinBoxDeg)
+			at = clampSplit(at, box.MinRA, box.MaxRA, minBoxDeg)
 			lo, hi = box.SplitRA(at)
 		} else {
-			at = clampSplit(at, box.MinDec, box.MaxDec, opts.MinBoxDeg)
+			at = clampSplit(at, box.MinDec, box.MaxDec, minBoxDeg)
 			lo, hi = box.SplitDec(at)
 		}
 		var selLo, selHi []item

@@ -2,7 +2,7 @@
 // current parameters of every light source during distributed optimization
 // (Section IV-C). The interface mimics the Global Arrays Toolkit: a global
 // array of fixed-width float64 elements, partitioned over ranks by block
-// ownership, accessed with one-sided Get/Put/Accumulate operations.
+// ownership, accessed with one-sided Get/Put operations.
 //
 // The paper's transport is MPI-3 remote memory access, one-sided operations
 // supported in hardware by the interconnect; the defining property is that
@@ -37,7 +37,7 @@ type shard struct {
 	mu      sync.RWMutex
 	data    []float64 // elements owned by this rank, packed
 	lo      int       // first global element index owned
-	version uint64    // incremented on every Put/Accumulate to this shard
+	version uint64    // incremented on every Put to this shard
 }
 
 // New creates a global array of n elements of the given width over nRanks
@@ -125,36 +125,6 @@ func (a *Array) Put(caller, i int, val []float64) {
 	sh.version++
 	sh.mu.Unlock()
 	a.account(caller, owner)
-}
-
-// Accumulate adds val element-wise into element i (the Global Arrays "acc"
-// operation), atomically with respect to other accesses of the same shard.
-func (a *Array) Accumulate(caller, i int, val []float64) {
-	if len(val) != a.width {
-		panic("pgas: Accumulate buffer width mismatch")
-	}
-	owner := a.Owner(i)
-	sh := &a.shards[owner]
-	sh.mu.Lock()
-	off := (i - sh.lo) * a.width
-	dst := sh.data[off : off+a.width]
-	for k, v := range val {
-		dst[k] += v
-	}
-	sh.version++
-	sh.mu.Unlock()
-	a.account(caller, owner)
-}
-
-// GetRange copies elements [lo, hi) into out (len == (hi-lo)*Width),
-// batching shard locks. Used to snapshot a region's neighbor parameters.
-func (a *Array) GetRange(caller, lo, hi int, out []float64) {
-	if len(out) != (hi-lo)*a.width {
-		panic("pgas: GetRange buffer size mismatch")
-	}
-	for i := lo; i < hi; i++ {
-		a.Get(caller, i, out[(i-lo)*a.width:(i-lo+1)*a.width])
-	}
 }
 
 // Stats returns cumulative local operations, remote operations, and bytes

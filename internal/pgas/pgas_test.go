@@ -60,42 +60,6 @@ func TestOwnershipPartition(t *testing.T) {
 	}
 }
 
-func TestAccumulate(t *testing.T) {
-	a := New(10, 3, 2)
-	a.Put(0, 5, []float64{1, 2, 3})
-	a.Accumulate(1, 5, []float64{10, 20, 30})
-	out := make([]float64, 3)
-	a.Get(0, 5, out)
-	want := []float64{11, 22, 33}
-	for k := range want {
-		if out[k] != want[k] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestConcurrentAccumulateIsAtomic(t *testing.T) {
-	a := New(4, 1, 2)
-	const workers = 8
-	const per = 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				a.Accumulate(rank%2, 2, []float64{1})
-			}
-		}(w)
-	}
-	wg.Wait()
-	out := make([]float64, 1)
-	a.Get(0, 2, out)
-	if out[0] != workers*per {
-		t.Errorf("accumulated %v, want %v", out[0], workers*per)
-	}
-}
-
 func TestConcurrentDisjointPuts(t *testing.T) {
 	n := 64
 	a := New(n, 2, 8)
@@ -113,20 +77,6 @@ func TestConcurrentDisjointPuts(t *testing.T) {
 		a.Get(0, i, out)
 		if out[0] != float64(i) || out[1] != float64(2*i) {
 			t.Fatalf("element %d = %v", i, out)
-		}
-	}
-}
-
-func TestGetRange(t *testing.T) {
-	a := New(20, 2, 3)
-	for i := 0; i < 20; i++ {
-		a.Put(0, i, []float64{float64(i), -float64(i)})
-	}
-	out := make([]float64, 10*2)
-	a.GetRange(1, 5, 15, out)
-	for i := 0; i < 10; i++ {
-		if out[2*i] != float64(5+i) || out[2*i+1] != -float64(5+i) {
-			t.Fatalf("range element %d = (%v, %v)", i, out[2*i], out[2*i+1])
 		}
 	}
 }
@@ -175,7 +125,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Mutate, then restore, then verify the original contents came back.
 	a.Put(2, 5, []float64{-1, -2, -3})
-	a.Accumulate(1, 9, []float64{100, 100, 100})
+	a.Put(1, 9, []float64{100, 100, 100})
 	if err := a.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +161,7 @@ func TestSnapshotVersionsAdvance(t *testing.T) {
 	s0 := a.Snapshot()
 	a.Put(0, 0, []float64{1, 2})
 	a.Put(0, 7, []float64{3, 4}) // other shard
-	a.Accumulate(0, 0, []float64{1, 1})
+	a.Put(0, 0, []float64{2, 3})
 	s1 := a.Snapshot()
 	if s1.Versions[0] != s0.Versions[0]+2 {
 		t.Errorf("shard 0 version advanced by %d, want 2", s1.Versions[0]-s0.Versions[0])
@@ -269,9 +219,9 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestStressConcurrentMixedOps hammers one array from many goroutine ranks
-// with interleaved Get/Put/Accumulate plus snapshots, then settles the
-// books: accumulate-only elements must hold exact totals, and the op and
-// byte counters must equal exactly what was issued. Run under -race in CI,
+// with interleaved Get/Put plus snapshots, then settles the books: each
+// rank's private elements must hold exactly its own last writes, and the op
+// and byte counters must equal exactly what was issued. Run under -race in CI,
 // this doubles as the PGAS memory-safety gate.
 func TestStressConcurrentMixedOps(t *testing.T) {
 	const (
@@ -281,8 +231,11 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 		perRank = 2000
 	)
 	a := New(n, width, nRanks)
-	// Elements [0, n/2) take Put/Get traffic; [n/2, n) are accumulate-only
-	// so their totals are exactly predictable despite interleaving.
+	// Elements [0, n/2) take shared Put/Get traffic; [n/2, n) are split
+	// into one private block per rank, each element holding the count of
+	// its owner's writes to it, so their totals are exactly predictable
+	// despite interleaving.
+	const private = n / 2 / nRanks
 	var wg sync.WaitGroup
 	for rank := 0; rank < nRanks; rank++ {
 		wg.Add(1)
@@ -291,6 +244,7 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 			r := rng.New(uint64(rank) + 1)
 			val := make([]float64, width)
 			out := make([]float64, width)
+			var writes [private]float64
 			for op := 0; op < perRank; op++ {
 				switch op % 3 {
 				case 0:
@@ -303,11 +257,12 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 					i := r.Intn(n)
 					a.Get(rank, i, out)
 				case 2:
-					i := n/2 + r.Intn(n/2)
+					j := r.Intn(private)
+					writes[j]++
 					for k := range val {
-						val[k] = 1
+						val[k] = writes[j]
 					}
-					a.Accumulate(rank, i, val)
+					a.Put(rank, n/2+rank*private+j, val)
 				}
 				if op%500 == 0 {
 					// Snapshots interleaved with writers must be internally
@@ -322,9 +277,9 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Accumulate totals: each rank issued perRank/3 (rounded) accumulates of
-	// all-ones; the sum over the accumulate-only elements must match exactly
-	// (float64 sums of small integers are exact).
+	// Private totals: each rank issued perRank/3 (rounded) private writes;
+	// the sum over the private elements must match exactly (float64 sums of
+	// small integers are exact).
 	accPerRank := perRank / 3
 	out := make([]float64, width)
 	var total float64
@@ -336,7 +291,7 @@ func TestStressConcurrentMixedOps(t *testing.T) {
 	}
 	want := float64(nRanks * accPerRank * width)
 	if total != want {
-		t.Errorf("accumulate total %v, want %v", total, want)
+		t.Errorf("private total %v, want %v", total, want)
 	}
 
 	// Counter settlement: ops issued = perRank*nRanks + the final reads,

@@ -250,33 +250,14 @@ func (r *Source) Dirichlet(out, alpha []float64) []float64 {
 	return out
 }
 
-// MultiNormal2 returns a sample from a 2-D normal with mean (mx, my) and
-// covariance [[vxx, vxy], [vxy, vyy]] via its Cholesky factor.
-func (r *Source) MultiNormal2(mx, my, vxx, vxy, vyy float64) (x, y float64) {
-	l11 := math.Sqrt(vxx)
-	l21 := vxy / l11
-	l22 := math.Sqrt(vyy - l21*l21)
-	z1, z2 := r.Normal(), r.Normal()
-	return mx + l11*z1, my + l21*z1 + l22*z2
-}
-
-// Shuffle performs a Fisher-Yates shuffle of indices [0, n) using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	return r.PermInto(make([]int, n))
 }
 
 // PermInto fills p with a random permutation of [0, len(p)) and returns it,
-// drawing the identical random stream as Perm of the same length. The
-// Fisher-Yates loop is inlined (rather than calling Shuffle with a closure)
-// so hot paths can permute without allocating.
+// drawing the identical random stream as Perm of the same length, without
+// allocating.
 func (r *Source) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i

@@ -189,32 +189,6 @@ func TestDirichletSimplex(t *testing.T) {
 	}
 }
 
-func TestMultiNormal2Covariance(t *testing.T) {
-	r := New(10)
-	mx, my := 1.0, -2.0
-	vxx, vxy, vyy := 2.0, 0.8, 1.0
-	const n = 200000
-	var sx, sy, sxx, sxy, syy float64
-	for i := 0; i < n; i++ {
-		x, y := r.MultiNormal2(mx, my, vxx, vxy, vyy)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-		syy += y * y
-	}
-	ex, ey := sx/n, sy/n
-	cxx := sxx/n - ex*ex
-	cxy := sxy/n - ex*ey
-	cyy := syy/n - ey*ey
-	if math.Abs(ex-mx) > 0.02 || math.Abs(ey-my) > 0.02 {
-		t.Errorf("mean = (%v, %v)", ex, ey)
-	}
-	if math.Abs(cxx-vxx) > 0.05 || math.Abs(cxy-vxy) > 0.05 || math.Abs(cyy-vyy) > 0.05 {
-		t.Errorf("cov = [%v %v; %v %v]", cxx, cxy, cxy, cyy)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	p := r.Perm(100)

@@ -219,17 +219,6 @@ func (s *Survey) ImagesInBoxInto(dst []*Image, box geom.Box) []*Image {
 	return dst
 }
 
-// TruthInBox returns indices of truth sources inside box.
-func (s *Survey) TruthInBox(box geom.Box) []int {
-	var out []int
-	for i := range s.Truth {
-		if box.Contains(s.Truth[i].Pos) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NoisyCatalog derives an initialization catalog from the truth: positions
 // jittered, fluxes perturbed, types sometimes wrong, shapes coarsened. This
 // plays the role of the preexisting astronomical catalog that the paper uses
@@ -271,72 +260,6 @@ func clamp01(x float64) float64 {
 		return 0.98
 	}
 	return x
-}
-
-// Coadd stacks all images of one band whose footprints cover box onto a new
-// pixel grid aligned with the box at the survey pixel scale, averaging
-// sky-subtracted, calibration-normalized intensities. The result mimics the
-// high signal-to-noise Stripe 82 coadds used for ground-truth estimation:
-// the returned image has Iota equal to the summed iotas, Sky equal to the
-// summed skies, a PSF that is the iota-weighted average of the stacked
-// frames' PSF mixtures (a deeper frame contributes proportionally more of
-// the stack's light, so its seeing dominates), and pixels in summed-count
-// units.
-func (s *Survey) Coadd(box geom.Box, band int) *Image {
-	cfg := s.Config
-	w := int(math.Ceil(box.Width() / cfg.PixScale))
-	h := int(math.Ceil(box.Height() / cfg.PixScale))
-	if w <= 0 || h <= 0 {
-		panic("survey: empty coadd box")
-	}
-	wcs := geom.NewSimpleWCS(box.MinRA, box.MinDec, cfg.PixScale)
-	out := &Image{
-		ID: -1, Run: -1, Field: -1, Band: band,
-		W: w, H: h, WCS: wcs,
-		Pixels: make([]float64, w*h),
-	}
-	var nStack int
-	var psfAccum mog.Mixture
-	for _, im := range s.Images {
-		if im.Band != band || !im.Footprint().Intersects(box) {
-			continue
-		}
-		nStack++
-		out.Iota += im.Iota
-		out.Sky += im.Sky
-		// The coadd PSF is the iota-weighted mixture average: each frame's
-		// components enter scaled by that frame's iota, and the total is
-		// normalized by the summed iota once the stack is complete.
-		for _, c := range im.PSF {
-			c.Weight *= im.Iota
-			psfAccum = append(psfAccum, c)
-		}
-		// Resample by nearest pixel (adequate: all frames share the scale).
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				p := wcs.PixToWorld(float64(x), float64(y))
-				sx, sy := im.WCS.WorldToPix(p)
-				ix, iy := int(math.Round(sx)), int(math.Round(sy))
-				if ix < 0 || iy < 0 || ix >= im.W || iy >= im.H {
-					// Outside this frame: pretend it contributed sky so the
-					// coadd stays unbiased.
-					out.Pixels[y*w+x] += im.Sky
-					continue
-				}
-				out.Pixels[y*w+x] += im.At(ix, iy)
-			}
-		}
-	}
-	if nStack == 0 {
-		return nil
-	}
-	if out.Iota > 0 {
-		for i := range psfAccum {
-			psfAccum[i].Weight /= out.Iota
-		}
-	}
-	out.PSF = psfAccum
-	return out
 }
 
 // String summarizes the survey.

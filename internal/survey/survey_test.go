@@ -6,8 +6,6 @@ import (
 
 	"celeste/internal/geom"
 	"celeste/internal/model"
-	"celeste/internal/mog"
-	"celeste/internal/psf"
 	"celeste/internal/rng"
 )
 
@@ -199,105 +197,4 @@ func TestNoisyCatalogPerturbsButTracks(t *testing.T) {
 	}
 }
 
-func TestCoaddIncreasesDepth(t *testing.T) {
-	s := Generate(smallConfig(6))
-	deep := s.Config.DeepRegion
-	box := geom.NewBox( // inset within the deep region
-		deep.MinRA+0.125*deep.Width(), deep.MinDec+0.1*deep.Height(),
-		deep.MaxRA-0.125*deep.Width(), deep.MaxDec-0.1*deep.Height())
-	co := s.Coadd(box, model.RefBand)
-	if co == nil {
-		t.Fatal("no coadd produced")
-	}
-	// The coadd must stack at least Runs+DeepRuns frames' worth of iota.
-	minIota := float64(s.Config.Runs+s.Config.DeepRuns) * s.Config.IotaRange[0]
-	if co.Iota < minIota*0.8 {
-		t.Errorf("coadd iota = %v, want >= %v", co.Iota, minIota)
-	}
-	// Mean pixel level should approximate the summed sky.
-	var sum float64
-	for _, v := range co.Pixels {
-		sum += v
-	}
-	mean := sum / float64(len(co.Pixels))
-	if mean < co.Sky*0.95 {
-		t.Errorf("coadd mean = %v below summed sky %v", mean, co.Sky)
-	}
-}
-
-func TestTruthInBox(t *testing.T) {
-	s := Generate(smallConfig(7))
-	box := geom.NewBox(0.01, 0.01, 0.03, 0.03)
-	idx := s.TruthInBox(box)
-	for _, i := range idx {
-		if !box.Contains(s.Truth[i].Pos) {
-			t.Errorf("source %d outside box", i)
-		}
-	}
-	// Count matches a direct scan.
-	var want int
-	for i := range s.Truth {
-		if box.Contains(s.Truth[i].Pos) {
-			want++
-		}
-	}
-	if len(idx) != want {
-		t.Errorf("got %d sources, want %d", len(idx), want)
-	}
-}
-
 func rngForTest(seed uint64) *rng.Source { return rng.New(seed) }
-
-// TestCoaddAveragesPSF: the coadd PSF must be the iota-weighted average of
-// the stacked frames' PSF mixtures, matching the doc comment. Pre-fix,
-// psfAccum never accumulated: the coadd silently carried only the first
-// frame's PSF while Iota and Sky summed, so a fit against a coadd used the
-// wrong seeing whenever frames differed.
-func TestCoaddAveragesPSF(t *testing.T) {
-	cfg := DefaultConfig(1)
-	const scale = 1.1e-4
-	cfg.PixScale = scale
-	box := geom.NewBox(0, 0, 32*scale, 32*scale)
-	mkImage := func(sigmaPx, iota float64) *Image {
-		im := &Image{
-			Band: model.RefBand, W: 64, H: 64,
-			WCS:  geom.NewSimpleWCS(-16*scale, -16*scale, scale),
-			PSF:  psf.Default(sigmaPx),
-			Iota: iota, Sky: 10,
-			Pixels: make([]float64, 64*64),
-		}
-		for i := range im.Pixels {
-			im.Pixels[i] = im.Sky
-		}
-		return im
-	}
-	sharp, blurry := mkImage(1.0, 300), mkImage(2.5, 100)
-	s := &Survey{Config: cfg, Images: []*Image{sharp, blurry}}
-
-	co := s.Coadd(box, model.RefBand)
-	if co == nil {
-		t.Fatal("no coadd produced")
-	}
-	if got, want := len(co.PSF), len(sharp.PSF)+len(blurry.PSF); got != want {
-		t.Fatalf("coadd PSF has %d components, want %d (both frames' mixtures)", got, want)
-	}
-	// Exact expectation: each frame's components weighted by iota_i / Σiota.
-	totIota := sharp.Iota + blurry.Iota
-	want := make(mog.Mixture, 0, len(sharp.PSF)+len(blurry.PSF))
-	for _, im := range []*Image{sharp, blurry} {
-		for _, c := range im.PSF {
-			c.Weight *= im.Iota / totIota
-			want = append(want, c)
-		}
-	}
-	for i, c := range co.PSF {
-		if math.Abs(c.Weight-want[i].Weight) > 1e-12 ||
-			c.Sxx != want[i].Sxx || c.Syy != want[i].Syy {
-			t.Fatalf("coadd PSF component %d = %+v, want %+v", i, c, want[i])
-		}
-	}
-	// The deeper (sharper) frame dominates: total weight stays normalized.
-	if tw := co.PSF.TotalWeight(); math.Abs(tw-1) > 1e-9 {
-		t.Errorf("coadd PSF total weight = %v, want ~1", tw)
-	}
-}
