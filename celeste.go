@@ -42,8 +42,8 @@ type (
 	// CatalogEntry is one light source: position, type probability, fluxes,
 	// galaxy shape, and (for Bayesian catalogs) posterior uncertainties.
 	CatalogEntry = model.CatalogEntry
-	// Params is the unconstrained 44-parameter variational state of one
-	// source.
+	// Params is the unconstrained model.ParamDim-parameter variational
+	// state of one source.
 	Params = model.Params
 	// Priors holds the model's prior distributions (Φ, Υ, Ξ).
 	Priors = model.Priors

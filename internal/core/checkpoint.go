@@ -84,8 +84,11 @@ func (ck *Checkpoint) Validate() error {
 // bytes on purpose. 1: closed-form KL and flux-moment derivatives (the
 // revision the hash first carried). 2: the row sweeps carry each Gaussian
 // component's exponential from row to row and split it into two chains
-// along the row (internal/mog, egen.go).
-const numericsRevision = 2
+// along the row (internal/mog, egen.go). 3: the color-prior responsibilities
+// are profiled out of the fitted vector in closed form (ParamDim 44 → 28,
+// internal/elbo, moments.go), and the Newton-decrement stop extrapolates the
+// remaining gain on an exponential tail (internal/opt).
+const numericsRevision = 3
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

@@ -1,8 +1,8 @@
 // Package core implements Celeste's joint inference — the paper's primary
 // contribution. A node-level task jointly optimizes the light sources of one
 // sky region by block coordinate ascent: each step fits one source's
-// 44-parameter block to tolerance (internal/vi) with every overlapping
-// source's light folded into the background. Threads parallelize the sweep
+// model.ParamDim-parameter block to tolerance (internal/vi) with every
+// overlapping source's light folded into the background. Threads parallelize the sweep
 // with Cyclades conflict-free batches, so concurrent updates never touch
 // overlapping sources (Section IV-D). Across tasks, the distributed driver
 // (RunWithOptions) schedules regions with Dtree, keeps the global parameter

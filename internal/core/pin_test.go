@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 2
-	pinSHA256   = "954c6a9457577822a5eeb4a35784008b18b60f5533c3751c790b9a470d91cade"
+	pinRevision = 3
+	pinSHA256   = "b0574762ce6a2f3f8f84b81ea6256b4bcb1fa57f398c2aa4dc16e330c94955a3"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

@@ -10,11 +10,11 @@
 //
 // This mirrors the paper's "hand-coded derivatives that leverage custom index
 // types to exploit Hessian sparsity structure" (Section V): pixel terms only
-// touch these six coordinates, so carrying a 6-vector gradient and a packed
-// 21-entry Hessian is ~50x cheaper than dragging the full 44-dimensional
-// block through every pixel. The brightness and prior coordinates enter the
-// objective only through per-source factors, which internal/elbo chains in
-// analytically.
+// touch these six coordinates, so each pixel carries a 6-vector gradient and
+// a packed 21-entry Hessian (27 numbers) instead of the full
+// model.ParamDim-dimensional block's 434. The brightness and prior
+// coordinates enter the objective only through per-source factors, which
+// internal/elbo chains in analytically.
 //
 // All operations are allocation-free; values are plain structs.
 package dual

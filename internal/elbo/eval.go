@@ -18,14 +18,9 @@ import (
 type Result struct {
 	Value  float64
 	Grad   [model.ParamDim]float64
-	Hess   *linalg.Mat // 44x44, symmetric, fully populated
+	Hess   *linalg.Mat // ParamDim x ParamDim, symmetric, fully populated
 	Visits int64
 }
-
-// activeDim is the number of coordinates touched by pixel terms: 6 spatial
-// plus 22 brightness. Coordinates 28..43 (responsibilities) appear only in
-// the KL term.
-const activeDim = 6 + brightDim
 
 // maxProfVar is the largest radial-profile component variance (in units of
 // the squared half-light radius), used by the conservative active-pixel
@@ -136,25 +131,25 @@ func (pb *Problem) EvalInto(theta *model.Params, s *Scratch) *Result {
 	bm := s.computeBrightMoments(theta)
 	s.runPatches(pb, theta, bm, tierFull)
 
-	var grad [activeDim]float64
-	hess := s.activeHess // lower triangle
+	// Reduce the patch partials into the lower triangle in patch order.
+	hess := res.Hess
 	for i := range pb.Patches {
 		pp := &s.parts[i]
 		res.Value += pp.value
 		res.Visits += pp.visits
-		for j := 0; j < activeDim; j++ {
-			grad[j] += pp.grad[j]
+		for j := range res.Grad {
+			res.Grad[j] += pp.grad[j]
 		}
-		for r := 0; r < activeDim; r++ {
-			row := hess.Data[r*activeDim : r*activeDim+r+1]
-			prow := pp.hess.Data[r*activeDim:]
+		for r := 0; r < model.ParamDim; r++ {
+			row := hess.Data[r*model.ParamDim : r*model.ParamDim+r+1]
+			prow := pp.hess.Data[r*model.ParamDim:]
 			for c := range row {
 				row[c] += prow[c]
 			}
 		}
 	}
 
-	pb.finishEval(theta, s, &grad)
+	pb.finishEval(theta, s)
 	return res
 }
 
@@ -352,7 +347,7 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 		k := 0
 		for i := 0; i < dual.N; i++ {
 			for j := 0; j <= i; j++ {
-				hess.Data[i*activeDim+j] += ho[k]
+				hess.Data[i*model.ParamDim+j] += ho[k]
 				k++
 			}
 		}
@@ -366,7 +361,7 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 			avG, bvG := av.Grad[li], bv.Grad[li]
 			cvG, dvG := cv.Grad[li], dv.Grad[li]
 			grad[6+li] += iota*(avG*pm.p1s+bvG*pm.p1g) + iota2*(cvG*pm.p2ss+dvG*pm.p2gg)
-			row := hess.Data[(6+li)*activeDim:]
+			row := hess.Data[(6+li)*model.ParamDim:]
 			for j := 0; j < 6; j++ {
 				row[j] += iota*(avG*pm.a1[j]+bvG*pm.a2[j]) +
 					2*iota2*(cvG*pm.b1[j]+dvG*pm.b2[j]) +
@@ -390,40 +385,25 @@ func (pb *Problem) evalPatchFull(theta *model.Params, bm *brightMoments, p *Patc
 	}
 }
 
-// finishEval scatters the active block into the global result and adds the
-// KL and position-anchor terms.
-func (pb *Problem) finishEval(theta *model.Params, s *Scratch, grad *[activeDim]float64) {
+// finishEval adds the KL term to the reduced pixel terms, mirrors the
+// Hessian's lower triangle, and adds the position anchor.
+func (pb *Problem) finishEval(theta *model.Params, s *Scratch) {
 	res := &s.res
-	hess := s.activeHess
+	hess := res.Hess
 
-	// Scatter the active block into the global result.
-	for i := 0; i < activeDim; i++ {
-		gi := activeGlobal(i)
-		res.Grad[gi] += grad[i]
-		for j := 0; j <= i; j++ {
-			gj := activeGlobal(j)
-			res.Hess.Add(gi, gj, hess.At(i, j))
-			if gi != gj {
-				res.Hess.Add(gj, gi, hess.At(i, j))
-			}
-		}
-	}
-
-	// KL terms (subtracted from the ELBO).
+	// KL terms (subtracted from the ELBO) over the brightness subspace.
 	kl := s.computeKL(theta, pb.Priors)
 	res.Value -= kl.Val
-	for l := 0; l < klDim; l++ {
-		res.Grad[klGlobal[l]] -= kl.Grad[l]
+	for l := 0; l < brightDim; l++ {
+		res.Grad[6+l] -= kl.Grad[l]
+		row := hess.Data[(6+l)*model.ParamDim+6:]
+		for m, h := range kl.Hess[packedIdx(l, 0) : packedIdx(l, l)+1] {
+			row[m] -= h
+		}
 	}
-	for li := 0; li < klDim; li++ {
-		gi := klGlobal[li]
-		for lj := 0; lj <= li; lj++ {
-			gj := klGlobal[lj]
-			h := kl.Hess[li*(li+1)/2+lj]
-			res.Hess.Add(gi, gj, -h)
-			if gi != gj {
-				res.Hess.Add(gj, gi, -h)
-			}
+	for i := 0; i < model.ParamDim; i++ {
+		for j := 0; j < i; j++ {
+			hess.Data[j*model.ParamDim+i] = hess.Data[i*model.ParamDim+j]
 		}
 	}
 
@@ -523,13 +503,6 @@ func (pb *Problem) evalPatchValue(theta *model.Params, c *model.Constrained, bm 
 			out.value += obsRow[i]*(math.Log(ef)-vf/(2*ef*ef)) - ef
 		}
 	}
-}
-
-func activeGlobal(i int) int {
-	if i < 6 {
-		return i
-	}
-	return brightGlobal[i-6]
 }
 
 func pbPos(theta *model.Params) geom.Pt2 {

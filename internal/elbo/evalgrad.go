@@ -40,25 +40,21 @@ func (pb *Problem) EvalGradInto(theta *model.Params, s *Scratch) *GradResult {
 	bm := s.computeBrightMoments(theta)
 	s.runPatches(pb, theta, bm, tierGrad)
 
-	var grad [activeDim]float64
 	for i := range pb.Patches {
 		pp := &s.parts[i]
 		res.Value += pp.value
 		res.Visits += pp.visits
-		for j := 0; j < activeDim; j++ {
-			grad[j] += pp.grad[j]
+		for j := range res.Grad {
+			res.Grad[j] += pp.grad[j]
 		}
 	}
 
-	// Scatter the active block, then the KL and anchor terms — the same
-	// computeKL EvalInto reads, so the shared coordinates match it exactly.
-	for i := 0; i < activeDim; i++ {
-		res.Grad[activeGlobal(i)] += grad[i]
-	}
+	// The KL and anchor terms — the same computeKL EvalInto reads, so the
+	// shared coordinates match it exactly.
 	kl := s.computeKL(theta, pb.Priors)
 	res.Value -= kl.Val
-	for l := 0; l < klDim; l++ {
-		res.Grad[klGlobal[l]] -= kl.Grad[l]
+	for l := 0; l < brightDim; l++ {
+		res.Grad[6+l] -= kl.Grad[l]
 	}
 	if pb.PosPenalty > 0 {
 		dra := theta[model.ParamRA] - pb.PosAnchor.RA

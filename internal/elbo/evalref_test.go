@@ -15,18 +15,19 @@ import (
 // path selects it.
 
 // evalIntoRef is the pre-kernel EvalInto: one EvalStar/EvalGal call per
-// pixel, full per-pixel accumulation over the active 28-dimensional block.
+// pixel, full per-pixel accumulation over every coordinate.
 func (pb *Problem) evalIntoRef(theta *model.Params, s *Scratch) *Result {
 	s.reset()
 	res := &s.res
 
 	bm := s.computeBrightMoments(theta)
 
-	// Per-pixel accumulation into the active 28x28 block.
-	var grad [activeDim]float64
-	hess := s.activeHess // lower triangle
+	// Per-pixel accumulation into the gradient and the Hessian's lower
+	// triangle.
+	grad := &res.Grad
+	hess := res.Hess
 
-	var gm, ge2 [activeDim]float64 // scratch: ∇m, ∇e2 per pixel
+	var gm, ge2 [model.ParamDim]float64 // scratch: ∇m, ∇e2 per pixel
 
 	sw := s.states[0] // the reference path stays serial on the owner's state
 	for _, p := range pb.Patches {
@@ -92,14 +93,14 @@ func (pb *Problem) evalIntoRef(theta *model.Params, s *Scratch) *Result {
 				}
 
 				// Gradient accumulation.
-				for i := 0; i < activeDim; i++ {
+				for i := 0; i < model.ParamDim; i++ {
 					grad[i] += p1*gm[i] + p2*ge2[i]
 				}
 
 				// Hessian: p1·∇²m + p2·∇²e2 + outer-product terms.
 				// Spatial block (0..5): dual Hessians.
 				for i := 0; i < 6; i++ {
-					row := hess.Data[i*activeDim:]
+					row := hess.Data[i*model.ParamDim:]
 					for j := 0; j <= i; j++ {
 						hIdx := dual.Idx(i, j)
 						h2m := aV*gs.H[hIdx] + bV*gg.H[hIdx]
@@ -111,7 +112,7 @@ func (pb *Problem) evalIntoRef(theta *model.Params, s *Scratch) *Result {
 				// Cross block (bright x spatial) and bright block.
 				for li := 0; li < brightDim; li++ {
 					i := 6 + li
-					row := hess.Data[i*activeDim:]
+					row := hess.Data[i*model.ParamDim:]
 					// Cross: ∂²m/∂bright∂spatial = ∂A/∂b·∂g★/∂s + ...
 					for j := 0; j < 6; j++ {
 						h2m := iota * (av.Grad[li]*gs.G[j] + bv.Grad[li]*gg.G[j])
@@ -133,7 +134,7 @@ func (pb *Problem) evalIntoRef(theta *model.Params, s *Scratch) *Result {
 		}
 	}
 
-	pb.finishEval(theta, s, &grad)
+	pb.finishEval(theta, s)
 	return res
 }
 

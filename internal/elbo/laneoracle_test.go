@@ -24,8 +24,8 @@ func (pb *Problem) laneEvalInto(theta *model.Params, s *Scratch) *Result {
 	n := len(pb.Patches)
 	s.ensureParts(n, true)
 
-	var grad [activeDim]float64
-	hess := s.activeHess
+	grad := &res.Grad
+	hess := res.Hess
 	for i, p := range pb.Patches {
 		pp := &s.parts[i]
 		pb.lanePatchFull(theta, bm, p, s.states[0], pp)
@@ -38,7 +38,7 @@ func (pb *Problem) laneEvalInto(theta *model.Params, s *Scratch) *Result {
 			hess.Data[k] += v
 		}
 	}
-	pb.finishEval(theta, s, &grad)
+	pb.finishEval(theta, s)
 	return res
 }
 
@@ -167,18 +167,18 @@ func (pb *Problem) lanePatchFull(theta *model.Params, bm *brightMoments, p *Patc
 
 					h2m = aV*sh1[i] + bV*gHL[1][i]
 					h2e = 2 * (cV*(gs*sh1[i]+gsG0*gsG1) + dV*(gg*gHL[1][i]+ggG[0]*ggG[1]))
-					hess.Data[1*activeDim+0] += p1*h2m + p2*h2e +
+					hess.Data[1*model.ParamDim+0] += p1*h2m + p2*h2e +
 						p11*gmj[1]*gmj[0] + p12*(gmj[1]*ge2j[0]+gmj[0]*ge2j[1])
 
 					h2m = aV*sh2[i] + bV*gHL[2][i]
 					h2e = 2 * (cV*(gs*sh2[i]+gsG1*gsG1) + dV*(gg*gHL[2][i]+ggG[1]*ggG[1]))
-					hess.Data[1*activeDim+1] += p1*h2m + p2*h2e +
+					hess.Data[1*model.ParamDim+1] += p1*h2m + p2*h2e +
 						p11*gmj[1]*gmj[1] + 2*p12*gmj[1]*ge2j[1]
 				}
 				// Shape rows: the star density has no shape derivatives, so
 				// only the galaxy lanes contribute to ∇²m and ∇²e2.
 				for i2 := 2; i2 < 6; i2++ {
-					row := hess.Data[i2*activeDim:]
+					row := hess.Data[i2*model.ParamDim:]
 					hb := i2 * (i2 + 1) / 2
 					for j2 := 0; j2 <= i2; j2++ {
 						hg := gHL[hb+j2][i]
@@ -242,7 +242,7 @@ func (pb *Problem) lanePatchFull(theta *model.Params, bm *brightMoments, p *Patc
 			avG, bvG := av.Grad[li], bv.Grad[li]
 			cvG, dvG := cv.Grad[li], dv.Grad[li]
 			grad[6+li] += iota*(avG*pm.p1s+bvG*pm.p1g) + iota2*(cvG*pm.p2ss+dvG*pm.p2gg)
-			row := hess.Data[(6+li)*activeDim:]
+			row := hess.Data[(6+li)*model.ParamDim:]
 			for j := 0; j < 6; j++ {
 				row[j] += iota*(avG*pm.a1[j]+bvG*pm.a2[j]) +
 					2*iota2*(cvG*pm.b1[j]+dvG*pm.b2[j]) +

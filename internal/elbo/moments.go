@@ -14,55 +14,26 @@ var (
 	devProf = galprof.DeVaucouleurs()
 )
 
-// brightDim is the size of the brightness subspace: the two type logits plus
-// r1, r2, c1[4], c2[4] for each type.
-const brightDim = 22
+// brightDim is the size of the brightness subspace, global indices
+// [6, ParamDim): the two type logits plus r1, r2, c1[4], c2[4] for each
+// type. Position and galaxy shape are point estimates with flat priors, so
+// the KL from the priors lives in this subspace too.
+const brightDim = model.ParamDim - 6
 
-// brightGlobal maps brightness-subspace indices to global parameter indices
-// [6, 28).
-var brightGlobal = func() [brightDim]int {
-	var m [brightDim]int
-	for l := 0; l < brightDim; l++ {
-		m[l] = model.ParamTypeStar + l
-	}
-	return m
-}()
-
-// klDim is the size of the KL subspace: everything except position and
-// galaxy shape (those are point estimates with flat priors).
-const klDim = model.ParamDim - 6
-
-// klGlobal maps KL-subspace indices to global indices [6, 44).
-var klGlobal = func() [klDim]int {
-	var m [klDim]int
-	for l := 0; l < klDim; l++ {
-		m[l] = 6 + l
-	}
-	return m
-}()
-
-// bmTDim is the size of one type's flux-moment block: r1, r2, and the color
-// means and log-variances.
+// bmTDim is the size of one type's block: r1, r2, and the color means and
+// log-variances.
 const bmTDim = 2 + 2*model.NumColors
 
-// klTDim is the size of one type's KL block: r1, r2, four color means, four
-// color log-variances, and the responsibility logits.
-const klTDim = bmTDim + model.NumPriorComps
-
-// klTMap maps a type's block indices to KL-subspace indices (global−6):
-// [r1, r2, c1[0..3], c2[0..3], k[0..7]]. The brightness subspace shares this
-// indexing, and its flux-moment block is the leading bmTDim entries.
-var klTMap = func() [model.NumTypes][klTDim]int {
-	var m [model.NumTypes][klTDim]int
+// typeMap maps a type's block indices to brightness-subspace indices
+// (global−6): [r1, r2, c1[0..3], c2[0..3]].
+var typeMap = func() [model.NumTypes][bmTDim]int {
+	var m [model.NumTypes][bmTDim]int
 	for t := 0; t < model.NumTypes; t++ {
 		m[t][0] = model.ParamR1 + t - 6
 		m[t][1] = model.ParamR2 + t - 6
 		for i := 0; i < model.NumColors; i++ {
 			m[t][2+i] = model.ParamC1 + 4*t + i - 6
 			m[t][2+model.NumColors+i] = model.ParamC2 + 4*t + i - 6
-		}
-		for d := 0; d < model.NumPriorComps; d++ {
-			m[t][bmTDim+d] = model.ParamK + model.NumPriorComps*t + d - 6
 		}
 	}
 	return m
@@ -72,8 +43,8 @@ var klTMap = func() [model.NumTypes][klTDim]int {
 // i >= j, at i*(i+1)/2 + j.
 func packedIdx(i, j int) int { return i*(i+1)/2 + j }
 
-// bmNum is one assembled flux moment with derivatives over the brightDim
-// subspace.
+// bmNum is a function of the brightness subspace with its derivatives: one
+// assembled flux moment, or the KL total.
 type bmNum struct {
 	Val  float64
 	Grad [brightDim]float64
@@ -88,28 +59,20 @@ type brightMoments struct {
 	A, B, C, D [model.NumBands]bmNum
 }
 
-// klResult is the KL total with derivatives over the klDim subspace.
-type klResult struct {
-	Val  float64
-	Grad [klDim]float64
-	Hess [klDim * (klDim + 1) / 2]float64
-}
-
-// pairNum is a function of the two type logits (subspace indices 0 and 1 of
-// both the KL and the brightness subspace) with its derivatives.
+// pairNum is a function of the two type logits (brightness-subspace indices
+// 0 and 1) with its derivatives.
 type pairNum struct {
 	Val  float64
 	Grad [2]float64
 	Hess [3]float64
 }
 
-// typeNum is a function of one type's klTDim block (klTMap order) with its
-// derivatives. A flux moment fills only the leading bmTDim block, whose
-// packed rows are a prefix of the whole triangle.
+// typeNum is a function of one type's bmTDim block (typeMap order) with its
+// derivatives.
 type typeNum struct {
 	Val  float64
-	Grad [klTDim]float64
-	Hess [klTDim * (klTDim + 1) / 2]float64
+	Grad [bmTDim]float64
+	Hess [bmTDim * (bmTDim + 1) / 2]float64
 }
 
 // typeWeights returns χ = softmax(a) over the two type logits a as
@@ -126,18 +89,17 @@ func typeWeights(theta *model.Params) (chi [model.NumTypes]pairNum) {
 	return chi
 }
 
-// softmaxTerm writes F(z) = Σ_d q_d·(log q_d + s_d), q = softmax(z), with
-// z-independent s_d, into grad[off+j] and the packed hess block over rows and
-// columns off..off+len(z)−1, and returns F. With r_d = log q_d + s_d − F,
+// softmaxTerm writes F(z) = Σ_d q_d·(log q_d + s_d), q = softmax(z), over
+// the type pair, with z-independent s_d, into grad and the packed hess block
+// over rows and columns 0 and 1, and returns F. With r_d = log q_d + s_d − F,
 //
 //	∂F/∂z_j = q_j·r_j,   ∂²F/∂z_j∂z_l = δ_jl·q_j(r_j + 1) − q_j q_l(r_j + r_l + 1),
 //
 // the blocks q_j(δ_jl − q_l) applied to r. log q_d is z_d − lse(z), never the
-// log of q_d, so a q_d that underflows to 0 contributes exactly 0. q and r
-// are the caller's buffers, len(z) each; q is left holding the softmax for
-// the caller's cross terms.
-func softmaxTerm(z, s, q, r []float64, off int, grad, hess []float64) float64 {
-	lse := mathx.LogSumExp(z)
+// log of q_d, so a q_d that underflows to 0 contributes exactly 0.
+func softmaxTerm(z, s *[model.NumTypes]float64, grad, hess []float64) float64 {
+	var q, r [model.NumTypes]float64
+	lse := mathx.LogSumExp(z[:])
 	var f float64
 	for d := range z {
 		ld := z[d] - lse
@@ -149,8 +111,8 @@ func softmaxTerm(z, s, q, r []float64, off int, grad, hess []float64) float64 {
 		r[d] -= f
 	}
 	for j := range z {
-		grad[off+j] = q[j] * r[j]
-		row := hess[packedIdx(off+j, off):]
+		grad[j] = q[j] * r[j]
+		row := hess[packedIdx(j, 0):]
 		for l := 0; l <= j; l++ {
 			h := -q[j] * q[l] * (r[j] + r[l] + 1)
 			if l == j {
@@ -215,7 +177,7 @@ func (s *Scratch) computeBrightMoments(theta *model.Params) *brightMoments {
 	var e typeNum
 	for t := 0; t < model.NumTypes; t++ {
 		m1, m2 := model.FluxMoments(c.R1[t], c.R2[t], c.C1[t], c.C2[t])
-		idx := klTMap[t][:bmTDim]
+		idx := typeMap[t][:]
 		for b := 0; b < model.NumBands; b++ {
 			var dm, dv [bmTDim]float64 // ∇m, ∇v over the block
 			dm[0] = 1
@@ -238,8 +200,8 @@ func (s *Scratch) computeBrightMoments(theta *model.Params) *brightMoments {
 	return bm
 }
 
-// fluxInner fills the leading bmTDim block of e with E = exp(α·m + γ·v),
-// given its value and ∇m, ∇v (see computeBrightMoments).
+// fluxInner fills e with E = exp(α·m + γ·v), given its value and ∇m, ∇v
+// (see computeBrightMoments).
 func fluxInner(e *typeNum, val, alpha, gamma float64, dm, dv *[bmTDim]float64) {
 	var u [bmTDim]float64
 	for k := range u {
@@ -256,25 +218,25 @@ func fluxInner(e *typeNum, val, alpha, gamma float64, dm, dv *[bmTDim]float64) {
 	}
 }
 
-// computeKL returns the total KL divergence from the priors with derivatives
-// in the KL subspace (global indices 6..43):
+// computeKL returns the total KL divergence from the priors, with the color
+// responsibilities profiled out, and its derivatives in the brightness
+// subspace:
 //
-//	KL(q(a)||p(a)) + Σ_t w_t·[KL_r(t) + Σ_d q(k=d)·(log q(k=d)/p(k=d) + KL_c(t,d))]
+//	KL(q(a)||p(a)) + Σ_t w_t·[KL_r(t) + G_t],   G_t = −log Σ_d π_td·exp(−KL_c(t,d)),
 //
-// with w_t = q(a=t) + klWeightFloor. The normal KLs (KL_r, and KL_c summed
-// over colors) have diagonal derivatives in each mean and log-variance; the
-// two softmax-weighted sums go through softmaxTerm, with the colors' cross
-// terms ∂²/∂k_d∂x = q_d·(∂KL_c(t,d)/∂x − Σ_e q_e ∂KL_c(t,e)/∂x). Each
-// type's bracket touches only its klTDim block and meets the type logits
-// only through the scalar weight, so addProduct assembles the total. All
-// three tiers read the result.
-func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *klResult {
+// with w_t = q(a=t) + klWeightFloor. G_t is the minimum over q(k | a=t) of
+// Σ_d q(k=d)·(log q(k=d)/π_td + KL_c(t,d)), attained at
+// q*_d = softmax_d(log π_td − KL_c(t,d)), so maximizing the ELBO over the
+// other parameters reaches the same optimum as the paper's joint fit. The
+// type logits go through softmaxTerm. Each type's bracket touches only its
+// bmTDim block and meets the type logits only through the scalar weight, so
+// addProduct assembles the total. All three tiers read the result.
+func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *bmNum {
 	out := &sc.klOut
-	*out = klResult{}
+	*out = bmNum{}
 	a := [model.NumTypes]float64{theta[model.ParamTypeStar], theta[model.ParamTypeGal]}
 	s := [model.NumTypes]float64{-logc(1 - priors.ProbGal), -logc(priors.ProbGal)}
-	var q, r [model.NumTypes]float64
-	out.Val = softmaxTerm(a[:], s[:], q[:], r[:], 0, out.Grad[:], out.Hess[:])
+	out.Val = softmaxTerm(&a, &s, out.Grad[:], out.Hess[:])
 
 	// The type-conditional KL is weighted by q(a=t) with a small floor: when
 	// one type's probability collapses, its brightness and color parameters
@@ -288,16 +250,24 @@ func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *klResul
 		klTypeInner(&inner, theta, priors, t)
 		w := chi[t]
 		w.Val += klWeightFloor
-		addProduct(&out.Val, out.Grad[:], out.Hess[:], &w, &inner, klTMap[t][:])
+		addProduct(&out.Val, out.Grad[:], out.Hess[:], &w, &inner, typeMap[t][:])
 	}
 	return out
 }
 
-// klTypeInner fills inner with type t's bracket of computeKL over its klTDim
-// block.
+// klTypeInner fills inner with type t's bracket of computeKL over its bmTDim
+// block: KL_r(t) + G_t. Each KL_c(t,d) is a sum of per-color normal KLs with
+// diagonal Hessians; with g_d its gradient over the color coordinates and
+// ḡ = Σ_d q*_d g_d,
+//
+//	∇G_t = ḡ,   ∇²G_t = Σ_d q*_d·(∇²KL_c(t,d) − (g_d − ḡ)(g_d − ḡ)ᵀ),
+//
+// the responsibility-weighted curvature less the covariance of the
+// gradients under q*: a dense block over the color means and
+// log-variances. A q*_d that underflows to 0 contributes exactly 0.
 func klTypeInner(inner *typeNum, theta *model.Params, priors *model.Priors, t int) {
 	*inner = typeNum{}
-	idx := &klTMap[t]
+	idx := &typeMap[t]
 	x := func(k int) float64 { return theta[6+idx[k]] }
 
 	// Log-normal brightness against the log-normal prior (normal KL on the
@@ -307,44 +277,49 @@ func klTypeInner(inner *typeNum, theta *model.Params, priors *model.Priors, t in
 	inner.Grad[0], inner.Grad[1] = g0, g1
 	inner.Hess[packedIdx(0, 0)], inner.Hess[packedIdx(1, 1)] = h00, h11
 
-	// Colors against each prior component: KL_c(t,d) and its per-color
-	// derivatives in the mean (gm, hm) and log-variance (gv, hv).
-	var gm, gv, hm, hv [model.NumPriorComps][model.NumColors]float64
-	var q, r, s [model.NumPriorComps]float64
+	// Colors against each prior component: z_d = log π_td − KL_c(t,d), and
+	// KL_c(t,d)'s gradient g and diagonal Hessian h over the color block
+	// [c1[0..3], c2[0..3]] (type-block indices 2..9).
+	const nc = 2 * model.NumColors
+	var z [model.NumPriorComps]float64
+	var g, h [model.NumPriorComps][nc]float64
 	for d := 0; d < model.NumPriorComps; d++ {
 		var kc float64
 		for i := 0; i < model.NumColors; i++ {
-			v, g1, g2, h1, h2 := klNormal(x(2+i), x(2+model.NumColors+i),
+			v, gm, gv, hm, hv := klNormal(x(2+i), x(2+model.NumColors+i),
 				priors.CMean[t][d][i], priors.CVar[t][d][i])
 			kc += v
-			gm[d][i], gv[d][i], hm[d][i], hv[d][i] = g1, g2, h1, h2
+			g[d][i], g[d][model.NumColors+i] = gm, gv
+			h[d][i], h[d][model.NumColors+i] = hm, hv
 		}
-		s[d] = kc - logc(priors.KWeight[t][d])
+		z[d] = logc(priors.KWeight[t][d]) - kc
 	}
 
-	// Responsibilities: the categorical KL and the colors' weighted sum in
-	// one softmax term.
-	var z [model.NumPriorComps]float64
+	lse := mathx.LogSumExp(z[:])
+	inner.Val = klR - lse
+	var q [model.NumPriorComps]float64
+	var gbar [nc]float64
 	for d := range z {
-		z[d] = x(bmTDim + d)
-	}
-	inner.Val = klR + softmaxTerm(z[:], s[:], q[:], r[:], bmTDim, inner.Grad[:], inner.Hess[:])
-
-	for i := 0; i < model.NumColors; i++ {
-		ci, vi := 2+i, 2+model.NumColors+i
-		var g1, g2, h1, h2 float64
-		for d := 0; d < model.NumPriorComps; d++ {
-			g1 += q[d] * gm[d][i]
-			g2 += q[d] * gv[d][i]
-			h1 += q[d] * hm[d][i]
-			h2 += q[d] * hv[d][i]
+		q[d] = math.Exp(z[d] - lse)
+		for k := range gbar {
+			gbar[k] += q[d] * g[d][k]
 		}
-		inner.Grad[ci], inner.Grad[vi] = g1, g2
-		inner.Hess[packedIdx(ci, ci)], inner.Hess[packedIdx(vi, vi)] = h1, h2
-		for d := 0; d < model.NumPriorComps; d++ {
-			row := inner.Hess[packedIdx(bmTDim+d, 0):]
-			row[ci] = q[d] * (gm[d][i] - g1)
-			row[vi] = q[d] * (gv[d][i] - g2)
+	}
+	copy(inner.Grad[2:], gbar[:])
+	for d, qd := range q {
+		if qd == 0 {
+			continue
+		}
+		var dg [nc]float64
+		for k := range dg {
+			dg[k] = g[d][k] - gbar[k]
+		}
+		for k := range dg {
+			row := inner.Hess[packedIdx(2+k, 2):]
+			for l := 0; l < k; l++ {
+				row[l] -= qd * dg[k] * dg[l]
+			}
+			row[k] += qd * (h[d][k] - dg[k]*dg[k])
 		}
 	}
 }

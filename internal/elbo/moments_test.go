@@ -10,7 +10,7 @@ import (
 	"celeste/internal/rng"
 )
 
-// subspaceVars returns the 44 parameters as AD inputs over the n coordinates
+// subspaceVars returns the ParamDim parameters as AD inputs over the n coordinates
 // starting at first (constants elsewhere), so an oracle's derivatives come
 // out in the same packed subspace layout as computeKL's and
 // computeBrightMoments'.
@@ -27,8 +27,8 @@ func subspaceVars(theta *model.Params, first, n int) []*ad.Num {
 	return xs
 }
 
-// randomOracleTheta draws parameters over the range fits visit: type and
-// responsibility logits a few units apart, fluxes and colors around the
+// randomOracleTheta draws parameters over the range fits visit: type logits
+// a few units apart, fluxes and colors around the
 // priors, variances from tight to broad.
 func randomOracleTheta(r *rng.Source) model.Params {
 	var th model.Params
@@ -44,40 +44,68 @@ func randomOracleTheta(r *rng.Source) model.Params {
 			th[model.ParamC1+4*t+i] = r.Normal()
 			th[model.ParamC2+4*t+i] = -2 + 1.5*r.Normal()
 		}
-		for d := 0; d < model.NumPriorComps; d++ {
-			th[model.ParamK+model.NumPriorComps*t+d] = 3 * r.Normal()
-		}
 	}
 	return th
 }
 
-// saturate raises one logit of a block gap above every other logit of that
-// block: the type logits (block −1) or type t's responsibilities (block t).
-// The first logit of the block is raised, or the last one when last is set.
-func saturate(th *model.Params, block int, gap float64, last bool) {
-	first, n := model.ParamTypeStar, model.NumTypes
-	if block >= 0 {
-		first, n = model.ParamK+model.NumPriorComps*block, model.NumPriorComps
+// saturate drives one softmax of the KL to a single entry, gap nats above
+// every other. Block −1 is the type pair: its first logit (its last when
+// last is set) is raised gap above the other. Block t is type t's profiled
+// color responsibilities q*_d ∝ π_d·exp(−KL_c(t,d)): one color mean is
+// moved until the log-weight of the first prior component (the last when
+// last is set) exceeds every other component's by gap. Under DefaultPriors
+// those two components sit at the ends of the color locus, and the moved
+// color (the reddest for the first component, the bluest for the last) only
+// dims one outer band, so the flux moments stay finite at any gap.
+func saturate(th *model.Params, priors *model.Priors, block int, gap float64, last bool) {
+	if block < 0 {
+		top, other := model.ParamTypeStar, model.ParamTypeGal
+		if last {
+			top, other = other, top
+		}
+		th[top] = th[other] + gap
+		return
 	}
-	top := first
+	top, i, dir := 0, model.NumColors-1, -1.0
 	if last {
-		top = first + n - 1
+		top, i, dir = model.NumPriorComps-1, 0, 1.0
 	}
-	m := math.Inf(-1)
-	for i := first; i < first+n; i++ {
-		if i != top {
-			m = math.Max(m, th[i])
+	ci := model.ParamC1 + model.NumColors*block + i
+	// lead returns the margins of component top's log-weight over each
+	// other's with the mean moved by offset. The components share their
+	// variances, so each margin is linear in the offset and grows with it;
+	// two evaluations give every line, and the offset is the least one at
+	// which no margin is below gap.
+	lead := func(offset float64) (m [model.NumPriorComps]float64) {
+		th[ci] = priors.CMean[block][top][i] + dir*offset
+		for d := range m {
+			m[d] = logc(priors.KWeight[block][top]) - logc(priors.KWeight[block][d])
+			for j := 0; j < model.NumColors; j++ {
+				x, y := th[model.ParamC1+model.NumColors*block+j], th[model.ParamC2+model.NumColors*block+j]
+				klTop, _, _, _, _ := klNormal(x, y, priors.CMean[block][top][j], priors.CVar[block][top][j])
+				klD, _, _, _, _ := klNormal(x, y, priors.CMean[block][d][j], priors.CVar[block][d][j])
+				m[d] += klD - klTop
+			}
+		}
+		return m
+	}
+	m0, m1 := lead(0), lead(1)
+	offset := math.Inf(-1)
+	for d := range m0 {
+		if d != top {
+			offset = math.Max(offset, (gap-m0[d])/(m1[d]-m0[d]))
 		}
 	}
-	th[top] = m + gap
+	lead(offset)
 }
 
 var saturationGaps = []float64{30, 100, 400, 800}
 
 // oracleThetas returns the oracle tests' parameter rows: 200 random draws
 // (20 under -short), then every saturation gap in the type block and both
-// responsibility blocks, on a random draw.
+// types' color responsibilities under DefaultPriors, on a random draw.
 func oracleThetas() []model.Params {
+	priors := model.DefaultPriors()
 	n := 200
 	if testing.Short() {
 		n = 20
@@ -91,7 +119,7 @@ func oracleThetas() []model.Params {
 		for block := -1; block < model.NumTypes; block++ {
 			for _, last := range []bool{false, true} {
 				th := randomOracleTheta(r)
-				saturate(&th, block, gap, last)
+				saturate(&th, &priors, block, gap, last)
 				out = append(out, th)
 			}
 		}
@@ -128,7 +156,7 @@ func compareToOracle(t *testing.T, label string, val float64, grad, hess []float
 func checkKL(t *testing.T, s *Scratch, th *model.Params, priors *model.Priors, label string) {
 	t.Helper()
 	got := s.computeKL(th, priors)
-	want := refKL(subspaceVars(th, klGlobal[0], klDim), priors)
+	want := refKL(subspaceVars(th, 6, brightDim), priors)
 	compareToOracle(t, label, got.Val, got.Grad[:], got.Hess[:], want)
 }
 
@@ -136,7 +164,7 @@ func checkKL(t *testing.T, s *Scratch, th *model.Params, priors *model.Priors, l
 func checkBrightMoments(t *testing.T, s *Scratch, th *model.Params, label string) {
 	t.Helper()
 	got := s.computeBrightMoments(th)
-	chi, el, el2 := refFluxMoments(subspaceVars(th, brightGlobal[0], brightDim))
+	chi, el, el2 := refFluxMoments(subspaceVars(th, 6, brightDim))
 	for b := 0; b < model.NumBands; b++ {
 		for _, m := range []struct {
 			name string
@@ -155,7 +183,7 @@ func checkBrightMoments(t *testing.T, s *Scratch, th *model.Params, label string
 }
 
 // TestKLMatchesADOracle pins the closed-form KL derivatives to forward-mode
-// AD of the same formula, over random parameters and saturated logits.
+// AD of the same formula, over random parameters and saturated softmaxes.
 func TestKLMatchesADOracle(t *testing.T) {
 	priors := model.DefaultPriors()
 	s := NewScratch()
@@ -174,8 +202,9 @@ func TestBrightMomentsMatchADOracle(t *testing.T) {
 }
 
 // FuzzKLVsADOracle runs both closed forms against the AD oracle on random
-// parameters (seed) with a fuzzed saturation gap in the type logits and in
-// the star responsibilities.
+// parameters (seed) with a fuzzed saturation gap in the type logits and a
+// color offset that gives the star's profiled responsibilities a fuzzed gap
+// (kGap), the far side of which underflows to exactly 0.
 func FuzzKLVsADOracle(f *testing.F) {
 	for i, gap := range saturationGaps {
 		f.Add(uint64(i), gap, -gap)
@@ -188,15 +217,16 @@ func FuzzKLVsADOracle(f *testing.F) {
 			t.Skip("gap outside the tested range")
 		}
 		th := randomOracleTheta(rng.New(seed))
-		saturate(&th, -1, math.Abs(typeGap), typeGap < 0)
-		saturate(&th, model.Star, math.Abs(kGap), kGap < 0)
+		saturate(&th, &priors, -1, math.Abs(typeGap), typeGap < 0)
+		saturate(&th, &priors, model.Star, math.Abs(kGap), kGap < 0)
 		checkKL(t, s, &th, &priors, "fuzz")
 		checkBrightMoments(t, s, &th, "fuzz")
 	})
 }
 
-// TestSaturatedLogitsFinite: a type or responsibility logit far above the
-// rest underflows its siblings' softmax weights to exactly 0. Every tier
+// TestSaturatedLogitsFinite: a type logit far above the other, or a color
+// offset that puts one prior component's profiled responsibility far above
+// the rest, underflows the siblings' softmax weights to exactly 0. Every tier
 // must stay finite there (0·log 0 must not appear), and the KL — one
 // implementation read by all three tiers — must be bit-identical across
 // them, which a problem without patches exposes as its whole value.
@@ -207,7 +237,7 @@ func TestSaturatedLogitsFinite(t *testing.T) {
 		for block := -1; block < model.NumTypes; block++ {
 			for _, last := range []bool{false, true} {
 				th := *theta
-				saturate(&th, block, gap, last)
+				saturate(&th, pb.Priors, block, gap, last)
 				label := fmt.Sprintf("gap %g block %d last %v", gap, block, last)
 
 				full := pb.EvalInto(&th, NewScratch())

@@ -33,12 +33,12 @@ import (
 const maxPatchWorkers = 64
 
 // patchPartial is one patch's partial accumulator. hess is allocated lazily
-// on the first full-tier evaluation and holds the activeDim x activeDim
+// on the first full-tier evaluation and holds the ParamDim x ParamDim
 // lower triangle; the gradient and value tiers leave it untouched.
 type patchPartial struct {
 	value  float64
 	visits int64
-	grad   [activeDim]float64
+	grad   [model.ParamDim]float64
 	hess   *linalg.Mat
 }
 
@@ -250,7 +250,7 @@ func (s *Scratch) ensureParts(n int, needHess bool) {
 	if needHess {
 		for i := 0; i < n; i++ {
 			if s.parts[i].hess == nil {
-				s.parts[i].hess = linalg.NewMat(activeDim, activeDim)
+				s.parts[i].hess = linalg.NewMat(model.ParamDim, model.ParamDim)
 			}
 		}
 	}

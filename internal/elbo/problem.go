@@ -1,23 +1,23 @@
 // Package elbo evaluates Celeste's variational objective for one light
-// source's 44-parameter block: the expected Poisson log likelihood of every
-// active pixel under the delta-method approximation of E[log F] (Regier et
-// al. 2015), minus the KL divergence from the priors. Evaluation returns the
-// value, the exact 44-dimensional gradient, and the exact 44x44 Hessian that
-// the Newton trust-region optimizer consumes.
+// source's model.ParamDim-parameter block: the expected Poisson log
+// likelihood of every active pixel under the delta-method approximation of
+// E[log F] (Regier et al. 2015), minus the KL divergence from the priors with
+// the color-prior responsibilities profiled out in closed form. Evaluation
+// returns the value, the exact ParamDim-dimensional gradient, and the exact
+// ParamDim x ParamDim Hessian that the Newton trust-region optimizer
+// consumes.
 //
 // Derivatives are assembled by a sparse block chain rule, mirroring the
 // paper's hand-coded derivatives (Section V):
 //
 //   - the six spatial parameters flow through the per-pixel Gaussian-mixture
 //     densities (internal/dual, internal/mog);
-//   - the 22 brightness parameters flow through per-band flux moments,
-//     differentiated once per evaluation in closed form (moments.go);
-//   - the 16 color-prior responsibilities (plus brightness) appear only in
-//     the KL terms, also differentiated in closed form (moments.go;
-//     internal/ad is the tests' oracle for both);
+//   - the 22 brightness parameters flow through per-band flux moments and
+//     the KL terms, both differentiated once per evaluation in closed form
+//     (moments.go; internal/ad is the tests' oracle for both);
 //   - per pixel, only a rank-2 chain (source mean counts m and second moment
-//     e2) connects the blocks, so the Hessian assembly is O(28²) per pixel
-//     instead of O(44²) per arithmetic operation.
+//     e2) connects the blocks, so the Hessian assembly is O(ParamDim²) per
+//     pixel instead of O(ParamDim²) per arithmetic operation.
 package elbo
 
 import (

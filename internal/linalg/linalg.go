@@ -6,7 +6,7 @@
 // factorizations" (Section VI-B); this package is that substrate, written
 // against the standard library only.
 //
-// Matrices are dense, row-major, and small (the hot case is 44x44, one light
+// Matrices are dense, row-major, and small (the hot case is 28x28, one light
 // source's parameter block), so we favor clarity and cache-friendly loops
 // over blocked algorithms.
 package linalg

@@ -69,9 +69,6 @@ func InitialParams(e *CatalogEntry) Params {
 			c.C1[t][i] = colors[i]
 			c.C2[t][i] = 0.25
 		}
-		for d := 0; d < NumPriorComps; d++ {
-			c.K[t][d] = 1.0 / NumPriorComps
-		}
 	}
 	return FromConstrained(c)
 }

@@ -24,9 +24,6 @@ func TestParamRoundTrip(t *testing.T) {
 			c.C1[tt][i] = 0.2*float64(i) - 0.1
 			c.C2[tt][i] = 0.15 + 0.01*float64(i)
 		}
-		for d := 0; d < NumPriorComps; d++ {
-			c.K[tt][d] = float64(d+1) / 36.0
-		}
 	}
 	p := FromConstrained(c)
 	got := p.Constrained()
@@ -51,20 +48,36 @@ func TestParamRoundTrip(t *testing.T) {
 			approx("c1", got.C1[tt][i], c.C1[tt][i])
 			approx("c2", got.C2[tt][i], c.C2[tt][i])
 		}
-		for d := 0; d < NumPriorComps; d++ {
-			approx("k", got.K[tt][d], c.K[tt][d])
-		}
 	}
 }
 
-func TestParamDimIs44(t *testing.T) {
-	// The paper states 44 parameters per source; the layout must cover
-	// exactly [0, 44).
-	if ParamDim != 44 {
-		t.Fatalf("ParamDim = %d", ParamDim)
+func TestParamLayoutCoversParamDim(t *testing.T) {
+	// Every named parameter index must be claimed exactly once and together
+	// they must cover exactly [0, ParamDim).
+	var uses [ParamDim]int
+	claim := func(i int) {
+		t.Helper()
+		if i < 0 || i >= ParamDim {
+			t.Fatalf("index %d outside [0,%d)", i, ParamDim)
+		}
+		uses[i]++
 	}
-	if last := ParamK + NumPriorComps*NumTypes; last != ParamDim {
-		t.Fatalf("layout covers [0,%d), want [0,%d)", last, ParamDim)
+	for _, i := range []int{ParamRA, ParamDec, ParamGalDevLogit, ParamGalABLogit,
+		ParamGalAngle, ParamGalLogScale, ParamTypeStar, ParamTypeGal} {
+		claim(i)
+	}
+	for tt := 0; tt < NumTypes; tt++ {
+		claim(ParamR1 + tt)
+		claim(ParamR2 + tt)
+		for i := 0; i < NumColors; i++ {
+			claim(ParamC1 + NumColors*tt + i)
+			claim(ParamC2 + NumColors*tt + i)
+		}
+	}
+	for i, n := range uses {
+		if n != 1 {
+			t.Errorf("index %d claimed %d times, want once", i, n)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package model defines Celeste's statistical model: the 44-parameter
+// Package model defines Celeste's statistical model: the ParamDim-parameter
 // description of one light source (Section III of the paper), the prior
 // distributions Φ, Υ, Ξ learned from preexisting catalogs, band-flux moments
 // under the variational posterior, catalog entries, and image synthesis from
@@ -11,17 +11,20 @@
 //   - r_s: reference-band flux (log-normal; 2 parameters per source type);
 //   - c_s: four colors, the log flux ratios of adjacent bands (normal with
 //     diagonal covariance; 4 means + 4 variances per type);
-//   - k_s: responsibilities over the 8-component color-prior mixture
-//     (categorical; 8 parameters per type);
 //   - μ_s: sky position (2 parameters, point-estimated);
 //   - φ_s: galaxy shape — de Vaucouleurs mixture fraction, minor/major axis
 //     ratio, orientation angle, half-light radius (4 parameters,
 //     point-estimated).
 //
-// Total: 2 + 2 + 2·2 + 2·(4+4) + 2·8 + 4 = 44, matching the paper's count.
+// Total: 2 + 2 + 2·2 + 2·(4+4) + 4 = 28. The paper's count of 44 adds the
+// variational responsibilities k_s over each type's 8-component color-prior
+// mixture (2·8 = 16 softmax logits). They enter the ELBO only through one
+// term per type, whose maximum over them has the closed form
+// −log Σ_d π_d·exp(−KL_c(t,d)) (internal/elbo), so they are profiled out
+// rather than stored: the ELBO's maximum over the other 28 is unchanged.
 // Parameters are stored in a single unconstrained vector (logit/log/softmax
 // transforms applied) so the Newton trust-region optimizer can treat the
-// block as a free 44-dimensional variable.
+// block as a free ParamDim-dimensional variable.
 package model
 
 import (
@@ -38,7 +41,7 @@ const (
 	NumColors     = NumBands - 1
 	NumTypes      = 2 // star, galaxy
 	NumPriorComps = 8 // components of the color-prior mixture per type
-	ParamDim      = 44
+	ParamDim      = 28
 )
 
 // Source types.
@@ -61,10 +64,9 @@ const (
 	ParamR2          = 10 // +t: log of the log-normal variance, type t
 	ParamC1          = 12 // +4t+i: color mean i for type t
 	ParamC2          = 20 // +4t+i: log color variance i for type t
-	ParamK           = 28 // +8t+d: color-prior responsibility logits
 )
 
-// Params is the unconstrained 44-vector for one light source.
+// Params is the unconstrained ParamDim-vector for one light source.
 type Params [ParamDim]float64
 
 // Constrained is the human-readable, constrained view of Params.
@@ -79,11 +81,10 @@ type Constrained struct {
 
 	ProbGal float64 // q(a_s = galaxy)
 
-	R1 [NumTypes]float64                // log-normal location of ref flux
-	R2 [NumTypes]float64                // log-normal variance (>0)
-	C1 [NumTypes][NumColors]float64     // color means
-	C2 [NumTypes][NumColors]float64     // color variances (>0)
-	K  [NumTypes][NumPriorComps]float64 // simplex responsibilities
+	R1 [NumTypes]float64            // log-normal location of ref flux
+	R2 [NumTypes]float64            // log-normal variance (>0)
+	C1 [NumTypes][NumColors]float64 // color means
+	C2 [NumTypes][NumColors]float64 // color variances (>0)
 }
 
 // Constrained converts the unconstrained vector to its constrained view.
@@ -107,17 +108,12 @@ func (p *Params) Constrained() Constrained {
 			c.C1[t][i] = p[ParamC1+4*t+i]
 			c.C2[t][i] = math.Exp(p[ParamC2+4*t+i])
 		}
-		var ks [NumPriorComps]float64
-		for d := 0; d < NumPriorComps; d++ {
-			ks[d] = p[ParamK+NumPriorComps*t+d]
-		}
-		mathx.Softmax(c.K[t][:], ks[:])
 	}
 	return c
 }
 
 // FromConstrained builds the unconstrained vector from a constrained view.
-// The softmax parameterizations are centered (log probabilities), so
+// The type softmax is centered (log probabilities), so
 // Constrained∘FromConstrained is the identity on valid inputs.
 func FromConstrained(c Constrained) Params {
 	var p Params
@@ -136,9 +132,6 @@ func FromConstrained(c Constrained) Params {
 		for i := 0; i < NumColors; i++ {
 			p[ParamC1+4*t+i] = c.C1[t][i]
 			p[ParamC2+4*t+i] = math.Log(c.C2[t][i])
-		}
-		for d := 0; d < NumPriorComps; d++ {
-			p[ParamK+NumPriorComps*t+d] = math.Log(mathx.Clamp(c.K[t][d], mathx.Eps, 1))
 		}
 	}
 	return p

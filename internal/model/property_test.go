@@ -28,15 +28,6 @@ func TestTransformRoundTripProperty(t *testing.T) {
 				c.C1[tt][i] = r.NormalMV(0.5, 1)
 				c.C2[tt][i] = math.Exp(r.NormalMV(-2, 0.5))
 			}
-			w := make([]float64, NumPriorComps)
-			var sum float64
-			for d := range w {
-				w[d] = 0.05 + r.Float64()
-				sum += w[d]
-			}
-			for d := range w {
-				c.K[tt][d] = w[d] / sum
-			}
 		}
 		p := FromConstrained(c)
 		got := p.Constrained()
@@ -52,8 +43,8 @@ func TestTransformRoundTripProperty(t *testing.T) {
 			if !ok(got.R1[tt], c.R1[tt]) || !ok(got.R2[tt], c.R2[tt]) {
 				return false
 			}
-			for d := 0; d < NumPriorComps; d++ {
-				if !ok(got.K[tt][d], c.K[tt][d]) {
+			for i := 0; i < NumColors; i++ {
+				if !ok(got.C1[tt][i], c.C1[tt][i]) || !ok(got.C2[tt][i], c.C2[tt][i]) {
 					return false
 				}
 			}

@@ -121,7 +121,10 @@ type TROptions struct {
 	// over degree-scale positions and O(1) logits cannot say. The bound
 	// covers the directions the solver resolves; curvature below its
 	// spectrum floor (eigFloorRel) counts as zero. A step the radius clipped
-	// never stops a run. 0 disables the test.
+	// never stops a run. On a tail the model underestimates — the last
+	// accepted interior step gained more than it predicted (ρ > 1) — the
+	// test reads the remaining gain extrapolated along the decrements' own
+	// geometric decay instead (see remainingGain). 0 disables the test.
 	DecrementTol float64
 }
 
@@ -169,6 +172,10 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	res.FullEvals++
 	res.F = f
 
+	// The predicted decrease and trust-region ratio of the last accepted
+	// interior step (both 0 until there is one), for the decrement test.
+	var dPrev, rhoPrev float64
+
 	trial := ws.trial
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iters = iter + 1
@@ -182,7 +189,8 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 		}
 
 		p, predicted := solveTRSubproblem(ws, h, g, radius)
-		if opts.DecrementTol > 0 && ws.interior && -predicted < opts.DecrementTol {
+		interior := ws.interior
+		if opts.DecrementTol > 0 && interior && remainingGain(-predicted, dPrev, rhoPrev) < opts.DecrementTol {
 			res.Converged = true
 			res.Status = "Newton decrement below tolerance"
 			return res
@@ -215,6 +223,9 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			radius *= 0.25
 		}
 		if rho > 1e-4 && actual < 0 && !math.IsNaN(ft) {
+			if interior {
+				dPrev, rhoPrev = -predicted, rho
+			}
 			copy(x, trial)
 			f, g, h = obj.Full(x)
 			res.FullEvals++
@@ -233,6 +244,24 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	res.GradNorm = infNorm(g)
 	res.Radius = radius
 	return res
+}
+
+// remainingGain estimates the decrease still available from an iterate
+// whose interior step predicts decrease d, given the predicted decrease
+// dPrev and ratio rhoPrev of the last accepted interior step. Normally that
+// is d itself. On an exponential tail (a saturating logit's e^a) the
+// quadratic model underestimates every step (ρ > 1) and the decrements shrink
+// by a steady factor r = d/dPrev, so the remaining gain is the geometric sum
+// d·ρ/(1 − r); with r ≥ 1 the decrements are not shrinking and nothing is
+// inferred, so the run goes on.
+func remainingGain(d, dPrev, rhoPrev float64) float64 {
+	if !(rhoPrev > 1) {
+		return d
+	}
+	if d >= dPrev {
+		return math.Inf(1)
+	}
+	return d * rhoPrev / (1 - d/dPrev)
 }
 
 // solveTRSubproblem returns the minimizer p of gᵀp + ½ pᵀHp subject to
@@ -300,9 +329,9 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 	// indefinite model's trust-region minimizer always rides the boundary —
 	// the optimizer then pads every Newton step with junk components along
 	// noise directions and converges by radius oscillation instead of
-	// quadratically. ELBO Hessians hit this constantly: the softmax
-	// responsibilities contribute curvature ~1e11 while collapsed directions
-	// contribute ~0.
+	// quadratically. ELBO Hessians hit this constantly: the position
+	// coordinates contribute curvature ~1e11 (deg⁻²) while collapsed
+	// directions contribute ~0.
 	scale := math.Max(math.Abs(w[0]), math.Abs(w[n-1]))
 	if scale == 0 {
 		// Zero Hessian: linear model, steepest descent to the boundary.

@@ -1,8 +1,8 @@
 // Package vi fits one light source's variational parameters by maximizing
 // the ELBO with the Newton trust-region optimizer — the innermost level of
 // the paper's three-level optimization scheme (Section IV). A fit runs the
-// 44-parameter block to machine tolerance while everything else (neighbors,
-// image calibration) stays fixed.
+// model.ParamDim-parameter block to machine tolerance while everything else
+// (neighbors, image calibration) stays fixed.
 package vi
 
 import (
