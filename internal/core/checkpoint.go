@@ -87,8 +87,10 @@ func (ck *Checkpoint) Validate() error {
 // along the row (internal/mog, egen.go). 3: the color-prior responsibilities
 // are profiled out of the fitted vector in closed form (ParamDim 44 → 28,
 // internal/elbo, moments.go), and the Newton-decrement stop extrapolates the
-// remaining gain on an exponential tail (internal/opt).
-const numericsRevision = 3
+// remaining gain on an exponential tail (internal/opt). 4: the trust region
+// judges each trial by the full tier's value, which becomes the iterate's on
+// acceptance, instead of by the value tier's (internal/opt, NewtonTRWS).
+const numericsRevision = 4
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

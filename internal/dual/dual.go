@@ -16,6 +16,11 @@
 // coordinates enter the objective only through per-source factors, which
 // internal/elbo chains in analytically.
 //
+// The sparsity goes one level further inside a galaxy component: its
+// normalization depends on coordinates 2..5 and its precision on 3..5 only,
+// so mog's component build runs in Tail numbers over those trailing
+// coordinates (tail.go) and the per-pixel oracles lift them to Dual.
+//
 // All operations are allocation-free; values are plain structs.
 package dual
 

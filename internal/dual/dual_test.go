@@ -2,6 +2,7 @@ package dual
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"celeste/internal/ad"
@@ -136,36 +137,85 @@ func BenchmarkKernelEval(b *testing.B) {
 	}
 }
 
-// TestFirstMatchesDual pins the contract the gradient tier's component build
-// relies on: a computation carried out in First numbers reproduces the value
-// and gradient of the same computation in Dual numbers to 1e-15 relative
-// (bitwise where the compiler does not fuse multiply-adds).
-func TestFirstMatchesDual(t *testing.T) {
+// TestTailMatchesDual pins what the galaxy component build relies on: a
+// computation carried out in Tail numbers reproduces, on every entry it
+// carries, the same computation in Dual numbers whose other variables are
+// constants, to 1e-15 relative (bitwise where the compiler does not fuse
+// multiply-adds); a first-order Tail carries the same values and gradients
+// and no second derivatives; and Lift and Widen put each entry where Dual
+// keeps it.
+func TestTailMatchesDual(t *testing.T) {
 	r := rng.New(17)
+	near := func(got, want, scale float64) bool {
+		return math.Abs(got-want) <= 1e-15*(math.Abs(want)+scale)
+	}
 	for trial := 0; trial < 200; trial++ {
-		var ds [N]Dual
-		var fs [N]First
-		for i := 0; i < N; i++ {
-			v := 0.2 + 2*r.Float64()
-			ds[i] = Var(v, i)
-			fs[i] = FirstVar(v, i)
+		var vals [N]float64
+		for i := range vals {
+			vals[i] = 0.2 + 2*r.Float64()
 		}
-		// Every First op once: exp, sqr, sqrt, recip, logistic, sin, cos,
-		// mul, add, sub, scale, neg, addconst.
-		want := Sub(
-			Add(Mul(Exp(Neg(Mul(ds[0], ds[1]))), Logistic(ds[3])),
-				Mul(Recip(AddConst(Sqr(ds[4]), 3)), Sqrt(ds[2]))),
-			Scale(0.7, Mul(Sin(ds[5]), Cos(ds[0]))))
-		got := fs[0].Mul(fs[1]).Neg().Exp().Mul(fs[3].Logistic()).
-			Add(fs[4].Sqr().AddConst(3).Recip().Mul(fs[2].Sqrt())).
-			Sub(fs[5].Sin().Mul(fs[0].Cos()).Scale(0.7))
-		if math.Abs(got.V-want.V) > 1e-15*math.Abs(want.V) {
-			t.Fatalf("trial %d: value %v, dual %v", trial, got.V, want.V)
+		got := map[string]Dual{
+			"Tail3":      tailExpr[[3]float64, [6]float64](vals).Lift(),
+			"Tail4":      tailExpr[[4]float64, [10]float64](vals).Lift(),
+			"Tail3 grad": tailExpr[[3]float64, [0]float64](vals).Lift(),
+			"Tail4 grad": tailExpr[[4]float64, [0]float64](vals).Lift(),
 		}
-		for i := 0; i < N; i++ {
-			if math.Abs(got.G[i]-want.G[i]) > 1e-15*(math.Abs(want.G[i])+math.Abs(want.V)) {
-				t.Fatalf("trial %d: grad[%d] %v, dual %v", trial, i, got.G[i], want.G[i])
+		for name, g := range got {
+			lo, second := 3, !strings.HasSuffix(name, "grad")
+			if strings.HasPrefix(name, "Tail4") {
+				lo = 2
+			}
+			var ds [N]Dual
+			for i, v := range vals {
+				ds[i] = Const(v)
+				if i >= lo {
+					ds[i] = Var(v, i)
+				}
+			}
+			w := dualExpr(ds)
+			if !near(g.V, w.V, 0) {
+				t.Fatalf("trial %d %s: value %v, dual %v", trial, name, g.V, w.V)
+			}
+			for i := 0; i < N; i++ {
+				if !near(g.G[i], w.G[i], math.Abs(w.V)) {
+					t.Fatalf("trial %d %s: grad[%d] %v, dual %v", trial, name, i, g.G[i], w.G[i])
+				}
+				for j := 0; j <= i; j++ {
+					k := Idx(i, j)
+					if want := w.H[k]; second && !near(g.H[k], want, math.Abs(w.V)) || !second && g.H[k] != 0 {
+						t.Fatalf("trial %d %s: hess(%d,%d) %v, dual %v", trial, name, i, j, g.H[k], want)
+					}
+				}
 			}
 		}
+		x := TailVar[[3]float64, [6]float64](vals[4], 4).Sqr().Mul(TailVar[[3]float64, [6]float64](vals[3], 3))
+		if wide, lifted := Widen[[6]float64, [10]float64](x).Lift(), x.Lift(); wide != lifted {
+			t.Fatalf("trial %d: Widen moved an entry: %v, %v", trial, wide, lifted)
+		}
 	}
+}
+
+// tailExpr evaluates dualExpr's expression in Tail numbers over the last
+// len(G) variables, the others constants.
+func tailExpr[G [3]float64 | [4]float64, H [0]float64 | [6]float64 | [10]float64](vals [N]float64) Tail[G, H] {
+	var ts [N]Tail[G, H]
+	for i, v := range vals {
+		ts[i] = Tail[G, H]{V: v}
+		if i >= N-len(ts[i].G) {
+			ts[i] = TailVar[G, H](v, i)
+		}
+	}
+	// Every Tail op once: exp, sqr, sqrt, recip, logistic, sin, cos, mul,
+	// add, sub, scale, neg, addconst.
+	return ts[0].Mul(ts[5]).Neg().Exp().Mul(ts[3].Logistic()).
+		Add(ts[4].Sqr().AddConst(3).Recip().Mul(ts[2].Sqrt())).
+		Sub(ts[5].Sin().Mul(ts[1].Cos()).Scale(0.7))
+}
+
+// dualExpr is tailExpr's expression in Dual numbers.
+func dualExpr(ds [N]Dual) Dual {
+	return Sub(
+		Add(Mul(Exp(Neg(Mul(ds[0], ds[5]))), Logistic(ds[3])),
+			Mul(Recip(AddConst(Sqr(ds[4]), 3)), Sqrt(ds[2]))),
+		Scale(0.7, Mul(Sin(ds[5]), Cos(ds[1]))))
 }

@@ -9,7 +9,7 @@ import (
 
 // TestEvalIntoZeroAllocSteadyState pins the tentpole guarantee: once a
 // Scratch is warm, a full derivative evaluation — brightness moments, KL,
-// per-patch evaluator builds, and the 44x44 Hessian assembly — performs zero
+// per-patch evaluator builds, and the 28x28 Hessian assembly — performs zero
 // heap allocations. At the seed this was ~3.7k allocations per evaluation.
 func TestEvalIntoZeroAllocSteadyState(t *testing.T) {
 	pb, init := benchfix.SingleSourceScene(11)

@@ -420,11 +420,14 @@ func (pb *Problem) finishEval(theta *model.Params, s *Scratch) {
 }
 
 // EvalValueWith computes the objective value only (no pixel derivatives),
-// used for trust-region ratio tests, with the visit count; it evaluates in
-// s's buffers, and steady-state calls perform zero heap allocations. Like
-// EvalInto it sweeps rows of the culled active rectangle through the value
-// row kernel, with identical culling geometry so the two paths' visit counts
-// agree, and it reads the same flux moments and KL as the derivative tiers.
+// with the visit count. The trust region judges its trials by the full tier
+// (EvalInto), so no fit calls it; it stays as the value lane of the
+// benchmark harness and the value the tests hold the derivative tiers to.
+// It evaluates in s's buffers, and steady-state calls perform zero heap
+// allocations. Like EvalInto it sweeps rows of the culled active rectangle
+// through the value row kernel, with identical culling geometry so the two
+// paths' visit counts agree, and it reads the same flux moments and KL as
+// the derivative tiers.
 func (pb *Problem) EvalValueWith(theta *model.Params, s *Scratch) (float64, int64) {
 	s.job.c = theta.Constrained()
 	bm := s.computeBrightMoments(theta)

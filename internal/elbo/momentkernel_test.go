@@ -113,45 +113,37 @@ func TestMomentKernelMatchesLaneOracle(t *testing.T) {
 	}
 }
 
-// tierSet is one implementation of the two evaluation tiers the Newton trust
-// region runs on plus the neighbor fold that builds their backgrounds.
+// tierSet is one implementation of the full evaluation tier the Newton
+// trust region runs on plus the neighbor fold that builds its backgrounds.
 type tierSet struct {
-	name  string
-	full  func(*Problem, *model.Params, *Scratch) *Result
-	value func(*Problem, *model.Params, *Scratch) (float64, int64)
-	fold  func(*Builder, *model.Constrained)
+	name string
+	full func(*Problem, *model.Params, *Scratch) *Result
+	fold func(*Builder, *model.Constrained)
 }
 
 // kernelObjective adapts one tierSet to opt.Objective exactly as vi.Scratch
-// does (negated ELBO, domain barrier on the value tier), so the same fit can
-// be driven through the moment kernel and through each oracle.
+// does (negated ELBO, domain barrier), so the same fit can be driven through
+// the moment kernel and through each oracle.
 type kernelObjective struct {
 	pb    *Problem
 	s     *Scratch
 	tiers *tierSet
-	g     [model.ParamDim]float64
 	theta model.Params
 }
 
-func (o *kernelObjective) Full(x []float64) (float64, []float64, *linalg.Mat) {
-	copy(o.theta[:], x)
-	r := o.tiers.full(o.pb, &o.theta, o.s)
-	for i := range o.g {
-		o.g[i] = -r.Grad[i]
-	}
-	for i := range r.Hess.Data {
-		r.Hess.Data[i] = -r.Hess.Data[i]
-	}
-	return -r.Value, o.g[:], r.Hess
-}
-
-func (o *kernelObjective) Value(x []float64) float64 {
+func (o *kernelObjective) Full(x, g []float64, h *linalg.Mat) float64 {
 	copy(o.theta[:], x)
 	if !o.pb.InBounds(&o.theta) {
 		return math.Inf(1)
 	}
-	v, _ := o.tiers.value(o.pb, &o.theta, o.s)
-	return -v
+	r := o.tiers.full(o.pb, &o.theta, o.s)
+	for i := range g {
+		g[i] = -r.Grad[i]
+	}
+	for i, v := range r.Hess.Data {
+		h.Data[i] = -v
+	}
+	return -r.Value
 }
 
 // fit runs the Newton trust region with vi.FitWith's settings, less its
@@ -194,9 +186,9 @@ func TestMomentKernelCatalogDelta(t *testing.T) {
 
 	kernelFold := (*Builder).AddNeighbor
 	kernels := []tierSet{
-		{"moment kernel", (*Problem).EvalInto, (*Problem).EvalValueWith, kernelFold},
-		{"lane oracle", (*Problem).laneEvalInto, (*Problem).EvalValueWith, kernelFold},
-		{"scalar reference", (*Problem).evalIntoRef, (*Problem).evalValueRef,
+		{"moment kernel", (*Problem).EvalInto, kernelFold},
+		{"lane oracle", (*Problem).laneEvalInto, kernelFold},
+		{"scalar reference", (*Problem).evalIntoRef,
 			func(b *Builder, c *model.Constrained) {
 				for _, p := range b.pb.Patches {
 					addNeighborRef(p, c)

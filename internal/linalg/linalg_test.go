@@ -254,10 +254,10 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func BenchmarkCholesky44(b *testing.B) {
+func BenchmarkCholesky28(b *testing.B) {
 	r := rng.New(1)
-	a := randSPD(r, 44)
-	l := NewMat(44, 44)
+	a := randSPD(r, 28)
+	l := NewMat(28, 28)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Cholesky(l, a); err != nil {
@@ -266,9 +266,9 @@ func BenchmarkCholesky44(b *testing.B) {
 	}
 }
 
-func BenchmarkEigenSym44(b *testing.B) {
+func BenchmarkEigenSym28(b *testing.B) {
 	r := rng.New(1)
-	a := randSPD(r, 44)
+	a := randSPD(r, 28)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := eigenSym(a); err != nil {

@@ -9,7 +9,9 @@
 // The package provides plain float64 evaluation (used when synthesizing
 // images) and a dual-number evaluator that carries first and second
 // derivatives with respect to the six spatial parameters of a source (used
-// by the ELBO hot path; see internal/dual for the coordinate convention).
+// by the ELBO hot path; see internal/dual for the coordinate convention). Its
+// galaxy components carry derivatives over the shape coordinates alone (see
+// DualComp).
 package mog
 
 import (
@@ -199,12 +201,14 @@ func EvalComps(comps []ValueComp, x, y float64) float64 {
 }
 
 // DualComp is a precomputed Gaussian component whose normalization K and
-// precision entries Q carry derivatives with respect to the source's
-// spatial parameters. MuX, MuY are constant pixel offsets (the PSF component
-// means).
+// precision entries Q carry derivatives with respect to the source's shape
+// coordinates, and only those: K depends on the profile mix, the axis ratio,
+// the angle and the scale (coordinates 2..5), Q on the last three, and
+// neither on the position (see internal/dual for the numbering). MuX, MuY
+// are constant pixel offsets (the PSF component means).
 type DualComp struct {
-	K             dual.Dual
-	Q11, Q12, Q22 dual.Dual
+	K             dual.Tail4
+	Q11, Q12, Q22 dual.Tail3
 	MuX, MuY      float64
 
 	// Row holds the row-sweep constants of the values Q11.V, Q12.V, Q22.V
@@ -253,89 +257,45 @@ func NewEvaluator(psf Mixture, expProf, devProf []ProfComp,
 // every (patch, iteration) pair of a fit. Build starts a patch: the next row
 // sweep is the patch's first row, and each later one sweeps the row below
 // the last.
+//
+// The chain runs in the shape subspace: the covariance and Q over
+// coordinates 3..5 (dual.Tail3), the profile mix and K over 2..5
+// (dual.Tail4). Each entry it carries is computed by the expression, in the
+// order, that a chain of dual.Dual operations over all six coordinates uses
+// for it, so K and Q hold that chain's bits (TestBuildBitwise).
 func (e *Evaluator) Build(psf Mixture, expProf, devProf []ProfComp,
 	rhoLogit, abLogit, angle, logScale float64, jac Jac2) {
-
-	e.jac = jac
-	e.Star = starCompsInto(e.Star[:0], psf)
-	e.Gal = e.Gal[:0]
-
-	rho := dual.Logistic(dual.Var(rhoLogit, 2))
-	ab := dual.Logistic(dual.Var(abLogit, 3))
-	th := dual.Var(angle, 4)
-	sigma := dual.Exp(dual.Var(logScale, 5))
-
-	// World covariance W = R diag(s^2, (s*ab)^2) Rᵀ.
-	a := dual.Sqr(sigma)
-	b := dual.Mul(a, dual.Sqr(ab))
-	s := dual.Sin(th)
-	c := dual.Cos(th)
-	s2 := dual.Sqr(s)
-	c2 := dual.Sqr(c)
-	w11 := dual.Add(dual.Mul(a, c2), dual.Mul(b, s2))
-	w12 := dual.Mul(dual.Sub(a, b), dual.Mul(s, c))
-	w22 := dual.Add(dual.Mul(a, s2), dual.Mul(b, c2))
-
-	// Pixel covariance P = J W Jᵀ.
-	t11 := dual.Add(dual.Scale(jac.A11, w11), dual.Scale(jac.A12, w12))
-	t12 := dual.Add(dual.Scale(jac.A11, w12), dual.Scale(jac.A12, w22))
-	t21 := dual.Add(dual.Scale(jac.A21, w11), dual.Scale(jac.A22, w12))
-	t22 := dual.Add(dual.Scale(jac.A21, w12), dual.Scale(jac.A22, w22))
-	p11 := dual.Add(dual.Scale(jac.A11, t11), dual.Scale(jac.A12, t12))
-	p12 := dual.Add(dual.Scale(jac.A21, t11), dual.Scale(jac.A22, t12))
-	p22 := dual.Add(dual.Scale(jac.A21, t21), dual.Scale(jac.A22, t22))
-
-	oneMinusRho := dual.AddConst(dual.Neg(rho), 1)
-	add := func(prof []ProfComp, mix dual.Dual) {
-		for _, pc := range prof {
-			for _, pk := range psf {
-				s11 := dual.AddConst(dual.Scale(pc.Var, p11), pk.Sxx)
-				s12 := dual.AddConst(dual.Scale(pc.Var, p12), pk.Sxy)
-				s22 := dual.AddConst(dual.Scale(pc.Var, p22), pk.Syy)
-				det := dual.Sub(dual.Mul(s11, s22), dual.Sqr(s12))
-				invDet := dual.Recip(det)
-				wt := dual.Scale(pc.Weight*pk.Weight/(2*math.Pi), mix)
-				// Built in place: every field is assigned, so a reused
-				// slot needs no clearing and no component is copied.
-				n := len(e.Gal)
-				if n < cap(e.Gal) {
-					e.Gal = e.Gal[:n+1]
-				} else {
-					e.Gal = append(e.Gal, DualComp{})
-				}
-				dc := &e.Gal[n]
-				dc.K = dual.Mul(wt, dual.Recip(dual.Sqrt(det)))
-				dc.Q11 = dual.Mul(s22, invDet)
-				dc.Q12 = dual.Neg(dual.Mul(s12, invDet))
-				dc.Q22 = dual.Mul(s11, invDet)
-				dc.MuX, dc.MuY = pk.MuX, pk.MuY
-				dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
-			}
-		}
-	}
-	add(expProf, oneMinusRho)
-	add(devProf, rho)
-	e.fillGalTab()
-	e.gen.Reset()
+	build[[6]float64, [10]float64](e, psf, expProf, devProf, rhoLogit, abLogit, angle, logScale, jac)
 }
 
-// BuildGrad is Build carrying first derivatives only: it fills the V and G
-// parts of every component's K and Q duals by the same expressions as Build
-// (bitwise the same values where the compiler does not fuse multiply-adds)
-// and leaves their H parts zero. It serves the gradient tier, whose moment
+// BuildGrad is Build carrying first derivatives only: the same chain with
+// empty Hessian arrays, so the V and G parts of every component's K and Q
+// are Build's bit for bit (where the compiler does not fuse multiply-adds)
+// and the H parts are zero. It serves the gradient tier, whose moment
 // assembly (MomentGrad) reads no second derivative; calling MomentHess,
 // SweepRow, EvalStar or EvalGal on an evaluator built this way is a bug.
 func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 	rhoLogit, abLogit, angle, logScale float64, jac Jac2) {
+	build[[0]float64, [0]float64](e, psf, expProf, devProf, rhoLogit, abLogit, angle, logScale, jac)
+}
+
+// build is Build with the Hessian arrays H3 (coordinates 3..5) and H4
+// (2..5) of the chain's numbers as parameters: full for Build, empty for
+// BuildGrad.
+func build[H3 [0]float64 | [6]float64, H4 [0]float64 | [10]float64](e *Evaluator, psf Mixture, expProf, devProf []ProfComp,
+	rhoLogit, abLogit, angle, logScale float64, jac Jac2) {
+
+	type num3 = dual.Tail[[3]float64, H3]
+	type num4 = dual.Tail[[4]float64, H4]
 
 	e.jac = jac
 	e.Star = starCompsInto(e.Star[:0], psf)
 	e.Gal = e.Gal[:0]
 
-	rho := dual.FirstVar(rhoLogit, 2).Logistic()
-	ab := dual.FirstVar(abLogit, 3).Logistic()
-	th := dual.FirstVar(angle, 4)
-	sigma := dual.FirstVar(logScale, 5).Exp()
+	rho := dual.TailVar[[4]float64, H4](rhoLogit, 2).Logistic()
+	ab := dual.TailVar[[3]float64, H3](abLogit, 3).Logistic()
+	th := dual.TailVar[[3]float64, H3](angle, 4)
+	sigma := dual.TailVar[[3]float64, H3](logScale, 5).Exp()
 
 	// World covariance W = R diag(s^2, (s*ab)^2) Rᵀ.
 	a := sigma.Sqr()
@@ -357,8 +317,17 @@ func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 	p12 := t11.Scale(jac.A21).Add(t12.Scale(jac.A22))
 	p22 := t21.Scale(jac.A21).Add(t22.Scale(jac.A22))
 
+	// set3 stores a chain number in a component's field; with an empty H it
+	// leaves the field's H zero.
+	set3 := func(dst *dual.Tail3, x num3) {
+		*dst = dual.Tail3{V: x.V, G: x.G}
+		for i := 0; i < len(x.H); i++ {
+			dst.H[i] = x.H[i]
+		}
+	}
+
 	oneMinusRho := rho.Neg().AddConst(1)
-	add := func(prof []ProfComp, mix dual.First) {
+	add := func(prof []ProfComp, mix num4) {
 		for _, pc := range prof {
 			for _, pk := range psf {
 				s11 := p11.Scale(pc.Var).AddConst(pk.Sxx)
@@ -367,19 +336,25 @@ func (e *Evaluator) BuildGrad(psf Mixture, expProf, devProf []ProfComp,
 				det := s11.Mul(s22).Sub(s12.Sqr())
 				invDet := det.Recip()
 				wt := mix.Scale(pc.Weight * pk.Weight / (2 * math.Pi))
-				k := wt.Mul(det.Sqrt().Recip())
-				q11 := s22.Mul(invDet)
-				q12 := s12.Mul(invDet).Neg()
-				q22 := s11.Mul(invDet)
-
-				e.Gal = append(e.Gal, DualComp{})
-				dc := &e.Gal[len(e.Gal)-1]
-				dc.K.V, dc.K.G = k.V, k.G
-				dc.Q11.V, dc.Q11.G = q11.V, q11.G
-				dc.Q12.V, dc.Q12.G = q12.V, q12.G
-				dc.Q22.V, dc.Q22.G = q22.V, q22.G
+				k := wt.Mul(dual.Widen[H3, H4](det.Sqrt().Recip()))
+				// Built in place: every field is assigned, so a reused
+				// slot needs no clearing and no component is copied.
+				n := len(e.Gal)
+				if n < cap(e.Gal) {
+					e.Gal = e.Gal[:n+1]
+				} else {
+					e.Gal = append(e.Gal, DualComp{})
+				}
+				dc := &e.Gal[n]
+				dc.K = dual.Tail4{V: k.V, G: k.G}
+				for i := 0; i < len(k.H); i++ {
+					dc.K.H[i] = k.H[i]
+				}
+				set3(&dc.Q11, s22.Mul(invDet))
+				set3(&dc.Q12, s12.Mul(invDet).Neg())
+				set3(&dc.Q22, s11.Mul(invDet))
 				dc.MuX, dc.MuY = pk.MuX, pk.MuY
-				dc.Row.set(q11.V, q12.V, q22.V)
+				dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
 			}
 		}
 	}
@@ -404,10 +379,10 @@ func starCompsInto(dst []DualComp, psf Mixture) []DualComp {
 		det := c.Sxx*c.Syy - c.Sxy*c.Sxy
 		inv := 1 / det
 		dc := DualComp{
-			K:   dual.Const(c.Weight / (2 * math.Pi * math.Sqrt(det))),
-			Q11: dual.Const(c.Syy * inv),
-			Q12: dual.Const(-c.Sxy * inv),
-			Q22: dual.Const(c.Sxx * inv),
+			K:   dual.Tail4{V: c.Weight / (2 * math.Pi * math.Sqrt(det))},
+			Q11: dual.Tail3{V: c.Syy * inv},
+			Q12: dual.Tail3{V: -c.Sxy * inv},
+			Q22: dual.Tail3{V: c.Sxx * inv},
 			MuX: c.MuX, MuY: c.MuY,
 		}
 		dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
@@ -424,8 +399,10 @@ func starCompsInto(dst []DualComp, psf Mixture) []DualComp {
 const qCutoff = 50
 
 // evalComps evaluates a component list at pixel offset (dx, dy) from the
-// source center (in pixels). The position derivative flows through
-// d = pix - srcPix(u) - mu with d(srcPix)/du = jac.
+// source center (in pixels), lifting each component's K and Q to dual.Dual
+// over all six coordinates; it is the per-pixel oracle of the row sweeps.
+// The position derivative flows through d = pix - srcPix(u) - mu with
+// d(srcPix)/du = jac.
 //
 // The per-component chain rule is hand-fused (the paper's Section V move)
 // rather than composed from generic dual ops: the position variables (0, 1)
@@ -451,6 +428,7 @@ func (e *Evaluator) evalComps(comps []DualComp, dx, dy float64) dual.Dual {
 		if qv > qCutoff {
 			continue
 		}
+		kD, q11D, q12D, q22D := c.K.Lift(), c.Q11.Lift(), c.Q12.Lift(), c.Q22.Lift()
 
 		// q = Q11·d1² + 2·Q12·d1·d2 + Q22·d2².
 		// Gradient: position through (d1, d2), shape through Q.
@@ -459,7 +437,7 @@ func (e *Evaluator) evalComps(comps []DualComp, dx, dy float64) dual.Dual {
 		qG[0] = tq1*g10 + tq2*g20
 		qG[1] = tq1*g11 + tq2*g21
 		for k := 2; k < dual.N; k++ {
-			qG[k] = c.Q11.G[k]*s11 + 2*c.Q12.G[k]*s12 + c.Q22.G[k]*s22
+			qG[k] = q11D.G[k]*s11 + 2*q12D.G[k]*s12 + q22D.G[k]*s22
 		}
 
 		// Hessian, by block. Position-position: d is linear in u, so
@@ -471,12 +449,12 @@ func (e *Evaluator) evalComps(comps []DualComp, dx, dy float64) dual.Dual {
 		// ∂j(s11, s12, s22) = (2·d1·∂jd1, ∂jd1·d2 + d1·∂jd2, 2·d2·∂jd2).
 		for i := 2; i < dual.N; i++ {
 			base := i * (i + 1) / 2
-			qH[base] = c.Q11.G[i]*(2*d1*g10) + 2*c.Q12.G[i]*(g10*d2+d1*g20) + c.Q22.G[i]*(2*d2*g20)
-			qH[base+1] = c.Q11.G[i]*(2*d1*g11) + 2*c.Q12.G[i]*(g11*d2+d1*g21) + c.Q22.G[i]*(2*d2*g21)
+			qH[base] = q11D.G[i]*(2*d1*g10) + 2*q12D.G[i]*(g10*d2+d1*g20) + q22D.G[i]*(2*d2*g20)
+			qH[base+1] = q11D.G[i]*(2*d1*g11) + 2*q12D.G[i]*(g11*d2+d1*g21) + q22D.G[i]*(2*d2*g21)
 			// Shape-shape: d-products are shape-constants.
 			for j := 2; j <= i; j++ {
 				k := base + j
-				qH[k] = c.Q11.H[k]*s11 + 2*c.Q12.H[k]*s12 + c.Q22.H[k]*s22
+				qH[k] = q11D.H[k]*s11 + 2*q12D.H[k]*s12 + q22D.H[k]*s22
 			}
 		}
 
@@ -487,14 +465,14 @@ func (e *Evaluator) evalComps(comps []DualComp, dx, dy float64) dual.Dual {
 		kv := c.K.V
 		acc.V += kv * ev
 		for i := 0; i < dual.N; i++ {
-			acc.G[i] += ev * (c.K.G[i] - 0.5*kv*qG[i])
+			acc.G[i] += ev * (kD.G[i] - 0.5*kv*qG[i])
 		}
 		k := 0
 		for i := 0; i < dual.N; i++ {
-			kgi, qgi := c.K.G[i], qG[i]
+			kgi, qgi := kD.G[i], qG[i]
 			for j := 0; j <= i; j++ {
-				acc.H[k] += ev * (c.K.H[k] -
-					0.5*(kgi*qG[j]+c.K.G[j]*qgi) -
+				acc.H[k] += ev * (kD.H[k] -
+					0.5*(kgi*qG[j]+kD.G[j]*qgi) -
 					0.5*kv*qH[k] +
 					0.25*kv*qgi*qG[j])
 				k++

@@ -167,8 +167,8 @@ func (e *Evaluator) sweepGalGrad(l *RowLanes, dxs []float64, dy float64) {
 		setPair(t, gtD2, d2)
 		setPair(t, gtQ12D2, c.Q12.V*d2)
 		setPair(t, gtQ22D2, c.Q22.V*d2)
-		for k := 2; k < dual.N; k++ {
-			setPair(t, gtSC+k-2, c.Q22.G[k]*(d2*d2))
+		for k := 3; k < dual.N; k++ {
+			setPair(t, gtSC+k-2, c.Q22.G[k-3]*(d2*d2))
 		}
 		galLanes(t, dxs[i0:i1+1], erow[i0:i1+1], l.GalV[i0:i1+1], l.GalG[i0:], w)
 	}
@@ -177,12 +177,13 @@ func (e *Evaluator) sweepGalGrad(l *RowLanes, dxs []float64, dy float64) {
 // The lane pass reads its per-component constants from the evaluator's
 // galaxy table: galTabLen entries per component, each stored twice (one
 // 16-byte pair, the two lanes of an SSE2 register) and the whole table
-// 16-byte aligned. Build fills the entries up to gtD2 once per patch;
-// sweepGalGrad rewrites the d2-dependent rest per (component, row). The
-// names give the fused sweep's quantities: the pixel-independent operands
-// of tq1 = 2*(q11*d1 + q12*d2), tq2 = 2*(q12*d1 + q22*d2), the position
-// chain rule g, and the shape gradient t_k = K.G[k] − ½K·(sa_k·s11 + sb_k·s12
-// + sc_k).
+// 16-byte aligned. Build fills the entries up to gtD2, and the zero gtSC
+// entry of coordinate 2, once per patch; sweepGalGrad rewrites the
+// d2-dependent rest per (component, row). The names give the fused sweep's
+// quantities: the pixel-independent operands of tq1 = 2*(q11*d1 + q12*d2),
+// tq2 = 2*(q12*d1 + q22*d2), the position chain rule g, and the shape
+// gradient t_k = K_k − ½K·(sa_k·s11 + sb_k·s12 + sc_k) over coordinates
+// k = 2..5, where sa, sb, sc are Q's derivatives (zero at k = 2).
 const (
 	gtMuX = iota
 	gtQ11
@@ -194,14 +195,14 @@ const (
 	gtKV
 	gtHalfKV
 	gtHalf
-	gtKG // K.G[2..5]
+	gtKG // K_k, k = 2..5
 
-	gtSA      = gtKG + 4 // Q11.G[2..5]
-	gtSB      = gtSA + 4 // 2*Q12.G[2..5]
+	gtSA      = gtKG + 4 // ∂Q11/∂k
+	gtSB      = gtSA + 4 // 2*∂Q12/∂k
 	gtD2      = gtSB + 4 // row entries from here on
 	gtQ12D2   = gtD2 + 1 // q12*d2
 	gtQ22D2   = gtD2 + 2 // q22*d2
-	gtSC      = gtD2 + 3 // Q22.G[2..5]*d2²
+	gtSC      = gtD2 + 3 // ∂Q22/∂k * d2²
 	galTabLen = gtSC + 4
 )
 
@@ -231,9 +232,16 @@ func (e *Evaluator) fillGalTab() {
 		setPair(t, gtHalfKV, 0.5*c.K.V)
 		setPair(t, gtHalf, 0.5)
 		for k := 2; k < dual.N; k++ {
-			setPair(t, gtKG+k-2, c.K.G[k])
-			setPair(t, gtSA+k-2, c.Q11.G[k])
-			setPair(t, gtSB+k-2, 2*c.Q12.G[k])
+			setPair(t, gtKG+k-2, c.K.G[k-2])
+		}
+		// Q does not depend on the profile mix (coordinate 2): its terms in
+		// that lane are zero, for every row.
+		setPair(t, gtSA, 0)
+		setPair(t, gtSB, 0)
+		setPair(t, gtSC, 0)
+		for k := 3; k < dual.N; k++ {
+			setPair(t, gtSA+k-2, c.Q11.G[k-3])
+			setPair(t, gtSB+k-2, 2*c.Q12.G[k-3])
 		}
 	}
 }

@@ -106,10 +106,10 @@ func (e *Evaluator) sweepGalGradFused(g *EGen, l *RowLanes, dxs []float64, dy fl
 		}
 		s22 := d2 * d2
 		halfkv := 0.5 * kv
-		for k := 2; k < dual.N; k++ {
-			sa[k] = c.Q11.G[k]
-			sb[k] = 2 * c.Q12.G[k]
-			sc[k] = c.Q22.G[k] * s22
+		for k := 3; k < dual.N; k++ {
+			sa[k] = c.Q11.G[k-3]
+			sb[k] = 2 * c.Q12.G[k-3]
+			sc[k] = c.Q22.G[k-3] * s22
 		}
 		for i := i0; i <= i1; i++ {
 			ev := erow[i]
@@ -128,7 +128,7 @@ func (e *Evaluator) sweepGalGradFused(g *EGen, l *RowLanes, dxs []float64, dy fl
 			gG[0][i] -= 0.5 * ke * qg0
 			gG[1][i] -= 0.5 * ke * qg1
 			for k := 2; k < dual.N; k++ {
-				t := c.K.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
+				t := c.K.G[k-2] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
 				gG[k][i] += ev * t
 			}
 		}

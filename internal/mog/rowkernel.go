@@ -219,7 +219,8 @@ func (e *Evaluator) sweepStar(l *RowLanes, dxs []float64, dy float64) {
 }
 
 // sweepGal handles the galaxy components, whose K and Q duals carry shape
-// derivatives (coordinates 2..5) but no position derivatives. Per row, the
+// derivatives (coordinates 2..5) but no position derivatives; like
+// evalComps, it lifts them to dual.Dual over all six coordinates. Per row, the
 // shape gradient and Hessian entries of q are polynomials in d1 of degree at
 // most two with pixel-independent coefficients, hoisted out of the pixel
 // loop.
@@ -268,6 +269,7 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 		if !ok {
 			continue
 		}
+		kD, q11D, q12D, q22D := c.K.Lift(), c.Q11.Lift(), c.Q12.Lift(), c.Q22.Lift()
 		s22 := d2 * d2
 
 		hs0 := 2 * (q11*g10*g10 + 2*q12*g10*g20 + q22*g20*g20)
@@ -276,19 +278,19 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 		invk := 1 / kv
 		halfkv := 0.5 * kv
 		for k := 2; k < dual.N; k++ {
-			sa[k] = c.Q11.G[k]
-			sb[k] = 2 * c.Q12.G[k]
-			sc[k] = c.Q22.G[k] * s22
-			hp0[k] = 2 * (c.Q11.G[k]*g10 + c.Q12.G[k]*g20)
-			hr0[k] = 2 * d2 * (c.Q12.G[k]*g10 + c.Q22.G[k]*g20)
-			hp1[k] = 2 * (c.Q11.G[k]*g11 + c.Q12.G[k]*g21)
-			hr1[k] = 2 * d2 * (c.Q12.G[k]*g11 + c.Q22.G[k]*g21)
+			sa[k] = q11D.G[k]
+			sb[k] = 2 * q12D.G[k]
+			sc[k] = q22D.G[k] * s22
+			hp0[k] = 2 * (q11D.G[k]*g10 + q12D.G[k]*g20)
+			hr0[k] = 2 * d2 * (q12D.G[k]*g10 + q22D.G[k]*g20)
+			hp1[k] = 2 * (q11D.G[k]*g11 + q12D.G[k]*g21)
+			hr1[k] = 2 * d2 * (q12D.G[k]*g11 + q22D.G[k]*g21)
 			base := k * (k + 1) / 2
 			for j := 2; j <= k; j++ {
 				h := base + j
-				m0[h] = c.K.H[h] - c.K.G[k]*c.K.G[j]*invk - halfkv*c.Q22.H[h]*s22
-				m1[h] = -halfkv * c.Q11.H[h]
-				m2[h] = -kv * c.Q12.H[h]
+				m0[h] = kD.H[h] - kD.G[k]*kD.G[j]*invk - halfkv*q22D.H[h]*s22
+				m1[h] = -halfkv * q11D.H[h]
+				m2[h] = -kv * q12D.H[h]
 			}
 		}
 		for i := i0; i <= i1; i++ {
@@ -307,7 +309,7 @@ func (e *Evaluator) sweepGal(l *RowLanes, dxs []float64, dy float64) {
 				gG[0][i] -= 0.5 * ke * qg0
 				gG[1][i] -= 0.5 * ke * qg1
 				for k := 2; k < dual.N; k++ {
-					t := c.K.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
+					t := kD.G[k] - halfkv*(sa[k]*s11+sb[k]*s12+sc[k])
 					ta[k] = ev * t
 					tb[k] = invk * t
 					gG[k][i] += ta[k]

@@ -221,8 +221,11 @@ func (e *Evaluator) MomentGrad(m *Moments, grad *[dual.N]float64) {
 		grad[0] -= kv * (pc.a[0]*mm[m10] + pc.b[0]*mm[m01])
 		grad[1] -= kv * (pc.a[1]*mm[m10] + pc.b[1]*mm[m01])
 		for k := 2; k < dual.N; k++ {
-			qm2 := c.Q11.G[k]*mm[m20] + 2*c.Q12.G[k]*mm[m11] + c.Q22.G[k]*mm[m02]
-			grad[k] += c.K.G[k]*mm[m00] - 0.5*kv*qm2
+			var qm2 float64 // Q does not depend on the profile mix (k = 2)
+			if k >= 3 {
+				qm2 = c.Q11.G[k-3]*mm[m20] + 2*c.Q12.G[k-3]*mm[m11] + c.Q22.G[k-3]*mm[m02]
+			}
+			grad[k] += c.K.G[k-2]*mm[m00] - 0.5*kv*qm2
 		}
 	}
 }
@@ -265,17 +268,18 @@ func (e *Evaluator) MomentHess(m *Moments, hess *[dual.HessLen]float64) {
 		pc := e.posCoef(c.Q11.V, c.Q12.V, c.Q22.V)
 		posPos(kv, &pc, mm)
 
-		// Shape coordinate k enters through K and through the quadratic form
-		// q_k = qa·d1² + qb·d1·d2 + qc·d2². Contract each q_k with the
-		// degree-2, -3 and -4 moments once per coordinate:
+		// Shape coordinate k enters through K and, for k ≥ 3, through the
+		// quadratic form q_k = qa·d1² + qb·d1·d2 + qc·d2² (Q does not depend
+		// on the profile mix, k = 2). Contract each q_k with the degree-2, -3
+		// and -4 moments once per coordinate:
 		//   qm2[k]  = Σ ω·E·q_k
 		//   t3[k]   = Σ ω·E·q_k·(d1, d2)
 		//   r4[k]   = Σ ω·E·q_k·(d1², d1·d2, d2²)
 		var qa, qb, qc, qm2 [dual.N]float64
 		var t3 [dual.N][2]float64
 		var r4 [dual.N][3]float64
-		for k := 2; k < dual.N; k++ {
-			a, b, cc := c.Q11.G[k], 2*c.Q12.G[k], c.Q22.G[k]
+		for k := 3; k < dual.N; k++ {
+			a, b, cc := c.Q11.G[k-3], 2*c.Q12.G[k-3], c.Q22.G[k-3]
 			qa[k], qb[k], qc[k] = a, b, cc
 			qm2[k] = a*mm[m20] + b*mm[m11] + cc*mm[m02]
 			t3[k][0] = a*mm[m30] + b*mm[m21] + cc*mm[m12]
@@ -286,14 +290,18 @@ func (e *Evaluator) MomentHess(m *Moments, hess *[dual.HessLen]float64) {
 		}
 		for k := 2; k < dual.N; k++ {
 			base := k * (k + 1) / 2
+			kg := c.K.G[k-2]
 			// Shape-position: K has no position derivative, so
 			// ∂_kj f = −(q_j/2)·∂_k f − (K/2)·E·∂_k∂_j q with
 			// ∂_k f = E·(K_k − K·q_k/2), q_j = 2(a_j·d1 + b_j·d2) and
 			// ∂_k∂_j q = 2(akj·d1 + bkj·d2).
 			for j := 0; j < 2; j++ {
-				akj := c.Q11.G[k]*g1[j] + c.Q12.G[k]*g2[j]
-				bkj := c.Q12.G[k]*g1[j] + c.Q22.G[k]*g2[j]
-				hess[base+j] += -c.K.G[k]*(pc.a[j]*mm[m10]+pc.b[j]*mm[m01]) +
+				var akj, bkj float64
+				if k >= 3 {
+					akj = c.Q11.G[k-3]*g1[j] + c.Q12.G[k-3]*g2[j]
+					bkj = c.Q12.G[k-3]*g1[j] + c.Q22.G[k-3]*g2[j]
+				}
+				hess[base+j] += -kg*(pc.a[j]*mm[m10]+pc.b[j]*mm[m01]) +
 					0.5*kv*(pc.a[j]*t3[k][0]+pc.b[j]*t3[k][1]) -
 					kv*(akj*mm[m10]+bkj*mm[m01])
 			}
@@ -301,9 +309,13 @@ func (e *Evaluator) MomentHess(m *Moments, hess *[dual.HessLen]float64) {
 			// ∂_kl f = E·(K_kl − (K_k·q_l + K_l·q_k)/2 − K·q_kl/2 + K·q_k·q_l/4).
 			for l := 2; l <= k; l++ {
 				h := base + l
-				qkl := c.Q11.H[h]*mm[m20] + 2*c.Q12.H[h]*mm[m11] + c.Q22.H[h]*mm[m02]
-				hess[h] += c.K.H[h]*mm[m00] -
-					0.5*(c.K.G[k]*qm2[l]+c.K.G[l]*qm2[k]) -
+				var qkl float64
+				if l >= 3 {
+					hq := dual.Idx(k-3, l-3)
+					qkl = c.Q11.H[hq]*mm[m20] + 2*c.Q12.H[hq]*mm[m11] + c.Q22.H[hq]*mm[m02]
+				}
+				hess[h] += c.K.H[dual.Idx(k-2, l-2)]*mm[m00] -
+					0.5*(kg*qm2[l]+c.K.G[l-2]*qm2[k]) -
 					0.5*kv*qkl +
 					0.25*kv*(qa[l]*r4[k][0]+qb[l]*r4[k][1]+qc[l]*r4[k][2])
 			}

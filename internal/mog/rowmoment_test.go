@@ -202,7 +202,8 @@ func TestHessianLanesSizedOnlyBySweepRow(t *testing.T) {
 
 // TestBuildGradMatchesBuild pins the first-order build to the second-order
 // one: every value and gradient entry of every component agrees to 1e-15,
-// and the whole set of row-sweep constants bit for bit.
+// every Hessian entry of the first-order build is zero, and the whole set of
+// row-sweep constants agrees bit for bit.
 func TestBuildGradMatchesBuild(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 100; trial++ {
@@ -212,7 +213,8 @@ func TestBuildGradMatchesBuild(t *testing.T) {
 		}
 		for ci := range mc.full.Gal {
 			a, b := &mc.full.Gal[ci], &mc.first.Gal[ci]
-			pairs := [][2]*dual.Dual{{&a.K, &b.K}, {&a.Q11, &b.Q11}, {&a.Q12, &b.Q12}, {&a.Q22, &b.Q22}}
+			pairs := [][2]dual.Dual{{a.K.Lift(), b.K.Lift()}, {a.Q11.Lift(), b.Q11.Lift()},
+				{a.Q12.Lift(), b.Q12.Lift()}, {a.Q22.Lift(), b.Q22.Lift()}}
 			for pi, p := range pairs {
 				if math.Abs(p[0].V-p[1].V) > 1e-15*math.Abs(p[0].V) {
 					t.Fatalf("trial %d comp %d dual %d: V %v vs %v", trial, ci, pi, p[1].V, p[0].V)
@@ -221,6 +223,9 @@ func TestBuildGradMatchesBuild(t *testing.T) {
 					if math.Abs(p[0].G[k]-p[1].G[k]) > 1e-15*(math.Abs(p[0].G[k])+math.Abs(p[0].V)) {
 						t.Fatalf("trial %d comp %d dual %d: G[%d] %v vs %v", trial, ci, pi, k, p[1].G[k], p[0].G[k])
 					}
+				}
+				if p[1].H != ([dual.HessLen]float64{}) {
+					t.Fatalf("trial %d comp %d dual %d: first-order build has second derivatives %v", trial, ci, pi, p[1].H)
 				}
 			}
 			if a.Row != b.Row || a.MuX != b.MuX || a.MuY != b.MuY {

@@ -13,35 +13,44 @@ import (
 	"celeste/internal/linalg"
 )
 
-// Objective is what NewtonTRWS minimizes, exposing the two evaluation tiers
-// the trust region mixes: Full returns value, gradient, and Hessian (the
-// optimizer only reads them until the next Full call, so the implementation
-// may reuse its own buffers); Value returns the value alone for trust-region
-// ratio tests.
+// Objective is what NewtonTRWS minimizes. Full returns the value at x and
+// writes the gradient into g and the Hessian into h, both sized for x and
+// owned by the optimizer's Workspace. Every trial point is judged by Full, so
+// an accepted trial needs no second evaluation. A point outside the
+// objective's domain must return +Inf; g and h may then hold anything, since
+// the optimizer rejects the step and never reads them.
 type Objective interface {
-	Full(x []float64) (f float64, g []float64, h *linalg.Mat)
-	Value(x []float64) float64
+	Full(x, g []float64, h *linalg.Mat) float64
 }
 
 // Workspace holds every buffer a NewtonTRWS run needs: the iterate and trial
-// point, the subproblem step, and the Cholesky/eigendecomposition storage.
-// Reusing one Workspace across fits makes the optimizer's own linear algebra
-// allocation-free; a workspace serves one optimization at a time.
+// point, two gradient/Hessian pairs (the iterate's and the trial's, swapped
+// when a trial is accepted), the subproblem step, and the
+// Cholesky/eigendecomposition storage. Reusing one Workspace across fits
+// makes the optimizer's own linear algebra allocation-free; a workspace
+// serves one optimization at a time.
 type Workspace struct {
 	n             int
 	x, trial, p   []float64
+	g, gTrial     []float64
+	h, hTrial     *linalg.Mat
 	ghat          []float64
 	chol          *linalg.Mat
 	eigVecs       *linalg.Mat
 	eigVals, eigE []float64
 
-	// Cached factorization state for the current Hessian. Radius
+	// Cached factorization state for the iterate's Hessian. Radius
 	// backtracking solves several trust-region subproblems against one
 	// factored H, so the Cholesky factor, the eigendecomposition and
-	// ghat = Vᵀg are computed at most once per Full evaluation. The
+	// ghat = Vᵀg are computed at most once per accepted point; a rejected
+	// trial writes only the trial pair and leaves them valid. The
 	// three-valued states distinguish "not yet tried" from a cached success
 	// or failure.
 	cholState, eigState facState
+
+	// factorizations counts the Cholesky and eigendecomposition attempts
+	// since the last ensure.
+	factorizations int
 
 	// interior records whether the last solveTRSubproblem step is the
 	// model's minimizer strictly inside the trust region, not a step the
@@ -60,7 +69,7 @@ const (
 )
 
 // noteHessianChanged invalidates every cached factorization; the optimizer
-// calls it after each Full evaluation.
+// calls it when a trial is accepted.
 func (w *Workspace) noteHessianChanged() {
 	w.cholState = facUnknown
 	w.eigState = facUnknown
@@ -76,6 +85,7 @@ func NewWorkspace(n int) *Workspace {
 // ensure sizes the workspace for dimension n, reallocating only on change.
 func (w *Workspace) ensure(n int) {
 	w.noteHessianChanged()
+	w.factorizations = 0
 	if w.n == n {
 		return
 	}
@@ -83,6 +93,10 @@ func (w *Workspace) ensure(n int) {
 	w.x = make([]float64, n)
 	w.trial = make([]float64, n)
 	w.p = make([]float64, n)
+	w.g = make([]float64, n)
+	w.gTrial = make([]float64, n)
+	w.h = linalg.NewMat(n, n)
+	w.hTrial = linalg.NewMat(n, n)
 	w.ghat = make([]float64, n)
 	w.chol = linalg.NewMat(n, n)
 	w.eigVecs = linalg.NewMat(n, n)
@@ -90,18 +104,42 @@ func (w *Workspace) ensure(n int) {
 	w.eigE = make([]float64, n)
 }
 
+// StopReason says why an optimization run ended. The zero value means the
+// run did not start and prints as the empty string.
+type StopReason uint8
+
+const (
+	StopGradTol       StopReason = iota + 1 // gradient infinity norm below GradTol
+	StopDecrement                           // Newton decrement below DecrementTol
+	StopCollapsed                           // trust radius shrank below minRadius
+	StopIterLimit                           // MaxIter iterations done
+	StopLineSearch                          // L-BFGS backtracking found no decrease
+	StopOutsideDomain                       // the start lies outside the objective's domain
+)
+
+var stopText = [...]string{
+	StopGradTol:       "gradient tolerance reached",
+	StopDecrement:     "Newton decrement below tolerance",
+	StopCollapsed:     "trust region collapsed",
+	StopIterLimit:     "iteration limit",
+	StopLineSearch:    "line search failed",
+	StopOutsideDomain: "initial position outside the problem's domain",
+}
+
+func (r StopReason) String() string { return stopText[r] }
+
 // Result reports an optimization run.
 type Result struct {
 	X         []float64
 	F         float64
 	Iters     int // outer iterations
-	FullEvals int // gradient+Hessian evaluations
-	GradEvals int // gradient-only evaluations (L-BFGS)
-	ValEvals  int // value-only evaluations
+	FullEvals int // value+gradient+Hessian evaluations (NewtonTRWS)
+	GradEvals int // value+gradient evaluations (L-BFGS)
+	Rejected  int // trial points the trust-region ratio test refused
 	GradNorm  float64
 	Radius    float64 // final trust radius (warm-start hint for refits)
 	Converged bool
-	Status    string
+	Status    StopReason
 }
 
 // TROptions configures NewtonTRWS.
@@ -151,14 +189,17 @@ const minRadius = 1e-12
 // trust-region subproblem is solved exactly via the symmetric
 // eigendecomposition of the Hessian (with Cholesky fast paths), which handles
 // indefinite Hessians — the reason the paper pairs Newton's method with a
-// trust region on its nonconvex objective. Every accepted step re-evaluates
-// the full tier, so every subproblem is solved against the exact Hessian at
-// the current iterate; a rejected step re-solves against the same cached
-// factorization at a smaller radius. It runs entirely inside ws: the
-// iterate, trial point, step, and factorization storage all live in the
-// workspace, so with an objective that also reuses its buffers a whole
-// optimization allocates nothing. Result.X aliases workspace storage and is
-// valid until the next NewtonTRWS call with the same workspace.
+// trust region on its nonconvex objective. Each iteration costs at most one
+// Full evaluation, at the trial point, into the workspace's trial pair: an
+// accepted trial swaps that pair in as the iterate's, so every subproblem is
+// solved against the exact Hessian at the current iterate; a rejected trial
+// leaves the iterate's gradient, Hessian and cached factorization as they
+// were, and the next subproblem re-solves against them at a smaller radius.
+// It runs entirely inside ws: the iterate, trial point, derivatives, step,
+// and factorization storage all live in the workspace, so with an objective
+// that allocates nothing a whole optimization allocates nothing. Result.X
+// aliases workspace storage and is valid until the next NewtonTRWS call with
+// the same workspace.
 func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Result {
 	opts.defaults()
 	n := len(x0)
@@ -168,7 +209,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	res := Result{X: x}
 
 	radius := opts.InitRadius
-	f, g, h := obj.Full(x)
+	f := obj.Full(x, ws.g, ws.h)
 	res.FullEvals++
 	res.F = f
 
@@ -180,26 +221,26 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iters = iter + 1
 		res.Radius = radius
-		gnorm := infNorm(g)
+		gnorm := infNorm(ws.g)
 		res.GradNorm = gnorm
 		if gnorm < opts.GradTol {
 			res.Converged = true
-			res.Status = "gradient tolerance reached"
+			res.Status = StopGradTol
 			return res
 		}
 
-		p, predicted := solveTRSubproblem(ws, h, g, radius)
+		p, predicted := solveTRSubproblem(ws, ws.h, ws.g, radius)
 		interior := ws.interior
 		if opts.DecrementTol > 0 && interior && remainingGain(-predicted, dPrev, rhoPrev) < opts.DecrementTol {
 			res.Converged = true
-			res.Status = "Newton decrement below tolerance"
+			res.Status = StopDecrement
 			return res
 		}
 		if predicted >= 0 {
 			// No descent possible within the model; shrink and retry.
 			radius *= 0.25
 			if radius < minRadius {
-				res.Status = "trust region collapsed"
+				res.Status = StopCollapsed
 				res.Converged = gnorm < 1e-4
 				res.Radius = radius
 				return res
@@ -209,8 +250,8 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 		for i := range trial {
 			trial[i] = x[i] + p[i]
 		}
-		ft := obj.Value(trial)
-		res.ValEvals++
+		ft := obj.Full(trial, ws.gTrial, ws.hTrial)
+		res.FullEvals++
 		actual := ft - f
 		rho := actual / predicted // both negative for progress
 
@@ -227,21 +268,24 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 				dPrev, rhoPrev = -predicted, rho
 			}
 			copy(x, trial)
-			f, g, h = obj.Full(x)
-			res.FullEvals++
+			ws.g, ws.gTrial = ws.gTrial, ws.g
+			ws.h, ws.hTrial = ws.hTrial, ws.h
 			ws.noteHessianChanged()
+			f = ft
 			res.F = f
+		} else {
+			res.Rejected++
 		}
 		if radius < minRadius {
-			res.Status = "trust region collapsed"
-			res.Converged = infNorm(g) < 1e-4
-			res.GradNorm = infNorm(g)
+			res.Status = StopCollapsed
+			res.GradNorm = infNorm(ws.g)
+			res.Converged = res.GradNorm < 1e-4
 			res.Radius = radius
 			return res
 		}
 	}
-	res.Status = "iteration limit"
-	res.GradNorm = infNorm(g)
+	res.Status = StopIterLimit
+	res.GradNorm = infNorm(ws.g)
 	res.Radius = radius
 	return res
 }
@@ -282,6 +326,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 
 	// Cholesky fast path.
 	if ws.cholState == facUnknown {
+		ws.factorizations++
 		if err := linalg.Cholesky(ws.chol, h); err == nil {
 			ws.cholState = facOK
 		} else {
@@ -302,6 +347,7 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 	// Eigendecomposition path.
 	w, v, ghat := ws.eigVals, ws.eigVecs, ws.ghat
 	if ws.eigState == facUnknown {
+		ws.factorizations++
 		if err := linalg.EigenSymInto(h, w, v, ws.eigE); err == nil {
 			ws.eigState = facOK
 			// ghat = Vᵀ g.
@@ -556,7 +602,7 @@ func LBFGS(fg func(x []float64) (float64, []float64), x0 []float64, opts LBFGSOp
 		res.GradNorm = gnorm
 		if gnorm < opts.GradTol {
 			res.Converged = true
-			res.Status = "gradient tolerance reached"
+			res.Status = StopGradTol
 			return res
 		}
 
@@ -610,7 +656,7 @@ func LBFGS(fg func(x []float64) (float64, []float64), x0 []float64, opts LBFGSOp
 			step *= 0.5
 		}
 		if !accepted {
-			res.Status = "line search failed"
+			res.Status = StopLineSearch
 			return res
 		}
 
@@ -639,7 +685,7 @@ func LBFGS(fg func(x []float64) (float64, []float64), x0 []float64, opts LBFGSOp
 		f = ft
 		res.F = f
 	}
-	res.Status = "iteration limit"
+	res.Status = StopIterLimit
 	return res
 }
 

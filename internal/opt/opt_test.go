@@ -12,18 +12,20 @@ import (
 // gradient and Hessian from one call.
 type fullFn func(x []float64) (float64, []float64, *linalg.Mat)
 
-// fnObjective adapts a test function pair to Objective.
-type fnObjective struct {
-	full  fullFn
-	value func(x []float64) float64
+// fnObjective adapts a test function to Objective, copying its gradient and
+// Hessian into the workspace's buffers.
+type fnObjective fullFn
+
+func (o fnObjective) Full(x, g []float64, h *linalg.Mat) float64 {
+	f, fg, fh := o(x)
+	copy(g, fg)
+	copy(h.Data, fh.Data)
+	return f
 }
 
-func (o fnObjective) Full(x []float64) (float64, []float64, *linalg.Mat) { return o.full(x) }
-func (o fnObjective) Value(x []float64) float64                          { return o.value(x) }
-
-// newtonTR runs NewtonTRWS on a test function pair in a fresh workspace.
-func newtonTR(full fullFn, value func(x []float64) float64, x0 []float64, opts TROptions) Result {
-	return NewtonTRWS(fnObjective{full, value}, x0, NewWorkspace(len(x0)), opts)
+// newtonTR runs NewtonTRWS on a test function in a fresh workspace.
+func newtonTR(full fullFn, x0 []float64, opts TROptions) Result {
+	return NewtonTRWS(fnObjective(full), x0, NewWorkspace(len(x0)), opts)
 }
 
 // rosenbrock is the classic nonconvex banana function with minimum at
@@ -47,18 +49,13 @@ func rosenbrockFull(x []float64) (float64, []float64, *linalg.Mat) {
 	return f, g, h
 }
 
-func rosenbrockVal(x []float64) float64 {
-	f, _, _ := rosenbrockFull(x)
-	return f
-}
-
 func TestNewtonTRRosenbrock(t *testing.T) {
 	for _, n := range []int{2, 5, 10} {
 		x0 := make([]float64, n)
 		for i := range x0 {
 			x0[i] = -1.2
 		}
-		res := newtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 300})
+		res := newtonTR(rosenbrockFull, x0, TROptions{MaxIter: 300})
 		if !res.Converged {
 			t.Fatalf("n=%d: did not converge: %s (grad %v)", n, res.Status, res.GradNorm)
 		}
@@ -96,11 +93,7 @@ func TestNewtonTRQuadratic(t *testing.T) {
 		}
 		return f, g, a.Clone()
 	}
-	val := func(x []float64) float64 {
-		f, _, _ := full(x)
-		return f
-	}
-	res := newtonTR(full, val, make([]float64, n), TROptions{})
+	res := newtonTR(full, make([]float64, n), TROptions{})
 	if !res.Converged {
 		t.Fatalf("did not converge: %s", res.Status)
 	}
@@ -128,11 +121,7 @@ func TestNewtonTRIndefiniteStart(t *testing.T) {
 		h.Set(1, 1, 2)
 		return f, g, h
 	}
-	val := func(x []float64) float64 {
-		f, _, _ := full(x)
-		return f
-	}
-	res := newtonTR(full, val, []float64{0.05, 1}, TROptions{})
+	res := newtonTR(full, []float64{0.05, 1}, TROptions{})
 	if !res.Converged {
 		t.Fatalf("did not converge: %s", res.Status)
 	}
@@ -228,10 +217,6 @@ func TestNewtonBeatsLBFGSOnIllConditioned(t *testing.T) {
 		}
 		return f, g, h
 	}
-	val := func(x []float64) float64 {
-		f, _, _ := full(x)
-		return f
-	}
 	fg := func(x []float64) (float64, []float64) {
 		f, g, _ := full(x)
 		return f, g
@@ -240,7 +225,7 @@ func TestNewtonBeatsLBFGSOnIllConditioned(t *testing.T) {
 	for i := range x0 {
 		x0[i] = 1
 	}
-	newton := newtonTR(full, val, x0, TROptions{GradTol: 1e-6})
+	newton := newtonTR(full, x0, TROptions{GradTol: 1e-6})
 	lbfgs := LBFGS(fg, x0, LBFGSOptions{GradTol: 1e-6})
 	if !newton.Converged {
 		t.Fatalf("Newton did not converge: %v", newton.Status)
@@ -278,7 +263,7 @@ func TestLBFGSDescentProperty(t *testing.T) {
 // TestResultRadiusReported: the final trust radius must be surfaced (the
 // cross-sweep warm start feeds it back as the next fit's initial radius).
 func TestResultRadiusReported(t *testing.T) {
-	res := newtonTR(rosenbrockFull, rosenbrockVal, []float64{-1.2, 1}, TROptions{MaxIter: 300})
+	res := newtonTR(rosenbrockFull, []float64{-1.2, 1}, TROptions{MaxIter: 300})
 	if !(res.Radius > 0) {
 		t.Errorf("final radius %v, want > 0", res.Radius)
 	}
@@ -455,14 +440,14 @@ func TestTRSubproblemFactorizationCache(t *testing.T) {
 	}
 }
 
-func BenchmarkNewtonTR44(b *testing.B) {
-	n := 44
+func BenchmarkNewtonTR28(b *testing.B) {
+	n := 28
 	x0 := make([]float64, n)
 	for i := range x0 {
 		x0[i] = -1.2
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newtonTR(rosenbrockFull, rosenbrockVal, x0, TROptions{MaxIter: 200})
+		newtonTR(rosenbrockFull, x0, TROptions{MaxIter: 200})
 	}
 }

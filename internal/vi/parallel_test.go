@@ -26,10 +26,10 @@ func TestFitPatchWorkersMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: ELBO = %v, serial %v", workers, par.ELBO, serial.ELBO)
 		}
 		if serial.Iters != par.Iters || serial.FullEvals != par.FullEvals ||
-			serial.GradEvals != par.GradEvals || serial.ValEvals != par.ValEvals {
-			t.Errorf("workers=%d: evals (it=%d full=%d grad=%d val=%d) differ from serial (it=%d full=%d grad=%d val=%d)",
-				workers, par.Iters, par.FullEvals, par.GradEvals, par.ValEvals,
-				serial.Iters, serial.FullEvals, serial.GradEvals, serial.ValEvals)
+			serial.GradEvals != par.GradEvals || serial.Rejected != par.Rejected {
+			t.Errorf("workers=%d: evals (it=%d full=%d grad=%d rejected=%d) differ from serial (it=%d full=%d grad=%d rejected=%d)",
+				workers, par.Iters, par.FullEvals, par.GradEvals, par.Rejected,
+				serial.Iters, serial.FullEvals, serial.GradEvals, serial.Rejected)
 		}
 		if serial.Visits != par.Visits {
 			t.Errorf("workers=%d: Visits = %d, serial %d", workers, par.Visits, serial.Visits)

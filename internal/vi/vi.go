@@ -75,12 +75,17 @@ type FitResult struct {
 	Params    model.Params
 	ELBO      float64
 	Iters     int
-	FullEvals int
+	FullEvals int // full-tier evaluations: the start and every trial point
 	GradEvals int // gradient-tier evaluations (L-BFGS)
+	Rejected  int // trial points the trust-region ratio test refused
+
+	// ValEvals counts value-tier evaluations. A fit judges its trials by
+	// the full tier, so it is 0; the field stays for the benchmark harness's
+	// vi.value_evals_per_fit lane.
 	ValEvals  int
 	Visits    int64 // active pixel visits (FLOP accounting)
 	Converged bool
-	Status    string
+	Status    opt.StopReason
 
 	// FinalRadius is the trust radius at termination — the warm-start hint
 	// core's cross-sweep cache feeds back into the next sweep's InitRadius.
@@ -94,16 +99,15 @@ type FitResult struct {
 }
 
 // Scratch owns every buffer a fit needs — the ELBO evaluation scratch
-// (including the row-sweep kernel's SoA lanes), the trust-region workspace,
-// and the negated-gradient buffer — and doubles as the opt.Objective the
-// optimizer calls. One Scratch serves one goroutine; after the first fit
-// warms it, FitWith performs zero steady-state heap allocations, which is
-// what lets a Cyclades worker sweep thousands of sources without touching
-// the garbage collector.
+// (including the row-sweep kernel's SoA lanes) and the trust-region
+// workspace with its gradient and Hessian pairs — and doubles as the
+// opt.Objective the optimizer calls. One Scratch serves one goroutine; after
+// the first fit warms it, FitWith performs zero steady-state heap
+// allocations, which is what lets a Cyclades worker sweep thousands of
+// sources without touching the garbage collector.
 type Scratch struct {
 	es *elbo.Scratch
 	ws *opt.Workspace
-	g  []float64
 
 	// Per-fit state while a FitWith call is running.
 	pb      *elbo.Problem
@@ -117,44 +121,31 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		es: elbo.NewScratch(),
 		ws: opt.NewWorkspace(model.ParamDim),
-		g:  make([]float64, model.ParamDim),
 	}
 }
 
-// Full implements opt.Objective: the negated ELBO with gradient and Hessian
-// (opt minimizes). The returned slices are scratch-owned and valid until the
-// next call.
-func (s *Scratch) Full(x []float64) (float64, []float64, *linalg.Mat) {
-	copy(s.theta[:], x)
-	t0 := time.Now()
-	r := s.pb.EvalInto(&s.theta, s.es)
-	s.evalSec += time.Since(t0).Seconds()
-	s.visits += r.Visits
-	for i := range s.g {
-		s.g[i] = -r.Grad[i]
-	}
-	h := r.Hess
-	for i := range h.Data {
-		h.Data[i] = -h.Data[i]
-	}
-	return -r.Value, s.g, h
-}
-
-// Value implements opt.Objective: the negated ELBO value only. Trial points
-// outside the problem's position domain evaluate to +Inf — beyond the patch
-// window the likelihood gradient vanishes, and without the barrier a fit
-// could wander out of its own pixel support and "converge" in empty sky
-// (the trust region rejects the step and shrinks instead).
-func (s *Scratch) Value(x []float64) float64 {
+// Full implements opt.Objective: the negated ELBO (opt minimizes), its
+// gradient into g and its Hessian into h. Points outside the problem's
+// position domain evaluate to +Inf and leave g and h as they were — beyond
+// the patch window the likelihood gradient vanishes, and without the barrier
+// a fit could wander out of its own pixel support and "converge" in empty
+// sky (the trust region rejects the step and shrinks instead).
+func (s *Scratch) Full(x, g []float64, h *linalg.Mat) float64 {
 	copy(s.theta[:], x)
 	if !s.pb.InBounds(&s.theta) {
 		return math.Inf(1)
 	}
 	t0 := time.Now()
-	v, vis := s.pb.EvalValueWith(&s.theta, s.es)
+	r := s.pb.EvalInto(&s.theta, s.es)
 	s.evalSec += time.Since(t0).Seconds()
-	s.visits += vis
-	return -v
+	s.visits += r.Visits
+	for i := range g {
+		g[i] = -r.Grad[i]
+	}
+	for i, v := range r.Hess.Data {
+		h.Data[i] = -v
+	}
+	return -r.Value
 }
 
 // FitWith maximizes the problem's ELBO from the given initialization with
@@ -167,7 +158,7 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 		// An infeasible start would put the whole domain barrier between
 		// the iterate and the data; fail loudly instead of letting the
 		// optimizer wander against +Inf walls.
-		return FitResult{Params: init, Status: "initial position outside the problem's domain"}
+		return FitResult{Params: init, Status: opt.StopOutsideDomain}
 	}
 	s.pb = pb
 	s.visits = 0
@@ -189,7 +180,7 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 	out.ELBO = -res.F
 	out.Iters = res.Iters
 	out.FullEvals = res.FullEvals
-	out.ValEvals = res.ValEvals
+	out.Rejected = res.Rejected
 	out.Visits = s.visits
 	out.Converged = res.Converged
 	out.Status = res.Status
@@ -221,7 +212,7 @@ func trOptions(o Options) opt.TROptions {
 // comparison.
 func FitLBFGS(pb *elbo.Problem, init model.Params, maxIter int) FitResult {
 	if !pb.InBounds(&init) {
-		return FitResult{Params: init, Status: "initial position outside the problem's domain"}
+		return FitResult{Params: init, Status: opt.StopOutsideDomain}
 	}
 	var visits int64
 	// One scratch and one gradient buffer for the whole run: opt.LBFGS reads
