@@ -90,7 +90,10 @@ func (ck *Checkpoint) Validate() error {
 // remaining gain on an exponential tail (internal/opt). 4: the trust region
 // judges each trial by the full tier's value, which becomes the iterate's on
 // acceptance, instead of by the value tier's (internal/opt, NewtonTRWS).
-const numericsRevision = 4
+// 5: the frames of one epoch and band that tile a common pixel grid are
+// stitched into one patch per source (internal/elbo, builder.go): the same
+// pixels, summed in another order and swept from other row anchors.
+const numericsRevision = 5
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

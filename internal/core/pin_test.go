@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 4
-	pinSHA256   = "b0574762ce6a2f3f8f84b81ea6256b4bcb1fa57f398c2aa4dc16e330c94955a3"
+	pinRevision = 5
+	pinSHA256   = "81b54de93629a78d59821c6e22ec0aaf26c8afa91614293c0fbc4475c7a59a84"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

@@ -154,11 +154,10 @@ func TestTailMatchesDual(t *testing.T) {
 		for i := range vals {
 			vals[i] = 0.2 + 2*r.Float64()
 		}
+		t3, t4 := tailExpr[[3]float64, [6]float64](vals), tailExpr[[4]float64, [10]float64](vals)
+		g3, g4 := tailExpr[[3]float64, [0]float64](vals), tailExpr[[4]float64, [0]float64](vals)
 		got := map[string]Dual{
-			"Tail3":      tailExpr[[3]float64, [6]float64](vals).Lift(),
-			"Tail4":      tailExpr[[4]float64, [10]float64](vals).Lift(),
-			"Tail3 grad": tailExpr[[3]float64, [0]float64](vals).Lift(),
-			"Tail4 grad": tailExpr[[4]float64, [0]float64](vals).Lift(),
+			"Tail3": t3.Lift(), "Tail4": t4.Lift(), "Tail3 grad": g3.Lift(), "Tail4 grad": g4.Lift(),
 		}
 		for name, g := range got {
 			lo, second := 3, !strings.HasSuffix(name, "grad")
@@ -188,9 +187,14 @@ func TestTailMatchesDual(t *testing.T) {
 				}
 			}
 		}
-		x := TailVar[[3]float64, [6]float64](vals[4], 4).Sqr().Mul(TailVar[[3]float64, [6]float64](vals[3], 3))
-		if wide, lifted := Widen[[6]float64, [10]float64](x).Lift(), x.Lift(); wide != lifted {
-			t.Fatalf("trial %d: Widen moved an entry: %v, %v", trial, wide, lifted)
+		x := TailVar[[3]float64, [6]float64](vals[4], 4)
+		y := TailVar[[3]float64, [6]float64](vals[3], 3)
+		x.Mul(x.Sqr(&x), &y)
+		// Widen must overwrite every entry of its destination.
+		wide := Tail4{V: 7, G: [4]float64{7, 7, 7, 7}, H: [10]float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}}
+		Widen(&wide, &x)
+		if w, lifted := wide.Lift(), x.Lift(); w != lifted {
+			t.Fatalf("trial %d: Widen moved an entry: %v, %v", trial, w, lifted)
 		}
 	}
 }
@@ -206,10 +210,16 @@ func tailExpr[G [3]float64 | [4]float64, H [0]float64 | [6]float64 | [10]float64
 		}
 	}
 	// Every Tail op once: exp, sqr, sqrt, recip, logistic, sin, cos, mul,
-	// add, sub, scale, neg, addconst.
-	return ts[0].Mul(ts[5]).Neg().Exp().Mul(ts[3].Logistic()).
-		Add(ts[4].Sqr().AddConst(3).Recip().Mul(ts[2].Sqrt())).
-		Sub(ts[5].Sin().Mul(ts[1].Cos()).Scale(0.7))
+	// add, sub, scale, neg, addconst; most of them set one of their own
+	// operands, the first (x.Mul(&x, …)) or the second (y.Add(&x, &y)).
+	var x, y, z Tail[G, H]
+	x.Exp(x.Neg(x.Mul(&ts[0], &ts[5])))
+	x.Mul(&x, y.Logistic(&ts[3]))
+	y.Recip(y.AddConst(y.Sqr(&ts[4]), 3))
+	y.Mul(&y, z.Sqrt(&ts[2]))
+	y.Add(&x, &y)
+	x.Mul(x.Sin(&ts[5]), z.Cos(&ts[1]))
+	return *y.Sub(&y, x.Scale(&x, 0.7))
 }
 
 // dualExpr is tailExpr's expression in Dual numbers.

@@ -67,16 +67,13 @@ type rowConst struct {
 func (k *rowConst) set(q11, q12, q22 float64) {
 	s := math.Exp(-q11)
 	s2 := s * s
-	*k = rowConst{
-		q11: q11, q12: q12, q22: q22,
-		q12OverQ11: q12 / q11,
-		qminCoef:   q22 - q12*q12/q11,
-		invQ11:     1 / q11,
-		s:          s,
-		s4:         s2 * s2,
-		t:          math.Exp(-q12),
-		v:          math.Exp(-q22),
-	}
+	// Field by field: a composite literal would be built aside and copied.
+	k.q11, k.q12, k.q22 = q11, q12, q22
+	k.q12OverQ11 = q12 / q11
+	k.qminCoef = q22 - q12*q12/q11
+	k.invQ11 = 1 / q11
+	k.s, k.s4 = s, s2*s2
+	k.t, k.v = math.Exp(-q12), math.Exp(-q22)
 }
 
 // EGen is the E generator's per-worker state: every component's carried

@@ -292,51 +292,61 @@ func build[H3 [0]float64 | [6]float64, H4 [0]float64 | [10]float64](e *Evaluator
 	e.Star = starCompsInto(e.Star[:0], psf)
 	e.Gal = e.Gal[:0]
 
-	rho := dual.TailVar[[4]float64, H4](rhoLogit, 2).Logistic()
-	ab := dual.TailVar[[3]float64, H3](abLogit, 3).Logistic()
+	rho := dual.TailVar[[4]float64, H4](rhoLogit, 2)
+	rho.Logistic(&rho)
+	ab := dual.TailVar[[3]float64, H3](abLogit, 3)
+	ab.Logistic(&ab)
 	th := dual.TailVar[[3]float64, H3](angle, 4)
-	sigma := dual.TailVar[[3]float64, H3](logScale, 5).Exp()
+	sigma := dual.TailVar[[3]float64, H3](logScale, 5)
+	sigma.Exp(&sigma)
 
-	// World covariance W = R diag(s^2, (s*ab)^2) Rᵀ.
-	a := sigma.Sqr()
-	b := a.Mul(ab.Sqr())
-	s := th.Sin()
-	c := th.Cos()
-	s2 := s.Sqr()
-	c2 := c.Sqr()
-	w11 := a.Mul(c2).Add(b.Mul(s2))
-	w12 := a.Sub(b).Mul(s.Mul(c))
-	w22 := a.Mul(s2).Add(b.Mul(c2))
+	// World covariance W = R diag(s^2, (s*ab)^2) Rᵀ. The chain's numbers
+	// are set in place through pointers (see dual.Tail); u is scratch.
+	var a, b, s, c, s2, c2, w11, w12, w22, u num3
+	a.Sqr(&sigma)
+	b.Mul(&a, u.Sqr(&ab))
+	s.Sin(&th)
+	c.Cos(&th)
+	s2.Sqr(&s)
+	c2.Sqr(&c)
+	w11.Add(w11.Mul(&a, &c2), u.Mul(&b, &s2))
+	w12.Mul(w12.Sub(&a, &b), u.Mul(&s, &c))
+	w22.Add(w22.Mul(&a, &s2), u.Mul(&b, &c2))
 
 	// Pixel covariance P = J W Jᵀ.
-	t11 := w11.Scale(jac.A11).Add(w12.Scale(jac.A12))
-	t12 := w12.Scale(jac.A11).Add(w22.Scale(jac.A12))
-	t21 := w11.Scale(jac.A21).Add(w12.Scale(jac.A22))
-	t22 := w12.Scale(jac.A21).Add(w22.Scale(jac.A22))
-	p11 := t11.Scale(jac.A11).Add(t12.Scale(jac.A12))
-	p12 := t11.Scale(jac.A21).Add(t12.Scale(jac.A22))
-	p22 := t21.Scale(jac.A21).Add(t22.Scale(jac.A22))
+	var t11, t12, t21, t22, p11, p12, p22 num3
+	t11.Add(t11.Scale(&w11, jac.A11), u.Scale(&w12, jac.A12))
+	t12.Add(t12.Scale(&w12, jac.A11), u.Scale(&w22, jac.A12))
+	t21.Add(t21.Scale(&w11, jac.A21), u.Scale(&w12, jac.A22))
+	t22.Add(t22.Scale(&w12, jac.A21), u.Scale(&w22, jac.A22))
+	p11.Add(p11.Scale(&t11, jac.A11), u.Scale(&t12, jac.A12))
+	p12.Add(p12.Scale(&t11, jac.A21), u.Scale(&t12, jac.A22))
+	p22.Add(p22.Scale(&t21, jac.A21), u.Scale(&t22, jac.A22))
 
 	// set3 stores a chain number in a component's field; with an empty H it
 	// leaves the field's H zero.
-	set3 := func(dst *dual.Tail3, x num3) {
-		*dst = dual.Tail3{V: x.V, G: x.G}
+	set3 := func(dst *dual.Tail3, x *num3) {
+		dst.V, dst.G, dst.H = x.V, x.G, [6]float64{}
 		for i := 0; i < len(x.H); i++ {
 			dst.H[i] = x.H[i]
 		}
 	}
 
-	oneMinusRho := rho.Neg().AddConst(1)
-	add := func(prof []ProfComp, mix num4) {
+	var oneMinusRho num4
+	oneMinusRho.AddConst(oneMinusRho.Neg(&rho), 1)
+	var s11, s12, s22, det, invDet, q num3
+	var k, u4 num4
+	add := func(prof []ProfComp, mix *num4) {
 		for _, pc := range prof {
 			for _, pk := range psf {
-				s11 := p11.Scale(pc.Var).AddConst(pk.Sxx)
-				s12 := p12.Scale(pc.Var).AddConst(pk.Sxy)
-				s22 := p22.Scale(pc.Var).AddConst(pk.Syy)
-				det := s11.Mul(s22).Sub(s12.Sqr())
-				invDet := det.Recip()
-				wt := mix.Scale(pc.Weight * pk.Weight / (2 * math.Pi))
-				k := wt.Mul(dual.Widen[H3, H4](det.Sqrt().Recip()))
+				s11.AddConst(s11.Scale(&p11, pc.Var), pk.Sxx)
+				s12.AddConst(s12.Scale(&p12, pc.Var), pk.Sxy)
+				s22.AddConst(s22.Scale(&p22, pc.Var), pk.Syy)
+				det.Sub(det.Mul(&s11, &s22), u.Sqr(&s12))
+				invDet.Recip(&det)
+				// K = wt · 1/sqrt(det), wt the mix scaled by the weights.
+				dual.Widen(&k, u.Recip(u.Sqrt(&det)))
+				k.Mul(u4.Scale(mix, pc.Weight*pk.Weight/(2*math.Pi)), &k)
 				// Built in place: every field is assigned, so a reused
 				// slot needs no clearing and no component is copied.
 				n := len(e.Gal)
@@ -346,20 +356,20 @@ func build[H3 [0]float64 | [6]float64, H4 [0]float64 | [10]float64](e *Evaluator
 					e.Gal = append(e.Gal, DualComp{})
 				}
 				dc := &e.Gal[n]
-				dc.K = dual.Tail4{V: k.V, G: k.G}
+				dc.K.V, dc.K.G, dc.K.H = k.V, k.G, [10]float64{}
 				for i := 0; i < len(k.H); i++ {
 					dc.K.H[i] = k.H[i]
 				}
-				set3(&dc.Q11, s22.Mul(invDet))
-				set3(&dc.Q12, s12.Mul(invDet).Neg())
-				set3(&dc.Q22, s11.Mul(invDet))
+				set3(&dc.Q11, q.Mul(&s22, &invDet))
+				set3(&dc.Q12, q.Neg(q.Mul(&s12, &invDet)))
+				set3(&dc.Q22, q.Mul(&s11, &invDet))
 				dc.MuX, dc.MuY = pk.MuX, pk.MuY
 				dc.Row.set(dc.Q11.V, dc.Q12.V, dc.Q22.V)
 			}
 		}
 	}
-	add(expProf, oneMinusRho)
-	add(devProf, rho)
+	add(expProf, &oneMinusRho)
+	add(devProf, &rho)
 	e.fillGalTab()
 	e.gen.Reset()
 }

@@ -144,7 +144,10 @@ func (s *Survey) addRun(r *rng.Source, run int, box geom.Box, nextID int) int {
 	fieldWDeg := float64(cfg.FieldW) * cfg.PixScale
 	fieldHDeg := float64(cfg.FieldH) * cfg.PixScale
 
-	// Random sub-pixel dither plus small field overlap, as in drift scans.
+	// A random dither of up to ±2 px per epoch. The fields then step by
+	// exactly one field width, so a run's fields tile the sky edge to edge
+	// and never overlap: elbo.Builder stitches a source window that crosses
+	// a field edge into one patch.
 	ditherRA := (r.Float64() - 0.5) * 4 * cfg.PixScale
 	ditherDec := (r.Float64() - 0.5) * 4 * cfg.PixScale
 
