@@ -93,7 +93,10 @@ func (ck *Checkpoint) Validate() error {
 // 5: the frames of one epoch and band that tile a common pixel grid are
 // stitched into one patch per source (internal/elbo, builder.go): the same
 // pixels, summed in another order and swept from other row anchors.
-const numericsRevision = 5
+// 6: a Newton trial moves a decided source type's log-odds to the end of its
+// exponential tail in one step (internal/vi, typeTail; internal/opt,
+// TrialAdjuster).
+const numericsRevision = 6
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 5
-	pinSHA256   = "81b54de93629a78d59821c6e22ec0aaf26c8afa91614293c0fbc4475c7a59a84"
+	pinRevision = 6
+	pinSHA256   = "6ffa63ad5985853e26fde2c128f18721962920d509d13d43b59398d3045dfaa9"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

@@ -23,6 +23,21 @@ type Objective interface {
 	Full(x, g []float64, h *linalg.Mat) float64
 }
 
+// TrialAdjuster is an optional extension of Objective for an objective that
+// knows more about some coordinates than the quadratic model does. When the
+// trust-region step is interior, NewtonTRWS hands AdjustTrial the iterate x,
+// its gradient g and the trial point x+p before Full evaluates the trial;
+// the objective may move trial in place and reports whether it did. The
+// moved trial is judged by the ordinary ratio test against the step's own
+// predicted decrease, and a rejected one leaves the iterate's derivatives
+// and cached factorization as any rejected trial does. After a rejected
+// moved trial, the next trials from the same iterate go unadjusted: an
+// interior step does not change as the radius shrinks, so a second
+// adjustment would evaluate the same refused point again.
+type TrialAdjuster interface {
+	AdjustTrial(x, g, trial []float64) bool
+}
+
 // Workspace holds every buffer a NewtonTRWS run needs: the iterate and trial
 // point, two gradient/Hessian pairs (the iterate's and the trial's, swapped
 // when a trial is accepted), the subproblem step, and the
@@ -162,7 +177,10 @@ type TROptions struct {
 	// never stops a run. On a tail the model underestimates — the last
 	// accepted interior step gained more than it predicted (ρ > 1) — the
 	// test reads the remaining gain extrapolated along the decrements' own
-	// geometric decay instead (see remainingGain). 0 disables the test.
+	// geometric decay instead (see remainingGain). An objective whose
+	// TrialAdjuster jumps such a tail to its end in one trial (a decided
+	// source type's log-odds in vi) no longer walks it down to this test.
+	// 0 disables the test.
 	DecrementTol float64
 }
 
@@ -195,11 +213,12 @@ const minRadius = 1e-12
 // solved against the exact Hessian at the current iterate; a rejected trial
 // leaves the iterate's gradient, Hessian and cached factorization as they
 // were, and the next subproblem re-solves against them at a smaller radius.
-// It runs entirely inside ws: the iterate, trial point, derivatives, step,
-// and factorization storage all live in the workspace, so with an objective
-// that allocates nothing a whole optimization allocates nothing. Result.X
-// aliases workspace storage and is valid until the next NewtonTRWS call with
-// the same workspace.
+// An objective that implements TrialAdjuster may move an interior step's
+// trial point before it is evaluated. It runs entirely inside ws: the
+// iterate, trial point, derivatives, step, and factorization storage all
+// live in the workspace, so with an objective that allocates nothing a whole
+// optimization allocates nothing. Result.X aliases workspace storage and is
+// valid until the next NewtonTRWS call with the same workspace.
 func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Result {
 	opts.defaults()
 	n := len(x0)
@@ -216,6 +235,11 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	// The predicted decrease and trust-region ratio of the last accepted
 	// interior step (both 0 until there is one), for the decrement test.
 	var dPrev, rhoPrev float64
+
+	// adj is the objective's trial adjuster, nil while the current iterate
+	// may not adjust (none offered, or its adjusted trial was refused).
+	adjuster, _ := obj.(TrialAdjuster)
+	adj := adjuster
 
 	trial := ws.trial
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -250,6 +274,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 		for i := range trial {
 			trial[i] = x[i] + p[i]
 		}
+		adjusted := interior && adj != nil && adj.AdjustTrial(x, ws.g, trial)
 		ft := obj.Full(trial, ws.gTrial, ws.hTrial)
 		res.FullEvals++
 		actual := ft - f
@@ -273,8 +298,12 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			ws.noteHessianChanged()
 			f = ft
 			res.F = f
+			adj = adjuster
 		} else {
 			res.Rejected++
+			if adjusted {
+				adj = nil
+			}
 		}
 		if radius < minRadius {
 			res.Status = StopCollapsed

@@ -26,7 +26,8 @@ const DefaultGradTol = 1e-6
 // per-degree positions (curvature ~1e11 deg⁻²) with O(1) logits, so on its
 // own it keeps polishing positions long after the ELBO has stopped moving.
 // At 1e-3 nats the iterate lies within √(2e-3) ≈ 0.045 of the quadratic
-// model's optimum in the exact Hessian's norm.
+// model's optimum in the exact Hessian's norm. It also sets both thresholds
+// of the decided-type jump (typeTail).
 const decrementTol = 1e-3
 
 // Options configures a per-source fit.
@@ -101,10 +102,10 @@ type FitResult struct {
 // Scratch owns every buffer a fit needs — the ELBO evaluation scratch
 // (including the row-sweep kernel's SoA lanes) and the trust-region
 // workspace with its gradient and Hessian pairs — and doubles as the
-// opt.Objective the optimizer calls. One Scratch serves one goroutine; after
-// the first fit warms it, FitWith performs zero steady-state heap
-// allocations, which is what lets a Cyclades worker sweep thousands of
-// sources without touching the garbage collector.
+// opt.Objective (and opt.TrialAdjuster) the optimizer calls. One Scratch
+// serves one goroutine; after the first fit warms it, FitWith performs zero
+// steady-state heap allocations, which is what lets a Cyclades worker sweep
+// thousands of sources without touching the garbage collector.
 type Scratch struct {
 	es *elbo.Scratch
 	ws *opt.Workspace
@@ -146,6 +147,64 @@ func (s *Scratch) Full(x, g []float64, h *linalg.Mat) float64 {
 		h.Data[i] = -v
 	}
 	return -r.Value
+}
+
+// AdjustTrial implements opt.TrialAdjuster: it moves a decided source
+// type's log-odds a = t_gal − t_star in the trial to the end of its
+// exponential tail (typeTail) in one step, adding the extra move to the two
+// type logits in equal and opposite halves so their sum stays Newton's.
+// g is the negated ELBO's gradient, so ∂ELBO/∂a = (g_star − g_gal)/2.
+func (s *Scratch) AdjustTrial(x, g, trial []float64) bool {
+	const st, gl = model.ParamTypeStar, model.ParamTypeGal
+	aNewton := trial[gl] - trial[st]
+	a := typeTail(x[gl]-x[st], aNewton, (g[st]-g[gl])/2)
+	if a == aNewton {
+		return false
+	}
+	d := (a - aNewton) / 2
+	trial[gl] += d
+	trial[st] -= d
+	return true
+}
+
+// typeTail returns the type log-odds a trial should take, given the
+// iterate's log-odds a, the Newton trial's aNewton and the ELBO's derivative
+// ga = ∂ELBO/∂a at the iterate. With q = ProbGal = σ(a), ∂ELBO/∂a =
+// q(1−q)·∂ELBO/∂q, so once the type is decided (q(1−q) ≤ decrementTol)
+// Newton walks the log-odds about one unit per iteration down an
+// exponential tail, each step keeping 1/e of the gain left. For a data term
+// linear in q the optimum is a + ∂ELBO/∂q, the mean-field update of a
+// Bernoulli factor; typeTail takes it, but never past the log-odds where the
+// type gain left, σ(−|a|)·|∂ELBO/∂q|, is decrementTol/100. It moves only an
+// interior decided type whose Newton step already heads further out, and
+// only when that target lies beyond Newton's own point; otherwise it
+// returns aNewton.
+func typeTail(a, aNewton, ga float64) float64 {
+	side := math.Copysign(1, a)
+	e := math.Exp(-math.Abs(a))
+	v := e / ((1 + e) * (1 + e)) // q(1−q), without cancellation
+	if !(v > 0 && v <= decrementTol && side*(aNewton-a) > 0) {
+		return aNewton
+	}
+	dq := ga / v
+	if dq == 0 || math.IsNaN(dq) || math.IsInf(dq, 0) {
+		return aNewton
+	}
+	// The cap's distance from 0: σ(−x)·|dq| = c·|dq| with c = tol/(100|dq|)
+	// gives x = log((1 − c)/c), in logs so that no huge |dq| overflows.
+	c := decrementTol / 100 / math.Abs(dq)
+	if !(c < 1) {
+		return aNewton
+	}
+	capAbs := math.Log1p(-c) + math.Log(math.Abs(dq)) - math.Log(decrementTol/100)
+	target := a + dq
+	if side*target > capAbs {
+		target = side * capAbs
+	}
+	if !(side*target > side*aNewton) {
+		return aNewton
+	}
+	return target
 }
 
 // FitWith maximizes the problem's ELBO from the given initialization with
