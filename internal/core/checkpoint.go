@@ -95,8 +95,10 @@ func (ck *Checkpoint) Validate() error {
 // pixels, summed in another order and swept from other row anchors.
 // 6: a Newton trial moves a decided source type's log-odds to the end of its
 // exponential tail in one step (internal/vi, typeTail; internal/opt,
-// TrialAdjuster).
-const numericsRevision = 6
+// TrialAdjuster). 7: a decided source's unused type branch is held out of
+// the Newton system, and a trial moves the likely type's log-variances to
+// their mean-field optimum (internal/vi, heldBranch and varianceTail).
+const numericsRevision = 7
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

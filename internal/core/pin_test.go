@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 6
-	pinSHA256   = "6ffa63ad5985853e26fde2c128f18721962920d509d13d43b59398d3045dfaa9"
+	pinRevision = 7
+	pinSHA256   = "10543bef06eb9e30bb735b59eb533846a6381012ee47f779d6c1bae6db4d2f74"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

@@ -206,7 +206,7 @@ func refKL(xs []*ad.Num, priors *model.Priors) *ad.Num {
 			}
 		}
 		g := ad.Sub(refLogSoftmax(z)[m], z[m])
-		add(ad.Mul(ad.AddConst(ad.Exp(logChi[t]), klWeightFloor), ad.Add(klR, g)))
+		add(ad.Mul(ad.AddConst(ad.Exp(logChi[t]), KLWeightFloor), ad.Add(klR, g)))
 	}
 	return total
 }

@@ -224,7 +224,7 @@ func fluxInner(e *typeNum, val, alpha, gamma float64, dm, dv *[bmTDim]float64) {
 //
 //	KL(q(a)||p(a)) + Σ_t w_t·[KL_r(t) + G_t],   G_t = −log Σ_d π_td·exp(−KL_c(t,d)),
 //
-// with w_t = q(a=t) + klWeightFloor. G_t is the minimum over q(k | a=t) of
+// with w_t = q(a=t) + KLWeightFloor. G_t is the minimum over q(k | a=t) of
 // Σ_d q(k=d)·(log q(k=d)/π_td + KL_c(t,d)), attained at
 // q*_d = softmax_d(log π_td − KL_c(t,d)), so maximizing the ELBO over the
 // other parameters reaches the same optimum as the paper's joint fit. The
@@ -249,7 +249,7 @@ func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *bmNum {
 	for t := 0; t < model.NumTypes; t++ {
 		klTypeInner(&inner, theta, priors, t)
 		w := chi[t]
-		w.Val += klWeightFloor
+		w.Val += KLWeightFloor
 		addProduct(&out.Val, out.Grad[:], out.Hess[:], &w, &inner, typeMap[t][:])
 	}
 	return out
@@ -324,8 +324,12 @@ func klTypeInner(inner *typeNum, theta *model.Params, priors *model.Priors, t in
 	}
 }
 
-// klWeightFloor anchors the unused source type's parameters to the prior.
-const klWeightFloor = 1e-3
+// KLWeightFloor anchors the unused source type's parameters to the prior
+// while the type is undecided. Once it is decided (q(1−q) ≤ 1e-3), a vi fit
+// holds that branch where it stands instead, and the floor only keeps the
+// held values' KL in the bound. vi's variance tail reads it as part of the
+// likely type's KL weight.
+const KLWeightFloor = 1e-3
 
 func logc(p float64) float64 {
 	return math.Log(mathx.Clamp(p, mathx.Eps, 1))

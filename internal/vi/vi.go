@@ -130,7 +130,8 @@ func NewScratch() *Scratch {
 // position domain evaluate to +Inf and leave g and h as they were — beyond
 // the patch window the likelihood gradient vanishes, and without the barrier
 // a fit could wander out of its own pixel support and "converge" in empty
-// sky (the trust region rejects the step and shrinks instead).
+// sky (the trust region rejects the step and shrinks instead). At a point
+// whose type is decided, g and h hold the unused type's branch (heldBranch).
 func (s *Scratch) Full(x, g []float64, h *linalg.Mat) float64 {
 	copy(s.theta[:], x)
 	if !s.pb.InBounds(&s.theta) {
@@ -146,25 +147,116 @@ func (s *Scratch) Full(x, g []float64, h *linalg.Mat) float64 {
 	for i, v := range r.Hess.Data {
 		h.Data[i] = -v
 	}
+	for _, i := range heldBranch(x[model.ParamTypeGal] - x[model.ParamTypeStar]) {
+		g[i] = 0
+		for j := 0; j < h.Cols; j++ {
+			h.Set(i, j, 0)
+			h.Set(j, i, 0)
+		}
+		h.Set(i, i, 1)
+	}
 	return -r.Value
 }
 
-// AdjustTrial implements opt.TrialAdjuster: it moves a decided source
-// type's log-odds a = t_gal − t_star in the trial to the end of its
+// The unused type's branch of a decided source: a decided galaxy's star
+// brightness (r1, r2, c1[0..3], c2[0..3]), and a decided star's galaxy
+// brightness plus the four galaxy-shape coordinates.
+var (
+	starBranch = [...]int{
+		model.ParamR1, model.ParamR2,
+		model.ParamC1, model.ParamC1 + 1, model.ParamC1 + 2, model.ParamC1 + 3,
+		model.ParamC2, model.ParamC2 + 1, model.ParamC2 + 2, model.ParamC2 + 3,
+	}
+	galBranch = [...]int{
+		model.ParamGalDevLogit, model.ParamGalABLogit, model.ParamGalAngle, model.ParamGalLogScale,
+		model.ParamR1 + 1, model.ParamR2 + 1,
+		model.ParamC1 + 4, model.ParamC1 + 5, model.ParamC1 + 6, model.ParamC1 + 7,
+		model.ParamC2 + 4, model.ParamC2 + 5, model.ParamC2 + 6, model.ParamC2 + 7,
+	}
+)
+
+// heldBranch returns the coordinates Full holds at a point whose type
+// log-odds are a = t_gal − t_star: the unused type's branch once the type
+// is decided (q(1−q) ≤ decrementTol, typeTail's test), none otherwise. Full
+// zeroes their gradient and gives them the identity's Hessian rows and
+// columns, so every Newton step leaves them where they are; their values
+// stay in the objective, so the ratio test judges the whole point. The hold
+// is a function of the point alone: a point that falls back under the
+// threshold releases the branch.
+func heldBranch(a float64) []int {
+	switch {
+	case !(typeVar(a) <= decrementTol):
+		return nil
+	case a > 0:
+		return starBranch[:]
+	default:
+		return galBranch[:]
+	}
+}
+
+// typeVar returns q(1−q) at type log-odds a, q = σ(a), without
+// cancellation.
+func typeVar(a float64) float64 {
+	e := math.Exp(-math.Abs(a))
+	return e / ((1 + e) * (1 + e))
+}
+
+// AdjustTrial implements opt.TrialAdjuster. On a decided source it moves
+// the type log-odds a = t_gal − t_star in the trial to the end of its
 // exponential tail (typeTail) in one step, adding the extra move to the two
-// type logits in equal and opposite halves so their sum stays Newton's.
-// g is the negated ELBO's gradient, so ∂ELBO/∂a = (g_star − g_gal)/2.
+// type logits in equal and opposite halves so their sum stays Newton's, and
+// each of the likely type's log-variances to its mean-field optimum
+// (varianceTail). g is the negated ELBO's gradient, so ∂ELBO/∂a =
+// (g_star − g_gal)/2 and ∂ELBO/∂y = −g_y.
 func (s *Scratch) AdjustTrial(x, g, trial []float64) bool {
 	const st, gl = model.ParamTypeStar, model.ParamTypeGal
+	a := x[gl] - x[st]
 	aNewton := trial[gl] - trial[st]
-	a := typeTail(x[gl]-x[st], aNewton, (g[st]-g[gl])/2)
-	if a == aNewton {
-		return false
+	moved := false
+	if at := typeTail(a, aNewton, (g[st]-g[gl])/2); at != aNewton {
+		d := (at - aNewton) / 2
+		trial[gl] += d
+		trial[st] -= d
+		moved = true
 	}
-	d := (a - aNewton) / 2
-	trial[gl] += d
-	trial[st] -= d
-	return true
+	t := 0 // the likely type
+	if a > 0 {
+		t = 1
+	}
+	for _, i := range [...]int{model.ParamR2 + t,
+		model.ParamC2 + 4*t, model.ParamC2 + 4*t + 1, model.ParamC2 + 4*t + 2, model.ParamC2 + 4*t + 3} {
+		if y := varianceTail(a, x[i], trial[i], -g[i]); y != trial[i] {
+			trial[i] = y
+			moved = true
+		}
+	}
+	return moved
+}
+
+// varianceTail returns the log-variance y (r2 or a c2 of the likely type) a
+// trial should take, given the type log-odds a and y at the iterate, the
+// Newton trial's yNewton and the ELBO's derivative gy = ∂ELBO/∂y at the
+// iterate. The type-weighted KL's entropy contributes exactly w/2 to gy, w =
+// q_t + elbo.KLWeightFloor with q_t = σ(|a|) the likely type's probability,
+// and the rest of the ELBO is close to linear in e^y, so gy ≈ w/2 − C·e^y,
+// whose optimum is y* = y − log(1 − 2·gy/w): the mean-field update, as
+// typeTail's a + ∂ELBO/∂q is for the type. Newton walks y down to it one
+// unit step at a time. varianceTail takes y* only on a decided type
+// (q(1−q) ≤ decrementTol) whose Newton step already lowers y, with gy < 0,
+// and only when y* is finite and lies below Newton's point; otherwise it
+// returns yNewton. An undecided type is left alone: there both types still
+// share the data, and a move picks a brightness the Newton path never
+// tested.
+func varianceTail(a, y, yNewton, gy float64) float64 {
+	if !(typeVar(a) <= decrementTol && yNewton < y && gy < 0) {
+		return yNewton
+	}
+	w := 1/(1+math.Exp(-math.Abs(a))) + elbo.KLWeightFloor
+	target := y - math.Log1p(-2*gy/w)
+	if !(target < yNewton) || math.IsInf(target, 0) {
+		return yNewton
+	}
+	return target
 }
 
 // typeTail returns the type log-odds a trial should take, given the
@@ -181,8 +273,7 @@ func (s *Scratch) AdjustTrial(x, g, trial []float64) bool {
 // returns aNewton.
 func typeTail(a, aNewton, ga float64) float64 {
 	side := math.Copysign(1, a)
-	e := math.Exp(-math.Abs(a))
-	v := e / ((1 + e) * (1 + e)) // q(1−q), without cancellation
+	v := typeVar(a)
 	if !(v > 0 && v <= decrementTol && side*(aNewton-a) > 0) {
 		return aNewton
 	}
