@@ -31,10 +31,25 @@ type Component struct {
 
 // Eval returns the weighted density at (x, y).
 func (c Component) Eval(x, y float64) float64 {
-	det := c.Sxx*c.Syy - c.Sxy*c.Sxy
-	dx, dy := x-c.MuX, y-c.MuY
-	q := (c.Syy*dx*dx - 2*c.Sxy*dx*dy + c.Sxx*dy*dy) / det
-	return c.Weight / (2 * math.Pi * math.Sqrt(det)) * math.Exp(-0.5*q)
+	det := c.Det()
+	return c.Norm(det) * math.Exp(-0.5*c.Quad(det, x-c.MuX, y-c.MuY))
+}
+
+// Det returns the determinant of the component's covariance.
+func (c Component) Det() float64 { return c.Sxx*c.Syy - c.Sxy*c.Sxy }
+
+// Norm returns the component's density at its mean, Weight/(2π√det), given
+// det = c.Det().
+func (c Component) Norm(det float64) float64 {
+	return c.Weight / (2 * math.Pi * math.Sqrt(det))
+}
+
+// Quad returns the quadratic form q = dᵀΣ⁻¹d of the offset d = (dx, dy) from
+// the mean, given det = c.Det(); the density there is Norm·exp(−q/2). Eval and
+// model.AddExpectedCounts both evaluate q here, so the two round alike on
+// every architecture, multiply-add fusion included.
+func (c Component) Quad(det, dx, dy float64) float64 {
+	return (c.Syy*dx*dx - 2*c.Sxy*dx*dy + c.Sxx*dy*dy) / det
 }
 
 // Mixture is a sum of weighted Gaussian components.
@@ -169,10 +184,10 @@ type ValueComp struct {
 // pass dst[:0] of a retained buffer for allocation-free reuse.
 func CompileInto(dst []ValueComp, m Mixture) []ValueComp {
 	for _, c := range m {
-		det := c.Sxx*c.Syy - c.Sxy*c.Sxy
+		det := c.Det()
 		inv := 1 / det
 		vc := ValueComp{
-			K:   c.Weight / (2 * math.Pi * math.Sqrt(det)),
+			K:   c.Norm(det),
 			Q11: c.Syy * inv,
 			Q12: -c.Sxy * inv,
 			Q22: c.Sxx * inv,
@@ -386,10 +401,10 @@ func (e *Evaluator) Resyncs() int64 { return e.gen.Resyncs() }
 // starCompsInto appends the PSF's star components to dst and returns it.
 func starCompsInto(dst []DualComp, psf Mixture) []DualComp {
 	for _, c := range psf {
-		det := c.Sxx*c.Syy - c.Sxy*c.Sxy
+		det := c.Det()
 		inv := 1 / det
 		dc := DualComp{
-			K:   dual.Tail4{V: c.Weight / (2 * math.Pi * math.Sqrt(det))},
+			K:   dual.Tail4{V: c.Norm(det)},
 			Q11: dual.Tail3{V: c.Syy * inv},
 			Q12: dual.Tail3{V: -c.Sxy * inv},
 			Q22: dual.Tail3{V: c.Sxx * inv},

@@ -185,23 +185,28 @@ func (s *Survey) renderImage(r *rng.Source, id, run, field, band int,
 		WCS: wcs, PSF: p, Iota: iota, Sky: sky,
 		Pixels: make([]float64, cfg.FieldW*cfg.FieldH),
 	}
-	// Expected counts: sky + every truth source near the footprint.
-	for i := range im.Pixels {
-		im.Pixels[i] = sky
-	}
-	fp := im.Footprint().Expand(50 * cfg.PixScale)
-	for i := range s.Truth {
-		e := &s.Truth[i]
-		if !fp.Contains(e.Pos) {
-			continue
-		}
-		model.AddExpectedCounts(im.Pixels, im.W, im.H, wcs, p, e, band, iota, 5.5)
-	}
+	s.expectedCounts(im)
 	// Poisson realization.
 	for i, lam := range im.Pixels {
 		im.Pixels[i] = float64(r.Poisson(lam))
 	}
 	return im
+}
+
+// expectedCounts sets im.Pixels to the image's expected counts: the sky plus
+// every truth source near the footprint.
+func (s *Survey) expectedCounts(im *Image) {
+	for i := range im.Pixels {
+		im.Pixels[i] = im.Sky
+	}
+	fp := im.Footprint().Expand(50 * s.Config.PixScale)
+	for i := range s.Truth {
+		e := &s.Truth[i]
+		if !fp.Contains(e.Pos) {
+			continue
+		}
+		model.AddExpectedCounts(im.Pixels, im.W, im.H, im.WCS, im.PSF, e, im.Band, im.Iota, 5.5)
+	}
 }
 
 // ImagesInBox returns the images whose footprints intersect box, across all
