@@ -42,8 +42,9 @@ type (
 	// CatalogEntry is one light source: position, type probability, fluxes,
 	// galaxy shape, and (for Bayesian catalogs) posterior uncertainties.
 	CatalogEntry = model.CatalogEntry
-	// Params is the unconstrained model.ParamDim-parameter variational
-	// state of one source.
+	// Params is the unconstrained variational state of one source: 27
+	// coordinates (model.ParamDim), with the star/galaxy type as one
+	// log-odds coordinate.
 	Params = model.Params
 	// Priors holds the model's prior distributions (Φ, Υ, Ξ).
 	Priors = model.Priors

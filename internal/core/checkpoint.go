@@ -98,7 +98,10 @@ func (ck *Checkpoint) Validate() error {
 // TrialAdjuster). 7: a decided source's unused type branch is held out of
 // the Newton system, and a trial moves the likely type's log-variances to
 // their mean-field optimum (internal/vi, heldBranch and varianceTail).
-const numericsRevision = 7
+// 8: the type's two softmax logits collapse into one log-odds coordinate
+// (ParamDim 28 → 27, internal/model), which removes the logits' exact null
+// direction from every Newton system.
+const numericsRevision = 8
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

@@ -14,15 +14,22 @@ import (
 )
 
 // The wire and the checkpoint carry the parameter width as data, so a peer
-// or a checkpoint from a build with another ParamDim (44, the paper's count
-// with the color-prior responsibilities) decodes fine and must be refused by
-// the width checks.
-const foreignWidth = 44
+// or a checkpoint from a build with another ParamDim decodes fine and must be
+// refused by the width checks. 44 is the paper's count, with the color-prior
+// responsibilities and both type logits; 28 is the layout of numerics
+// revisions 3 to 7, with both type logits.
+var foreignWidths = []int{44, 28}
 
 // TestWorkerRefusesForeignWidth: a coordinator whose Welcome advertises
 // another width fails the worker with the named width error, before the
 // worker regenerates the run or sends Ready.
 func TestWorkerRefusesForeignWidth(t *testing.T) {
+	for _, w := range foreignWidths {
+		t.Run(fmt.Sprint(w), func(t *testing.T) { workerRefusesWidth(t, w) })
+	}
+}
+
+func workerRefusesWidth(t *testing.T, foreignWidth int) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +49,7 @@ func TestWorkerRefusesForeignWidth(t *testing.T) {
 			return
 		}
 		if err := cnet.WriteMessage(c, &cnet.Message{Type: cnet.MsgWelcome, Welcome: &cnet.RunConfig{
-			Workers: 1, Width: foreignWidth, Rounds: 1, MaxIter: 4, NTasks: 1, RunHash: 1,
+			Workers: 1, Width: uint32(foreignWidth), Rounds: 1, MaxIter: 4, NTasks: 1, RunHash: 1,
 		}}); err != nil {
 			served <- err
 			return
@@ -81,9 +88,11 @@ func TestRestoreRefusesForeignWidth(t *testing.T) {
 	if err := (&runState{hash: 0xfeed}).restore(ckAt(model.ParamDim), nSources, procs, nTasks); err != nil {
 		t.Fatalf("control: a %d-wide checkpoint was refused: %v", model.ParamDim, err)
 	}
-	err := (&runState{hash: 0xfeed}).restore(ckAt(foreignWidth), nSources, procs, nTasks)
-	want := fmt.Sprintf("checkpoint holds %dx%d parameters, run needs %dx%d", nSources, foreignWidth, nSources, model.ParamDim)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("restore returned %v, want the width refusal %q", err, want)
+	for _, w := range foreignWidths {
+		err := (&runState{hash: 0xfeed}).restore(ckAt(w), nSources, procs, nTasks)
+		want := fmt.Sprintf("checkpoint holds %dx%d parameters, run needs %dx%d", nSources, w, nSources, model.ParamDim)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("width %d: restore returned %v, want the width refusal %q", w, err, want)
+		}
 	}
 }

@@ -12,7 +12,7 @@
 // types to exploit Hessian sparsity structure" (Section V): pixel terms only
 // touch these six coordinates, so each pixel carries a 6-vector gradient and
 // a packed 21-entry Hessian (27 numbers) instead of the full
-// model.ParamDim-dimensional block's 434. The brightness and prior
+// model.ParamDim-dimensional block's 405. The brightness and prior
 // coordinates enter the objective only through per-source factors, which
 // internal/elbo chains in analytically.
 //

@@ -90,11 +90,12 @@ func refSpatial(s *ad.Space, xs []*ad.Num, anchor geom.Pt2, p *Patch,
 	return star, gal
 }
 
-// refFluxMoments returns the type weights χ = softmax(a) and each type's
-// per-band flux moments E[ℓ_b], E[ℓ_b²] as AD graphs over xs (the ParamDim
-// parameters): the oracle of computeBrightMoments.
+// refFluxMoments returns the type weights χ = softmax(0, a) over the type
+// log-odds a and each type's per-band flux moments E[ℓ_b], E[ℓ_b²] as AD
+// graphs over xs (the ParamDim parameters): the oracle of
+// computeBrightMoments.
 func refFluxMoments(xs []*ad.Num) (chi []*ad.Num, el, el2 [model.NumTypes][model.NumBands]*ad.Num) {
-	for _, l := range refLogSoftmax([]*ad.Num{xs[model.ParamTypeStar], xs[model.ParamTypeGal]}) {
+	for _, l := range refLogChi(xs) {
 		chi = append(chi, ad.Exp(l))
 	}
 	for t := 0; t < model.NumTypes; t++ {
@@ -116,6 +117,15 @@ func refFluxMoments(xs []*ad.Num) (chi []*ad.Num, el, el2 [model.NumTypes][model
 		}
 	}
 	return chi, el, el2
+}
+
+// refLogChi returns log χ = log softmax(0, a) over the type log-odds
+// a = √2·u of the stored coordinate u (model.LogOddsScale), in type order:
+// the oracle's type weights come from the general softmax graph, independent
+// of the closed forms of typeWeights and typeKL.
+func refLogChi(xs []*ad.Num) []*ad.Num {
+	a := ad.Scale(model.LogOddsScale, xs[model.ParamTypeLogOdds])
+	return refLogSoftmax([]*ad.Num{ad.NewSpace(a.Dim()).Const(0), a})
 }
 
 // refLogSoftmax returns log softmax(xs) as x_j − x_m − log1p(Σ_{k≠m}
@@ -172,7 +182,7 @@ func refKL(xs []*ad.Num, priors *model.Priors) *ad.Num {
 			ad.AddConst(ad.Neg(ad.Log(ad.Scale(1/v, vx))), -1)))
 	}
 
-	logChi := refLogSoftmax([]*ad.Num{xs[model.ParamTypeStar], xs[model.ParamTypeGal]})
+	logChi := refLogChi(xs)
 	priorChi := [2]float64{1 - priors.ProbGal, priors.ProbGal}
 	for t := 0; t < model.NumTypes; t++ {
 		add(ad.Mul(ad.Exp(logChi[t]), ad.AddConst(logChi[t], -logc(priorChi[t]))))
@@ -524,27 +534,6 @@ func BenchmarkEvalValue(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = pb.EvalValueWith(theta, NewScratch())
-	}
-}
-
-func TestSoftmaxGaugeInvariance(t *testing.T) {
-	// The type pair is softmax-parameterized, so adding a constant to both
-	// logits must leave the objective unchanged, and their gradient must sum
-	// to zero (the Hessian is handled by the trust region's damping).
-	pb, theta := testPatchProblem(51)
-	base, _ := pb.EvalValueWith(theta, NewScratch())
-
-	shifted := *theta
-	shifted[model.ParamTypeStar] += 0.7
-	shifted[model.ParamTypeGal] += 0.7
-	v, _ := pb.EvalValueWith(&shifted, NewScratch())
-	if math.Abs(v-base) > 1e-8*(1+math.Abs(base)) {
-		t.Errorf("type-logit shift changed the objective: %v vs %v", v, base)
-	}
-
-	res := pb.EvalInto(theta, NewScratch())
-	if g := res.Grad[model.ParamTypeStar] + res.Grad[model.ParamTypeGal]; math.Abs(g) > 1e-6 {
-		t.Errorf("type-logit gradient does not sum to zero: %v", g)
 	}
 }
 

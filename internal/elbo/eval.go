@@ -95,8 +95,8 @@ func cullRect(rect geom.PixRect, srcX, srcY, r float64) (x0, y0, x1, y1 int) {
 // patchMoments accumulates the pixel sums that let the brightness-direction
 // Hessian blocks be assembled once per patch instead of once per pixel: the
 // per-pixel brightness gradients factor as (patch constant) x (pixel
-// scalar), so summing the pixel scalars first turns O(pixels x 28^2) work
-// into O(pixels x ~30) plus an O(28^2) per-patch assembly.
+// scalar), so summing the pixel scalars first turns O(pixels x 27^2) work
+// into O(pixels x ~30) plus an O(27^2) per-patch assembly.
 type patchMoments struct {
 	// Scalar moments: sums of p-coefficients times powers of the star (s)
 	// and galaxy (g) density values.

@@ -52,7 +52,7 @@ func TestEvalGradIntoMatchesEvalInto(t *testing.T) {
 			th[model.ParamGalLogScale] -= 1 + r.Float64()
 		}
 		if trial%4 == 2 {
-			th[model.ParamTypeStar] += 3 * r.Normal()
+			th[model.ParamTypeLogOdds] -= 3 * r.Normal()
 		}
 		compareGradToFull(t, pb, &th, "trial")
 	}
@@ -74,7 +74,7 @@ func FuzzEvalGradVsEvalInto(f *testing.F) {
 		th := *theta
 		th[model.ParamRA] += dPos * 1.1e-4
 		th[model.ParamDec] -= dPos * 0.7e-4
-		th[model.ParamTypeStar] += dType
+		th[model.ParamTypeLogOdds] -= dType
 		th[model.ParamGalABLogit] += dShape
 		th[model.ParamGalAngle] += dShape
 		th[model.ParamGalLogScale] += dScale * 0.25

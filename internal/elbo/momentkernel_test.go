@@ -71,7 +71,7 @@ func TestMomentKernelMatchesLaneOracle(t *testing.T) {
 			th[model.ParamGalLogScale] -= 1 + r.Float64()
 		case 2: // large galaxy: long active spans, every component reaches every row
 			th[model.ParamGalLogScale] += 0.5 + r.Float64()
-			th[model.ParamTypeStar] += 2 * r.Normal()
+			th[model.ParamTypeLogOdds] -= 2 * r.Normal()
 		}
 
 		sOracle := NewScratch()

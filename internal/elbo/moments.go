@@ -15,7 +15,7 @@ var (
 )
 
 // brightDim is the size of the brightness subspace, global indices
-// [6, ParamDim): the two type logits plus r1, r2, c1[4], c2[4] for each
+// [6, ParamDim): the type log-odds plus r1, r2, c1[4], c2[4] for each
 // type. Position and galaxy shape are point estimates with flat priors, so
 // the KL from the priors lives in this subspace too.
 const brightDim = model.ParamDim - 6
@@ -59,12 +59,11 @@ type brightMoments struct {
 	A, B, C, D [model.NumBands]bmNum
 }
 
-// pairNum is a function of the two type logits (brightness-subspace indices
-// 0 and 1) with its derivatives.
-type pairNum struct {
-	Val  float64
-	Grad [2]float64
-	Hess [3]float64
+// logOddsNum is a function of the stored type coordinate u = a/√2
+// (brightness-subspace index 0, model.LogOddsScale) with its first two
+// derivatives in u.
+type logOddsNum struct {
+	Val, D1, D2 float64
 }
 
 // typeNum is a function of one type's bmTDim block (typeMap order) with its
@@ -75,53 +74,39 @@ type typeNum struct {
 	Hess [bmTDim * (bmTDim + 1) / 2]float64
 }
 
-// typeWeights returns χ = softmax(a) over the two type logits a as
-// functions of a. With two types 1 − χ_0 = χ_1, so the derivatives are
-// written in p = χ_0χ_1 and χ_1 − χ_0 and never subtract from 1:
-// ∇χ_0 = (p, −p) and ∇²χ_0 = p(χ_1 − χ_0)·[[1, −1], [−1, 1]]; χ_1 mirrors it.
-func typeWeights(theta *model.Params) (chi [model.NumTypes]pairNum) {
-	a := [model.NumTypes]float64{theta[model.ParamTypeStar], theta[model.ParamTypeGal]}
-	lse := mathx.LogSumExp(a[:])
-	q0, q1 := math.Exp(a[0]-lse), math.Exp(a[1]-lse)
-	p, h := q0*q1, q0*q1*(q1-q0)
-	chi[model.Star] = pairNum{Val: q0, Grad: [2]float64{p, -p}, Hess: [3]float64{h, -h, h}}
-	chi[model.Gal] = pairNum{Val: q1, Grad: [2]float64{-p, p}, Hess: [3]float64{-h, h, -h}}
+// typeWeights returns χ_star = σ(−a) and χ_gal = σ(a) at the type log-odds
+// a = √2·u as functions of u. With p = χ_star·χ_gal the derivatives in a are
+// dχ_gal/da = p and d²χ_gal/da² = p(χ_star − χ_gal), and χ_star mirrors
+// them; both weights come from mathx.Logistic, so no derivative subtracts
+// from 1. d/du = √2·d/da.
+func typeWeights(theta *model.Params) (chi [model.NumTypes]logOddsNum) {
+	a := theta.TypeLogOdds()
+	qs, qg := mathx.Logistic(-a), mathx.Logistic(a)
+	const k = model.LogOddsScale
+	p := k * qs * qg
+	h := k * p * (qs - qg)
+	chi[model.Star] = logOddsNum{Val: qs, D1: -p, D2: -h}
+	chi[model.Gal] = logOddsNum{Val: qg, D1: p, D2: h}
 	return chi
 }
 
-// softmaxTerm writes F(z) = Σ_d q_d·(log q_d + s_d), q = softmax(z), over
-// the type pair, with z-independent s_d, into grad and the packed hess block
-// over rows and columns 0 and 1, and returns F. With r_d = log q_d + s_d − F,
+// typeKL returns KL(q(a) || p(a)) at the type log-odds a against the prior
+// log-probabilities lpStar and lpGal, with its first two derivatives in a.
+// With q_star = σ(−a), q_gal = σ(a), p = q_star·q_gal and
+// r = a − (lpGal − lpStar),
 //
-//	∂F/∂z_j = q_j·r_j,   ∂²F/∂z_j∂z_l = δ_jl·q_j(r_j + 1) − q_j q_l(r_j + r_l + 1),
+//	KL = q_star·(log σ(−a) − lpStar) + q_gal·(log σ(a) − lpGal),
+//	dKL/da = p·r,   d²KL/da² = p·(1 + (q_star − q_gal)·r),
 //
-// the blocks q_j(δ_jl − q_l) applied to r. log q_d is z_d − lse(z), never the
-// log of q_d, so a q_d that underflows to 0 contributes exactly 0.
-func softmaxTerm(z, s *[model.NumTypes]float64, grad, hess []float64) float64 {
-	var q, r [model.NumTypes]float64
-	lse := mathx.LogSumExp(z[:])
-	var f float64
-	for d := range z {
-		ld := z[d] - lse
-		q[d] = math.Exp(ld)
-		r[d] = ld + s[d]
-		f += q[d] * r[d]
-	}
-	for d := range r {
-		r[d] -= f
-	}
-	for j := range z {
-		grad[j] = q[j] * r[j]
-		row := hess[packedIdx(j, 0):]
-		for l := 0; l <= j; l++ {
-			h := -q[j] * q[l] * (r[j] + r[l] + 1)
-			if l == j {
-				h += q[j] * (r[j] + 1)
-			}
-			row[l] = h
-		}
-	}
-	return f
+// because log σ(a) − log σ(−a) = a. Both log σ(±a) come from one
+// log(1 + e^a), never from the log of a probability, so a probability that
+// underflows to 0 contributes exactly 0.
+func typeKL(a, lpStar, lpGal float64) (val, d1, d2 float64) {
+	l := math.Max(a, 0) + math.Log1p(math.Exp(-math.Abs(a))) // log(1 + e^a)
+	ls, lg := -l, a-l
+	qs, qg := math.Exp(ls), math.Exp(lg)
+	p, r := qs*qg, a-(lpGal-lpStar)
+	return qs*(ls-lpStar) + qg*(lg-lpGal), p * r, p * (1 + (qs-qg)*r)
 }
 
 // klNormal returns KL(N(x, e^y) || N(m, v)) and its derivatives in the mean
@@ -135,22 +120,18 @@ func klNormal(x, y, m, v float64) (val, gx, gy, hxx, hyy float64) {
 
 // addProduct adds w·inner to the packed result (val, grad, hess) by the
 // chain rule ∇²(w·inner) = w·∇²inner + ∇w⊗∇inner + ∇inner⊗∇w + inner·∇²w.
-// w depends on result coordinates 0 and 1 (the type logits); inner on the
-// coordinates idx, which are increasing and past 1, so the two blocks are
+// w depends on result coordinate 0 (the type log-odds); inner on the
+// coordinates idx, which are increasing and past 0, so the two blocks are
 // disjoint and every entry written lies in the lower triangle.
-func addProduct(val *float64, grad, hess []float64, w *pairNum, inner *typeNum, idx []int) {
+func addProduct(val *float64, grad, hess []float64, w *logOddsNum, inner *typeNum, idx []int) {
 	*val += w.Val * inner.Val
-	grad[0] += inner.Val * w.Grad[0]
-	grad[1] += inner.Val * w.Grad[1]
-	for k := range w.Hess {
-		hess[k] += inner.Val * w.Hess[k]
-	}
+	grad[0] += inner.Val * w.D1
+	hess[0] += inner.Val * w.D2
 	for k, kg := range idx {
 		gk := inner.Grad[k]
 		grad[kg] += w.Val * gk
 		row := hess[packedIdx(kg, 0):]
-		row[0] += w.Grad[0] * gk
-		row[1] += w.Grad[1] * gk
+		row[0] += w.D1 * gk
 		ih := inner.Hess[packedIdx(k, 0):]
 		for l := 0; l <= k; l++ {
 			row[idx[l]] += w.Val * ih[l]
@@ -228,15 +209,15 @@ func fluxInner(e *typeNum, val, alpha, gamma float64, dm, dv *[bmTDim]float64) {
 // Σ_d q(k=d)·(log q(k=d)/π_td + KL_c(t,d)), attained at
 // q*_d = softmax_d(log π_td − KL_c(t,d)), so maximizing the ELBO over the
 // other parameters reaches the same optimum as the paper's joint fit. The
-// type logits go through softmaxTerm. Each type's bracket touches only its
-// bmTDim block and meets the type logits only through the scalar weight, so
-// addProduct assembles the total. All three tiers read the result.
+// type term is typeKL's. Each type's bracket touches only its bmTDim block
+// and meets the type log-odds only through the scalar weight, so addProduct
+// assembles the total. All three tiers read the result.
 func (sc *Scratch) computeKL(theta *model.Params, priors *model.Priors) *bmNum {
 	out := &sc.klOut
 	*out = bmNum{}
-	a := [model.NumTypes]float64{theta[model.ParamTypeStar], theta[model.ParamTypeGal]}
-	s := [model.NumTypes]float64{-logc(1 - priors.ProbGal), -logc(priors.ProbGal)}
-	out.Val = softmaxTerm(&a, &s, out.Grad[:], out.Hess[:])
+	const k = model.LogOddsScale
+	kl, d1, d2 := typeKL(theta.TypeLogOdds(), logc(1-priors.ProbGal), logc(priors.ProbGal))
+	out.Val, out.Grad[0], out.Hess[0] = kl, k*d1, k*k*d2
 
 	// The type-conditional KL is weighted by q(a=t) with a small floor: when
 	// one type's probability collapses, its brightness and color parameters

@@ -27,16 +27,17 @@ func subspaceVars(theta *model.Params, first, n int) []*ad.Num {
 	return xs
 }
 
-// randomOracleTheta draws parameters over the range fits visit: type logits
-// a few units apart, fluxes and colors around the
-// priors, variances from tight to broad.
+// randomOracleTheta draws parameters over the range fits visit: type
+// log-odds of a few units, the difference of two normals of SD 3, fluxes and
+// colors around the priors, variances from tight to broad.
 func randomOracleTheta(r *rng.Source) model.Params {
 	var th model.Params
 	th[model.ParamRA], th[model.ParamDec] = 1e-3*r.Normal(), 1e-3*r.Normal()
 	for i := 2; i < 6; i++ {
 		th[i] = r.Normal()
 	}
-	th[model.ParamTypeStar], th[model.ParamTypeGal] = 3*r.Normal(), 3*r.Normal()
+	star, gal := 3*r.Normal(), 3*r.Normal()
+	th[model.ParamTypeLogOdds] = (gal - star) / model.LogOddsScale
 	for t := 0; t < model.NumTypes; t++ {
 		th[model.ParamR1+t] = 1 + 1.5*r.Normal()
 		th[model.ParamR2+t] = -2 + 1.5*r.Normal()
@@ -49,8 +50,8 @@ func randomOracleTheta(r *rng.Source) model.Params {
 }
 
 // saturate drives one softmax of the KL to a single entry, gap nats above
-// every other. Block −1 is the type pair: its first logit (its last when
-// last is set) is raised gap above the other. Block t is type t's profiled
+// every other. Block −1 is the type: its log-odds go to −gap, star gap nats
+// above galaxy (to +gap when last is set). Block t is type t's profiled
 // color responsibilities q*_d ∝ π_d·exp(−KL_c(t,d)): one color mean is
 // moved until the log-weight of the first prior component (the last when
 // last is set) exceeds every other component's by gap. Under DefaultPriors
@@ -59,11 +60,10 @@ func randomOracleTheta(r *rng.Source) model.Params {
 // dims one outer band, so the flux moments stay finite at any gap.
 func saturate(th *model.Params, priors *model.Priors, block int, gap float64, last bool) {
 	if block < 0 {
-		top, other := model.ParamTypeStar, model.ParamTypeGal
+		th[model.ParamTypeLogOdds] = -gap / model.LogOddsScale
 		if last {
-			top, other = other, top
+			th[model.ParamTypeLogOdds] = gap / model.LogOddsScale
 		}
-		th[top] = th[other] + gap
 		return
 	}
 	top, i, dir := 0, model.NumColors-1, -1.0
@@ -202,7 +202,7 @@ func TestBrightMomentsMatchADOracle(t *testing.T) {
 }
 
 // FuzzKLVsADOracle runs both closed forms against the AD oracle on random
-// parameters (seed) with a fuzzed saturation gap in the type logits and a
+// parameters (seed) with a fuzzed saturation gap in the type log-odds and a
 // color offset that gives the star's profiled responsibilities a fuzzed gap
 // (kGap), the far side of which underflows to exactly 0.
 func FuzzKLVsADOracle(f *testing.F) {
@@ -224,7 +224,7 @@ func FuzzKLVsADOracle(f *testing.F) {
 	})
 }
 
-// TestSaturatedLogitsFinite: a type logit far above the other, or a color
+// TestSaturatedLogitsFinite: type log-odds far from 0, or a color
 // offset that puts one prior component's profiled responsibility far above
 // the rest, underflows the siblings' softmax weights to exactly 0. Every tier
 // must stay finite there (0·log 0 must not appear), and the KL — one

@@ -12,7 +12,7 @@
 //
 //   - the six spatial parameters flow through the per-pixel Gaussian-mixture
 //     densities (internal/dual, internal/mog);
-//   - the 22 brightness parameters flow through per-band flux moments and
+//   - the 21 brightness parameters flow through per-band flux moments and
 //     the KL terms, both differentiated once per evaluation in closed form
 //     (moments.go; internal/ad is the tests' oracle for both);
 //   - per pixel, only a rank-2 chain (source mean counts m and second moment

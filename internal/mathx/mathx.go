@@ -1,5 +1,5 @@
 // Package mathx provides scalar numeric helpers used throughout Celeste:
-// numerically careful logistic/logit transforms, softmax, compensated
+// numerically careful logistic/logit transforms, log-sum-exp, compensated
 // summation, and small statistical utilities. Everything here is pure and
 // allocation-free unless documented otherwise.
 package mathx
@@ -34,30 +34,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Softmax writes the softmax of x into out (which may alias x) and returns
-// out. It subtracts the maximum for numerical stability.
-func Softmax(out, x []float64) []float64 {
-	if len(out) != len(x) {
-		panic("mathx: softmax length mismatch")
-	}
-	m := math.Inf(-1)
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(v - m)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
 }
 
 // LogSumExp returns log(sum_i exp(x_i)) computed stably.

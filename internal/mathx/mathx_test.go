@@ -36,39 +36,6 @@ func TestLogisticExtremes(t *testing.T) {
 	}
 }
 
-func TestSoftmaxProperties(t *testing.T) {
-	f := func(a, b, c float64) bool {
-		x := []float64{math.Mod(a, 50), math.Mod(b, 50), math.Mod(c, 50)}
-		out := make([]float64, 3)
-		Softmax(out, x)
-		var sum float64
-		for _, v := range out {
-			if v < 0 || v > 1 {
-				return false
-			}
-			sum += v
-		}
-		return almostEq(sum, 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSoftmaxShiftInvariance(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{1 + 7, 2 + 7, 3 + 7}
-	ox := make([]float64, 3)
-	oy := make([]float64, 3)
-	Softmax(ox, x)
-	Softmax(oy, y)
-	for i := range ox {
-		if !almostEq(ox[i], oy[i], 1e-12) {
-			t.Errorf("softmax not shift invariant at %d: %v vs %v", i, ox[i], oy[i])
-		}
-	}
-}
-
 func TestLogSumExp(t *testing.T) {
 	x := []float64{math.Log(1), math.Log(2), math.Log(3)}
 	if got, want := LogSumExp(x), math.Log(6); !almostEq(got, want, 1e-12) {

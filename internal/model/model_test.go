@@ -63,7 +63,7 @@ func TestParamLayoutCoversParamDim(t *testing.T) {
 		uses[i]++
 	}
 	for _, i := range []int{ParamRA, ParamDec, ParamGalDevLogit, ParamGalABLogit,
-		ParamGalAngle, ParamGalLogScale, ParamTypeStar, ParamTypeGal} {
+		ParamGalAngle, ParamGalLogScale, ParamTypeLogOdds} {
 		claim(i)
 	}
 	for tt := 0; tt < NumTypes; tt++ {

@@ -6,8 +6,8 @@
 //
 // Every light source s carries:
 //
-//   - a_s: star vs. galaxy indicator (Bernoulli; variational posterior is a
-//     2-way softmax, 2 parameters);
+//   - a_s: star vs. galaxy indicator (Bernoulli; 1 parameter, the log-odds
+//     of galaxy against star, stored over LogOddsScale);
 //   - r_s: reference-band flux (log-normal; 2 parameters per source type);
 //   - c_s: four colors, the log flux ratios of adjacent bands (normal with
 //     diagonal covariance; 4 means + 4 variances per type);
@@ -16,15 +16,17 @@
 //     ratio, orientation angle, half-light radius (4 parameters,
 //     point-estimated).
 //
-// Total: 2 + 2 + 2·2 + 2·(4+4) + 4 = 28. The paper's count of 44 adds the
-// variational responsibilities k_s over each type's 8-component color-prior
-// mixture (2·8 = 16 softmax logits). They enter the ELBO only through one
-// term per type, whose maximum over them has the closed form
-// −log Σ_d π_d·exp(−KL_c(t,d)) (internal/elbo), so they are profiled out
-// rather than stored: the ELBO's maximum over the other 28 is unchanged.
-// Parameters are stored in a single unconstrained vector (logit/log/softmax
-// transforms applied) so the Newton trust-region optimizer can treat the
-// block as a free ParamDim-dimensional variable.
+// Total: 1 + 2 + 2·2 + 2·(4+4) + 4 = 27. The paper's count of 44 is
+// 27 + 16 + 1: it adds the variational responsibilities k_s over each type's
+// 8-component color-prior mixture (2·8 = 16 softmax logits), and it writes
+// a_s as a two-logit softmax, whose second logit is redundant because only
+// the difference of the two enters. The responsibilities enter the ELBO
+// only through one term per type, whose maximum over them has the closed
+// form −log Σ_d π_d·exp(−KL_c(t,d)) (internal/elbo), so they are profiled
+// out rather than stored: the ELBO's maximum over the other 27 is
+// unchanged. Parameters are stored in a single unconstrained vector (logit
+// and log transforms applied) so the Newton trust-region optimizer can
+// treat the block as a free ParamDim-dimensional variable.
 package model
 
 import (
@@ -41,7 +43,7 @@ const (
 	NumColors     = NumBands - 1
 	NumTypes      = 2 // star, galaxy
 	NumPriorComps = 8 // components of the color-prior mixture per type
-	ParamDim      = 28
+	ParamDim      = 27
 )
 
 // Source types.
@@ -58,16 +60,26 @@ const (
 	ParamGalABLogit  = 3  // galaxy axis ratio: logit
 	ParamGalAngle    = 4  // orientation, radians (unconstrained, mod π)
 	ParamGalLogScale = 5  // log half-light radius (log degrees)
-	ParamTypeStar    = 6  // softmax pair over {star, galaxy}
-	ParamTypeGal     = 7  //
-	ParamR1          = 8  // +t: log-normal location of reference flux, type t
-	ParamR2          = 10 // +t: log of the log-normal variance, type t
-	ParamC1          = 12 // +4t+i: color mean i for type t
-	ParamC2          = 20 // +4t+i: log color variance i for type t
+	ParamTypeLogOdds = 6  // a/LogOddsScale for the type log-odds a = log(q_gal/q_star)
+	ParamR1          = 7  // +t: log-normal location of reference flux, type t
+	ParamR2          = 9  // +t: log of the log-normal variance, type t
+	ParamC1          = 11 // +4t+i: color mean i for type t
+	ParamC2          = 19 // +4t+i: log color variance i for type t
 )
+
+// LogOddsScale is a/u: the vector stores the type log-odds a as
+// u = a/√2. The Newton trust region measures steps in the stored
+// coordinates, and a step that moves a by δ moves u by δ/√2, the length it
+// had over a pair of softmax logits (t_star, t_gal) with a = t_gal − t_star
+// moved by ∓δ/2 each. A plain a gives the type √2 less room in a
+// boundary step than the pair did (DESIGN.md "One type coordinate").
+const LogOddsScale = math.Sqrt2
 
 // Params is the unconstrained ParamDim-vector for one light source.
 type Params [ParamDim]float64
+
+// TypeLogOdds returns the type log-odds a = log(q_gal/q_star).
+func (p *Params) TypeLogOdds() float64 { return LogOddsScale * p[ParamTypeLogOdds] }
 
 // Constrained is the human-readable, constrained view of Params.
 type Constrained struct {
@@ -95,12 +107,7 @@ func (p *Params) Constrained() Constrained {
 	c.GalAxisRatio = mathx.Logistic(p[ParamGalABLogit])
 	c.GalAngle = mathx.WrapAngle(p[ParamGalAngle])
 	c.GalScale = math.Exp(p[ParamGalLogScale])
-	// Stack buffers keep this allocation-free: it runs once per value-only
-	// objective evaluation inside the Newton trust-region loop.
-	var sm, types [2]float64
-	types[0], types[1] = p[ParamTypeStar], p[ParamTypeGal]
-	mathx.Softmax(sm[:], types[:])
-	c.ProbGal = sm[1]
+	c.ProbGal = mathx.Logistic(p.TypeLogOdds())
 	for t := 0; t < NumTypes; t++ {
 		c.R1[t] = p[ParamR1+t]
 		c.R2[t] = math.Exp(p[ParamR2+t])
@@ -112,8 +119,7 @@ func (p *Params) Constrained() Constrained {
 	return c
 }
 
-// FromConstrained builds the unconstrained vector from a constrained view.
-// The type softmax is centered (log probabilities), so
+// FromConstrained builds the unconstrained vector from a constrained view;
 // Constrained∘FromConstrained is the identity on valid inputs.
 func FromConstrained(c Constrained) Params {
 	var p Params
@@ -123,9 +129,7 @@ func FromConstrained(c Constrained) Params {
 	p[ParamGalABLogit] = mathx.Logit(c.GalAxisRatio)
 	p[ParamGalAngle] = c.GalAngle
 	p[ParamGalLogScale] = math.Log(c.GalScale)
-	pg := mathx.Clamp(c.ProbGal, mathx.Eps, 1-mathx.Eps)
-	p[ParamTypeStar] = math.Log(1 - pg)
-	p[ParamTypeGal] = math.Log(pg)
+	p[ParamTypeLogOdds] = mathx.Logit(c.ProbGal) / LogOddsScale
 	for t := 0; t < NumTypes; t++ {
 		p[ParamR1+t] = c.R1[t]
 		p[ParamR2+t] = math.Log(c.R2[t])

@@ -29,6 +29,11 @@ func thresholdLogOdds(t *testing.T) (below, at float64) {
 	return lo, hi
 }
 
+// typeCoord returns the stored type coordinate of ProbGal pg.
+func typeCoord(pg float64) float64 {
+	return (math.Log(pg) - math.Log1p(-pg)) / model.LogOddsScale
+}
+
 // TestHeldBranch: a decided star holds the galaxy's ten brightness and four
 // shape coordinates, a decided galaxy the star's ten brightness coordinates,
 // and a point short of the threshold holds nothing; the threshold itself
@@ -39,8 +44,8 @@ func TestHeldBranch(t *testing.T) {
 	if v := typeVar(at); math.Abs(v-decrementTol) > 1e-15*decrementTol {
 		t.Fatalf("q(1−q) = %.17g at the threshold row, want %g to a few ulps", v, decrementTol)
 	}
-	star := []int{8, 10, 12, 13, 14, 15, 20, 21, 22, 23}
-	gal := []int{2, 3, 4, 5, 9, 11, 16, 17, 18, 19, 24, 25, 26, 27}
+	star := []int{7, 9, 11, 12, 13, 14, 19, 20, 21, 22}
+	gal := []int{2, 3, 4, 5, 8, 10, 15, 16, 17, 18, 23, 24, 25, 26}
 	for _, tc := range []struct {
 		name string
 		a    float64
@@ -80,10 +85,9 @@ func TestHeldBranch(t *testing.T) {
 // and the ELBO's own derivatives everywhere else.
 func TestFullHoldsBranch(t *testing.T) {
 	pb, init := makeScene(t, 101, starTruth(), 1)
-	init[model.ParamTypeStar] = math.Log1p(-1e-9)
-	init[model.ParamTypeGal] = math.Log(1e-9)
+	init[model.ParamTypeLogOdds] = typeCoord(1e-9)
 	held := map[int]bool{}
-	for _, i := range heldBranch(init[model.ParamTypeGal] - init[model.ParamTypeStar]) {
+	for _, i := range heldBranch(init.TypeLogOdds()) {
 		held[i] = true
 	}
 	if len(held) != 14 {
@@ -131,13 +135,12 @@ func TestFitWithHoldsDecidedBranch(t *testing.T) {
 		{"galaxy", galTruth(), 202, 1 - 1e-9},
 	} {
 		pb, init := makeScene(t, tc.seed, tc.truth, 2)
-		init[model.ParamTypeStar] = math.Log1p(-tc.probGal)
-		init[model.ParamTypeGal] = math.Log(tc.probGal)
+		init[model.ParamTypeLogOdds] = typeCoord(tc.probGal)
 		res := FitWith(pb, init, Options{}, NewScratch())
 		if res.Status != opt.StopDecrement && res.Status != opt.StopGradTol {
 			t.Errorf("%s: fit stopped by %q after %d iterations", tc.name, res.Status, res.Iters)
 		}
-		held := heldBranch(init[model.ParamTypeGal] - init[model.ParamTypeStar])
+		held := heldBranch(init.TypeLogOdds())
 		if len(held) == 0 {
 			t.Fatalf("%s: start at ProbGal %g holds nothing", tc.name, tc.probGal)
 		}
@@ -150,5 +153,41 @@ func TestFitWithHoldsDecidedBranch(t *testing.T) {
 			t.Errorf("%s: ProbGal %g, started decided at %g", tc.name, pg, tc.probGal)
 		}
 		t.Logf("%s: %d iterations, %q", tc.name, res.Iters, res.Status)
+	}
+}
+
+// TestOptimumHessianFactors: at the converged fits of the bright-star and
+// galaxy fixtures, from a star and from a galaxy start, the Hessian Full
+// hands the trust region is positive definite, so Cholesky factors it. With
+// the type as two softmax logits, their sum was an exact null direction of
+// every such Hessian, and Cholesky failed wherever rounding left that
+// direction's pivot nonpositive: at two of these four optima.
+func TestOptimumHessianFactors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		truth   model.CatalogEntry
+		seed    uint64
+		nEpochs int
+	}{
+		{"bright star", starTruth(), 101, 2},
+		{"galaxy", galTruth(), 202, 3},
+	} {
+		pb, init := makeScene(t, tc.seed, tc.truth, tc.nEpochs)
+		for _, pg := range []float64{0.05, 0.95} {
+			init[model.ParamTypeLogOdds] = typeCoord(pg)
+			s := NewScratch()
+			res := FitWith(pb, init, Options{}, s)
+			if !res.Converged {
+				t.Fatalf("%s from ProbGal %g: fit stopped by %q", tc.name, pg, res.Status)
+			}
+			s.pb = pb
+			g := make([]float64, model.ParamDim)
+			h := linalg.NewMat(model.ParamDim, model.ParamDim)
+			s.Full(res.Params[:], g, h)
+			if err := linalg.Cholesky(linalg.NewMat(model.ParamDim, model.ParamDim), h); err != nil {
+				t.Errorf("%s from ProbGal %g (ends at %.3g): Hessian at the optimum: %v",
+					tc.name, pg, res.Params.Constrained().ProbGal, err)
+			}
+		}
 	}
 }

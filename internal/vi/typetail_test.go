@@ -63,20 +63,20 @@ func TestTypeTail(t *testing.T) {
 }
 
 // TestAdjustTrial: a decided type's trial moves its log-odds to typeTail's
-// target in equal and opposite halves, keeping Newton's sum of the type
-// logits and every other coordinate; an undecided one is left untouched.
+// target and keeps every other coordinate; an undecided one is left
+// untouched. The vector stores u = a/√2, and ∂ELBO/∂u = √2·∂ELBO/∂a.
 func TestAdjustTrial(t *testing.T) {
-	const st, gl = model.ParamTypeStar, model.ParamTypeGal
+	const iu, k = model.ParamTypeLogOdds, model.LogOddsScale
 	var s Scratch
 	for _, tc := range []struct {
-		name       string
-		tStar, tGl float64 // the iterate's type logits
-		dq         float64 // ∂ELBO/∂q at the iterate
-		moves      bool
+		name  string
+		a     float64 // the iterate's type log-odds
+		dq    float64 // ∂ELBO/∂q at the iterate
+		moves bool
 	}{
-		{"decided star", -1e-4, -10, -30, true},
-		{"decided galaxy", -12, -6e-6, 30, true},
-		{"undecided", -0.7, -0.7, -30, false},
+		{"decided star", -10 + 1e-4, -30, true},
+		{"decided galaxy", 12 - 6e-6, 30, true},
+		{"undecided", 0, -30, false},
 	} {
 		var x, g, trial model.Params
 		for i := range x {
@@ -84,27 +84,23 @@ func TestAdjustTrial(t *testing.T) {
 			trial[i] = x[i] + 0.01
 			g[i] = 1
 		}
-		x[st], x[gl] = tc.tStar, tc.tGl
-		a := tc.tGl - tc.tStar
-		side := math.Copysign(1, a)
-		trial[st], trial[gl] = tc.tStar-0.5*side, tc.tGl+0.5*side
-		ga := decidedVar(a) * tc.dq
-		g[st], g[gl] = ga, -ga // the negated ELBO's gradient
+		x[iu] = tc.a / k
+		side := math.Copysign(1, tc.a)
+		trial[iu] = (tc.a + side) / k
+		ga := decidedVar(tc.a) * tc.dq
+		g[iu] = -k * ga // the negated ELBO's gradient
 		newton := trial
 
 		moved := s.AdjustTrial(x[:], g[:], trial[:])
 		if moved != tc.moves {
 			t.Fatalf("%s: AdjustTrial moved %v, want %v", tc.name, moved, tc.moves)
 		}
-		want := typeTail(a, a+side, ga)
-		if got := trial[gl] - trial[st]; math.Abs(got-want) > 1e-12*math.Abs(want) {
+		want := typeTail(tc.a, k*((tc.a+side)/k), ga)
+		if got := k * trial[iu]; math.Abs(got-want) > 1e-12*math.Abs(want) {
 			t.Errorf("%s: trial log-odds %.15g, want %.15g", tc.name, got, want)
 		}
-		if sum, nsum := trial[gl]+trial[st], newton[gl]+newton[st]; math.Abs(sum-nsum) > 1e-12*math.Abs(nsum) {
-			t.Errorf("%s: type logits sum to %g, Newton's to %g", tc.name, sum, nsum)
-		}
 		for i := range trial {
-			if i != st && i != gl && trial[i] != newton[i] {
+			if i != iu && trial[i] != newton[i] {
 				t.Errorf("%s: coordinate %d moved from %g to %g", tc.name, i, newton[i], trial[i])
 			}
 		}

@@ -63,19 +63,19 @@ func TestVarianceTail(t *testing.T) {
 // leaves the unlikely type's and every other coordinate at Newton's point;
 // on an undecided one nothing moves.
 func TestAdjustTrialVariances(t *testing.T) {
-	const st, gl = model.ParamTypeStar, model.ParamTypeGal
+	const iu = model.ParamTypeLogOdds
 	variances := func(t int) []int {
 		return []int{model.ParamR2 + t, model.ParamC2 + 4*t, model.ParamC2 + 4*t + 1, model.ParamC2 + 4*t + 2, model.ParamC2 + 4*t + 3}
 	}
 	var s Scratch
 	for _, tc := range []struct {
-		name       string
-		tStar, tGl float64
-		likely     int // the type whose variances move, −1 for none
+		name   string
+		a      float64 // the iterate's type log-odds
+		likely int     // the type whose variances move, −1 for none
 	}{
-		{"decided star", -1e-4, -10, 0},
-		{"decided galaxy", -12, -6e-6, 1},
-		{"undecided", -0.7, -0.7, -1},
+		{"decided star", -10 + 1e-4, 0},
+		{"decided galaxy", 12 - 6e-6, 1},
+		{"undecided", 0, -1},
 	} {
 		var x, g, trial model.Params
 		for i := range x {
@@ -83,9 +83,9 @@ func TestAdjustTrialVariances(t *testing.T) {
 			trial[i] = x[i] - 1 // Newton lowers everything
 			g[i] = 50           // the negated ELBO's gradient: ∂ELBO/∂y = −50
 		}
-		x[st], x[gl] = tc.tStar, tc.tGl
-		trial[st], trial[gl] = tc.tStar, tc.tGl // the type stays put
-		g[st], g[gl] = 0, 0
+		x[iu] = tc.a / model.LogOddsScale
+		trial[iu] = x[iu] // the type stays put
+		g[iu] = 0
 		newton := trial
 
 		moved := s.AdjustTrial(x[:], g[:], trial[:])
@@ -95,7 +95,7 @@ func TestAdjustTrialVariances(t *testing.T) {
 		want := newton
 		if tc.likely >= 0 {
 			for _, i := range variances(tc.likely) {
-				want[i] = varianceTail(x[gl]-x[st], x[i], newton[i], -g[i])
+				want[i] = varianceTail(x.TypeLogOdds(), x[i], newton[i], -g[i])
 				if !(want[i] < newton[i]) {
 					t.Fatalf("%s: variance %d has no move below Newton's %g", tc.name, i, newton[i])
 				}

@@ -147,7 +147,7 @@ func (s *Scratch) Full(x, g []float64, h *linalg.Mat) float64 {
 	for i, v := range r.Hess.Data {
 		h.Data[i] = -v
 	}
-	for _, i := range heldBranch(x[model.ParamTypeGal] - x[model.ParamTypeStar]) {
+	for _, i := range heldBranch(s.theta.TypeLogOdds()) {
 		g[i] = 0
 		for j := 0; j < h.Cols; j++ {
 			h.Set(i, j, 0)
@@ -176,8 +176,8 @@ var (
 )
 
 // heldBranch returns the coordinates Full holds at a point whose type
-// log-odds are a = t_gal − t_star: the unused type's branch once the type
-// is decided (q(1−q) ≤ decrementTol, typeTail's test), none otherwise. Full
+// log-odds are a: the unused type's branch once the type is decided
+// (q(1−q) ≤ decrementTol, typeTail's test), none otherwise. Full
 // zeroes their gradient and gives them the identity's Hessian rows and
 // columns, so every Newton step leaves them where they are; their values
 // stay in the objective, so the ratio test judges the whole point. The hold
@@ -202,21 +202,17 @@ func typeVar(a float64) float64 {
 }
 
 // AdjustTrial implements opt.TrialAdjuster. On a decided source it moves
-// the type log-odds a = t_gal − t_star in the trial to the end of its
-// exponential tail (typeTail) in one step, adding the extra move to the two
-// type logits in equal and opposite halves so their sum stays Newton's, and
-// each of the likely type's log-variances to its mean-field optimum
-// (varianceTail). g is the negated ELBO's gradient, so ∂ELBO/∂a =
-// (g_star − g_gal)/2 and ∂ELBO/∂y = −g_y.
+// the trial's type log-odds to the end of its exponential tail (typeTail)
+// in one step, and each of the likely type's log-variances to its
+// mean-field optimum (varianceTail). g is the negated ELBO's gradient over
+// the stored u = a/√2 (model.LogOddsScale), so ∂ELBO/∂a = −g_u/√2 and
+// ∂ELBO/∂y = −g_y.
 func (s *Scratch) AdjustTrial(x, g, trial []float64) bool {
-	const st, gl = model.ParamTypeStar, model.ParamTypeGal
-	a := x[gl] - x[st]
-	aNewton := trial[gl] - trial[st]
+	const iu, k = model.ParamTypeLogOdds, model.LogOddsScale
+	a, aNewton := k*x[iu], k*trial[iu]
 	moved := false
-	if at := typeTail(a, aNewton, (g[st]-g[gl])/2); at != aNewton {
-		d := (at - aNewton) / 2
-		trial[gl] += d
-		trial[st] -= d
+	if at := typeTail(a, aNewton, -g[iu]/k); at != aNewton {
+		trial[iu] = at / k
 		moved = true
 	}
 	t := 0 // the likely type
