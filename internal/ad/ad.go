@@ -243,16 +243,6 @@ func LogSumExp(xs []*Num) *Num {
 	return AddConst(Log(acc), m)
 }
 
-// Softmax returns the softmax of xs.
-func Softmax(xs []*Num) []*Num {
-	lse := LogSumExp(xs)
-	out := make([]*Num, len(xs))
-	for i, x := range xs {
-		out[i] = Exp(Sub(x, lse))
-	}
-	return out
-}
-
 // Gradient evaluates f's gradient at x with central finite differences.
 // It is a test oracle for the AD itself.
 func Gradient(f func([]float64) float64, x []float64, h float64) []float64 {

@@ -72,7 +72,7 @@ func TestTrig(t *testing.T) {
 		[]float64{0.4, 1.1}, 1e-6)
 }
 
-func TestLogSumExpSoftmax(t *testing.T) {
+func TestLogSumExp(t *testing.T) {
 	checkAgainstFD(t, "lse",
 		func(s *Space, xs []*Num) *Num { return LogSumExp(xs) },
 		func(x []float64) float64 {
@@ -80,24 +80,6 @@ func TestLogSumExpSoftmax(t *testing.T) {
 			return m + math.Log(math.Exp(x[0]-m)+math.Exp(x[1]-m)+math.Exp(x[2]-m))
 		},
 		[]float64{0.5, -1.2, 2.0}, 1e-6)
-
-	// Softmax components sum to one with zero gradient and Hessian.
-	s := NewSpace(3)
-	sm := Softmax(s.Vars([]float64{0.5, -1.2, 2.0}))
-	total := Sum([]*Num{sm[0], sm[1], sm[2]})
-	if math.Abs(total.Val-1) > 1e-12 {
-		t.Errorf("softmax sum = %v", total.Val)
-	}
-	for i, g := range total.Grad {
-		if math.Abs(g) > 1e-12 {
-			t.Errorf("softmax sum grad[%d] = %v, want 0", i, g)
-		}
-	}
-	for k, h := range total.Hess {
-		if math.Abs(h) > 1e-10 {
-			t.Errorf("softmax sum hess[%d] = %v, want 0", k, h)
-		}
-	}
 }
 
 func TestLog1pAccuracy(t *testing.T) {

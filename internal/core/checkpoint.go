@@ -100,8 +100,10 @@ func (ck *Checkpoint) Validate() error {
 // their mean-field optimum (internal/vi, heldBranch and varianceTail).
 // 8: the type's two softmax logits collapse into one log-odds coordinate
 // (ParamDim 28 → 27, internal/model), which removes the logits' exact null
-// direction from every Newton system.
-const numericsRevision = 8
+// direction from every Newton system. 9: each Newton step's position move is
+// capped at one pixel of the problem's pixel scale (internal/vi, BoundStep;
+// internal/opt, StepBounder).
+const numericsRevision = 9
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

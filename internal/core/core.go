@@ -257,13 +257,15 @@ func (cfg Config) Process(rg *Region) Stats {
 
 	// Cross-sweep warm starts: each source's fit in sweep r+1 initializes
 	// from its sweep-r converged parameters (Params is updated in place) AND
-	// from its converged trust radius, and the early sweeps run at an
-	// adaptively loosened tolerance — a geometric ladder that reaches the
-	// configured tolerance exactly on the final sweep. Early sweeps are
-	// provisional (every neighbor still moves), so polishing them to full
-	// tolerance buys nothing; the final sweep, warm-started a handful of
-	// iterations from its optimum, converges at full tolerance almost
-	// immediately. The cache is task-scoped (see warmState).
+	// from its converged trust radius. The early sweeps' gradient tolerance
+	// is loosened by a geometric ladder that reaches the configured GradTol
+	// exactly on the final sweep; the ladder scales only GradTol. Every
+	// sweep keeps the fit's constant Newton-decrement stop (1e-3 nats), and
+	// in practice that stop ends the fits first: counted over 6 draws of
+	// each bench workload at MaxIter 60, all 1128 fits stopped on it, so the
+	// early sweeps run at the same effective tolerance as the final one
+	// (laddering the decrement as well saved only 2–4% of iterations). The
+	// cache is task-scoped (see warmState).
 	warm := ps.warm
 	if !cfg.ColdSweeps {
 		if cap(warm) < n {
@@ -285,9 +287,10 @@ func (cfg Config) Process(rg *Region) Stats {
 	for round := 0; round < cfg.Rounds; round++ {
 		fit := cfg.Fit
 		if warm != nil {
-			// Tolerance ladder: loosen by sweepTolFactor per remaining
-			// sweep, capped so even the first sweep resolves sources well
-			// below the photon-noise scale.
+			// Gradient-tolerance ladder: loosen GradTol by sweepTolFactor
+			// per remaining sweep, capped so even the first sweep resolves
+			// sources well below the photon-noise scale. The decrement stop
+			// is not laddered.
 			tol := baseTol
 			for s := round; s < cfg.Rounds-1; s++ {
 				tol *= sweepTolFactor

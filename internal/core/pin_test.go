@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 8
-	pinSHA256   = "4304b38db9333d83a8c6d4f7199221489b4db7b972d4e7ba612c643c500ce99e"
+	pinRevision = 9
+	pinSHA256   = "61227f2cf4103358d08ced0e4abf2f765612ad80a4d1eb1246d7ca908e6865d1"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

@@ -60,6 +60,7 @@ func (b *Builder) Build(priors *model.Priors, images []*survey.Image, pos geom.P
 	pb.PosPenalty = 1 / (1e-3 * 1e-3)
 	pb.PosAnchor = pos
 	pb.PosBound = 0
+	pb.PixScale = 0
 	pb.Patches = pb.Patches[:0]
 	b.tiles = b.tiles[:0]
 	for _, im := range images {
@@ -78,8 +79,9 @@ func (b *Builder) Build(priors *model.Priors, images []*survey.Image, pos geom.P
 		b.tiles = append(b.tiles, tile{im: im, rect: rect, lead: -1})
 		// The patches cover radiusPx of sky around the anchor: bound the
 		// fit's position domain to match (see Problem.PosBound).
-		if bound := radiusPx * im.WCS.PixScale(); pb.PosBound == 0 || bound < pb.PosBound {
-			pb.PosBound = bound
+		if scale := im.WCS.PixScale(); pb.PixScale == 0 || scale < pb.PixScale {
+			pb.PixScale = scale
+			pb.PosBound = radiusPx * scale
 		}
 	}
 	b.groupTiles()

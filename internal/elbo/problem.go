@@ -131,6 +131,11 @@ type Problem struct {
 	// out-of-bounds trial points as +Inf (see InBounds), making the patch
 	// window an explicit trust-region domain constraint.
 	PosBound float64
+
+	// PixScale is the finest pixel scale, in degrees per pixel, among the
+	// frames whose patches the problem holds (0 when unknown). It is the
+	// unit of the fit's per-step position bound (vi, maxPosStepPx).
+	PixScale float64
 }
 
 // InBounds reports whether theta's position lies within the problem's

@@ -38,6 +38,20 @@ type TrialAdjuster interface {
 	AdjustTrial(x, g, trial []float64) bool
 }
 
+// StepBounder is an optional extension of Objective for an objective that
+// knows a step length some coordinates should not exceed, whatever the trust
+// radius allows — a length the radius cannot express when the coordinates
+// have different units. NewtonTRWS hands BoundStep the iterate x and each
+// subproblem step p as soon as it is solved; the objective may shorten p in
+// place and reports whether it did. A shortened step's predicted decrease is
+// recomputed from the quadratic model at the shortened step, and the step
+// counts as clipped, not interior: it never ends a run on the decrement test
+// and is never offered to AdjustTrial. The trust radius is updated from the
+// ratio test as for any clipped step.
+type StepBounder interface {
+	BoundStep(x, p []float64) bool
+}
+
 // Workspace holds every buffer a NewtonTRWS run needs: the iterate and trial
 // point, two gradient/Hessian pairs (the iterate's and the trial's, swapped
 // when a trial is accepted), the subproblem step, and the
@@ -69,8 +83,9 @@ type Workspace struct {
 
 	// interior records whether the last solveTRSubproblem step is the
 	// model's minimizer strictly inside the trust region, not a step the
-	// radius clipped; only such a step's predicted decrease measures how far
-	// the model's optimum is (TROptions.DecrementTol).
+	// radius clipped or a StepBounder shortened; only such a step's
+	// predicted decrease measures how far the model's optimum is
+	// (TROptions.DecrementTol).
 	interior bool
 }
 
@@ -213,8 +228,9 @@ const minRadius = 1e-12
 // solved against the exact Hessian at the current iterate; a rejected trial
 // leaves the iterate's gradient, Hessian and cached factorization as they
 // were, and the next subproblem re-solves against them at a smaller radius.
-// An objective that implements TrialAdjuster may move an interior step's
-// trial point before it is evaluated. It runs entirely inside ws: the
+// An objective that implements StepBounder may shorten each step, and one
+// that implements TrialAdjuster may move an interior step's trial point
+// before it is evaluated. It runs entirely inside ws: the
 // iterate, trial point, derivatives, step, and factorization storage all
 // live in the workspace, so with an objective that allocates nothing a whole
 // optimization allocates nothing. Result.X aliases workspace storage and is
@@ -240,6 +256,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	// may not adjust (none offered, or its adjusted trial was refused).
 	adjuster, _ := obj.(TrialAdjuster)
 	adj := adjuster
+	bounder, _ := obj.(StepBounder)
 
 	trial := ws.trial
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -253,7 +270,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			return res
 		}
 
-		p, predicted := solveTRSubproblem(ws, ws.h, ws.g, radius)
+		p, predicted := boundedStep(ws, bounder, radius)
 		interior := ws.interior
 		if opts.DecrementTol > 0 && interior && remainingGain(-predicted, dPrev, rhoPrev) < opts.DecrementTol {
 			res.Converged = true
@@ -317,6 +334,20 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	res.GradNorm = infNorm(ws.g)
 	res.Radius = radius
 	return res
+}
+
+// boundedStep solves the trust-region subproblem at the iterate ws.x with
+// its gradient and Hessian, and lets bounder (nil for none) shorten the
+// step. It returns the step, aliasing ws.p, and its predicted change, which
+// for a shortened step is the model's at that step; a shortened step is
+// never interior (ws.interior).
+func boundedStep(ws *Workspace, bounder StepBounder, radius float64) ([]float64, float64) {
+	p, predicted := solveTRSubproblem(ws, ws.h, ws.g, radius)
+	if bounder != nil && bounder.BoundStep(ws.x, p) {
+		predicted = modelChange(ws.h, ws.g, p)
+		ws.interior = false
+	}
+	return p, predicted
 }
 
 // remainingGain estimates the decrease still available from an iterate

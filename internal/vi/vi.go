@@ -30,6 +30,17 @@ const DefaultGradTol = 1e-6
 // of the decided-type jump (typeTail).
 const decrementTol = 1e-3
 
+// maxPosStepPx is the longest position move, in pixels of the problem's own
+// pixel scale, that one Newton step may make (BoundStep). The trust radius
+// is one length over coordinates in mixed units: positions in degrees
+// (a pixel is ~1e-4), everything else O(1). A radius of 0.5 does not bind a
+// position at all, so a poor first step can propose a move of several
+// pixels; each refusal then quarters the radius until, near 1e-4, it binds
+// the position — and by then it pins every other coordinate too, and the fit
+// spends ten or more iterations doubling it back. Capping the position move
+// directly leaves the radius to the O(1) coordinates.
+const maxPosStepPx = 1
+
 // Options configures a per-source fit.
 type Options struct {
 	MaxIter int // Newton iterations (default 60)
@@ -102,10 +113,11 @@ type FitResult struct {
 // Scratch owns every buffer a fit needs — the ELBO evaluation scratch
 // (including the row-sweep kernel's SoA lanes) and the trust-region
 // workspace with its gradient and Hessian pairs — and doubles as the
-// opt.Objective (and opt.TrialAdjuster) the optimizer calls. One Scratch
-// serves one goroutine; after the first fit warms it, FitWith performs zero
-// steady-state heap allocations, which is what lets a Cyclades worker sweep
-// thousands of sources without touching the garbage collector.
+// opt.Objective (and opt.TrialAdjuster and opt.StepBounder) the optimizer
+// calls. One Scratch serves one goroutine; after the first fit warms it,
+// FitWith performs zero steady-state heap allocations, which is what lets a
+// Cyclades worker sweep thousands of sources without touching the garbage
+// collector.
 type Scratch struct {
 	es *elbo.Scratch
 	ws *opt.Workspace
@@ -199,6 +211,24 @@ func heldBranch(a float64) []int {
 func typeVar(a float64) float64 {
 	e := math.Exp(-math.Abs(a))
 	return e / ((1 + e) * (1 + e))
+}
+
+// BoundStep implements opt.StepBounder: when the (RA, Dec) part of step p
+// moves further than maxPosStepPx pixels of the problem's pixel scale, it
+// scales that part, in place and keeping its direction, to exactly that
+// length. Every other coordinate stays as the trust region solved it. A step
+// with a non-finite position part, or a problem without a pixel scale, is
+// left alone.
+func (s *Scratch) BoundStep(x, p []float64) bool {
+	maxLen := maxPosStepPx * s.pb.PixScale
+	ra, dec := p[model.ParamRA], p[model.ParamDec]
+	n := math.Hypot(ra, dec)
+	if !(maxLen > 0 && n > maxLen) || math.IsInf(n, 0) {
+		return false
+	}
+	// The unit vector first: maxLen/n can underflow where ra/n cannot.
+	p[model.ParamRA], p[model.ParamDec] = ra/n*maxLen, dec/n*maxLen
+	return true
 }
 
 // AdjustTrial implements opt.TrialAdjuster. On a decided source it moves
