@@ -257,15 +257,12 @@ func (cfg Config) Process(rg *Region) Stats {
 
 	// Cross-sweep warm starts: each source's fit in sweep r+1 initializes
 	// from its sweep-r converged parameters (Params is updated in place) AND
-	// from its converged trust radius. The early sweeps' gradient tolerance
-	// is loosened by a geometric ladder that reaches the configured GradTol
-	// exactly on the final sweep; the ladder scales only GradTol. Every
-	// sweep keeps the fit's constant Newton-decrement stop (1e-3 nats), and
-	// in practice that stop ends the fits first: counted over 6 draws of
-	// each bench workload at MaxIter 60, all 1128 fits stopped on it, so the
-	// early sweeps run at the same effective tolerance as the final one
-	// (laddering the decrement as well saved only 2–4% of iterations). The
-	// cache is task-scoped (see warmState).
+	// from its converged trust radius. Every sweep fits at the configured
+	// tolerances: the fit's constant Newton-decrement stop (1e-3 nats) ends
+	// the fits before the gradient tolerance does (all 752 fits of the eight
+	// bench skies, seeds 1–2 and draws 0–1 at MaxIter 40, stopped on it), so
+	// an early sweep gains nothing from a looser GradTol. The cache is
+	// task-scoped (see warmState).
 	warm := ps.warm
 	if !cfg.ColdSweeps {
 		if cap(warm) < n {
@@ -279,28 +276,7 @@ func (cfg Config) Process(rg *Region) Stats {
 	} else {
 		warm = nil
 	}
-	baseTol := cfg.Fit.GradTol
-	if baseTol == 0 {
-		baseTol = vi.DefaultGradTol
-	}
-
 	for round := 0; round < cfg.Rounds; round++ {
-		fit := cfg.Fit
-		if warm != nil {
-			// Gradient-tolerance ladder: loosen GradTol by sweepTolFactor
-			// per remaining sweep, capped so even the first sweep resolves
-			// sources well below the photon-noise scale. The decrement stop
-			// is not laddered.
-			tol := baseTol
-			for s := round; s < cfg.Rounds-1; s++ {
-				tol *= sweepTolFactor
-				if tol > maxSweepTol {
-					tol = maxSweepTol
-					break
-				}
-			}
-			fit.GradTol = tol
-		}
 		batches := ps.planner.Plan(graph, r, batchSize)
 		for bi := range batches {
 			queues := ps.planner.Assign(&batches[bi], cfg.Threads)
@@ -314,7 +290,7 @@ func (cfg Config) Process(rg *Region) Stats {
 					defer wg.Done()
 					for _, comp := range comps {
 						for _, li := range comp {
-							cfg.fitOne(rg, graph, li, fit, warm, &stats, ws)
+							cfg.fitOne(rg, graph, li, warm, &stats, ws)
 						}
 					}
 				}(queues[t], workers[t])
@@ -325,14 +301,11 @@ func (cfg Config) Process(rg *Region) Stats {
 	return stats
 }
 
-// Cross-sweep warm-start constants: the tolerance ladder factor per
-// remaining sweep and its absolute cap, and the warm initial-radius bounds
-// (a fit restarts at four times its previous converged radius, clamped).
+// Cross-sweep warm-start radius bounds: a fit restarts at four times its
+// previous converged radius, clamped.
 const (
-	sweepTolFactor = 30
-	maxSweepTol    = 1e-2
-	warmRadiusMin  = 0.05
-	warmRadiusMax  = 8.0
+	warmRadiusMin = 0.05
+	warmRadiusMax = 8.0
 )
 
 // fitOne fits local source li with its conflict-graph neighbors (current
@@ -343,7 +316,7 @@ const (
 // converged trust radius instead of walking the radius in from scratch.
 // Entry li is only ever touched by the thread fitting li, and sweeps are
 // barrier-separated, so the cache needs no locking.
-func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int, fit vi.Options,
+func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int,
 	warm []warmState, stats *Stats, ws *workerScratch) {
 
 	cur := rg.Params[li].Constrained()
@@ -360,6 +333,7 @@ func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int, fit vi.Optio
 	for i := range rg.Neighbors {
 		ws.pbld.AddNeighbor(&rg.Neighbors[i])
 	}
+	fit := cfg.Fit
 	if warm != nil && warm[li].fitted {
 		r := 4 * warm[li].radius
 		if r < warmRadiusMin {

@@ -15,10 +15,9 @@ import (
 	"celeste/internal/opt"
 )
 
-// DefaultGradTol is the default infinity-norm gradient tolerance of a fit;
-// core's cross-sweep tolerance ladder scales from it. A fit also stops, on
-// every sweep, once its exact Newton step has less than decrementTol left to
-// gain.
+// DefaultGradTol is the default infinity-norm gradient tolerance of a fit.
+// A fit also stops once its exact Newton step has less than decrementTol
+// left to gain, which in practice ends it first.
 const DefaultGradTol = 1e-6
 
 // decrementTol is the Newton-decrement stop of every fit, in nats of ELBO
