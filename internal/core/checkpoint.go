@@ -102,8 +102,10 @@ func (ck *Checkpoint) Validate() error {
 // (ParamDim 28 → 27, internal/model), which removes the logits' exact null
 // direction from every Newton system. 9: each Newton step's position move is
 // capped at one pixel of the problem's pixel scale (internal/vi, BoundStep;
-// internal/opt, StepBounder).
-const numericsRevision = 9
+// internal/opt, StepBounder). 10: the trust-region subproblem is solved by
+// Moré–Sorensen iterations on Cholesky factorizations of H + λI, with no
+// eigendecomposition (internal/opt, solveTRSubproblem).
+const numericsRevision = 10
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization

@@ -1,12 +1,11 @@
 // Package linalg implements the dense linear algebra Celeste's trust-region
-// Newton optimizer needs: Cholesky factorization, symmetric eigendecomposition
-// (Householder tridiagonalization followed by implicit-shift QL), triangular
-// solves, and small-matrix helpers. The paper notes that each Newton iteration
-// "computes an eigen decomposition, as well as several Cholesky
-// factorizations" (Section VI-B); this package is that substrate, written
-// against the standard library only.
+// Newton optimizer needs: Cholesky factorization, triangular solves, and
+// small-matrix helpers, written against the standard library only. The paper
+// notes that each Newton iteration "computes an eigen decomposition, as well
+// as several Cholesky factorizations" (Section VI-B); the optimizer here
+// solves its trust-region subproblem with Cholesky factorizations alone.
 //
-// Matrices are dense, row-major, and small (the hot case is 28x28, one light
+// Matrices are dense, row-major, and small (the hot case is 27x27, one light
 // source's parameter block), so we favor clarity and cache-friendly loops
 // over blocked algorithms.
 package linalg
@@ -221,15 +220,7 @@ func SolveCholesky(l *Mat, x, b []float64) {
 	if &x[0] != &b[0] {
 		copy(x, b)
 	}
-	// Forward solve L y = b.
-	for i := 0; i < n; i++ {
-		s := x[i]
-		row := l.Data[i*n:]
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s / row[i]
-	}
+	SolveLower(l, x)
 	// Back solve Lᵀ x = y.
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
@@ -240,230 +231,21 @@ func SolveCholesky(l *Mat, x, b []float64) {
 	}
 }
 
-// EigenSymInto computes the full eigendecomposition of the symmetric matrix
-// a into caller-owned storage: a = V diag(w) Vᵀ with eigenvalues into w (len
-// n, ascending) and eigenvectors into the columns of v (n x n), with e (len
-// n) as subdiagonal scratch. Only the lower triangle of a is read. It
-// allocates nothing, so a reused workspace makes repeated decompositions
-// allocation-free. It returns an error for non-finite input or if the QL
-// iteration fails to converge (essentially impossible for finite input).
-func EigenSymInto(a *Mat, w []float64, v *Mat, e []float64) error {
-	n := a.Rows
-	if a.Cols != n {
-		panic("linalg: EigenSymInto requires a square matrix")
+// SolveLower solves L y = x in place for the lower-triangular l (forward
+// substitution), reading only l's lower triangle.
+func SolveLower(l *Mat, x []float64) {
+	n := l.Rows
+	if len(x) != n {
+		panic("linalg: SolveLower dimension mismatch")
 	}
-	if len(w) != n || v.Rows != n || v.Cols != n || len(e) != n {
-		panic("linalg: EigenSymInto storage size mismatch")
-	}
-	// Symmetrize into v from the lower triangle, rejecting non-finite input
-	// (the QL iteration would otherwise scan past its bounds chasing NaNs).
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			x := a.At(i, j)
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return errors.New("linalg: non-finite matrix entry")
-			}
-			v.Set(i, j, x)
-			v.Set(j, i, x)
-		}
-	}
-	tred2(v, w, e)
-	return tql2(v, w, e)
-}
-
-// tred2 reduces the symmetric matrix stored in v to tridiagonal form using
-// Householder reflections, accumulating the orthogonal transform in v.
-// On return d holds the diagonal and e the subdiagonal (e[0] = 0).
-// This follows the classic EISPACK/JAMA formulation.
-func tred2(v *Mat, d, e []float64) {
-	n := v.Rows
-	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-	}
-	for i := n - 1; i > 0; i-- {
-		var scale, h float64
+		s := x[i]
+		row := l.Data[i*n:]
 		for k := 0; k < i; k++ {
-			scale += math.Abs(d[k])
+			s -= row[k] * x[k]
 		}
-		if scale == 0 {
-			e[i] = d[i-1]
-			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
-			}
-		} else {
-			for k := 0; k < i; k++ {
-				d[k] /= scale
-				h += d[k] * d[k]
-			}
-			f := d[i-1]
-			g := math.Sqrt(h)
-			if f > 0 {
-				g = -g
-			}
-			e[i] = scale * g
-			h -= f * g
-			d[i-1] = f - g
-			for j := 0; j < i; j++ {
-				e[j] = 0
-			}
-			for j := 0; j < i; j++ {
-				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
-				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
-				}
-				e[j] = g
-			}
-			f = 0
-			for j := 0; j < i; j++ {
-				e[j] /= h
-				f += e[j] * d[j]
-			}
-			hh := f / (h + h)
-			for j := 0; j < i; j++ {
-				e[j] -= hh * d[j]
-			}
-			for j := 0; j < i; j++ {
-				f = d[j]
-				g = e[j]
-				for k := j; k <= i-1; k++ {
-					v.Add(k, j, -(f*e[k] + g*d[k]))
-				}
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-			}
-		}
-		d[i] = h
+		x[i] = s / row[i]
 	}
-	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
-		h := d[i+1]
-		if h != 0 {
-			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
-			}
-			for j := 0; j <= i; j++ {
-				var g float64
-				for k := 0; k <= i; k++ {
-					g += v.At(k, i+1) * v.At(k, j)
-				}
-				for k := 0; k <= i; k++ {
-					v.Add(k, j, -g*d[k])
-				}
-			}
-		}
-		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
-		}
-	}
-	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
-	}
-	v.Set(n-1, n-1, 1)
-	e[0] = 0
-}
-
-// tql2 diagonalizes the symmetric tridiagonal matrix (d, e) with implicit-
-// shift QL iterations, accumulating eigenvectors into v. Eigenvalues are
-// sorted ascending with their vectors.
-func tql2(v *Mat, d, e []float64) error {
-	n := v.Rows
-	for i := 1; i < n; i++ {
-		e[i-1] = e[i]
-	}
-	e[n-1] = 0
-
-	var f, tst1 float64
-	eps := math.Nextafter(1, 2) - 1
-	for l := 0; l < n; l++ {
-		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
-		m := l
-		for m < n {
-			if math.Abs(e[m]) <= eps*tst1 {
-				break
-			}
-			m++
-		}
-		if m > l {
-			for iter := 0; ; iter++ {
-				if iter >= 60 {
-					return errors.New("linalg: eigen QL iteration failed to converge")
-				}
-				g := d[l]
-				p := (d[l+1] - g) / (2 * e[l])
-				r := math.Hypot(p, 1)
-				if p < 0 {
-					r = -r
-				}
-				d[l] = e[l] / (p + r)
-				d[l+1] = e[l] * (p + r)
-				dl1 := d[l+1]
-				h := g - d[l]
-				for i := l + 2; i < n; i++ {
-					d[i] -= h
-				}
-				f += h
-				p = d[m]
-				c := 1.0
-				c2, c3 := c, c
-				el1 := e[l+1]
-				var s, s2 float64
-				for i := m - 1; i >= l; i-- {
-					c3 = c2
-					c2 = c
-					s2 = s
-					g = c * e[i]
-					h = c * p
-					r = math.Hypot(p, e[i])
-					e[i+1] = s * r
-					s = e[i] / r
-					c = p / r
-					p = c*d[i] - s*g
-					d[i+1] = h + s*(c*g+s*d[i])
-					for k := 0; k < n; k++ {
-						h = v.At(k, i+1)
-						v.Set(k, i+1, s*v.At(k, i)+c*h)
-						v.Set(k, i, c*v.At(k, i)-s*h)
-					}
-				}
-				p = -s * s2 * c3 * el1 * e[l] / dl1
-				e[l] = s * p
-				d[l] = c * p
-				if math.Abs(e[l]) <= eps*tst1 {
-					break
-				}
-			}
-		}
-		d[l] += f
-		e[l] = 0
-	}
-	// Sort eigenvalues ascending, permuting vectors alongside.
-	for i := 0; i < n-1; i++ {
-		k := i
-		p := d[i]
-		for j := i + 1; j < n; j++ {
-			if d[j] < p {
-				k = j
-				p = d[j]
-			}
-		}
-		if k != i {
-			d[k] = d[i]
-			d[i] = p
-			for j := 0; j < n; j++ {
-				tmp := v.At(j, i)
-				v.Set(j, i, v.At(j, k))
-				v.Set(j, k, tmp)
-			}
-		}
-	}
-	return nil
 }
 
 // SymMulVec computes y = A x reading only the lower triangle of the

@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"celeste/internal/rng"
 )
@@ -94,124 +93,27 @@ func TestSolveCholesky(t *testing.T) {
 	}
 }
 
-// eigenSym runs EigenSymInto on freshly allocated storage.
-func eigenSym(a *Mat) (w []float64, v *Mat, err error) {
-	n := a.Rows
-	w = make([]float64, n)
-	v = NewMat(n, n)
-	if err := EigenSymInto(a, w, v, make([]float64, n)); err != nil {
-		return nil, nil, err
-	}
-	return w, v, nil
-}
-
-func TestEigenSymReconstruction(t *testing.T) {
-	r := rng.New(4)
-	for _, n := range []int{1, 2, 3, 10, 44} {
-		// Random symmetric (not necessarily definite) matrix.
-		a := NewMat(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				v := r.Normal()
-				a.Set(i, j, v)
-				a.Set(j, i, v)
-			}
-		}
-		w, v, err := eigenSym(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		// Check ascending order.
-		for i := 1; i < n; i++ {
-			if w[i] < w[i-1] {
-				t.Fatalf("n=%d: eigenvalues not sorted: %v", n, w)
-			}
-		}
-		// Check A v_i = w_i v_i column by column.
-		for i := 0; i < n; i++ {
-			col := make([]float64, n)
-			for k := 0; k < n; k++ {
-				col[k] = v.At(k, i)
-			}
-			av := make([]float64, n)
-			a.MulVec(av, col)
-			for k := 0; k < n; k++ {
-				if math.Abs(av[k]-w[i]*col[k]) > 1e-8*float64(n) {
-					t.Fatalf("n=%d: eigenpair %d violated at row %d: %v vs %v",
-						n, i, k, av[k], w[i]*col[k])
-				}
-			}
-		}
-		// Orthonormality of V.
-		vtv := Mul(v.Transpose(), v)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(vtv.At(i, j)-want) > 1e-9*float64(n) {
-					t.Fatalf("n=%d: VtV[%d,%d] = %v", n, i, j, vtv.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestEigenSymKnownValues(t *testing.T) {
-	// [[2,1],[1,2]] has eigenvalues 1 and 3.
-	a := NewMat(2, 2)
-	a.Set(0, 0, 2)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 2)
-	w, _, err := eigenSym(a)
-	if err != nil {
+// TestSolveLower: forward substitution inverts the Cholesky factor itself,
+// L y = x, which the trust-region solver's Newton step on λ needs alone.
+func TestSolveLower(t *testing.T) {
+	r := rng.New(7)
+	n := 13
+	l := NewMat(n, n)
+	if err := Cholesky(l, randSPD(r, n)); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(w[0]-1) > 1e-12 || math.Abs(w[1]-3) > 1e-12 {
-		t.Errorf("eigenvalues = %v, want [1 3]", w)
+	yTrue := make([]float64, n)
+	for i := range yTrue {
+		yTrue[i] = r.Normal()
 	}
-}
-
-func TestEigenTraceAndDetInvariants(t *testing.T) {
-	// Property: sum of eigenvalues = trace; product = determinant (via
-	// Cholesky for SPD input).
-	r := rng.New(5)
-	f := func(seed uint64) bool {
-		src := rng.New(seed%1000 + 1)
-		n := 3 + int(seed%5)
-		a := randSPD(src, n)
-		w, _, err := eigenSym(a)
-		if err != nil {
-			return false
+	x := make([]float64, n)
+	l.MulVec(x, yTrue)
+	SolveLower(l, x)
+	for i := range x {
+		if math.Abs(x[i]-yTrue[i]) > 1e-10 {
+			t.Fatalf("y[%d] = %v, want %v", i, x[i], yTrue[i])
 		}
-		var trace, sum float64
-		for i := 0; i < n; i++ {
-			trace += a.At(i, i)
-			sum += w[i]
-		}
-		if math.Abs(trace-sum) > 1e-8*math.Abs(trace) {
-			return false
-		}
-		l := NewMat(n, n)
-		if err := Cholesky(l, a); err != nil {
-			return false
-		}
-		logDetChol := 0.0
-		for i := 0; i < n; i++ {
-			logDetChol += 2 * math.Log(l.At(i, i))
-		}
-		logDetEig := 0.0
-		for i := 0; i < n; i++ {
-			logDetEig += math.Log(w[i])
-		}
-		return math.Abs(logDetChol-logDetEig) < 1e-8*(1+math.Abs(logDetChol))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: nil}); err != nil {
-		t.Error(err)
-	}
-	_ = r
 }
 
 func TestSymMulVecMatchesFull(t *testing.T) {
@@ -261,17 +163,6 @@ func BenchmarkCholesky28(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Cholesky(l, a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEigenSym28(b *testing.B) {
-	r := rng.New(1)
-	a := randSPD(r, 28)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eigenSym(a); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,97 +8,6 @@ import (
 	"celeste/internal/rng"
 )
 
-// TestCholeskyAndEigenSolversAgree cross-checks the two factorization paths
-// used by the trust-region solver on random SPD systems.
-func TestCholeskyAndEigenSolversAgree(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed%1000 + 1)
-		n := 2 + int(seed%10)
-		a := randSPD(r, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = r.Normal()
-		}
-		// Cholesky solve.
-		l := NewMat(n, n)
-		if err := Cholesky(l, a); err != nil {
-			return false
-		}
-		x1 := make([]float64, n)
-		SolveCholesky(l, x1, b)
-		// Eigen solve: x = V diag(1/w) Vᵀ b.
-		w, v, err := eigenSym(a)
-		if err != nil {
-			return false
-		}
-		x2 := make([]float64, n)
-		for j := 0; j < n; j++ {
-			var vb float64
-			for i := 0; i < n; i++ {
-				vb += v.At(i, j) * b[i]
-			}
-			coef := vb / w[j]
-			for i := 0; i < n; i++ {
-				x2[i] += coef * v.At(i, j)
-			}
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-7*(1+math.Abs(x1[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEigenSymDiagonalMatrix(t *testing.T) {
-	n := 6
-	a := NewMat(n, n)
-	want := []float64{-3, -1, 0, 2, 5, 9}
-	// Fill the diagonal in scrambled order.
-	perm := []int{3, 0, 5, 1, 4, 2}
-	for i, p := range perm {
-		a.Set(i, i, want[p])
-	}
-	w, v, err := eigenSym(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(w[i]-want[i]) > 1e-12 {
-			t.Errorf("eigenvalue %d = %v, want %v", i, w[i], want[i])
-		}
-	}
-	// Eigenvectors are (signed) unit basis vectors.
-	for j := 0; j < n; j++ {
-		var nonzero int
-		for i := 0; i < n; i++ {
-			if math.Abs(v.At(i, j)) > 1e-9 {
-				nonzero++
-			}
-		}
-		if nonzero != 1 {
-			t.Errorf("eigenvector %d not axis-aligned", j)
-		}
-	}
-}
-
-func TestEigenSymRejectsNaN(t *testing.T) {
-	a := NewMat(3, 3)
-	a.Set(1, 1, math.NaN())
-	if _, _, err := eigenSym(a); err == nil {
-		t.Error("expected error for NaN input")
-	}
-	a = NewMat(3, 3)
-	a.Set(2, 0, math.Inf(1))
-	if _, _, err := eigenSym(a); err == nil {
-		t.Error("expected error for Inf input")
-	}
-}
-
 func TestMulVecMatchesMul(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed%997 + 3)

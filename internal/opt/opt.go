@@ -54,31 +54,30 @@ type StepBounder interface {
 
 // Workspace holds every buffer a NewtonTRWS run needs: the iterate and trial
 // point, two gradient/Hessian pairs (the iterate's and the trial's, swapped
-// when a trial is accepted), the subproblem step, and the
-// Cholesky/eigendecomposition storage. Reusing one Workspace across fits
-// makes the optimizer's own linear algebra allocation-free; a workspace
-// serves one optimization at a time.
+// when a trial is accepted), the subproblem step, and the Cholesky storage.
+// Reusing one Workspace across fits makes the optimizer's own linear algebra
+// allocation-free; a workspace serves one optimization at a time.
 type Workspace struct {
-	n             int
-	x, trial, p   []float64
-	g, gTrial     []float64
-	h, hTrial     *linalg.Mat
-	ghat          []float64
-	chol          *linalg.Mat
-	eigVecs       *linalg.Mat
-	eigVals, eigE []float64
+	n           int
+	x, trial, p []float64
+	g, gTrial   []float64
+	h, hTrial   *linalg.Mat
+	q           []float64   // subproblem scratch: L⁻¹p, or toBoundary's direction
+	chol        *linalg.Mat // Cholesky factor of the iterate's Hessian
+	shift       *linalg.Mat // Cholesky factor of the last H + λI tried
 
 	// Cached factorization state for the iterate's Hessian. Radius
-	// backtracking solves several trust-region subproblems against one
-	// factored H, so the Cholesky factor, the eigendecomposition and
-	// ghat = Vᵀg are computed at most once per accepted point; a rejected
-	// trial writes only the trial pair and leaves them valid. The
-	// three-valued states distinguish "not yet tried" from a cached success
-	// or failure.
-	cholState, eigState facState
+	// backtracking solves several trust-region subproblems against one H,
+	// so its unshifted Cholesky factor is computed at most once per accepted
+	// point; a rejected trial writes only the trial pair and leaves it
+	// valid. The three-valued state distinguishes "not yet tried" from a
+	// cached success or failure.
+	cholState facState
 
-	// factorizations counts the Cholesky and eigendecomposition attempts
-	// since the last ensure.
+	// factorizations counts the factorizations of iterates' Hessians since
+	// the last ensure: at most one per accepted point, however many
+	// subproblems radius backtracking solves against it. The shifted
+	// factorizations of H + λI a boundary step needs are not counted.
 	factorizations int
 
 	// interior records whether the last solveTRSubproblem step is the
@@ -98,11 +97,10 @@ const (
 	facFailed                  // factorization failed; do not retry
 )
 
-// noteHessianChanged invalidates every cached factorization; the optimizer
+// noteHessianChanged invalidates the cached factorization; the optimizer
 // calls it when a trial is accepted.
 func (w *Workspace) noteHessianChanged() {
 	w.cholState = facUnknown
-	w.eigState = facUnknown
 }
 
 // NewWorkspace returns a Workspace for n-dimensional problems.
@@ -127,11 +125,9 @@ func (w *Workspace) ensure(n int) {
 	w.gTrial = make([]float64, n)
 	w.h = linalg.NewMat(n, n)
 	w.hTrial = linalg.NewMat(n, n)
-	w.ghat = make([]float64, n)
+	w.q = make([]float64, n)
 	w.chol = linalg.NewMat(n, n)
-	w.eigVecs = linalg.NewMat(n, n)
-	w.eigVals = make([]float64, n)
-	w.eigE = make([]float64, n)
+	w.shift = linalg.NewMat(n, n)
 }
 
 // StopReason says why an optimization run ended. The zero value means the
@@ -187,10 +183,11 @@ type TROptions struct {
 	// √(2·DecrementTol) of the quadratic model's optimum in the exact
 	// Hessian's metric, in every coordinate at once — which an infinity norm
 	// over degree-scale positions and O(1) logits cannot say. The bound
-	// covers the directions the solver resolves; curvature below its
-	// spectrum floor (eigFloorRel) counts as zero. A step the radius clipped
-	// never stops a run. On a tail the model underestimates — the last
-	// accepted interior step gained more than it predicted (ρ > 1) — the
+	// covers the directions the solver resolves: when H needs the spectrum
+	// floor's shift to factor, curvature below the floor counts as the
+	// floor. A step the radius clipped never stops a run. On a tail the
+	// model underestimates — the last accepted interior step gained more
+	// than it predicted (ρ > 1) — the
 	// test reads the remaining gain extrapolated along the decrements' own
 	// geometric decay instead (see remainingGain). An objective whose
 	// TrialAdjuster jumps such a tail to its end in one trial (a decided
@@ -219,8 +216,8 @@ func (o *TROptions) defaults() {
 const minRadius = 1e-12
 
 // NewtonTRWS minimizes obj from x0 with a trust-region Newton method. The
-// trust-region subproblem is solved exactly via the symmetric
-// eigendecomposition of the Hessian (with Cholesky fast paths), which handles
+// trust-region subproblem is solved exactly by Moré–Sorensen iterations on
+// Cholesky factorizations of H + λI (solveTRSubproblem), which handle
 // indefinite Hessians — the reason the paper pairs Newton's method with a
 // trust region on its nonconvex objective. Each iteration costs at most one
 // Full evaluation, at the trial point, into the workspace's trial pair: an
@@ -370,21 +367,41 @@ func remainingGain(d, dPrev, rhoPrev float64) float64 {
 
 // solveTRSubproblem returns the minimizer p of gᵀp + ½ pᵀHp subject to
 // ||p|| <= radius, and the predicted change in objective (negative for
-// descent). Fast path: if H is positive definite (checked by Cholesky) and
-// the Newton step is interior, return it. Otherwise solve the secular
-// equation using the eigendecomposition (Moré–Sorensen). The returned step
-// aliases ws.p; all factorization storage comes from ws.
+// descent), by the Moré–Sorensen method: p = −(H + λI)⁻¹g for the λ ≥ 0
+// that makes H + λI positive definite and either is 0 with p inside the
+// radius or puts p on the boundary. Only Cholesky factorizations are used,
+// so indefinite Hessians (the nonconvex ELBO's) cost a few extra
+// factorizations and no eigendecomposition. The returned step aliases ws.p;
+// all factorization storage comes from ws, and whether the step is interior
+// is left in ws.interior.
 //
-// Both factorizations are cached in the workspace across calls until
-// noteHessianChanged: radius backtracking re-solves against the same H and g,
-// paying only the O(n²) backsolve. Whether the step is interior is left in
-// ws.interior.
+//  1. λ = 0: the Newton step, if H factors and the step is inside the
+//     radius. This factorization is cached in the workspace until
+//     noteHessianChanged, so radius backtracking re-solves it with one
+//     O(n²) backsolve.
+//  2. The spectrum floor, λ = 2·eigFloorRel·‖H‖_F: if H + λI factors and
+//     its step is inside the radius, the step is interior. Curvature below
+//     the floor cannot be told from zero, and the shift keeps noise-level
+//     eigenvalues (negative ones included) from sending the step to the
+//     boundary.
+//  3. Otherwise the step lies on the boundary: safeguarded Newton
+//     iterations on the secular equation 1/‖p(λ)‖ − 1/radius = 0 within
+//     the bracket [lo, hi] of Moré and Sorensen (1983), which every
+//     factorization narrows (one that fails, or a step outside the radius,
+//     raises lo; a step inside it lowers hi), until ‖p‖ is within
+//     1e-10·radius of the radius. A Newton correction to λ below the
+//     spectrum floor, the rounding scale of the factorization, ends them
+//     too, and the step is then completed onto the boundary (toBoundary).
+//  4. If the bracket closes first, g (numerically) misses the most negative
+//     curvature direction — the hard case — and p at the bracket's top is
+//     completed to the boundary along that direction (toBoundary).
+//
+// A Hessian with a non-finite entry gets the steepest-descent step to the
+// boundary, and so does a zero Hessian, whose model is linear.
 func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64) ([]float64, float64) {
-	n := len(g)
 	p := ws.p
 	ws.interior = false
 
-	// Cholesky fast path.
 	if ws.cholState == facUnknown {
 		ws.factorizations++
 		if err := linalg.Cholesky(ws.chol, h); err == nil {
@@ -394,177 +411,156 @@ func solveTRSubproblem(ws *Workspace, h *linalg.Mat, g []float64, radius float64
 		}
 	}
 	if ws.cholState == facOK {
-		linalg.SolveCholesky(ws.chol, p, g)
-		for i := range p {
-			p[i] = -p[i]
-		}
+		newtonStep(ws.chol, p, g)
 		if linalg.Norm2(p) <= radius {
 			ws.interior = true
 			return p, modelChange(h, g, p)
 		}
 	}
 
-	// Eigendecomposition path.
-	w, v, ghat := ws.eigVals, ws.eigVecs, ws.ghat
-	if ws.eigState == facUnknown {
-		ws.factorizations++
-		if err := linalg.EigenSymInto(h, w, v, ws.eigE); err == nil {
-			ws.eigState = facOK
-			// ghat = Vᵀ g.
-			for j := 0; j < n; j++ {
-				var s float64
-				for i := 0; i < n; i++ {
-					s += v.At(i, j) * g[i]
-				}
-				ghat[j] = s
-			}
-		} else {
-			ws.eigState = facFailed
-		}
-	}
-	if ws.eigState == facFailed {
-		// Numerical disaster: fall back to steepest descent to the boundary.
+	hNorm, k := frobeniusMinDiag(h)
+	if hNorm == 0 || math.IsInf(hNorm, 0) || math.IsNaN(hNorm) {
 		return steepestToBoundary(p, h, g, radius)
 	}
-	lmin := w[0]
-
-	// Relative spectrum floor: eigenvalues within eigFloorRel of the largest
-	// magnitude are indistinguishable from zero (the eigensolver's backward
-	// error is ~machine epsilon times ‖H‖). Without it, noise-negative
-	// eigenvalues make a numerically PSD Hessian look indefinite, and an
-	// indefinite model's trust-region minimizer always rides the boundary —
-	// the optimizer then pads every Newton step with junk components along
-	// noise directions and converges by radius oscillation instead of
-	// quadratically. ELBO Hessians hit this constantly: the position
-	// coordinates contribute curvature ~1e11 (deg⁻²) while collapsed
-	// directions contribute ~0.
-	scale := math.Max(math.Abs(w[0]), math.Abs(w[n-1]))
-	if scale == 0 {
-		// Zero Hessian: linear model, steepest descent to the boundary.
-		return steepestToBoundary(p, h, g, radius)
+	gNorm := linalg.Norm2(g)
+	lo := math.Max(0, math.Max(-h.At(k, k), gNorm/radius-hNorm))
+	hi := gNorm/radius + hNorm
+	floorShift := 2 * eigFloorRel * hNorm
+	lam, floor := floorShift, floorShift >= lo
+	if !floor {
+		lam = inBracket(lo, hi)
 	}
-	eigFloor := eigFloorRel * scale
-	if lmin >= -eigFloor {
-		// Numerically positive semidefinite. Split the spectrum at the
-		// floor: directions the eigensolver resolves (w >= eigFloor) take
-		// the exact Newton step; the floored subspace — true curvature
-		// anywhere below the solver's resolution, including the ELBO's
-		// KL-anchored near-null directions — takes a gradient step filling
-		// the remaining radius, the generalization of the Moré–Sorensen
-		// hard-case boundary fill. The fill length is then governed by the
-		// trust-region ratio tests: flat directions grow it geometrically
-		// with the radius instead of crawling at the floored Newton length,
-		// while the Newton component stays exact and interior.
-		for i := range p {
-			p[i] = 0
+	for iter := 0; iter < maxSecularIter && hi-lo > 1e-10*hi; iter++ {
+		if !ws.shiftedStep(h, g, lam) {
+			// H + λI is indefinite: λ lies below −λ_min.
+			lo, floor = lam, false
+			lam = inBracket(lo, hi)
+			continue
 		}
-		var gfn2 float64 // squared norm of the floored-subspace gradient
-		for j := 0; j < n; j++ {
-			if w[j] < eigFloor {
-				gfn2 += ghat[j] * ghat[j]
-				continue
-			}
-			coef := -ghat[j] / w[j]
-			for i := 0; i < n; i++ {
-				p[i] += coef * v.At(i, j)
-			}
-		}
-		nn := linalg.Norm2(p)
-		if nn <= radius {
+		pn := linalg.Norm2(p)
+		if floor && pn <= radius {
 			ws.interior = true
-			if gfn := math.Sqrt(gfn2); gfn > 0 {
-				// Curvature for the fill: the eigensolver's noise floor
-				// (eps·‖H‖ — the smallest curvature it could have resolved),
-				// raised just enough to keep the fill inside the remaining
-				// radius budget. Directions flatter than the noise floor
-				// cannot be told from exactly flat, and the trust-region
-				// ratio test governs the resulting step like any other.
-				budget := math.Sqrt(radius*radius - nn*nn)
-				dFill := math.Max(machEps*scale, gfn/budget)
-				// A fill sized by the budget ends on the boundary.
-				ws.interior = dFill > gfn/budget
-				for j := 0; j < n; j++ {
-					if w[j] >= eigFloor {
-						continue
-					}
-					coef := -ghat[j] / dFill
-					for i := 0; i < n; i++ {
-						p[i] += coef * v.At(i, j)
-					}
-				}
-			}
 			return p, modelChange(h, g, p)
 		}
-		// Newton part alone is exterior: fall through to the boundary solve.
-	}
-
-	pnorm := func(lambda float64) float64 {
-		var ss float64
-		for j := 0; j < n; j++ {
-			d := w[j] + lambda
-			ss += ghat[j] * ghat[j] / (d * d)
-		}
-		return math.Sqrt(ss)
-	}
-
-	// Determine lambda >= max(0, -lmin) such that ||p(lambda)|| = radius.
-	lamLo := math.Max(0, -lmin)
-	lam := lamLo + 1e-12*(1+math.Abs(lmin))
-
-	// Hard case: g has (numerically) no component along the most negative
-	// eigenvector(s) and the boundary cannot be reached by shrinking.
-	if pnorm(lam) < radius && lamLo > 0 {
-		// p = -(H + lamLo I)^+ g + tau * v_min reaching the boundary.
-		for i := range p {
-			p[i] = 0
-		}
-		for j := 0; j < n; j++ {
-			d := w[j] + lamLo
-			if math.Abs(d) < 1e-10*(1+math.Abs(lmin)) {
-				continue
-			}
-			coef := -ghat[j] / d
-			for i := 0; i < n; i++ {
-				p[i] += coef * v.At(i, j)
-			}
-		}
-		base := linalg.Norm2(p)
-		tau := math.Sqrt(math.Max(radius*radius-base*base, 0))
-		for i := 0; i < n; i++ {
-			p[i] += tau * v.At(i, 0)
-		}
-		return p, modelChange(h, g, p)
-	}
-
-	// Newton iterations on the secular equation 1/||p|| - 1/radius = 0,
-	// safeguarded by expansion/bisection.
-	hi := lam + 1
-	for pnorm(hi) > radius {
-		hi *= 4
-	}
-	lo := lam
-	for iter := 0; iter < 100; iter++ {
-		mid := (lo + hi) / 2
-		if pnorm(mid) > radius {
-			lo = mid
+		floor = false
+		if pn < radius {
+			hi = lam
 		} else {
-			hi = mid
+			lo = lam
 		}
-		if hi-lo < 1e-12*(1+hi) {
-			break
+		if math.Abs(pn-radius) <= 1e-10*radius {
+			return p, modelChange(h, g, p)
+		}
+		// Newton step on 1/‖p(λ)‖: with LLᵀ = H + λI and q = L⁻¹p, the
+		// derivative of ‖p‖ is −‖q‖²/‖p‖.
+		q := ws.q
+		copy(q, p)
+		linalg.SolveLower(ws.shift, q)
+		r := pn / linalg.Norm2(q)
+		step := r * r * (pn - radius) / radius
+		if math.Abs(step) <= floorShift {
+			// λ is resolved as finely as it can be: a correction below the
+			// spectrum floor is below the rounding of the factorization,
+			// which makes ‖p(λ)‖ noisy at that scale.
+			return ws.toBoundary(h, g, radius, k)
+		}
+		if lam += step; !(lam > lo && lam < hi) {
+			lam = inBracket(lo, hi)
 		}
 	}
-	lam = (lo + hi) / 2
+	// The bracket closed (or the iterations ran out) short of the boundary:
+	// the hard case.
+	if !ws.shiftedStep(h, g, hi) {
+		return steepestToBoundary(p, h, g, radius)
+	}
+	return ws.toBoundary(h, g, radius, k)
+}
+
+// maxSecularIter bounds the factorizations of one boundary solve. Newton's
+// iteration converges in a handful; the bound only caps the bisection that
+// closes the bracket in the hard case, which halves it (in ratio) per
+// factorization.
+const maxSecularIter = 100
+
+// inBracket returns a safeguarded trial λ strictly inside (lo, hi): the
+// geometric mean, kept at least a thousandth of the bracket above lo.
+func inBracket(lo, hi float64) float64 {
+	return math.Max(math.Sqrt(lo*hi), lo+1e-3*(hi-lo))
+}
+
+// shiftedStep factors H + λI into ws.shift and, if it is positive definite,
+// writes p = −(H + λI)⁻¹g into ws.p and reports true.
+func (ws *Workspace) shiftedStep(h *linalg.Mat, g []float64, lam float64) bool {
+	ws.shift.CopyFrom(h)
+	for i := 0; i < ws.n; i++ {
+		ws.shift.Add(i, i, lam)
+	}
+	if linalg.Cholesky(ws.shift, ws.shift) != nil {
+		return false
+	}
+	newtonStep(ws.shift, ws.p, g)
+	return true
+}
+
+// newtonStep writes p = −(LLᵀ)⁻¹g for the Cholesky factor L.
+func newtonStep(l *linalg.Mat, p, g []float64) {
+	linalg.SolveCholesky(l, p, g)
 	for i := range p {
-		p[i] = 0
+		p[i] = -p[i]
 	}
-	for j := 0; j < n; j++ {
-		coef := -ghat[j] / (w[j] + lam)
-		for i := 0; i < n; i++ {
-			p[i] += coef * v.At(i, j)
+}
+
+// toBoundary moves p = p(λ), whose H + λI is factored in ws.shift, onto the
+// boundary along z, the near-null vector of H + λI found by a few steps of
+// inverse iteration on the factor. With λ close to −λ_min that is the
+// eigenvector of H's most negative eigenvalue, the direction along which
+// ‖p(λ)‖ is least resolved, or (the hard case) the one that g misses; a
+// step along it changes (H + λI)p by only (λ + λ_min)·‖z‖. If no multiple of
+// z reaches the boundary, p is scaled onto it. The iteration starts from
+// coordinate k, that of H's smallest diagonal entry, the one most likely to
+// overlap the negative-curvature direction.
+func (ws *Workspace) toBoundary(h *linalg.Mat, g []float64, radius float64, k int) ([]float64, float64) {
+	p, z := ws.p, ws.q
+	for i := range z {
+		z[i] = 0
+	}
+	z[k] = 1
+	for it := 0; it < 3; it++ {
+		linalg.SolveCholesky(ws.shift, z, z)
+		zn := linalg.Norm2(z)
+		for i := range z {
+			z[i] /= zn
+		}
+	}
+	// ‖p + τz‖ = radius has two roots; to first order both gain the same,
+	// and the smaller leans least on z's accuracy.
+	pz, pn := linalg.Dot(p, z), linalg.Norm2(p)
+	if d := pz*pz + radius*radius - pn*pn; d >= 0 {
+		linalg.Axpy(math.Copysign(math.Sqrt(d), pz)-pz, z, p)
+	} else {
+		for i := range p {
+			p[i] *= radius / pn
 		}
 	}
 	return p, modelChange(h, g, p)
+}
+
+// frobeniusMinDiag returns the Frobenius norm of the symmetric matrix h,
+// from its lower triangle, and the index of its smallest diagonal entry. A
+// non-finite entry makes the norm non-finite.
+func frobeniusMinDiag(h *linalg.Mat) (norm float64, k int) {
+	var ss float64
+	for i := 0; i < h.Rows; i++ {
+		for j := 0; j < i; j++ {
+			ss += 2 * h.At(i, j) * h.At(i, j)
+		}
+		d := h.At(i, i)
+		ss += d * d
+		if d < h.At(k, k) {
+			k = i
+		}
+	}
+	return math.Sqrt(ss), k
 }
 
 // modelChange returns gᵀp + ½ pᵀHp.
@@ -750,13 +746,11 @@ func LBFGS(fg func(x []float64) (float64, []float64), x0 []float64, opts LBFGSOp
 }
 
 // eigFloorRel is the relative spectrum floor of the trust-region subproblem
-// solver: eigenvalues below eigFloorRel times the largest eigenvalue
-// magnitude are treated as zero. It sits well above the eigensolver's
-// ~1e-16·‖H‖ backward error and well below any curvature the objective
-// genuinely exhibits (the smallest real ELBO eigenvalue magnitudes are
-// ~1e-8·‖H‖, from the KL anchor on collapsed source types).
+// solver: curvature below eigFloorRel·‖H‖ cannot be told from zero. The
+// solver's floor try shifts H by twice that (with ‖H‖_F ≥ ‖H‖₂), which lifts
+// an eigenvalue as far below zero as the floor is above it back over the
+// floor. It sits well above Cholesky's ~n·1e-16·‖H‖ backward error and well
+// below any curvature the objective genuinely exhibits (the smallest real
+// ELBO eigenvalue magnitudes are ~1e-8·‖H‖, from the KL anchor on collapsed
+// source types).
 const eigFloorRel = 1e-15
-
-// machEps is the double-precision machine epsilon, the relative noise floor
-// of the eigendecomposition (backward error ~machEps·‖H‖).
-const machEps = 2.220446049250313e-16

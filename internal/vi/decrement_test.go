@@ -87,10 +87,7 @@ func TestDecrementStop(t *testing.T) {
 			n := model.ParamDim
 			g, hFit, h := make([]float64, n), linalg.NewMat(n, n), linalg.NewMat(n, n)
 			s.Full(fit.Params[:], g, hFit)
-			w, v, e := make([]float64, n), linalg.NewMat(n, n), make([]float64, n)
-			if err := linalg.EigenSymInto(hFit, w, v, e); err != nil {
-				t.Fatal(err)
-			}
+			w, v := jacobiEigen(hFit)
 			s.Full(xRef[:], g, h)
 			s.pb = nil
 			var d, dRes [model.ParamDim]float64
@@ -126,6 +123,79 @@ func TestDecrementStop(t *testing.T) {
 }
 
 // specFloorRel is the subproblem solver's relative spectrum floor (opt's
-// eigFloorRel): eigenvalues below it times the largest magnitude are treated
-// as zero curvature.
+// eigFloorRel): curvature below it times the largest eigenvalue magnitude
+// cannot be told from zero.
 const specFloorRel = 1e-15
+
+// jacobiEigen returns the eigenvalues of the symmetric matrix a in ascending
+// order and the matching eigenvectors as the columns of v, by cyclic Jacobi
+// rotations: slow, short and accurate, the test's oracle for the resolved
+// subspace.
+func jacobiEigen(a *linalg.Mat) ([]float64, *linalg.Mat) {
+	n := a.Rows
+	m := a.Clone()
+	v := linalg.NewMat(n, n)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
+	for sweep := 0; sweep < 100; sweep++ {
+		var off, all float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				all += m.At(i, j) * m.At(i, j)
+				if i != j {
+					off += m.At(i, j) * m.At(i, j)
+				}
+			}
+		}
+		if off <= 1e-32*all {
+			break
+		}
+		for p := 0; p < n; p++ {
+			for q := p + 1; q < n; q++ {
+				if m.At(p, q) == 0 {
+					continue
+				}
+				// The rotation that zeroes m[p][q] (Golub & Van Loan 8.5.2).
+				theta := (m.At(q, q) - m.At(p, p)) / (2 * m.At(p, q))
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					mkp, mkq := m.At(k, p), m.At(k, q)
+					m.Set(k, p, c*mkp-s*mkq)
+					m.Set(k, q, s*mkp+c*mkq)
+				}
+				for k := 0; k < n; k++ {
+					mpk, mqk := m.At(p, k), m.At(q, k)
+					m.Set(p, k, c*mpk-s*mqk)
+					m.Set(q, k, s*mpk+c*mqk)
+				}
+				for k := 0; k < n; k++ {
+					vkp, vkq := v.At(k, p), v.At(k, q)
+					v.Set(k, p, c*vkp-s*vkq)
+					v.Set(k, q, s*vkp+c*vkq)
+				}
+			}
+		}
+	}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = m.At(i, i)
+	}
+	for i := 0; i < n; i++ {
+		k := i
+		for j := i + 1; j < n; j++ {
+			if w[j] < w[k] {
+				k = j
+			}
+		}
+		w[i], w[k] = w[k], w[i]
+		for r := 0; r < n; r++ {
+			vi, vk := v.At(r, i), v.At(r, k)
+			v.Set(r, i, vk)
+			v.Set(r, k, vi)
+		}
+	}
+	return w, v
+}
