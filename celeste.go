@@ -138,11 +138,6 @@ type InferConfig struct {
 	// MaxIter bounds per-source Newton iterations.
 	MaxIter int
 	Seed    uint64
-
-	// ColdSweeps disables the cross-sweep warm starts, an ablation and
-	// reference knob; TestWarmStartCatalogDelta bounds the catalog
-	// difference it introduces.
-	ColdSweeps bool
 }
 
 // InferResult is the outcome of Infer.
@@ -244,7 +239,6 @@ func InferWithOptions(sv *Survey, initCatalog []CatalogEntry, cfg InferConfig,
 		Processes:    cfg.Processes,
 		Seed:         cfg.Seed,
 		Fit:          vi.Options{MaxIter: cfg.MaxIter},
-		ColdSweeps:   cfg.ColdSweeps,
 	}, runOpts)
 	if run == nil {
 		return nil, err

@@ -84,60 +84,3 @@ func TestGoldenInferRecoversTruth(t *testing.T) {
 			posSum, initPos)
 	}
 }
-
-// TestWarmStartCatalogDelta is the documented catalog-delta report for the
-// cross-sweep warm starts: the same fixed-seed survey is inferred once with
-// warm starts (the default: early sweeps stop at a loosened tolerance and
-// re-fits start from the previous sweep's trust radius) and once on the
-// cold-sweep reference path. Unlike the row-sweep kernel (which changes
-// arithmetic by ~1e-12), warm starts change the optimization *trajectory*,
-// so the bounds are wider than the kernel-vs-oracle ones (internal/elbo's
-// TestMomentKernelCatalogDelta) but still far inside the golden test's
-// accuracy tolerances (1 px position, 0.2 mean |log flux|): both paths end
-// the final sweep on the same two stops — the gradient tolerance, or a
-// Newton decrement below 1e-3 nats — on the same objective. The measured
-// deltas are recorded in EXPERIMENTS.md.
-func TestWarmStartCatalogDelta(t *testing.T) {
-	cfg := DefaultSurveyConfig(77)
-	cfg.Region = geom.NewBox(0, 0, 0.01, 0.01)
-	cfg.DeepRegion = geom.Box{}
-	cfg.DeepRuns = 0
-	cfg.Runs = 1
-	cfg.FieldW, cfg.FieldH = 96, 96
-	cfg.SourceDensity = 30000
-	cfg.Priors.R1Mean = [model.NumTypes]float64{math.Log(10), math.Log(12)}
-	cfg.Priors.R1SD = [model.NumTypes]float64{0.5, 0.5}
-	sv := GenerateSurvey(cfg)
-	if len(sv.Truth) < 2 {
-		t.Skip("fixed-seed survey drew too few sources")
-	}
-	init := sv.NoisyCatalog(78)
-	icfg := InferConfig{Threads: 4, Rounds: 2, MaxIter: 30}
-
-	warm := Infer(sv, init, icfg)
-	ccfg := icfg
-	ccfg.ColdSweeps = true
-	cold := Infer(sv, init, ccfg)
-
-	pixScale := sv.Config.PixScale
-	var maxPos, maxFlux float64
-	for i := range cold.Catalog {
-		r, k := &cold.Catalog[i], &warm.Catalog[i]
-		if d := geom.Dist(r.Pos, k.Pos) / pixScale; d > maxPos {
-			maxPos = d
-		}
-		if r.Flux[model.RefBand] > 0 && k.Flux[model.RefBand] > 0 {
-			if d := math.Abs(math.Log(k.Flux[model.RefBand] / r.Flux[model.RefBand])); d > maxFlux {
-				maxFlux = d
-			}
-		}
-	}
-	t.Logf("warm-vs-cold catalog delta over %d sources: max position shift %.2e px, max |log flux ratio| %.2e; Newton iters %d (warm) vs %d (cold)",
-		len(cold.Catalog), maxPos, maxFlux, warm.NewtonIters, cold.NewtonIters)
-	if maxPos > 0.2 {
-		t.Errorf("warm starts shift a position by %.4f px vs the cold-sweep reference (> 0.2)", maxPos)
-	}
-	if maxFlux > 0.05 {
-		t.Errorf("warm starts shift a flux by |log ratio| %.5f vs the cold-sweep reference (> 0.05)", maxFlux)
-	}
-}

@@ -72,3 +72,29 @@ func TestBackoffDefaults(t *testing.T) {
 		t.Errorf("jitter-free attempt 2 delay %v, want 40ms", d)
 	}
 }
+
+// TestRejoinBackoffSeededByPid: RunWorker keys a zero Seed by the process
+// id, so two workers with the same options draw different jitter at every
+// early attempt, while an explicit Seed and a jitter-free schedule are left
+// as they were.
+func TestRejoinBackoffSeededByPid(t *testing.T) {
+	var zero Backoff
+	a, b := pidSeeded(zero, 4101), pidSeeded(zero, 4102)
+	for attempt := 0; attempt <= 3; attempt++ {
+		if a.Delay(attempt) == b.Delay(attempt) {
+			t.Errorf("attempt %d: pids 4101 and 4102 both wait %v", attempt, a.Delay(attempt))
+		}
+	}
+	if got := pidSeeded(Backoff{Seed: 9}, 4101); got.Seed != 9 {
+		t.Errorf("explicit seed 9 replaced by %d", got.Seed)
+	}
+	exact := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1}
+	for attempt := 0; attempt <= 3; attempt++ {
+		want := exact.Delay(attempt)
+		for _, pid := range []int{4101, 4102} {
+			if got := pidSeeded(exact, pid).Delay(attempt); got != want {
+				t.Errorf("jitter-free attempt %d, pid %d: %v, want %v", attempt, pid, got, want)
+			}
+		}
+	}
+}

@@ -104,8 +104,12 @@ func (ck *Checkpoint) Validate() error {
 // capped at one pixel of the problem's pixel scale (internal/vi, BoundStep;
 // internal/opt, StepBounder). 10: the trust-region subproblem is solved by
 // Moré–Sorensen iterations on Cholesky factorizations of H + λI, with no
-// eigendecomposition (internal/opt, solveTRSubproblem).
-const numericsRevision = 10
+// eigendecomposition (internal/opt, solveTRSubproblem). 11: every sweep
+// refits a source at the fixed initial trust radius instead of a multiple of
+// its last fit's final radius (internal/core), and the Newton-decrement stop
+// reads the interior step's own predicted decrease, with no extrapolated
+// exponential tail (internal/opt).
+const numericsRevision = 11
 
 // RunHash fingerprints everything that determines a run's output: the build's
 // numerics revision, the survey (config and pixel data), the initialization
@@ -192,15 +196,5 @@ func runHash(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.
 	wU64(cfg.Seed)
 	wInt(cfg.Fit.MaxIter)
 	wF64(cfg.Fit.GradTol)
-	// The ablation knob changes the optimization trajectory, so a checkpoint
-	// taken under one setting must not resume under another. The wire
-	// protocol does not carry it (RunWithOptions rejects it with a
-	// Transport); hashing it keeps the default-config worker handshake
-	// unchanged.
-	if cfg.ColdSweeps {
-		wInt(1)
-	} else {
-		wInt(0)
-	}
 	return h.Sum64()
 }

@@ -43,12 +43,6 @@ type Config struct {
 	// (default 4); on a real cluster each would be an MPI process.
 	Processes int
 
-	// ColdSweeps disables the cross-sweep warm starts: every sweep then
-	// re-fits every source cold at the full tolerance. It exists for
-	// ablations and the warm-start catalog-delta test; warm sweeps are
-	// strictly cheaper.
-	ColdSweeps bool
-
 	// PatchThreads is the second level of the thread budget: the number of
 	// intra-fit patch-sweep workers each source fit's objective evaluations
 	// fan out to (vi.Options.PatchWorkers). Threads sweeps sources;
@@ -173,21 +167,10 @@ func (p *freeList[T]) put(x *T) {
 
 var workerPool = freeList[workerScratch]{newFn: func() *workerScratch { return &workerScratch{fit: vi.NewScratch()} }}
 
-// warmState is one source's cross-sweep warm-start cache entry: whether the
-// source has been fitted this task and the trust radius its last fit ended
-// at. The cache lives for one Process call (one task), so it is re-derived
-// identically when a task replays after a failure or a checkpoint resume —
-// warm starts never enter the checkpoint format.
-type warmState struct {
-	fitted bool
-	radius float64
-}
-
 // processScratch owns the per-Process-call planning buffers.
 type processScratch struct {
 	pos     []geom.Pt2
 	radii   []float64
-	warm    []warmState
 	graph   cyclades.Graph
 	planner cyclades.Planner
 	workers []*workerScratch
@@ -255,27 +238,11 @@ func (cfg Config) Process(rg *Region) Stats {
 		}
 	}()
 
-	// Cross-sweep warm starts: each source's fit in sweep r+1 initializes
-	// from its sweep-r converged parameters (Params is updated in place) AND
-	// from its converged trust radius. Every sweep fits at the configured
-	// tolerances: the fit's constant Newton-decrement stop (1e-3 nats) ends
-	// the fits before the gradient tolerance does (all 752 fits of the eight
-	// bench skies, seeds 1–2 and draws 0–1 at MaxIter 40, stopped on it), so
-	// an early sweep gains nothing from a looser GradTol. The cache is
-	// task-scoped (see warmState).
-	warm := ps.warm
-	if !cfg.ColdSweeps {
-		if cap(warm) < n {
-			warm = make([]warmState, n)
-			ps.warm = warm
-		}
-		warm = warm[:n]
-		for i := range warm {
-			warm[i] = warmState{}
-		}
-	} else {
-		warm = nil
-	}
+	// Each source's fit in sweep r+1 starts from its sweep-r parameters
+	// (Params is updated in place) at vi's fixed initial trust radius. Every
+	// sweep fits at the configured tolerances: the fit's constant
+	// Newton-decrement stop (1e-3 nats) ends the fits before the gradient
+	// tolerance does, so an early sweep gains nothing from a looser GradTol.
 	for round := 0; round < cfg.Rounds; round++ {
 		batches := ps.planner.Plan(graph, r, batchSize)
 		for bi := range batches {
@@ -290,7 +257,7 @@ func (cfg Config) Process(rg *Region) Stats {
 					defer wg.Done()
 					for _, comp := range comps {
 						for _, li := range comp {
-							cfg.fitOne(rg, graph, li, warm, &stats, ws)
+							cfg.fitOne(rg, graph, li, &stats, ws)
 						}
 					}
 				}(queues[t], workers[t])
@@ -301,24 +268,11 @@ func (cfg Config) Process(rg *Region) Stats {
 	return stats
 }
 
-// Cross-sweep warm-start radius bounds: a fit restarts at four times its
-// previous converged radius, clamped.
-const (
-	warmRadiusMin = 0.05
-	warmRadiusMax = 8.0
-)
-
 // fitOne fits local source li with its conflict-graph neighbors (current
 // values) and the external fixed neighbors folded into the background,
 // reusing the worker's scratch buffers for problem construction and the fit
-// itself. When warm is non-nil it carries the cross-sweep warm-start cache:
-// a source fitted in an earlier sweep restarts at (a multiple of) its
-// converged trust radius instead of walking the radius in from scratch.
-// Entry li is only ever touched by the thread fitting li, and sweeps are
-// barrier-separated, so the cache needs no locking.
-func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int,
-	warm []warmState, stats *Stats, ws *workerScratch) {
-
+// itself.
+func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int, stats *Stats, ws *workerScratch) {
 	cur := rg.Params[li].Constrained()
 	radiusPx := InfluenceRadiusPx(rg.Entries[li], rg.PixScale)
 	pb := ws.pbld.Build(rg.Priors, rg.Images, cur.Pos, radiusPx)
@@ -333,21 +287,8 @@ func (cfg Config) fitOne(rg *Region, graph *cyclades.Graph, li int,
 	for i := range rg.Neighbors {
 		ws.pbld.AddNeighbor(&rg.Neighbors[i])
 	}
-	fit := cfg.Fit
-	if warm != nil && warm[li].fitted {
-		r := 4 * warm[li].radius
-		if r < warmRadiusMin {
-			r = warmRadiusMin
-		} else if r > warmRadiusMax {
-			r = warmRadiusMax
-		}
-		fit.InitRadius = r
-	}
-	res := vi.FitWith(pb, rg.Params[li], fit, ws.fit)
+	res := vi.FitWith(pb, rg.Params[li], cfg.Fit, ws.fit)
 	rg.Params[li] = res.Params
-	if warm != nil {
-		warm[li] = warmState{fitted: true, radius: res.FinalRadius}
-	}
 	atomic.AddInt64(&stats.Fits, 1)
 	atomic.AddInt64(&stats.NewtonIters, int64(res.Iters))
 	atomic.AddInt64(&stats.Visits, res.Visits)
@@ -621,9 +562,6 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	cfg.defaults()
 	if opts.Transport != nil && opts.faults != nil {
 		return nil, errors.New("core: FaultPlan injects faults into in-process ranks; fault a TCP run by killing real worker processes")
-	}
-	if opts.Transport != nil && cfg.ColdSweeps {
-		return nil, errors.New("core: the ColdSweeps ablation knob is not carried by the wire protocol; run it with in-process ranks")
 	}
 	priors := model.FitPriors(catalog)
 

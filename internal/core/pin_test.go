@@ -31,8 +31,8 @@ import (
 // initial catalog or the partition moves this run's inputs rather than the
 // arithmetic: it re-pins pinSHA256 alone and says so.
 const (
-	pinRevision = 10
-	pinSHA256   = "dbc2790c77c289750b44e7ce283183d4d4462511983b37a78f4699a4ae0a2b7a"
+	pinRevision = 11
+	pinSHA256   = "c2bc79b6b6b7fa41d5de0a9f05f2dc8fb9f525a182bd35be834e171923ff0ed1"
 )
 
 // pinnedRun is a small fixed two-sweep run over one epoch of a few stars and

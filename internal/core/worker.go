@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"celeste/internal/model"
@@ -53,7 +54,8 @@ type WorkerOptions struct {
 	// RejoinBackoff spaces the rejoin attempts of one outage (zero value:
 	// 100ms base doubling to a 5s cap, ±20% deterministic jitter). Without
 	// it a coordinator restart would be hammered by immediate re-dials from
-	// the whole fleet at once.
+	// the whole fleet at once. A zero Seed is replaced by the process id, so
+	// the workers of one fleet, which share every option, jitter apart.
 	RejoinBackoff Backoff
 
 	// RejoinWindow, when positive, is the give-up deadline for one outage:
@@ -89,6 +91,7 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 	if opts.OnTask != nil {
 		onTask = func(task int) { opts.OnTask(task, completed) }
 	}
+	backoff := pidSeeded(opts.RejoinBackoff, os.Getpid())
 	attempt := 0
 	var outageStart time.Time // zero while connected; set at first failure
 	for {
@@ -170,9 +173,17 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 		// Our rank is (or will shortly be) declared dead and its work
 		// requeued; back off — jittered, so a restarted coordinator is not
 		// stampeded by the whole fleet at once — then dial again.
-		time.Sleep(opts.RejoinBackoff.Delay(attempt))
+		time.Sleep(backoff.Delay(attempt))
 		attempt++
 	}
+}
+
+// pidSeeded returns b with a zero Seed replaced by pid.
+func pidSeeded(b Backoff, pid int) Backoff {
+	if b.Seed == 0 {
+		b.Seed = uint64(pid)
+	}
+	return b
 }
 
 // workerSetupError marks deterministic handshake and validation failures

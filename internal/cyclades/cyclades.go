@@ -8,24 +8,10 @@
 // update conflicting blocks concurrently, without any locking.
 package cyclades
 
-import (
-	"celeste/internal/geom"
-	"celeste/internal/rng"
-)
-
 // Graph is an undirected conflict graph over n vertices.
 type Graph struct {
-	n   int
 	adj [][]int
 }
-
-// NewGraph returns an empty conflict graph on n vertices.
-func NewGraph(n int) *Graph {
-	return &Graph{n: n, adj: make([][]int, n)}
-}
-
-// N returns the vertex count.
-func (g *Graph) N() int { return g.n }
 
 // AddEdge marks vertices a and b as conflicting.
 func (g *Graph) AddEdge(a, b int) {
@@ -34,17 +20,6 @@ func (g *Graph) AddEdge(a, b int) {
 	}
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
-}
-
-// BuildConflictGraph constructs the conflict graph for light sources:
-// sources conflict when closer than the sum of their influence radii
-// (their light reaches common pixels). radii are in degrees. Hot paths that
-// rebuild graphs per sweep should hold a Planner and use its
-// BuildConflictGraph, which reuses all storage.
-func BuildConflictGraph(pos []geom.Pt2, radii []float64) *Graph {
-	g := NewGraph(len(pos))
-	new(Planner).BuildConflictGraph(g, pos, radii)
-	return g
 }
 
 // Batch is one round's worth of work: connected components of the sampled
@@ -61,20 +36,4 @@ func (b *Batch) Size() int {
 		s += len(c)
 	}
 	return s
-}
-
-// Plan samples all n vertices without replacement in rounds of batchSize and
-// splits each round's sample into connected components of the induced
-// subgraph. Every vertex appears in exactly one component across all
-// batches. batchSize <= 0 means one single batch of everything. Hot paths
-// should hold a Planner and use its Plan, which reuses all storage.
-func Plan(g *Graph, r *rng.Source, batchSize int) []Batch {
-	return new(Planner).Plan(g, r, batchSize)
-}
-
-// Assign distributes a batch's components over nThreads queues, longest
-// component first (LPT scheduling), so thread loads stay balanced even when
-// one component is large.
-func Assign(b *Batch, nThreads int) [][][]int {
-	return new(Planner).Assign(b, nThreads)
 }

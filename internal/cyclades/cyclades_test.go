@@ -16,7 +16,16 @@ func randomInstance(seed uint64, n int) ([]geom.Pt2, []float64, *Graph) {
 		pos[i] = geom.Pt2{RA: r.Float64() * 0.05, Dec: r.Float64() * 0.05}
 		radii[i] = 0.0005 + r.Float64()*0.001
 	}
-	return pos, radii, BuildConflictGraph(pos, radii)
+	g := new(Graph)
+	new(Planner).BuildConflictGraph(g, pos, radii)
+	return pos, radii, g
+}
+
+// newGraph returns an empty conflict graph on n vertices.
+func newGraph(n int) *Graph {
+	g := new(Graph)
+	g.Reset(n)
+	return g
 }
 
 func TestConflictGraphMatchesBruteForce(t *testing.T) {
@@ -31,7 +40,7 @@ func TestConflictGraphMatchesBruteForce(t *testing.T) {
 		}
 	}
 	got := make(map[[2]int]bool)
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < len(g.adj); v++ {
 		for _, w := range g.adj[v] {
 			a, b := v, w
 			if a > b {
@@ -54,8 +63,8 @@ func TestPlanCoversEveryVertexOnce(t *testing.T) {
 	f := func(seed uint64) bool {
 		_, _, g := randomInstance(seed%1000, 150)
 		r := rng.New(seed)
-		batches := Plan(g, r, 40)
-		seen := make([]int, g.N())
+		batches := new(Planner).Plan(g, r, 40)
+		seen := make([]int, len(g.adj))
 		for _, b := range batches {
 			for _, c := range b.Components {
 				for _, v := range c {
@@ -80,7 +89,7 @@ func TestComponentsAreConflictClosedWithinBatch(t *testing.T) {
 	// same component — that is Cyclades' core guarantee.
 	_, _, g := randomInstance(7, 300)
 	r := rng.New(7)
-	batches := Plan(g, r, 75)
+	batches := new(Planner).Plan(g, r, 75)
 	for bi, b := range batches {
 		comp := make(map[int]int)
 		for ci, c := range b.Components {
@@ -103,7 +112,7 @@ func TestComponentsAreConnected(t *testing.T) {
 	// subgraph (otherwise load balancing would be needlessly coarse).
 	_, _, g := randomInstance(13, 250)
 	r := rng.New(13)
-	batches := Plan(g, r, 60)
+	batches := new(Planner).Plan(g, r, 60)
 	for _, b := range batches {
 		for _, c := range b.Components {
 			if len(c) == 1 {
@@ -138,12 +147,12 @@ func TestManyComponentsFromConnectedGraph(t *testing.T) {
 	// random sample typically shatters into many components. Build a path
 	// graph (connected) and sample a third of it.
 	n := 300
-	g := NewGraph(n)
+	g := newGraph(n)
 	for i := 0; i+1 < n; i++ {
 		g.AddEdge(i, i+1)
 	}
 	r := rng.New(3)
-	batches := Plan(g, r, n/3)
+	batches := new(Planner).Plan(g, r, n/3)
 	if len(batches[0].Components) < 20 {
 		t.Errorf("first batch has only %d components; expected the sample to shatter",
 			len(batches[0].Components))
@@ -161,7 +170,7 @@ func TestAssignBalancesLoad(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b.Components = append(b.Components, []int{100 + i})
 	}
-	queues := Assign(b, 4)
+	queues := new(Planner).Assign(b, 4)
 	loads := make([]int, 4)
 	for t4, q := range queues {
 		for _, c := range q {
@@ -179,8 +188,8 @@ func TestAssignBalancesLoad(t *testing.T) {
 func TestAssignPreservesComponents(t *testing.T) {
 	_, _, g := randomInstance(21, 120)
 	r := rng.New(21)
-	batches := Plan(g, r, 0) // single batch
-	queues := Assign(&batches[0], 8)
+	batches := new(Planner).Plan(g, r, 0) // single batch
+	queues := new(Planner).Assign(&batches[0], 8)
 	var total int
 	seen := make(map[int]bool)
 	for _, q := range queues {
@@ -194,19 +203,19 @@ func TestAssignPreservesComponents(t *testing.T) {
 			}
 		}
 	}
-	if total != g.N() {
-		t.Errorf("assigned %d of %d vertices", total, g.N())
+	if total != len(g.adj) {
+		t.Errorf("assigned %d of %d vertices", total, len(g.adj))
 	}
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	g := NewGraph(0)
+	g := newGraph(0)
 	r := rng.New(1)
-	if batches := Plan(g, r, 10); len(batches) != 0 {
+	if batches := new(Planner).Plan(g, r, 10); len(batches) != 0 {
 		t.Errorf("empty graph produced %d batches", len(batches))
 	}
-	g1 := NewGraph(1)
-	batches := Plan(g1, r, 10)
+	g1 := newGraph(1)
+	batches := new(Planner).Plan(g1, r, 10)
 	if len(batches) != 1 || batches[0].Size() != 1 {
 		t.Errorf("singleton plan wrong: %+v", batches)
 	}

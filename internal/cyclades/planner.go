@@ -36,7 +36,6 @@ type Planner struct {
 // Reset prepares a graph for reuse: n vertices, all adjacency retained but
 // emptied.
 func (g *Graph) Reset(n int) {
-	g.n = n
 	if cap(g.adj) < n {
 		g.adj = make([][]int, n)
 	}
@@ -134,13 +133,13 @@ func (pl *Planner) BuildConflictGraph(g *Graph, pos []geom.Pt2, radii []float64)
 	}
 }
 
-// Plan is the allocation-free equivalent of the package-level Plan: it
-// samples all vertices without replacement in rounds of batchSize and splits
-// each round into connected components of the induced subgraph, appending
-// component contents in sample order. The returned batches alias pl's
-// storage.
+// Plan samples all vertices without replacement in rounds of batchSize and
+// splits each round into connected components of the induced subgraph,
+// appending component contents in sample order. Every vertex appears in
+// exactly one component across all batches. batchSize <= 0 means one single
+// batch of everything. The returned batches alias pl's storage.
 func (pl *Planner) Plan(g *Graph, r *rng.Source, batchSize int) []Batch {
-	n := g.n
+	n := len(g.adj)
 	if batchSize <= 0 || batchSize > n {
 		batchSize = n
 	}
@@ -228,9 +227,10 @@ func (pl *Planner) union(a, b int) {
 	}
 }
 
-// Assign distributes a batch's components over nThreads queues with LPT
-// scheduling, like the package-level Assign but into pooled storage (valid
-// until the next Assign call).
+// Assign distributes a batch's components over nThreads queues, longest
+// component first (LPT scheduling), so thread loads stay balanced even when
+// one component is large. The queues alias pl's storage (valid until the
+// next Assign call).
 func (pl *Planner) Assign(b *Batch, nThreads int) [][][]int {
 	if cap(pl.queues) < nThreads {
 		pl.queues = make([][][]int, nThreads)

@@ -23,7 +23,7 @@ import (
 // checkPlan verifies the two invariants for one planned schedule.
 func checkPlan(t *testing.T, g *Graph, batches []Batch, label string) {
 	t.Helper()
-	seen := make([]int, g.N()) // how many times each vertex was emitted
+	seen := make([]int, len(g.adj)) // how many times each vertex was emitted
 	for bi := range batches {
 		comp := make(map[int]int) // vertex -> component index, this batch
 		for ci, c := range batches[bi].Components {
@@ -31,7 +31,7 @@ func checkPlan(t *testing.T, g *Graph, batches []Batch, label string) {
 				t.Fatalf("%s: batch %d has an empty component", label, bi)
 			}
 			for _, v := range c {
-				if v < 0 || v >= g.N() {
+				if v < 0 || v >= len(g.adj) {
 					t.Fatalf("%s: batch %d emits out-of-range vertex %d", label, bi, v)
 				}
 				if prev, dup := comp[v]; dup {
@@ -97,7 +97,7 @@ func TestPlanPropertyRandomGraphs(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		r := rng.New(uint64(trial)*0x9e3779b97f4a7c15 + 7)
 		n := 1 + r.Intn(120)
-		g := NewGraph(n)
+		g := newGraph(n)
 		// Edge density sweeps from near-empty to near-complete; parallel
 		// edges are deliberately injected (BuildConflictGraph never makes
 		// them, but the Graph API allows them and Plan must tolerate them).
@@ -123,7 +123,7 @@ func TestPlanPropertyRandomGraphs(t *testing.T) {
 		case 3:
 			batchSize = 0 // Plan's "single batch" convention
 		}
-		batches := Plan(g, rng.New(uint64(trial)+99), batchSize)
+		batches := new(Planner).Plan(g, rng.New(uint64(trial)+99), batchSize)
 		checkPlan(t, g, batches, "random graph")
 	}
 }
@@ -145,9 +145,10 @@ func TestPlanPropertyGeometricGraphs(t *testing.T) {
 			pos[i] = geom.Pt2{RA: r.Float64() * 0.1, Dec: r.Float64() * 0.1}
 			radii[i] = r.Float64() * 0.012 // overlapping to isolated regimes
 		}
-		g := BuildConflictGraph(pos, radii)
+		g := new(Graph)
+		new(Planner).BuildConflictGraph(g, pos, radii)
 		for _, batchSize := range []int{1, n/3 + 1, n} {
-			batches := Plan(g, rng.New(uint64(trial)*7+1), batchSize)
+			batches := new(Planner).Plan(g, rng.New(uint64(trial)*7+1), batchSize)
 			checkPlan(t, g, batches, "geometric graph")
 		}
 	}

@@ -234,9 +234,6 @@ func (s *Scratch) SetWorkers(n int) {
 	}
 }
 
-// Workers reports the current worker count (>= 1).
-func (s *Scratch) Workers() int { return len(s.states) }
-
 // ensureParts sizes the partial slots for n patches, preserving previously
 // allocated Hessian blocks, and allocates any missing Hessians when the full
 // tier needs them. Steady state (patch count at or below the high-water

@@ -164,8 +164,8 @@ func TestParallelEvalBitwiseIdentity(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			s := NewScratch()
 			s.SetWorkers(workers)
-			if got := s.Workers(); got != workers {
-				t.Fatalf("SetWorkers(%d): Workers() = %d", workers, got)
+			if got := len(s.states); got != workers {
+				t.Fatalf("SetWorkers(%d): %d worker states", workers, got)
 			}
 			for rep := 0; rep < 3; rep++ {
 				got := captureTiers(pb, theta, s)
@@ -207,12 +207,12 @@ func TestSetWorkersReconfigure(t *testing.T) {
 		compareTiers(t, "reconfigure workers="+itoa(workers), want, captureTiers(pb, theta, s))
 	}
 	s.SetWorkers(0)
-	if s.Workers() != 1 {
-		t.Errorf("SetWorkers(0) should clamp to 1, got %d", s.Workers())
+	if len(s.states) != 1 {
+		t.Errorf("SetWorkers(0) should clamp to 1, got %d", len(s.states))
 	}
 	s.SetWorkers(maxPatchWorkers + 10)
-	if s.Workers() != maxPatchWorkers {
-		t.Errorf("SetWorkers(big) should clamp to %d, got %d", maxPatchWorkers, s.Workers())
+	if len(s.states) != maxPatchWorkers {
+		t.Errorf("SetWorkers(big) should clamp to %d, got %d", maxPatchWorkers, len(s.states))
 	}
 }
 

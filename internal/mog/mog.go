@@ -84,21 +84,6 @@ func (m Mixture) Shift(dx, dy float64) Mixture {
 	return out
 }
 
-// Normalize returns the mixture rescaled to total weight 1. It panics if the
-// total weight is not positive.
-func (m Mixture) Normalize() Mixture {
-	tw := m.TotalWeight()
-	if tw <= 0 {
-		panic("mog: cannot normalize non-positive mixture")
-	}
-	out := make(Mixture, len(m))
-	for i, c := range m {
-		c.Weight /= tw
-		out[i] = c
-	}
-	return out
-}
-
 // ProfComp is one circular component of a galaxy radial-profile mixture:
 // a Gaussian with variance Var (in units of the squared half-light radius)
 // and mass Weight.

@@ -60,14 +60,6 @@ func TestShiftPreservesMass(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	m := Mixture{{Weight: 3, Sxx: 1, Syy: 1}, {Weight: 1, Sxx: 2, Syy: 2}}
-	n := m.Normalize()
-	if math.Abs(n.TotalWeight()-1) > 1e-12 {
-		t.Errorf("normalized weight = %v", n.TotalWeight())
-	}
-}
-
 func TestGalaxyMixtureAddsMoments(t *testing.T) {
 	// Convolving with the PSF keeps its means, adds covariances and
 	// multiplies weights, one component per (profile, PSF) pair.

@@ -68,6 +68,19 @@ func TestDecliningAdjusterMatchesPlain(t *testing.T) {
 	}
 }
 
+// expTailFull is e^{x₀} + (x₁ − 1)², whose infimum 0 lies at x₀ → −∞: along
+// x₀ every Newton step is exactly −1, each gain beats the model's prediction
+// (ρ = 2(1 − 1/e) ≈ 1.26), the decrements shrink by 1/e per step, and the
+// predicted decrease ½λ² = e^{x₀}/2 is only half the gap that remains — the
+// shape of a saturating logit.
+func expTailFull(x []float64) (float64, []float64, *linalg.Mat) {
+	e, d := math.Exp(x[0]), x[1]-1
+	h := linalg.NewMat(2, 2)
+	h.Set(0, 0, e)
+	h.Set(1, 1, 2)
+	return e + d*d, []float64{e, 2 * d}, h
+}
+
 // TestAdjustedTrialEndsExpTail: on the exponential tail e^{x₀} + (x₁ − 1)²,
 // an adjuster that jumps x₀ to where the gain left is DecrementTol/100
 // (vi's type tail in one coordinate) is accepted and ends the run in fewer

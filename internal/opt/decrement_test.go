@@ -85,53 +85,3 @@ func TestDecrementIgnoresBoundaryStep(t *testing.T) {
 		t.Errorf("stopped %g above the optimum's value (start was %g above)", gap, f0-best)
 	}
 }
-
-// expTailFull is e^{x₀} + (x₁ − 1)², whose infimum 0 lies at x₀ → −∞: along
-// x₀ every Newton step is exactly −1, each gain beats the model's prediction
-// (ρ = 2(1 − 1/e) ≈ 1.26), the decrements shrink by 1/e per step, and the
-// predicted decrease ½λ² = e^{x₀}/2 is only half the gap that remains — the
-// shape of a saturating softmax logit.
-func expTailFull(x []float64) (float64, []float64, *linalg.Mat) {
-	e, d := math.Exp(x[0]), x[1]-1
-	h := linalg.NewMat(2, 2)
-	h.Set(0, 0, e)
-	h.Set(1, 1, 2)
-	return e + d*d, []float64{e, 2 * d}, h
-}
-
-// TestDecrementStopsOnExpTail: on an exponential tail the raw decrement
-// stops while twice the tolerance is still to gain; the stop must read the
-// remaining gain the decrements' geometric decay implies and end within the
-// tolerance of the infimum.
-func TestDecrementStopsOnExpTail(t *testing.T) {
-	const tol = 1e-3
-	res := newtonTR(expTailFull, []float64{2.5, 0}, TROptions{DecrementTol: tol})
-	if res.Status != StopDecrement || !res.Converged {
-		t.Fatalf("stopped with %q (converged %v), want the decrement stop", res.Status, res.Converged)
-	}
-	t.Logf("stopped %.3g above the infimum after %d iterations", res.F, res.Iters)
-	if !(res.F <= tol) {
-		t.Errorf("stopped %.3g above the infimum, want within %g", res.F, tol)
-	}
-}
-
-// TestRemainingGain pins the decrement test's estimate case by case: the
-// raw decrement with no accepted interior step yet or when the model did not
-// underestimate it, the geometric tail sum when it did, and no stop at all
-// when the decrements stopped shrinking.
-func TestRemainingGain(t *testing.T) {
-	for _, tc := range []struct {
-		name              string
-		d, dPrev, rhoPrev float64
-		want              float64
-	}{
-		{"first step", 1e-4, 0, 0, 1e-4},
-		{"model not underestimating", 1e-4, 1e-3, 0.9, 1e-4},
-		{"exponential tail", 1e-4, 4e-4, 1.5, 1e-4 * 1.5 / (1 - 0.25)},
-		{"not shrinking", 1e-4, 1e-4, 1.5, math.Inf(1)},
-	} {
-		if got := remainingGain(tc.d, tc.dPrev, tc.rhoPrev); got != tc.want {
-			t.Errorf("%s: remainingGain(%g, %g, %g) = %g, want %g", tc.name, tc.d, tc.dPrev, tc.rhoPrev, got, tc.want)
-		}
-	}
-}

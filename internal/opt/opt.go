@@ -163,7 +163,6 @@ type Result struct {
 	GradEvals int // value+gradient evaluations (L-BFGS)
 	Rejected  int // trial points the trust-region ratio test refused
 	GradNorm  float64
-	Radius    float64 // final trust radius (warm-start hint for refits)
 	Converged bool
 	Status    StopReason
 }
@@ -185,14 +184,8 @@ type TROptions struct {
 	// over degree-scale positions and O(1) logits cannot say. The bound
 	// covers the directions the solver resolves: when H needs the spectrum
 	// floor's shift to factor, curvature below the floor counts as the
-	// floor. A step the radius clipped never stops a run. On a tail the
-	// model underestimates — the last accepted interior step gained more
-	// than it predicted (ρ > 1) — the
-	// test reads the remaining gain extrapolated along the decrements' own
-	// geometric decay instead (see remainingGain). An objective whose
-	// TrialAdjuster jumps such a tail to its end in one trial (a decided
-	// source type's log-odds in vi) no longer walks it down to this test.
-	// 0 disables the test.
+	// floor. A step the radius clipped never stops a run. 0 disables the
+	// test.
 	DecrementTol float64
 }
 
@@ -245,10 +238,6 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	res.FullEvals++
 	res.F = f
 
-	// The predicted decrease and trust-region ratio of the last accepted
-	// interior step (both 0 until there is one), for the decrement test.
-	var dPrev, rhoPrev float64
-
 	// adj is the objective's trial adjuster, nil while the current iterate
 	// may not adjust (none offered, or its adjusted trial was refused).
 	adjuster, _ := obj.(TrialAdjuster)
@@ -258,7 +247,6 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 	trial := ws.trial
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iters = iter + 1
-		res.Radius = radius
 		gnorm := infNorm(ws.g)
 		res.GradNorm = gnorm
 		if gnorm < opts.GradTol {
@@ -269,7 +257,7 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 
 		p, predicted := boundedStep(ws, bounder, radius)
 		interior := ws.interior
-		if opts.DecrementTol > 0 && interior && remainingGain(-predicted, dPrev, rhoPrev) < opts.DecrementTol {
+		if opts.DecrementTol > 0 && interior && -predicted < opts.DecrementTol {
 			res.Converged = true
 			res.Status = StopDecrement
 			return res
@@ -280,7 +268,6 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			if radius < minRadius {
 				res.Status = StopCollapsed
 				res.Converged = gnorm < 1e-4
-				res.Radius = radius
 				return res
 			}
 			continue
@@ -303,9 +290,6 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			radius *= 0.25
 		}
 		if rho > 1e-4 && actual < 0 && !math.IsNaN(ft) {
-			if interior {
-				dPrev, rhoPrev = -predicted, rho
-			}
 			copy(x, trial)
 			ws.g, ws.gTrial = ws.gTrial, ws.g
 			ws.h, ws.hTrial = ws.hTrial, ws.h
@@ -323,13 +307,11 @@ func NewtonTRWS(obj Objective, x0 []float64, ws *Workspace, opts TROptions) Resu
 			res.Status = StopCollapsed
 			res.GradNorm = infNorm(ws.g)
 			res.Converged = res.GradNorm < 1e-4
-			res.Radius = radius
 			return res
 		}
 	}
 	res.Status = StopIterLimit
 	res.GradNorm = infNorm(ws.g)
-	res.Radius = radius
 	return res
 }
 
@@ -345,24 +327,6 @@ func boundedStep(ws *Workspace, bounder StepBounder, radius float64) ([]float64,
 		ws.interior = false
 	}
 	return p, predicted
-}
-
-// remainingGain estimates the decrease still available from an iterate
-// whose interior step predicts decrease d, given the predicted decrease
-// dPrev and ratio rhoPrev of the last accepted interior step. Normally that
-// is d itself. On an exponential tail (a saturating logit's e^a) the
-// quadratic model underestimates every step (ρ > 1) and the decrements shrink
-// by a steady factor r = d/dPrev, so the remaining gain is the geometric sum
-// d·ρ/(1 − r); with r ≥ 1 the decrements are not shrinking and nothing is
-// inferred, so the run goes on.
-func remainingGain(d, dPrev, rhoPrev float64) float64 {
-	if !(rhoPrev > 1) {
-		return d
-	}
-	if d >= dPrev {
-		return math.Inf(1)
-	}
-	return d * rhoPrev / (1 - d/dPrev)
 }
 
 // solveTRSubproblem returns the minimizer p of gᵀp + ½ pᵀHp subject to

@@ -260,15 +260,6 @@ func TestLBFGSDescentProperty(t *testing.T) {
 	}
 }
 
-// TestResultRadiusReported: the final trust radius must be surfaced (the
-// cross-sweep warm start feeds it back as the next fit's initial radius).
-func TestResultRadiusReported(t *testing.T) {
-	res := newtonTR(rosenbrockFull, []float64{-1.2, 1}, TROptions{MaxIter: 300})
-	if !(res.Radius > 0) {
-		t.Errorf("final radius %v, want > 0", res.Radius)
-	}
-}
-
 // TestLBFGSAllocationIndependentOfIterations pins the gradient-history fix:
 // the history ring and gradient buffers are allocated once up front, so a
 // long run must not allocate more than a short one (the history used to be

@@ -42,12 +42,10 @@ func newtonTRTwoTier(obj twoTierObjective, x0 []float64, ws *Workspace, opts TRO
 	f, g, h := obj.Full(x)
 	res.FullEvals++
 	res.F = f
-	var dPrev, rhoPrev float64
 
 	trial := ws.trial
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iters = iter + 1
-		res.Radius = radius
 		gnorm := infNorm(g)
 		res.GradNorm = gnorm
 		if gnorm < opts.GradTol {
@@ -58,7 +56,7 @@ func newtonTRTwoTier(obj twoTierObjective, x0 []float64, ws *Workspace, opts TRO
 
 		p, predicted := solveTRSubproblem(ws, h, g, radius)
 		interior := ws.interior
-		if opts.DecrementTol > 0 && interior && remainingGain(-predicted, dPrev, rhoPrev) < opts.DecrementTol {
+		if opts.DecrementTol > 0 && interior && -predicted < opts.DecrementTol {
 			res.Converged = true
 			res.Status = StopDecrement
 			return res, valEvals
@@ -68,7 +66,6 @@ func newtonTRTwoTier(obj twoTierObjective, x0 []float64, ws *Workspace, opts TRO
 			if radius < minRadius {
 				res.Status = StopCollapsed
 				res.Converged = gnorm < 1e-4
-				res.Radius = radius
 				return res, valEvals
 			}
 			continue
@@ -87,9 +84,6 @@ func newtonTRTwoTier(obj twoTierObjective, x0 []float64, ws *Workspace, opts TRO
 			radius *= 0.25
 		}
 		if rho > 1e-4 && actual < 0 && !math.IsNaN(ft) {
-			if interior {
-				dPrev, rhoPrev = -predicted, rho
-			}
 			copy(x, trial)
 			f, g, h = obj.Full(x)
 			res.FullEvals++
@@ -100,13 +94,11 @@ func newtonTRTwoTier(obj twoTierObjective, x0 []float64, ws *Workspace, opts TRO
 			res.Status = StopCollapsed
 			res.Converged = infNorm(g) < 1e-4
 			res.GradNorm = infNorm(g)
-			res.Radius = radius
 			return res, valEvals
 		}
 	}
 	res.Status = StopIterLimit
 	res.GradNorm = infNorm(g)
-	res.Radius = radius
 	return res, valEvals
 }
 
@@ -180,7 +172,7 @@ func sameRun(t *testing.T, name string, got, want Result) {
 			name, got.Iters, got.Status, got.Converged, want.Iters, want.Status, want.Converged)
 	}
 	for _, v := range [][3]any{
-		{"F", got.F, want.F}, {"Radius", got.Radius, want.Radius}, {"GradNorm", got.GradNorm, want.GradNorm},
+		{"F", got.F, want.F}, {"GradNorm", got.GradNorm, want.GradNorm},
 	} {
 		if math.Float64bits(v[1].(float64)) != math.Float64bits(v[2].(float64)) {
 			t.Fatalf("%s: %s = %v, want %v", name, v[0], v[1], v[2])

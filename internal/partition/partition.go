@@ -30,9 +30,6 @@ type Options struct {
 	// visits. The paper sizes tasks at roughly 500 sources; callers should
 	// pick TargetWork accordingly for their catalogs.
 	TargetWork float64
-	// Coverage estimates how many epochs image a position (>= 1). Nil means
-	// uniform coverage of 1.
-	Coverage func(geom.Pt2) float64
 }
 
 func (o *Options) defaults() {
@@ -49,8 +46,8 @@ const minBoxDeg = 8 * 1.1e-4
 // SourceWork estimates the active-pixel-visit work of fitting one source:
 // the active window area grows with brightness (brighter sources spread
 // detectable light wider) and galaxies get a shape-dependent floor,
-// multiplied by the number of epochs that image it and the number of bands.
-func SourceWork(e *model.CatalogEntry, coverage float64) float64 {
+// multiplied by the number of bands.
+func SourceWork(e *model.CatalogEntry) float64 {
 	flux := math.Max(e.Flux[model.RefBand], 0.1)
 	radiusPx := 3 + 1.5*math.Log1p(flux)
 	if e.IsGal() {
@@ -63,7 +60,7 @@ func SourceWork(e *model.CatalogEntry, coverage float64) float64 {
 	// Newton iterations visit the window tens of times; fold that constant
 	// into the estimate so Work approximates total visits.
 	const iterFactor = 30
-	return area * coverage * model.NumBands * iterFactor
+	return area * model.NumBands * iterFactor
 }
 
 // Generate produces the stage-0 task list for the catalog over region.
@@ -121,14 +118,10 @@ func GenerateTwoStage(catalog []model.CatalogEntry, region geom.Box, opts Option
 		if !region.Contains(e.Pos) {
 			continue
 		}
-		cov := 1.0
-		if opts.Coverage != nil {
-			cov = math.Max(opts.Coverage(e.Pos), 1)
-		}
 		for ti := range stage1 {
 			if stage1[ti].Box.Contains(e.Pos) {
 				stage1[ti].Sources = append(stage1[ti].Sources, i)
-				stage1[ti].Work += SourceWork(e, cov)
+				stage1[ti].Work += SourceWork(e)
 				break
 			}
 		}
@@ -150,11 +143,7 @@ func generateStage(catalog []model.CatalogEntry, region geom.Box, opts Options,
 		if !region.Contains(e.Pos) {
 			continue
 		}
-		cov := 1.0
-		if opts.Coverage != nil {
-			cov = math.Max(opts.Coverage(e.Pos), 1)
-		}
-		items = append(items, item{idx: i, pos: e.Pos, work: SourceWork(e, cov)})
+		items = append(items, item{idx: i, pos: e.Pos, work: SourceWork(e)})
 	}
 
 	var tasks []Task

@@ -118,7 +118,7 @@ func uniformTilingCV(cat []model.CatalogEntry, region geom.Box, nTasks int) floa
 		if cy >= side {
 			cy = side - 1
 		}
-		works[cy*side+cx] += SourceWork(e, 1)
+		works[cy*side+cx] += SourceWork(e)
 	}
 	var mean float64
 	for _, w := range works {
@@ -190,64 +190,12 @@ func TestSourceWorkMonotoneInFlux(t *testing.T) {
 	prev := 0.0
 	for _, f := range []float64{0.1, 1, 10, 100, 1000} {
 		e := mk(f)
-		w := SourceWork(&e, 1)
+		w := SourceWork(&e)
 		if w <= prev {
 			t.Fatalf("work not increasing at flux %v", f)
 		}
 		prev = w
 	}
-	// Coverage multiplies work.
-	e := mk(10)
-	if SourceWork(&e, 4) <= SourceWork(&e, 1)*3 {
-		t.Error("coverage scaling too weak")
-	}
-}
-
-func TestCoverageAwarePartitioning(t *testing.T) {
-	// With deep coverage on half the region, tasks there must be smaller.
-	region := geom.NewBox(0, 0, 0.2, 0.2)
-	cat := syntheticCatalogUniform(7, 3000, region)
-	deep := geom.NewBox(0, 0, 0.2, 0.1)
-	opts := Options{
-		TargetWork: 4e6,
-		Coverage: func(p geom.Pt2) float64 {
-			if deep.Contains(p) {
-				return 10
-			}
-			return 1
-		},
-	}
-	tasks := Generate(cat, region, opts)
-	var areaDeep, areaShallow []float64
-	for _, task := range tasks {
-		c := task.Box.Center()
-		if deep.Contains(c) {
-			areaDeep = append(areaDeep, task.Box.Area())
-		} else {
-			areaShallow = append(areaShallow, task.Box.Area())
-		}
-	}
-	if len(areaDeep) == 0 || len(areaShallow) == 0 {
-		t.Fatal("expected tasks on both sides")
-	}
-	if median(areaDeep) >= median(areaShallow) {
-		t.Errorf("deep-region tasks (median area %v) not smaller than shallow (%v)",
-			median(areaDeep), median(areaShallow))
-	}
-}
-
-func syntheticCatalogUniform(seed uint64, n int, region geom.Box) []model.CatalogEntry {
-	r := rng.New(seed)
-	priors := model.DefaultPriors()
-	out := make([]model.CatalogEntry, 0, n)
-	for i := 0; i < n; i++ {
-		pos := geom.Pt2{
-			RA:  region.MinRA + r.Float64()*region.Width(),
-			Dec: region.MinDec + r.Float64()*region.Height(),
-		}
-		out = append(out, priors.Sample(r, i, pos))
-	}
-	return out
 }
 
 func TestEmptyCatalog(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package psf models the point-spread function of one image as a small
-// mixture of 2-D Gaussians and fits it from bright-star postage stamps with
-// expectation-maximization. The survey pipeline fits a PSF per (run, band)
-// during task initialization, mirroring the paper's per-image "fitting some
-// image-specific parameters" step (Section IV-D).
+// mixture of 2-D Gaussians. Every survey uses Default, an SDSS-like core plus
+// halo whose core width is set per (run, band); FWHMPx measures a mixture's
+// width.
 package psf
 
 import (
@@ -20,100 +19,6 @@ func Default(coreSigmaPx float64) mog.Mixture {
 		{Weight: 0.85, Sxx: s2, Syy: s2},
 		{Weight: 0.15, Sxx: 6 * s2, Syy: 6 * s2},
 	}
-}
-
-// Fit fits a k-component Gaussian mixture to a background-subtracted star
-// stamp by EM, treating pixel intensities as masses at pixel centers.
-// The stamp is row-major w x h; (cx, cy) is the nominal star center in stamp
-// coordinates. The returned mixture is normalized to unit weight and
-// centered relative to (cx, cy), i.e. component means are offsets from the
-// source position, matching how internal/mog composes sources.
-//
-// Negative pixels (noise fluctuations after background subtraction) are
-// ignored. A variance floor of 0.25 px² keeps components from collapsing
-// onto single pixels.
-func Fit(stamp []float64, w, h int, cx, cy float64, k, iters int) mog.Mixture {
-	if len(stamp) != w*h {
-		panic("psf: stamp size mismatch")
-	}
-	const varFloor = 0.25
-
-	// Collect positive-mass pixels relative to the nominal center.
-	type pix struct{ x, y, m float64 }
-	var pts []pix
-	var total float64
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			m := stamp[y*w+x]
-			if m > 0 {
-				pts = append(pts, pix{float64(x) - cx, float64(y) - cy, m})
-				total += m
-			}
-		}
-	}
-	if total <= 0 || len(pts) < 3*k {
-		return Default(1.2)
-	}
-
-	// Initialize concentric circular components with geometric sigmas.
-	comps := make(mog.Mixture, k)
-	for j := 0; j < k; j++ {
-		sigma := 1.0 * math.Pow(2.2, float64(j))
-		comps[j] = mog.Component{Weight: total / float64(k), Sxx: sigma * sigma, Syy: sigma * sigma}
-	}
-
-	resp := make([]float64, k)
-	for it := 0; it < iters; it++ {
-		wSum := make([]float64, k)
-		xSum := make([]float64, k)
-		ySum := make([]float64, k)
-		xxSum := make([]float64, k)
-		xySum := make([]float64, k)
-		yySum := make([]float64, k)
-		for _, p := range pts {
-			var denom float64
-			for j, c := range comps {
-				d := c.Eval(p.x, p.y)
-				resp[j] = d
-				denom += d
-			}
-			if denom <= 0 {
-				continue
-			}
-			for j := range comps {
-				g := p.m * resp[j] / denom
-				wSum[j] += g
-				xSum[j] += g * p.x
-				ySum[j] += g * p.y
-				xxSum[j] += g * p.x * p.x
-				xySum[j] += g * p.x * p.y
-				yySum[j] += g * p.y * p.y
-			}
-		}
-		for j := range comps {
-			if wSum[j] <= 1e-12*total {
-				continue
-			}
-			mx := xSum[j] / wSum[j]
-			my := ySum[j] / wSum[j]
-			sxx := math.Max(xxSum[j]/wSum[j]-mx*mx, varFloor)
-			syy := math.Max(yySum[j]/wSum[j]-my*my, varFloor)
-			sxy := xySum[j]/wSum[j] - mx*my
-			// Keep the covariance safely positive definite.
-			lim := 0.95 * math.Sqrt(sxx*syy)
-			if sxy > lim {
-				sxy = lim
-			} else if sxy < -lim {
-				sxy = -lim
-			}
-			comps[j] = mog.Component{
-				Weight: wSum[j],
-				MuX:    mx, MuY: my,
-				Sxx: sxx, Sxy: sxy, Syy: syy,
-			}
-		}
-	}
-	return comps.Normalize()
 }
 
 // FWHMPx returns the approximate full width at half maximum of the PSF in

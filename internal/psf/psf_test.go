@@ -3,72 +3,7 @@ package psf
 import (
 	"math"
 	"testing"
-
-	"celeste/internal/mog"
-	"celeste/internal/rng"
 )
-
-// makeStamp renders a noiseless stamp of the given mixture scaled by flux.
-func makeStamp(m mog.Mixture, w, h int, cx, cy, flux float64) []float64 {
-	s := make([]float64, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			s[y*w+x] = flux * m.Eval(float64(x)-cx, float64(y)-cy)
-		}
-	}
-	return s
-}
-
-func TestFitRecoversKnownPSF(t *testing.T) {
-	truth := mog.Mixture{
-		{Weight: 0.8, Sxx: 1.2, Sxy: 0.1, Syy: 1.0},
-		{Weight: 0.2, Sxx: 6.0, Sxy: -0.4, Syy: 5.0},
-	}
-	w, h := 41, 41
-	cx, cy := 20.0, 20.0
-	stamp := makeStamp(truth, w, h, cx, cy, 1e5)
-	got := Fit(stamp, w, h, cx, cy, 2, 200)
-
-	if math.Abs(got.TotalWeight()-1) > 1e-9 {
-		t.Fatalf("total weight = %v", got.TotalWeight())
-	}
-	// Compare densities over the core region; EM on a noiseless stamp
-	// should be quite accurate.
-	for _, p := range [][2]float64{{0, 0}, {1, 0}, {0, 2}, {3, 3}, {-2, 1}} {
-		want := truth.Eval(p[0], p[1])
-		gotd := got.Eval(p[0], p[1])
-		if math.Abs(gotd-want)/want > 0.05 {
-			t.Errorf("density at %v: got %v, want %v", p, gotd, want)
-		}
-	}
-}
-
-func TestFitWithPoissonNoise(t *testing.T) {
-	truth := Default(1.3)
-	w, h := 33, 33
-	cx, cy := 16.0, 16.0
-	clean := makeStamp(truth, w, h, cx, cy, 2e5)
-	r := rng.New(11)
-	noisy := make([]float64, len(clean))
-	for i, v := range clean {
-		noisy[i] = float64(r.Poisson(v+50)) - 50 // sky-subtracted counts
-	}
-	got := Fit(noisy, w, h, cx, cy, 2, 150)
-	// FWHM of fit close to truth.
-	fw := FWHMPx(truth)
-	fg := FWHMPx(got)
-	if math.Abs(fg-fw)/fw > 0.1 {
-		t.Errorf("FWHM: got %v, want %v", fg, fw)
-	}
-}
-
-func TestFitDegenerateStampFallsBack(t *testing.T) {
-	stamp := make([]float64, 9) // all zeros
-	got := Fit(stamp, 3, 3, 1, 1, 2, 50)
-	if math.Abs(got.TotalWeight()-1) > 1e-9 {
-		t.Errorf("fallback PSF weight = %v", got.TotalWeight())
-	}
-}
 
 func TestDefaultPSFShape(t *testing.T) {
 	m := Default(1.0)

@@ -49,11 +49,6 @@ type Options struct {
 	// comes first.
 	GradTol float64
 
-	// InitRadius overrides the initial trust radius (0 keeps the default
-	// 0.5). Cross-sweep warm starts pass the previous sweep's converged
-	// radius so a re-fit skips the radius walk-down.
-	InitRadius float64
-
 	// PatchWorkers is the number of intra-fit patch-sweep workers each
 	// objective evaluation fans out to (default 1 = serial; see
 	// elbo.Scratch.SetWorkers). Parallel evaluation is bitwise identical to
@@ -72,9 +67,6 @@ func (o *Options) defaults() {
 	}
 	if !(o.GradTol > 0) {
 		o.GradTol = DefaultGradTol
-	}
-	if !(o.InitRadius > 0) {
-		o.InitRadius = 0.5
 	}
 	if o.PatchWorkers < 1 {
 		o.PatchWorkers = 1
@@ -97,10 +89,6 @@ type FitResult struct {
 	Visits    int64 // active pixel visits (FLOP accounting)
 	Converged bool
 	Status    opt.StopReason
-
-	// FinalRadius is the trust radius at termination — the warm-start hint
-	// core's cross-sweep cache feeds back into the next sweep's InitRadius.
-	FinalRadius float64
 
 	// Wall-clock attribution, for the Section VII-A per-thread breakdown:
 	// time inside objective evaluations (value+derivatives) versus the
@@ -359,7 +347,6 @@ func FitWith(pb *elbo.Problem, init model.Params, o Options, s *Scratch) FitResu
 	out.Visits = s.visits
 	out.Converged = res.Converged
 	out.Status = res.Status
-	out.FinalRadius = res.Radius
 	out.EvalSeconds = s.evalSec
 	out.TotalSeconds = time.Since(start).Seconds()
 	return out
@@ -374,7 +361,7 @@ func trOptions(o Options) opt.TROptions {
 		// Parameters mix degree-scale positions with O(1) logits; a modest
 		// initial radius keeps the first steps honest, and the cap keeps
 		// trial points out of exp-overflow territory.
-		InitRadius:   o.InitRadius,
+		InitRadius:   0.5,
 		MaxRadius:    32,
 		DecrementTol: decrementTol,
 	}

@@ -189,29 +189,6 @@ func TestUncertaintyCovers(t *testing.T) {
 	}
 }
 
-// TestFitWithWarmInitRadius simulates the cross-sweep warm start: re-fitting
-// from a converged solution with the cached radius must converge almost
-// immediately, and must reach the same optimum as a cold re-fit.
-func TestFitWithWarmInitRadius(t *testing.T) {
-	pb, init := makeScene(t, 202, galTruth(), 3)
-	first := FitWith(pb, init, Options{MaxIter: 120, GradTol: 1e-6}, NewScratch())
-	if !first.Converged {
-		t.Fatalf("first fit did not converge: %s", first.Status)
-	}
-
-	warm := Options{MaxIter: 120, GradTol: 1e-6, InitRadius: 4 * first.FinalRadius}
-	re := FitWith(pb, first.Params, warm, NewScratch())
-	if !re.Converged {
-		t.Fatalf("warm re-fit did not converge: %s", re.Status)
-	}
-	if re.Iters > 10 {
-		t.Errorf("warm re-fit took %d iterations; a converged start should need a handful", re.Iters)
-	}
-	if d := re.ELBO - first.ELBO; d < -1e-6*(1+first.ELBO) {
-		t.Errorf("warm re-fit ELBO %f below first %f", re.ELBO, first.ELBO)
-	}
-}
-
 func TestNewtonVsLBFGSIterations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation comparison is slow")
