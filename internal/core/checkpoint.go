@@ -53,7 +53,6 @@ type Checkpoint struct {
 	TasksProcessed int
 	PGASLocal      int64
 	PGASRemote     int64
-	PGASBytes      int64
 }
 
 // Validate checks structural consistency after deserialization.

@@ -406,15 +406,15 @@ type runState struct {
 	prevSnap *pgas.Snapshot // serialized form of prev, shared by checkpoints
 
 	// lastCurSnap is the previous checkpoint's capture of cur, used for
-	// incremental capture (unchanged shards are shared, not re-copied). It
-	// MUST be reset to nil whenever cur is replaced (restore, a joiner's
-	// repartition): a fresh array restarts shard versions, and a stale
-	// snapshot could falsely match them.
+	// incremental capture (unchanged shards are shared, not re-copied). cur
+	// is built once, at setup, and never replaced, so the baseline holds for
+	// the whole incarnation; restore leaves it nil, since a fresh array
+	// restarts shard versions and a stale snapshot could falsely match them.
 	lastCurSnap *pgas.Snapshot
 
 	// PGAS op counters carried from discarded arrays (earlier stages) and
 	// pre-resume incarnations.
-	carriedLocal, carriedRemote, carriedBytes int64
+	carriedLocal, carriedRemote int64
 
 	every int
 	hook  func(*Checkpoint) error
@@ -429,36 +429,28 @@ type runState struct {
 	catEvery   int
 	catHook    func(idx []int, entries []model.CatalogEntry)
 
-	// A retired rank stays dead for the rest of the run — the node is gone.
-	// Owned by the backend's lock.
-	deadRank []bool
-
 	aborted  atomic.Bool
 	abortErr error
 }
 
 // foldArrayStats retires an Array's traffic counters into the carried sums.
 func (st *runState) foldArrayStats(a *pgas.Array) {
-	l, r, b := a.Stats()
+	l, r := a.Stats()
 	st.carriedLocal += l
 	st.carriedRemote += r
-	st.carriedBytes += b
 }
 
 // captureLocked builds a checkpoint under st.mu.
 func (st *runState) captureLocked() *Checkpoint {
-	cl, cr, cb := st.carriedLocal, st.carriedRemote, st.carriedBytes
+	cl, cr := st.carriedLocal, st.carriedRemote
 	for _, a := range []*pgas.Array{st.cur, st.prev} {
-		l, r, b := a.Stats()
+		l, r := a.Stats()
 		cl += l
 		cr += r
-		cb += b
 	}
 	// Incremental capture: shards of cur untouched since the previous
 	// checkpoint are shared with it instead of re-copied, so steady-state
-	// checkpoint cost scales with the write set, not the survey size — a
-	// membership change (a join) no longer implies a full stop-the-world
-	// copy of the parameter array.
+	// checkpoint cost scales with the write set, not the survey size.
 	curSnap := st.cur.SnapshotDelta(st.lastCurSnap)
 	st.lastCurSnap = curSnap
 	return &Checkpoint{
@@ -471,7 +463,6 @@ func (st *runState) captureLocked() *Checkpoint {
 		TasksProcessed: st.tasksProcessed,
 		PGASLocal:      cl,
 		PGASRemote:     cr,
-		PGASBytes:      cb,
 	}
 }
 
@@ -566,10 +557,9 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	priors := model.FitPriors(catalog)
 
 	st := &runState{
-		done:     make([]bool, len(tasks)),
-		every:    opts.CheckpointEvery,
-		hook:     opts.OnCheckpoint,
-		deadRank: make([]bool, cfg.Processes),
+		done:  make([]bool, len(tasks)),
+		every: opts.CheckpointEvery,
+		hook:  opts.OnCheckpoint,
 	}
 	if opts.OnCatalog != nil {
 		st.catHook = opts.OnCatalog
@@ -672,7 +662,7 @@ func (st *runState) fillResult(res *RunResult) {
 	st.mu.Unlock()
 	for _, a := range []*pgas.Array{st.cur, st.prev} {
 		if a != nil {
-			l, r, _ := a.Stats()
+			l, r := a.Stats()
 			cl += l
 			cr += r
 		}
@@ -718,7 +708,6 @@ func (st *runState) restore(ck *Checkpoint, nSources, procs, nTasks int) error {
 	st.tasksProcessed = ck.TasksProcessed
 	st.carriedLocal = ck.PGASLocal
 	st.carriedRemote = ck.PGASRemote
-	st.carriedBytes = ck.PGASBytes
 	return nil
 }
 

@@ -68,9 +68,9 @@ func (in *rankInputs) step(l rankLink, onTask func(task int)) (more bool, err er
 
 // localLink is the in-process link: no wire and no encode. Scheduling goes
 // through the backend's own methods; parameter traffic stays on the rank's
-// shared-memory views, which is safe without the backend lock because the
-// arrays are only ever replaced by Join (never admitted in-process) or by the
-// stage swap, which needs every task — this rank's included — committed.
+// shared-memory views, which is safe without the backend lock because after
+// setup only the stage swap replaces an array, and it needs every task — this
+// rank's included — committed.
 //
 // It is also where a FaultPlan enters the run: a delay stalls the rank with
 // its task in hand, and a kill is a task executed and then surrendered

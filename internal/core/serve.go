@@ -24,11 +24,12 @@ import (
 // scheduler for the stage the run state is in, over the tasks not yet done.
 func newBackend(procs int, stages [][]int, st *runState) *serveBackend {
 	b := &serveBackend{
-		procs:  procs,
-		st:     st,
-		stages: stages,
-		done:   make(chan struct{}),
-		s:      st.stage,
+		procs:    procs,
+		st:       st,
+		stages:   stages,
+		done:     make(chan struct{}),
+		s:        st.stage,
+		deadRank: make([]bool, procs),
 	}
 	b.wake.L = &b.mu
 	for _, d := range st.done {
@@ -110,8 +111,9 @@ func (b *serveBackend) finishRun(res *RunResult, linkErr error) error {
 // swap) trivially safe against concurrent parameter reads.
 //
 // Lock order: mu strictly outside st.mu — commit (which takes st.mu and runs
-// the checkpoint hook) is always called with mu released. wake, the
-// condition a waiting pull sleeps on, lives on mu.
+// the checkpoint hook) is always called with mu released, and only the
+// epilogue takes st.mu inside mu. wake, the condition a waiting pull sleeps
+// on, lives on mu.
 type serveBackend struct {
 	procs   int
 	st      *runState
@@ -131,6 +133,10 @@ type serveBackend struct {
 	dead      int         // retired ranks
 	joined    int         // ranks minted past the static complement
 	stranded  error
+
+	// A retired rank stays dead for the rest of the run — the node is gone.
+	// Indexed by rank; grows with Join.
+	deadRank []bool
 
 	// rejoinGrace is Transport.RejoinGrace: how long an all-dead run waits
 	// for a re-enrollment before stranding. graceTimer is the
@@ -168,7 +174,7 @@ func (b *serveBackend) setupStageLocked() {
 	}
 	b.stageLeft = remaining
 	b.sched = dtree.NewResumed(dtree.Config{}, b.procs, len(idx), doneSub)
-	for rank, dead := range b.st.deadRank {
+	for rank, dead := range b.deadRank {
 		if dead {
 			b.sched.Fail(rank)
 		}
@@ -213,7 +219,7 @@ func (b *serveBackend) Next(rank int) (int, cnet.NextStatus) {
 			b.finish()
 			return 0, cnet.NextAbort
 		}
-		if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+		if rank < 0 || rank >= b.procs || b.deadRank[rank] {
 			return 0, cnet.NextShutdown
 		}
 		if b.s >= len(b.stages) {
@@ -278,10 +284,10 @@ func (b *serveBackend) Fail(rank int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Bounds check under mu: procs grows when workers join.
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.deadRank[rank] {
 		return
 	}
-	b.st.deadRank[rank] = true
+	b.deadRank[rank] = true
 	b.dead++
 	if b.sched != nil {
 		b.sched.Fail(rank)
@@ -326,48 +332,22 @@ func (b *serveBackend) strandIfAllDeadLocked(detail string) {
 }
 
 // Join admits a worker mid-run with a fresh rank past the current
-// complement. The scheduler grows a (empty-pooled) leaf the joiner steals
-// into, and both PGAS arrays repartition to carry the new rank's shard view —
-// under st.mu, since checkpoint capture reads the arrays there. A terminal
-// run (completed, aborted, or stranded) refuses the join, and the coordinator
-// shuts the late dialer down with the run's real outcome instead of a hang.
-//
-// Admission is all-or-nothing: every repartition runs into temporaries
-// first, and any error refuses the join with the run state untouched — a
-// rank admitted without a shard view in the live and frozen arrays would
-// serve wrong answers to every Get it proxies.
+// complement. The scheduler grows an (empty-pooled) leaf the joiner steals
+// into, and the rank table grows an entry; nothing else changes. The PGAS
+// arrays stay as laid out at setup (the paper's fixed layout, §IV-C): the
+// joiner owns no shard, and its Get and Put, which reach the arrays only
+// through this backend, count as remote traffic. A terminal run (completed,
+// aborted, or stranded) refuses the join, and the coordinator shuts the late
+// dialer down with the run's real outcome instead of a hang.
 func (b *serveBackend) Join() (int, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.st.aborted.Load() || b.totalLeft == 0 || b.s >= len(b.stages) || b.stranded != nil {
 		return 0, false
 	}
-	newProcs := b.procs + 1
-	st := b.st
-	st.mu.Lock()
-	cur, err := st.cur.RepartitionRanks(newProcs)
-	if err != nil {
-		st.mu.Unlock()
-		return 0, false
-	}
-	prev, err := st.prev.RepartitionRanks(newProcs)
-	if err != nil {
-		st.mu.Unlock()
-		return 0, false
-	}
-	snap, err := st.prevSnap.Repartition(newProcs)
-	if err != nil {
-		st.mu.Unlock()
-		return 0, false
-	}
-	st.cur, st.prev, st.prevSnap = cur, prev, snap
-	// cur was replaced: its shard versions restarted, so the delta
-	// baseline is invalid.
-	st.lastCurSnap = nil
-	st.deadRank = append(st.deadRank, false)
-	st.mu.Unlock()
 	rank := b.procs
-	b.procs = newProcs
+	b.procs++
+	b.deadRank = append(b.deadRank, false)
 	b.joined++
 	if b.sched != nil {
 		b.sched.Join()
@@ -380,7 +360,7 @@ func (b *serveBackend) Join() (int, bool) {
 func (b *serveBackend) Get(rank int, idx []uint64, out []float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.deadRank[rank] {
 		return fmt.Errorf("core: rank %d is retired", rank)
 	}
 	w := model.ParamDim
@@ -398,7 +378,7 @@ func (b *serveBackend) Get(rank int, idx []uint64, out []float64) error {
 func (b *serveBackend) Put(rank int, idx []uint64, vals []float64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rank < 0 || rank >= b.procs || b.st.deadRank[rank] {
+	if rank < 0 || rank >= b.procs || b.deadRank[rank] {
 		return fmt.Errorf("core: rank %d is retired", rank)
 	}
 	w := model.ParamDim

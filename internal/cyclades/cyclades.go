@@ -28,12 +28,3 @@ func (g *Graph) AddEdge(a, b int) {
 type Batch struct {
 	Components [][]int
 }
-
-// Size returns the total number of sources in the batch.
-func (b *Batch) Size() int {
-	var s int
-	for _, c := range b.Components {
-		s += len(c)
-	}
-	return s
-}

@@ -216,7 +216,13 @@ func TestEmptyAndSingleton(t *testing.T) {
 	}
 	g1 := newGraph(1)
 	batches := new(Planner).Plan(g1, r, 10)
-	if len(batches) != 1 || batches[0].Size() != 1 {
+	size := 0
+	for _, b := range batches {
+		for _, c := range b.Components {
+			size += len(c)
+		}
+	}
+	if len(batches) != 1 || size != 1 {
 		t.Errorf("singleton plan wrong: %+v", batches)
 	}
 }

@@ -132,9 +132,8 @@ func ChunkSize(cfg Config, remaining, subRequester, subHolder int) int {
 // node drops out mid-run (Section IV-B: tasks are idempotent, so central
 // rescheduling is the whole recovery story).
 type Scheduler struct {
-	cfg   Config
-	n     int
-	total int
+	cfg Config
+	n   int
 
 	mu    sync.Mutex
 	pools []pool // per-rank local pool; the root's also holds the dynamic range
@@ -213,7 +212,7 @@ func New(cfg Config, n, totalTasks int) *Scheduler {
 func NewResumed(cfg Config, n, totalTasks int, done []bool) *Scheduler {
 	cfg.defaults()
 	s := &Scheduler{
-		cfg: cfg, n: n, total: totalTasks,
+		cfg: cfg, n: n,
 		pools:     make([]pool, n),
 		inflight:  make([]map[int]bool, n),
 		dead:      make([]bool, n),

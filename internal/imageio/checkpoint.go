@@ -1,11 +1,11 @@
 // Checkpoint file format: the durable form of a distributed run's resumable
 // state (core.Checkpoint). Layout, little-endian throughout:
 //
-//	magic "CELK1"
+//	magic "CELK2"
 //	u64 run hash | u64 stage | u64 task count
 //	task-completion bitmap, packed 64 tasks per u64 word
 //	u64 fits | u64 newton iters | u64 visits | u64 tasks processed
-//	u64 pgas local ops | u64 pgas remote ops | u64 pgas bytes
+//	u64 pgas local ops | u64 pgas remote ops
 //	2 × PGAS snapshot (live array, then frozen stage-input array):
 //	  u64 n | u64 width | u64 ranks
 //	  per shard: u64 version | u64 value count | that many f64 values
@@ -31,7 +31,9 @@ import (
 )
 
 // checkpointMagic identifies a Celeste checkpoint file ("CELK" + version).
-var checkpointMagic = [5]byte{'C', 'E', 'L', 'K', '1'}
+// A layout change bumps the version, so a file of another layout is refused
+// by its magic rather than misparsed.
+var checkpointMagic = [5]byte{'C', 'E', 'L', 'K', '2'}
 
 // maxCheckpointTasks bounds the task bitmap a reader will accept; the
 // paper's full-sky run is 557,056 tasks, so a generous multiple covers any
@@ -80,7 +82,7 @@ func WriteCheckpoint(w io.Writer, ck *core.Checkpoint) error {
 	if err := wU64(
 		uint64(ck.Stats.Fits), uint64(ck.Stats.NewtonIters), uint64(ck.Stats.Visits),
 		uint64(int64(ck.TasksProcessed)),
-		uint64(ck.PGASLocal), uint64(ck.PGASRemote), uint64(ck.PGASBytes),
+		uint64(ck.PGASLocal), uint64(ck.PGASRemote),
 	); err != nil {
 		return err
 	}
@@ -153,14 +155,15 @@ func ReadCheckpoint(r io.Reader) (*core.Checkpoint, error) {
 			ck.Done[wi*64+b] = v&(1<<uint(b)) != 0
 		}
 	}
-	var fits, iters, visits, processed, local, remote, bytes uint64
-	if err := rMany(&fits, &iters, &visits, &processed, &local, &remote, &bytes); err != nil {
+	var fits, iters, visits, processed, local, remote uint64
+	if err := rMany(&fits, &iters, &visits, &processed, &local, &remote); err != nil {
 		return nil, err
 	}
 	ck.Stats = core.Stats{Fits: int64(fits), NewtonIters: int64(iters), Visits: int64(visits)}
 	ck.TasksProcessed = int(int64(processed))
-	ck.PGASLocal, ck.PGASRemote, ck.PGASBytes = int64(local), int64(remote), int64(bytes)
-	if ck.TasksProcessed < 0 || ck.Stats.Fits < 0 || ck.Stats.NewtonIters < 0 || ck.Stats.Visits < 0 {
+	ck.PGASLocal, ck.PGASRemote = int64(local), int64(remote)
+	if ck.TasksProcessed < 0 || ck.Stats.Fits < 0 || ck.Stats.NewtonIters < 0 || ck.Stats.Visits < 0 ||
+		ck.PGASLocal < 0 || ck.PGASRemote < 0 {
 		return nil, errors.New("imageio: checkpoint counters negative")
 	}
 

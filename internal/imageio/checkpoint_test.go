@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"celeste/internal/core"
@@ -41,7 +42,7 @@ func testCheckpoint(n, nTasks int) *core.Checkpoint {
 		StageStart:     cur,
 		Stats:          core.Stats{Fits: 42, NewtonIters: 377, Visits: 99991},
 		TasksProcessed: 17,
-		PGASLocal:      5, PGASRemote: 7, PGASBytes: 1234,
+		PGASLocal:      5, PGASRemote: 7,
 	}
 }
 
@@ -57,8 +58,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.Hash != ck.Hash || got.Stage != ck.Stage ||
 		got.Stats != ck.Stats || got.TasksProcessed != ck.TasksProcessed ||
-		got.PGASLocal != ck.PGASLocal || got.PGASRemote != ck.PGASRemote ||
-		got.PGASBytes != ck.PGASBytes {
+		got.PGASLocal != ck.PGASLocal || got.PGASRemote != ck.PGASRemote {
 		t.Fatalf("scalar fields changed in round trip: %+v vs %+v", got, ck)
 	}
 	if len(got.Done) != len(ck.Done) {
@@ -159,16 +159,40 @@ func TestCheckpointReaderRejectsCorruption(t *testing.T) {
 	// A shard count near 2^64: summing it would wrap past the total-size
 	// cap, so the reader must reject it against the remaining budget.
 	// Offset: magic(5) + hash/stage/ntasks(24) + bitmap(8, 11 tasks -> 1
-	// word) + counters(56) + snapshot geometry(24) + shard version(8).
+	// word) + counters(48) + snapshot geometry(24) + shard version(8).
 	wrap := append([]byte(nil), good...)
-	for i := 125; i < 133; i++ {
+	for i := 117; i < 125; i++ {
 		wrap[i] = 0xff
 	}
 	cases["shard count overflow"] = wrap
+	// Negative carried PGAS counters (local at offset 5+24+8+32 = 69,
+	// remote right after it) would reach RunResult.PGASLocalOps/RemoteOps.
+	for name, off := range map[string]int{"negative pgas local": 69, "negative pgas remote": 77} {
+		neg := append([]byte(nil), good...)
+		for i := off; i < off+8; i++ {
+			neg[i] = 0xff
+		}
+		cases[name] = neg
+	}
 
 	for name, data := range cases {
 		if _, err := ReadCheckpoint(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: reader accepted corrupted input", name)
 		}
+	}
+}
+
+// TestCheckpointReaderRefusesCELK1: a version-1 file (which carried a third
+// PGAS counter) is refused by its magic rather than misread one field out of
+// step.
+func TestCheckpointReaderRefusesCELK1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, testCheckpoint(5, 11)); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("CELK1"), buf.Bytes()[5:]...)
+	_, err := ReadCheckpoint(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("CELK1 header: err = %v, want a bad-magic refusal", err)
 	}
 }

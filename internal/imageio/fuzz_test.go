@@ -123,7 +123,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(vb)
 	f.Add(vb[:len(vb)/2])
 	f.Add(vb[:5])
-	f.Add([]byte("CELK1"))
+	f.Add([]byte("CELK2"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,9 +52,11 @@ type Backend interface {
 	Fail(rank int)
 	// Join mints a fresh rank past the static complement for a verified
 	// worker the coordinator has no free static rank for (the complement is
-	// full, or the connect grace sealed it). ok=false refuses the join (run
-	// already terminal); the coordinator then pulls once with rank -1 to
-	// learn how the run ended.
+	// full, or the connect grace sealed it). The new rank joins the
+	// schedule and owns no shard of the parameter arrays; its Get and Put
+	// go to the same arrays as every other rank's. ok=false refuses the
+	// join (run already terminal); the coordinator then pulls once with
+	// rank -1 to learn how the run ended.
 	Join() (rank int, ok bool)
 	// Get copies stage-input elements into out (len(idx)*width values).
 	Get(rank int, idx []uint64, out []float64) error
@@ -263,9 +265,9 @@ func (s *coordinator) handle(c net.Conn) {
 	// fresh rank minted by the backend, which the joiner fills by stealing. A
 	// static rank taken before the hash verified would be failed — dead for
 	// the rest of the run — by every mis-pointed worker that dialed in, and
-	// Backend.Join permanently grows the rank space and repartitions both
-	// PGAS arrays, so a flapping mismatched worker would grow the run without
-	// bound and count as both a joined and a failed rank.
+	// Backend.Join permanently grows the rank space (the scheduler and the
+	// rank table), so a flapping mismatched worker would grow the run
+	// without bound and count as both a joined and a failed rank.
 	rank := s.assignRank()
 	if rank < 0 {
 		var ok bool

@@ -21,7 +21,7 @@
 // would otherwise silently poison a PGAS shard and diverge the catalog — into
 // a loud, connection-fatal decode error.
 //
-// The reader is hardened the same way the CELK1 checkpoint reader is:
+// The reader is hardened the same way the CELK2 checkpoint reader is:
 // implausible lengths and counts error out before any large allocation, and
 // buffers grow with data actually read, so a malformed or hostile frame can
 // never OOM the process. Non-finite parameter values are rejected at the

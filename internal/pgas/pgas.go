@@ -30,7 +30,6 @@ type Array struct {
 
 	localOps  atomic.Int64
 	remoteOps atomic.Int64
-	bytes     atomic.Int64
 }
 
 type shard struct {
@@ -94,11 +93,11 @@ func (a *Array) account(caller, owner int) {
 	} else {
 		a.remoteOps.Add(1)
 	}
-	a.bytes.Add(int64(8 * a.width))
 }
 
 // Get copies element i into out (len == Width). caller identifies the
-// requesting rank for traffic accounting.
+// requesting rank for traffic accounting; a caller that owns no shard (a
+// rank at or past the array's rank count) counts every access as remote.
 func (a *Array) Get(caller, i int, out []float64) {
 	if len(out) != a.width {
 		panic("pgas: Get buffer width mismatch")
@@ -127,10 +126,9 @@ func (a *Array) Put(caller, i int, val []float64) {
 	a.account(caller, owner)
 }
 
-// Stats returns cumulative local operations, remote operations, and bytes
-// moved.
-func (a *Array) Stats() (local, remote, bytes int64) {
-	return a.localOps.Load(), a.remoteOps.Load(), a.bytes.Load()
+// Stats returns cumulative local and remote operations.
+func (a *Array) Stats() (local, remote int64) {
+	return a.localOps.Load(), a.remoteOps.Load()
 }
 
 // Getter is the read side of a rank's view of a global array. The in-memory
@@ -244,27 +242,6 @@ func (a *Array) SnapshotDelta(prev *Snapshot) *Snapshot {
 		sh.mu.RUnlock()
 	}
 	return s
-}
-
-// RepartitionRanks returns a new array with the same element stream block-
-// partitioned over a different rank count, carrying the traffic counters
-// over — the live-array form of Snapshot.Repartition, used when the rank
-// set changes mid-run (elastic membership). Shard write counters restart at
-// zero, exactly as on a checkpoint repartition.
-func (a *Array) RepartitionRanks(ranks int) (*Array, error) {
-	s, err := a.Snapshot().Repartition(ranks)
-	if err != nil {
-		return nil, err
-	}
-	out, err := FromSnapshot(s)
-	if err != nil {
-		return nil, err
-	}
-	l, r, b := a.Stats()
-	out.localOps.Store(l)
-	out.remoteOps.Store(r)
-	out.bytes.Store(b)
-	return out, nil
 }
 
 // Validate checks a snapshot's internal consistency (dimensions versus shard

@@ -16,7 +16,7 @@ func TestViewBatchedAccess(t *testing.T) {
 		}
 		a.Put(0, i, buf)
 	}
-	l0, r0, _ := a.Stats()
+	l0, r0 := a.Stats()
 
 	v := a.View(1)
 	idx := []int{9, 0, 4}
@@ -50,7 +50,7 @@ func TestViewBatchedAccess(t *testing.T) {
 
 	// Accounting: each batched element access counts as one op, like the
 	// loose calls would.
-	l1, r1, _ := a.Stats()
+	l1, r1 := a.Stats()
 	if ops := (l1 - l0) + (r1 - r0); ops != int64(2*len(idx)+len(idx)) {
 		t.Errorf("batched access recorded %d ops, want %d", ops, 3*len(idx))
 	}
