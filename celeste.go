@@ -152,7 +152,9 @@ type InferResult struct {
 	Fits, NewtonIters, Visits int64
 	// TasksProcessed counts scheduled task executions.
 	TasksProcessed int
-	// FailedRanks and RequeuedTasks record injected-fault recovery.
+	// FailedRanks and RequeuedTasks record recovery from dead TCP workers:
+	// the ranks whose connection ended mid-run and the tasks their deaths
+	// returned to the pool. In-process ranks never die, so both are 0 there.
 	FailedRanks, RequeuedTasks int
 	// JoinedRanks counts ranks minted past the static complement (TCP runs
 	// only: workers admitted once every static rank was taken or the connect

@@ -77,7 +77,7 @@ func runTestWorker(addr string) {
 		kill = k
 	}
 	if kill >= 0 || touch != "" || hold != "" {
-		opts.OnTask = func(task, completed int) {
+		opts.OnTask = func(task, completed int) error {
 			if touch != "" && completed == 0 {
 				os.WriteFile(touch, nil, 0o644)
 			}
@@ -88,6 +88,7 @@ func runTestWorker(addr string) {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				select {} // unreachable: SIGKILL cannot be handled
 			}
+			return nil
 		}
 	}
 	if f := os.Getenv(workerStartEnv); f != "" {

@@ -244,9 +244,48 @@ func Simulate(m Machine, w Workload, synchronizedStart bool) *Result {
 	return SimulateOpts(m, w, synchronizedStart, SimOptions{})
 }
 
+// A Fault is one scheduled failure or slowdown of a simulated process,
+// triggered by its progress: after it has completed AfterTasks tasks.
+type Fault struct {
+	Rank       int
+	AfterTasks int // trigger after the process completes this many tasks
+
+	// Kill: the process dies while processing its next task — the work is
+	// lost and the task (plus the process's undistributed pool) is requeued.
+	Kill bool
+
+	// DelaySeconds: the process stalls this long before each subsequent
+	// task (a straggler: thermal throttling, a sick burst-buffer stream, a
+	// noisy neighbor). Ignored when Kill is set.
+	DelaySeconds float64
+}
+
+// killAfter reports whether rank is scheduled to die, and after how many
+// completed tasks. The earliest kill wins when several target one rank.
+func killAfter(faults []Fault, rank int) (after int, ok bool) {
+	for _, f := range faults {
+		if f.Kill && f.Rank == rank && (!ok || f.AfterTasks < after) {
+			after, ok = f.AfterTasks, true
+		}
+	}
+	return after, ok
+}
+
+// delayFor returns the stall to apply before the task following `completed`
+// completed tasks on rank (the sum of all triggered delay faults).
+func delayFor(faults []Fault, rank, completed int) float64 {
+	var d float64
+	for _, f := range faults {
+		if !f.Kill && f.Rank == rank && completed >= f.AfterTasks {
+			d += f.DelaySeconds
+		}
+	}
+	return d
+}
+
 // SimOptions extends the simulation with elastic-runtime behaviors.
 type SimOptions struct {
-	// Faults is the injected fault plan (nil for a fault-free run). Killed
+	// Faults are the injected faults (none for a fault-free run). Killed
 	// processes die halfway through the task that follows their trigger
 	// count — the partial work is lost, the in-flight task and the
 	// process's undistributed pool are requeued through Dtree onto the
@@ -255,7 +294,7 @@ type SimOptions struct {
 	// see it: re-executed work in TaskProcessing on the inheriting
 	// processes, the dead process's silence in LoadImbalance, and the
 	// wasted partial execution plus stalls in Other.
-	Faults *dtree.FaultPlan
+	Faults []Fault
 
 	// Steal lets an idle process pull from the most-loaded live process's
 	// pool when its own subtree is dry, mirroring the TCP runtime's work
@@ -266,7 +305,6 @@ type SimOptions struct {
 
 // SimulateOpts is the full-option entry point for the DES.
 func SimulateOpts(m Machine, w Workload, synchronizedStart bool, opts SimOptions) *Result {
-	fp := opts.Faults
 	nProcs := m.Nodes * m.ProcsPerNode
 	visits := GenerateVisits(w)
 	sched := dtree.New(dtree.Config{}, nProcs, w.Tasks)
@@ -337,7 +375,7 @@ func SimulateOpts(m Machine, w Workload, synchronizedStart bool, opts SimOptions
 		if synchronizedStart && p.tasks == 0 {
 			start = loadSec // all processes released together
 		}
-		if killAfter, kills := fp.KillAfter(ps.rank); kills && p.tasks >= killAfter {
+		if killAfter, kills := killAfter(opts.Faults, ps.rank); kills && p.tasks >= killAfter {
 			// The process dies halfway through this task: the partial
 			// execution is wasted and the task returns to the pool for a
 			// surviving process.
@@ -353,7 +391,7 @@ func SimulateOpts(m Machine, w Workload, synchronizedStart bool, opts SimOptions
 		}
 		over := depth * m.NetLatency * 1000 // request round trip + bookkeeping
 		over += 0.05                        // result write-back
-		if d := fp.DelayFor(ps.rank, p.tasks); d > 0 {
+		if d := delayFor(opts.Faults, ps.rank, p.tasks); d > 0 {
 			start += d // straggler stall before the task
 			p.other += d
 		}

@@ -3,8 +3,6 @@ package cluster
 import (
 	"math"
 	"testing"
-
-	"celeste/internal/dtree"
 )
 
 func TestWeakScalingShape(t *testing.T) {
@@ -202,11 +200,11 @@ func TestSimulateWithFaultsRecovers(t *testing.T) {
 	w := DefaultWorkload(200)
 	base := Simulate(m, w, false)
 
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+	fp := []Fault{
 		{Rank: 3, AfterTasks: 1, Kill: true},
 		{Rank: 17, AfterTasks: 0, Kill: true},
 		{Rank: 0, AfterTasks: 2, Kill: true}, // the Dtree root dies too
-	}}
+	}
 	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 
 	if res.FailedProcs != 3 {
@@ -238,9 +236,9 @@ func TestSimulateWithStragglerDelay(t *testing.T) {
 	m := DefaultMachine(1)
 	w := DefaultWorkload(60)
 	base := Simulate(m, w, false)
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+	fp := []Fault{
 		{Rank: 5, AfterTasks: 0, DelaySeconds: 300},
-	}}
+	}
 	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 	if res.Visits != base.Visits {
 		t.Errorf("straggler changed completed work: %d vs %d", res.Visits, base.Visits)
@@ -255,13 +253,41 @@ func TestSimulateWithStragglerDelay(t *testing.T) {
 	}
 }
 
+func TestFaultQueries(t *testing.T) {
+	faults := []Fault{
+		{Rank: 2, AfterTasks: 5, Kill: true},
+		{Rank: 2, AfterTasks: 3, Kill: true}, // earliest kill wins
+		{Rank: 1, AfterTasks: 2, DelaySeconds: 0.5},
+		{Rank: 1, AfterTasks: 4, DelaySeconds: 0.25},
+	}
+	if after, ok := killAfter(faults, 2); !ok || after != 3 {
+		t.Errorf("killAfter(2) = %d, %v", after, ok)
+	}
+	if _, ok := killAfter(faults, 0); ok {
+		t.Error("killAfter(0) found a kill")
+	}
+	if d := delayFor(faults, 1, 1); d != 0 {
+		t.Errorf("delay before trigger = %v", d)
+	}
+	if d := delayFor(faults, 1, 3); d != 0.5 {
+		t.Errorf("delay after first trigger = %v", d)
+	}
+	if d := delayFor(faults, 1, 4); d != 0.75 {
+		t.Errorf("stacked delay = %v", d)
+	}
+	// No faults is inert.
+	if _, ok := killAfter(nil, 0); ok || delayFor(nil, 0, 0) != 0 {
+		t.Error("nil faults not inert")
+	}
+}
+
 func TestFaultFreeSimulationUnchanged(t *testing.T) {
 	// The fault plumbing must not perturb the calibrated fault-free model:
 	// an empty plan's results are identical to Simulate's.
 	m := DefaultMachine(4)
 	w := DefaultWorkload(500)
 	a := Simulate(m, w, false)
-	b := SimulateOpts(m, w, false, SimOptions{Faults: &dtree.FaultPlan{}})
+	b := SimulateOpts(m, w, false, SimOptions{Faults: []Fault{}})
 	if a.Makespan != b.Makespan || a.Visits != b.Visits || a.Components != b.Components {
 		t.Errorf("empty fault plan changed the simulation: %+v vs %+v", a.Components, b.Components)
 	}
@@ -279,10 +305,10 @@ func TestLateKillAfterSurvivorsDrainStillCompletes(t *testing.T) {
 	w := DefaultWorkload(40) // static share int(0.4*40/2) = 8 tasks per rank
 	base := Simulate(m, w, false)
 
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+	fp := []Fault{
 		{Rank: 1, AfterTasks: 0, DelaySeconds: 1e5},
 		{Rank: 1, AfterTasks: 2, Kill: true},
-	}}
+	}
 	res := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 	if res.FailedProcs != 1 {
 		t.Fatalf("FailedProcs = %d, want the stalled child killed", res.FailedProcs)
@@ -304,11 +330,11 @@ func TestStealReducesImbalanceUnderFaults(t *testing.T) {
 	m := DefaultMachine(2) // 34 processes
 	w := DefaultWorkload(200)
 	base := Simulate(m, w, false)
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+	fp := []Fault{
 		{Rank: 3, AfterTasks: 1, Kill: true},
 		{Rank: 17, AfterTasks: 0, Kill: true},
 		{Rank: 0, AfterTasks: 2, Kill: true},
-	}}
+	}
 	static := SimulateOpts(m, w, false, SimOptions{Faults: fp})
 	steal := SimulateOpts(m, w, false, SimOptions{Faults: fp, Steal: true})
 
@@ -343,11 +369,11 @@ func TestStealRecoversOnePercentKillPlan(t *testing.T) {
 	m := DefaultMachine(18) // 306 processes
 	w := DefaultWorkload(1224)
 	ff := Simulate(m, w, true)
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
+	fp := []Fault{
 		{Rank: 0, AfterTasks: 0, Kill: true},
 		{Rank: 1, AfterTasks: 0, Kill: true},
 		{Rank: 2, AfterTasks: 0, Kill: true},
-	}}
+	}
 	static := SimulateOpts(m, w, true, SimOptions{Faults: fp})
 	steal := SimulateOpts(m, w, true, SimOptions{Faults: fp, Steal: true})
 

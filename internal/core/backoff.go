@@ -11,7 +11,7 @@ import (
 	"celeste/internal/rng"
 )
 
-// Backoff computes retry delays: Base·Factor^attempt, capped at Max, then
+// Backoff computes retry delays: Base·2^attempt, capped at Max, then
 // scaled by a deterministic jitter of ±Jitter. The zero value is usable and
 // picks the defaults noted on each field.
 type Backoff struct {
@@ -19,9 +19,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the un-jittered delay (default 5s).
 	Max time.Duration
-	// Factor is the per-attempt growth (default 2; values below 1 are
-	// treated as 1, so the schedule never shrinks).
-	Factor float64
 	// Jitter is the ± fraction applied to each delay (default 0.2; capped
 	// at 1). Set to a negative value for no jitter at all.
 	Jitter float64
@@ -37,12 +34,6 @@ func (b Backoff) withDefaults() Backoff {
 	}
 	if b.Max <= 0 {
 		b.Max = 5 * time.Second
-	}
-	if b.Factor == 0 {
-		b.Factor = 2
-	}
-	if b.Factor < 1 {
-		b.Factor = 1
 	}
 	if b.Jitter == 0 {
 		b.Jitter = 0.2
@@ -66,7 +57,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	}
 	d := float64(b.Base)
 	for i := 0; i < attempt && d < float64(b.Max); i++ {
-		d *= b.Factor
+		d *= 2
 	}
 	if d > float64(b.Max) {
 		d = float64(b.Max)

@@ -8,7 +8,7 @@ import (
 // TestBackoffSchedule pins the shape of the default schedule: exponential
 // growth from Base, capped at Max, jittered within ±Jitter, and never zero.
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.2, Seed: 7}
+	b := Backoff{Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2, Seed: 7}
 	for attempt := 0; attempt < 12; attempt++ {
 		d := b.Delay(attempt)
 		raw := float64(b.Base)
@@ -67,7 +67,7 @@ func TestBackoffDefaults(t *testing.T) {
 		t.Error("zero-value schedule does not grow")
 	}
 	// Negative jitter disables jitter entirely: delays are exact.
-	exact := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1}
+	exact := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Jitter: -1}
 	if d := exact.Delay(2); d != 40*time.Millisecond {
 		t.Errorf("jitter-free attempt 2 delay %v, want 40ms", d)
 	}
@@ -88,7 +88,7 @@ func TestRejoinBackoffSeededByPid(t *testing.T) {
 	if got := pidSeeded(Backoff{Seed: 9}, 4101); got.Seed != 9 {
 		t.Errorf("explicit seed 9 replaced by %d", got.Seed)
 	}
-	exact := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1}
+	exact := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Jitter: -1}
 	for attempt := 0; attempt <= 3; attempt++ {
 		want := exact.Delay(attempt)
 		for _, pid := range []int{4101, 4102} {

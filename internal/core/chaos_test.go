@@ -4,18 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
-	"celeste/internal/dtree"
 	"celeste/internal/model"
 	"celeste/internal/partition"
 	"celeste/internal/survey"
 	"celeste/internal/vi"
 )
 
+// chaosTargetWork is the chaos partition's TargetWork, set low so the
+// partition yields several tasks per stage — fault and checkpoint coverage
+// needs task granularity. Loopback workers regenerate the partition from it.
+const chaosTargetWork = 1e5
+
 // chaosSetup builds the small fixed survey and two-stage partition the
-// chaos tests share. TargetWork is set low so the partition yields several
-// tasks per stage — fault and checkpoint coverage needs task granularity.
-func chaosSetup(t *testing.T) (*survey.Survey, []model.CatalogEntry, []partition.Task) {
+// chaos tests share.
+func chaosSetup(t testing.TB) (*survey.Survey, []model.CatalogEntry, []partition.Task) {
 	t.Helper()
 	sv := smallSurvey(13)
 	noisy := sv.NoisyCatalog(5)
@@ -23,7 +27,7 @@ func chaosSetup(t *testing.T) (*survey.Survey, []model.CatalogEntry, []partition
 		t.Skip("too few sources drawn for a multi-task partition")
 	}
 	tasks := partition.GenerateTwoStage(noisy, sv.Config.Region, partition.Options{
-		TargetWork: 1e5,
+		TargetWork: chaosTargetWork,
 	})
 	stage0 := 0
 	for _, tk := range tasks {
@@ -47,9 +51,9 @@ func chaosConfig(threads, procs int) Config {
 		Fit: vi.Options{MaxIter: 4, GradTol: 1e-3}}
 }
 
-// run is a plain in-process run: no hooks, faults or resume state, so it
-// cannot fail.
-func run(t *testing.T, sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config) *RunResult {
+// run is a plain in-process run: no hooks or resume state, so it cannot
+// fail.
+func run(t testing.TB, sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task, cfg Config) *RunResult {
 	t.Helper()
 	res, err := RunWithOptions(sv, catalog, tasks, cfg, RunOptions{})
 	if err != nil {
@@ -87,63 +91,64 @@ func TestRunDeterministicAcrossProcsAndThreads(t *testing.T) {
 	}
 }
 
-// TestKilledRanksRecoverIdentically kills ranks mid-task and checks the
+// TestKilledRanksRecoverIdentically kills workers mid-task and checks the
 // survivors re-execute the requeued work to the exact same catalog — the
-// paper's idempotent-task recovery story (Section IV-B), observed for real.
+// paper's idempotent-task recovery story (Section IV-B), observed for real
+// over loopback connections.
 func TestKilledRanksRecoverIdentically(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(2, 3)
+	cfg.PatchThreads = 1
 	base := run(t, sv, noisy, tasks, cfg)
 
-	plans := []dtree.FaultPlan{
-		{Faults: []dtree.Fault{{Rank: 1, AfterTasks: 0, Kill: true}}},
-		// The Dtree root, which holds the dynamic pool, dies on its first
-		// task.
-		{Faults: []dtree.Fault{{Rank: 0, AfterTasks: 0, Kill: true}}},
-		{Faults: []dtree.Fault{
-			{Rank: 0, AfterTasks: 1, Kill: true}, // the root dies too
-			{Rank: 2, AfterTasks: 0, Kill: true},
-		}},
+	// Worker 0 is the Dtree root; the others race for ranks 1 and 2.
+	plans := [][]func(task, completed int) error{
+		{nil, killAfter(0), nil},
+		// The root, which holds the dynamic pool, dies on its first task.
+		{killAfter(0), nil, nil},
+		{killAfter(1), killAfter(0), nil}, // the root dies too
 	}
 	if testing.Short() {
 		plans = plans[:2]
 	}
-	for pi, fp := range plans {
-		fp := fp
-		// A kill fires only when its rank draws a task; under heavy machine
-		// load the surviving ranks can drain the whole (now fast) run before
-		// the doomed rank's goroutine is first scheduled, in which case the
-		// run legitimately completes fault-free. Retry the scheduling race;
+	for pi, fleet := range plans {
+		kills := 0
+		for _, f := range fleet {
+			if f != nil {
+				kills++
+			}
+		}
+		// A kill fires only when its worker draws a task; under heavy machine
+		// load the surviving workers can drain the whole (now fast) run
+		// before the doomed one is first handed work, in which case the run
+		// legitimately completes fault-free. Retry the scheduling race;
 		// every attempt that does land the kills must recover identically.
 		for attempt := 1; ; attempt++ {
-			res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: &fp})
+			res, err := runBounded(t, sv, noisy, tasks, cfg, RunOptions{}, fleet)
 			if err != nil {
 				t.Fatalf("plan %d: %v", pi, err)
 			}
 			catalogsEqual(t, base.Catalog, res.Catalog, fmt.Sprintf("fault plan %d", pi))
-			if res.FailedRanks == len(fp.Faults) && res.RequeuedTasks > 0 {
+			if res.FailedRanks == kills && res.RequeuedTasks > 0 {
 				break
 			}
 			if attempt >= 5 {
 				t.Fatalf("plan %d: kills never landed in %d attempts (FailedRanks=%d, RequeuedTasks=%d)",
 					pi, attempt, res.FailedRanks, res.RequeuedTasks)
 			}
-			t.Logf("plan %d attempt %d: a doomed rank drew no work; retrying", pi, attempt)
+			t.Logf("plan %d attempt %d: a doomed worker drew no work; retrying", pi, attempt)
 		}
 	}
 }
 
-// TestAllRanksDeadIsAnError: killing every rank strands work, and the run
+// TestAllRanksDeadIsAnError: killing every worker strands work, and the run
 // must say so rather than return a silently incomplete catalog.
 func TestAllRanksDeadIsAnError(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(1, 2)
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
-		{Rank: 0, AfterTasks: 0, Kill: true},
-		{Rank: 1, AfterTasks: 0, Kill: true},
-	}}
-	_, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: fp})
-	if err == nil {
+	cfg.PatchThreads = 1
+	fleet := []func(task, completed int) error{killAfter(0), killAfter(0)}
+	if _, err := runBounded(t, sv, noisy, tasks, cfg, RunOptions{}, fleet); err == nil {
 		t.Fatal("run with every rank killed reported success")
 	}
 }
@@ -153,11 +158,13 @@ func TestAllRanksDeadIsAnError(t *testing.T) {
 func TestDelayedRankStillCompletes(t *testing.T) {
 	sv, noisy, tasks := chaosSetup(t)
 	cfg := chaosConfig(2, 2)
+	cfg.PatchThreads = 1
 	base := run(t, sv, noisy, tasks, cfg)
-	fp := &dtree.FaultPlan{Faults: []dtree.Fault{
-		{Rank: 1, AfterTasks: 0, DelaySeconds: 0.002},
+	fleet := []func(task, completed int) error{nil, func(int, int) error {
+		time.Sleep(2 * time.Millisecond) // before every task, with it in hand
+		return nil
 	}}
-	res, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{faults: fp})
+	res, err := runBounded(t, sv, noisy, tasks, cfg, RunOptions{}, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +287,84 @@ func TestResumeRejectsPreviousNumericsRevision(t *testing.T) {
 	if _, err := RunWithOptions(sv, noisy, tasks, cfg, RunOptions{Resume: captured}); err == nil {
 		t.Fatal("resume accepted a checkpoint hashed at the previous numerics revision")
 	}
+}
+
+// FuzzRunByteIdentity is the randomized whole-run differential. From the
+// fuzz input it draws the link (in process at 1–4 ranks, or 1–3 goroutine
+// workers over loopback), Threads and PatchThreads (1–2 each), a kill
+// schedule that dooms every worker but one to die after 0, 1 or 2 tasks,
+// and an optional checkpoint-abort at commit j, resumed in process at
+// another shape. Faults enter only the way they do in production, through a
+// worker's connection (OnTask). The run, or its resume, must end without
+// error in a catalog byte-identical to the fault-free in-process reference.
+func FuzzRunByteIdentity(f *testing.F) {
+	sv, noisy, tasks := chaosSetup(f)
+	base := run(f, sv, noisy, tasks, chaosConfig(1, 1))
+	// link, shape, kills, abort: in process at 3 ranks aborted at commit 2;
+	// 3 workers, the root and one other killed on their first task; 2
+	// workers, the second killed after 1 task, aborted at commit 6; 1
+	// worker at Threads and PatchThreads 2.
+	f.Add(uint8(4), uint8(1), uint16(0), uint8(2))
+	f.Add(uint8(5), uint8(0), uint16(2), uint8(0))
+	f.Add(uint8(3), uint8(2), uint16(6), uint8(6))
+	f.Add(uint8(1), uint8(3), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, link, shape uint8, kills uint16, abort uint8) {
+		wire := link&1 == 1
+		n := 1 + int(link>>1)%4
+		if wire {
+			n = 1 + int(link>>1)%3
+		}
+		cfg := chaosConfig(1+int(shape&1), n)
+		cfg.PatchThreads = 1 + int(shape>>1&1)
+		var fleet []func(task, completed int) error
+		if wire {
+			fleet = make([]func(task, completed int) error, n)
+			survivor, sched := int(kills)%n, int(kills)/n
+			for i := range fleet {
+				if i != survivor {
+					fleet[i] = killAfter(sched % 3)
+				}
+				sched /= 3
+			}
+		}
+		var opts RunOptions
+		var captured *Checkpoint
+		if abort > 0 {
+			j := 1 + int(abort-1)%(len(tasks)-1)
+			commits := 0
+			opts.CheckpointEvery = 1
+			opts.OnCheckpoint = func(ck *Checkpoint) error {
+				if commits++; commits == j {
+					captured = ck
+					return errors.New("fuzz: injected abort")
+				}
+				return nil
+			}
+		}
+		label := fmt.Sprintf("wire=%v ranks=%d threads=%d patch=%d kills=%d abort=%d",
+			wire, n, cfg.Threads, cfg.PatchThreads, kills, abort)
+		res, err := withinDeadline(t, func() (*RunResult, error) {
+			if wire {
+				return runFleet(t, sv, noisy, tasks, chaosTargetWork, cfg, opts, fleet)
+			}
+			return RunWithOptions(sv, noisy, tasks, cfg, opts)
+		})
+		if abort > 0 {
+			if !errors.Is(err, ErrAborted) || captured == nil {
+				t.Fatalf("%s: abort returned %v, want ErrAborted and a checkpoint", label, err)
+			}
+			rc := chaosConfig(3-cfg.Threads, 1+n%4)
+			rc.PatchThreads = 3 - cfg.PatchThreads
+			label += fmt.Sprintf(", resumed at threads=%d ranks=%d", rc.Threads, rc.Processes)
+			res, err = withinDeadline(t, func() (*RunResult, error) {
+				return RunWithOptions(sv, noisy, tasks, rc, RunOptions{Resume: captured})
+			})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		catalogsEqual(t, base.Catalog, res.Catalog, label)
+	})
 }
 
 func countTrue(bs []bool) int {

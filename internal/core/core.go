@@ -11,7 +11,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -19,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"celeste/internal/cyclades"
-	"celeste/internal/dtree"
 	"celeste/internal/elbo"
 	"celeste/internal/geom"
 	"celeste/internal/model"
@@ -324,7 +322,8 @@ type RunResult struct {
 	PGASRemoteOps  int64
 
 	// Fault-recovery and load-balance accounting, filled by the run
-	// backend's one epilogue whichever link the ranks used.
+	// backend's one epilogue whichever link the ranks used. Only a worker
+	// can die, so FailedRanks and RequeuedTasks are 0 in process.
 	FailedRanks   int
 	RequeuedTasks int
 	StolenTasks   int // tasks an idle rank pulled out of another rank's pool
@@ -333,7 +332,8 @@ type RunResult struct {
 	JoinedRanks int // ranks minted past the static complement mid-run
 }
 
-// RunOptions adds checkpoint/resume and fault injection to a run.
+// RunOptions adds checkpoint/resume, catalog streaming and the TCP link to a
+// run.
 type RunOptions struct {
 	// CheckpointEvery fires OnCheckpoint after every that-many task
 	// completions (0 disables checkpointing).
@@ -370,18 +370,14 @@ type RunOptions struct {
 	// must not call back into the run.
 	OnCatalog func(idx []int, entries []model.CatalogEntry)
 
-	// faults injects rank kills and stalls into in-process ranks. Only
-	// this package's tests set it.
-	faults *dtree.FaultPlan
-
 	// Transport selects the link between the ranks and the run's state
 	// machine. Nil means the ranks live in this process: cfg.Processes
 	// goroutines call the backend directly and touch the parameter arrays
 	// through shared-memory views. Non-nil serves the same backend over TCP
 	// to cfg.Processes real worker processes, which pull tasks, fetch
 	// frozen stage input, and write results over the wire; the catalog is
-	// byte-identical either way, including across rank kills and checkpoint
-	// resumes.
+	// byte-identical either way, including across worker deaths and
+	// checkpoint resumes.
 	Transport *cnet.Transport
 }
 
@@ -521,16 +517,20 @@ func (st *runState) flushCatalogLocked() {
 		}
 	}
 	ents := make([]model.CatalogEntry, len(idx))
-	buf := make([]float64, model.ParamDim)
 	for k, i := range idx {
-		st.cur.Get(0, i, buf)
-		var p model.Params
-		copy(p[:], buf)
-		c := p.Constrained()
-		ents[k] = model.Summarize(st.catalog[i].ID, &c)
+		ents[k] = st.summarize(i, st.catalog[i].ID)
 	}
 	st.catHook(append([]int(nil), idx...), ents)
 	st.pendingSrc = st.pendingSrc[:0]
+}
+
+// summarize is the posterior summary of source i's live parameters: the one
+// step behind both the output catalog and the OnCatalog stream.
+func (st *runState) summarize(i, id int) model.CatalogEntry {
+	var p model.Params
+	st.cur.Get(0, i, p[:])
+	c := p.Constrained()
+	return model.Summarize(id, &c)
 }
 
 // RunWithOptions executes the full three-level optimization over a survey:
@@ -543,17 +543,14 @@ func (st *runState) flushCatalogLocked() {
 // independent of thread and process counts, and checkpoints resumable to a
 // byte-identical result.
 //
-// opts adds checkpoint/resume and fault injection. On a hook-requested abort
-// it returns the partial result and an error wrapping ErrAborted; on
-// unrecoverable failure injection (every rank dead with tasks outstanding) it
-// returns an error describing the stranded work.
+// opts adds checkpoint/resume, catalog streaming and the TCP link. On a
+// hook-requested abort it returns the partial result and an error wrapping
+// ErrAborted; when every worker of a TCP run is dead with tasks outstanding
+// it returns an error describing the stranded work.
 func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []partition.Task,
 	cfg Config, opts RunOptions) (*RunResult, error) {
 
 	cfg.defaults()
-	if opts.Transport != nil && opts.faults != nil {
-		return nil, errors.New("core: FaultPlan injects faults into in-process ranks; fault a TCP run by killing real worker processes")
-	}
 	priors := model.FitPriors(catalog)
 
 	st := &runState{
@@ -619,7 +616,7 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 	if opts.Transport != nil {
 		linkErr = b.serve(opts.Transport, cfg, len(tasks))
 	} else {
-		b.runRanks(&rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks}, opts.faults)
+		b.runRanks(&rankInputs{cfg: cfg, sv: sv, catalog: catalog, priors: &priors, tasks: tasks})
 	}
 	if err := b.finishRun(res, linkErr); err != nil {
 		return res, err
@@ -627,13 +624,8 @@ func RunWithOptions(sv *survey.Survey, catalog []model.CatalogEntry, tasks []par
 
 	// Summarize the final parameters into the output catalog.
 	res.Catalog = make([]model.CatalogEntry, len(catalog))
-	buf := make([]float64, model.ParamDim)
 	for i := range catalog {
-		st.cur.Get(0, i, buf)
-		var p model.Params
-		copy(p[:], buf)
-		c := p.Constrained()
-		res.Catalog[i] = model.Summarize(catalog[i].ID, &c)
+		res.Catalog[i] = st.summarize(i, catalog[i].ID)
 	}
 	if st.catHook != nil {
 		// Final flush: every source, with the exact entries of the output

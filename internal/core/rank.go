@@ -8,9 +8,7 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
-	"celeste/internal/dtree"
 	"celeste/internal/model"
 	cnet "celeste/internal/net"
 	"celeste/internal/partition"
@@ -44,8 +42,8 @@ type rankInputs struct {
 // step is one turn of a rank's work loop: pull a task over the link, execute
 // it against the link's parameter traffic, commit it. more=false with a nil
 // error means the run is over for this rank. onTask (optional) observes the
-// assignment before execution.
-func (in *rankInputs) step(l rankLink, onTask func(task int)) (more bool, err error) {
+// assignment before execution; its error ends the loop with the task unrun.
+func (in *rankInputs) step(l rankLink, onTask func(task int) error) (more bool, err error) {
 	g, ok, err := l.NextTask()
 	if err != nil || !ok {
 		return false, err
@@ -55,7 +53,9 @@ func (in *rankInputs) step(l rankLink, onTask func(task int)) (more bool, err er
 			"core: backend assigned task %d of %d", g, len(in.tasks))}
 	}
 	if onTask != nil {
-		onTask(g)
+		if err := onTask(g); err != nil {
+			return false, err
+		}
 	}
 	stats, err := in.cfg.ExecTask(in.sv, in.catalog, in.priors, &in.tasks[g], l, l)
 	if err != nil {
@@ -70,17 +70,11 @@ func (in *rankInputs) step(l rankLink, onTask func(task int)) (more bool, err er
 // through the backend's own methods; parameter traffic stays on the rank's
 // shared-memory views, which is safe without the backend lock because after
 // setup only the stage swap replaces an array, and it needs every task — this
-// rank's included — committed.
-//
-// It is also where a FaultPlan enters the run: a delay stalls the rank with
-// its task in hand, and a kill is a task executed and then surrendered
-// (Fail) instead of committed, after which the next pull finds the rank
-// retired.
+// rank's included — committed. A goroutine rank never dies: faults reach a
+// run only through a worker's connection.
 type localLink struct {
-	b         *serveBackend
-	rank      int
-	faults    *dtree.FaultPlan
-	completed int
+	b    *serveBackend
+	rank int
 }
 
 func (l *localLink) NextTask() (int, bool, error) {
@@ -88,19 +82,11 @@ func (l *localLink) NextTask() (int, bool, error) {
 	if status != cnet.NextTask {
 		return 0, false, nil // complete or aborted: the run's epilogue says which
 	}
-	if d := l.faults.DelayFor(l.rank, l.completed); d > 0 {
-		time.Sleep(time.Duration(d * float64(time.Second))) // FaultPlan delay
-	}
 	return g, true, nil
 }
 
 func (l *localLink) TaskDone(g int, stats [3]uint64) error {
-	if after, kill := l.faults.KillAfter(l.rank); kill && l.completed >= after {
-		l.b.Fail(l.rank)
-		return nil
-	}
 	l.b.Commit(l.rank, g, stats)
-	l.completed++
 	return nil
 }
 
@@ -114,7 +100,7 @@ func (l *localLink) PutMulti(idx []int, vals []float64) error {
 
 // runRanks runs the backend's static complement as goroutines in this
 // process and returns when every one of them has been told the run is over.
-func (b *serveBackend) runRanks(in *rankInputs, faults *dtree.FaultPlan) {
+func (b *serveBackend) runRanks(in *rankInputs) {
 	var wg sync.WaitGroup
 	for rank := 0; rank < b.procs; rank++ {
 		wg.Add(1)
@@ -131,7 +117,7 @@ func (b *serveBackend) runRanks(in *rankInputs, faults *dtree.FaultPlan) {
 					return
 				}
 			}
-		}(&localLink{b: b, rank: rank, faults: faults})
+		}(&localLink{b: b, rank: rank})
 	}
 	wg.Wait()
 }

@@ -278,8 +278,9 @@ func (b *serveBackend) Commit(rank, g int, stats [3]uint64) {
 
 // Fail retires a dead rank: its in-flight tasks and undistributed pool
 // requeue to a live ancestor, and the rank stays dead for the rest of the
-// run — driven by connections ending on the wire (a crash, a hang, or a
-// worker that simply exited) and by the FaultPlan in-process.
+// run. Only the coordinator calls it, when a worker's connection ends (a
+// crash, a hang, a reset link, or a worker that simply exited): goroutine
+// ranks never die.
 func (b *serveBackend) Fail(rank int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -67,9 +67,13 @@ type WorkerOptions struct {
 
 	// OnTask, when set, is invoked after each task assignment and before
 	// execution, with the global task index and how many tasks this worker
-	// has completed so far. The chaos tests use it to SIGKILL a worker with
-	// a task in hand.
-	OnTask func(task, completed int)
+	// has completed so far. A non-nil error ends the worker with the task in
+	// hand: the task is not executed, the worker does not rejoin, its
+	// connection closes, and RunWorker returns the error. The coordinator
+	// sees the same event as a SIGKILLed worker or a reset link, and
+	// requeues the rank's work. Tests inject every rank death this way (or
+	// by SIGKILLing a worker process from it).
+	OnTask func(task, completed int) error
 }
 
 // RunWorker connects to a serving coordinator and processes tasks until the
@@ -87,9 +91,13 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 	var in *rankInputs
 	var hash uint64
 	completed := 0
-	var onTask func(task int)
+	var onTask func(task int) error
+	var stopped error // OnTask's error: the worker ends, it does not rejoin
 	if opts.OnTask != nil {
-		onTask = func(task int) { opts.OnTask(task, completed) }
+		onTask = func(task int) error {
+			stopped = opts.OnTask(task, completed)
+			return stopped
+		}
 	}
 	backoff := pidSeeded(opts.RejoinBackoff, os.Getpid())
 	attempt := 0
@@ -151,8 +159,8 @@ func RunWorker(addr string, sv *survey.Survey, catalog []model.CatalogEntry, opt
 			return nil // the run is over
 		}
 		var setup *workerSetupError
-		if errors.Is(err, cnet.ErrAborted) || errors.As(err, &setup) {
-			return err // deterministic refusals: rejoining cannot help
+		if stopped != nil || errors.Is(err, cnet.ErrAborted) || errors.As(err, &setup) {
+			return err // OnTask ended the worker, or a deterministic refusal: rejoining cannot help
 		}
 		if handshook {
 			// The connection got far enough to verify the run hash: this is

@@ -30,7 +30,7 @@ func TestRunWorkerRejoinBackoffSpacing(t *testing.T) {
 	addr := deadAddr(t)
 	opts := WorkerOptions{
 		Rejoin:        2,
-		RejoinBackoff: Backoff{Base: 40 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: -1},
+		RejoinBackoff: Backoff{Base: 40 * time.Millisecond, Max: time.Second, Jitter: -1},
 		DialTimeout:   200 * time.Millisecond,
 	}
 	start := time.Now()
@@ -166,8 +166,9 @@ func TestAdmitRejoinerIntoFreeStaticRank(t *testing.T) {
 			Threads: 1, PatchThreads: 1,
 			Rejoin:        3,
 			RejoinBackoff: Backoff{Base: 10 * time.Millisecond, Jitter: -1},
-			OnTask: func(int, int) {
+			OnTask: func(int, int) error {
 				sever.Do(func() { (<-sl.first).Close() })
+				return nil
 			},
 		})
 	}()

@@ -496,58 +496,3 @@ func (s *Scheduler) Stats() (delivered, requests []int64) {
 	defer s.mu.Unlock()
 	return append([]int64(nil), s.delivered...), append([]int64(nil), s.requests...)
 }
-
-// --- Fault injection ---
-
-// A Fault is one scheduled failure or slowdown of a rank, triggered by that
-// rank's progress: after it has completed AfterTasks tasks. Both the
-// in-process ranks of internal/core and the cluster simulator
-// (internal/cluster) honor the same plan, so a recovery observed for real at
-// laptop scale can be priced at machine scale.
-type Fault struct {
-	Rank       int
-	AfterTasks int // trigger after the rank completes this many tasks
-
-	// Kill: the rank dies while processing its next task — the work is lost
-	// and the task (plus the rank's undistributed pool) is requeued.
-	Kill bool
-
-	// DelaySeconds: the rank stalls this long before each subsequent task (a
-	// straggler: thermal throttling, a sick burst-buffer stream, a noisy
-	// neighbor). Ignored when Kill is set.
-	DelaySeconds float64
-}
-
-// FaultPlan is a set of faults to inject into a run.
-type FaultPlan struct {
-	Faults []Fault
-}
-
-// KillAfter reports whether rank is scheduled to die, and after how many
-// completed tasks. The earliest kill wins when several target one rank.
-func (p *FaultPlan) KillAfter(rank int) (after int, ok bool) {
-	if p == nil {
-		return 0, false
-	}
-	for _, f := range p.Faults {
-		if f.Kill && f.Rank == rank && (!ok || f.AfterTasks < after) {
-			after, ok = f.AfterTasks, true
-		}
-	}
-	return after, ok
-}
-
-// DelayFor returns the stall to apply before the task following `completed`
-// completed tasks on rank (the sum of all triggered delay faults).
-func (p *FaultPlan) DelayFor(rank, completed int) float64 {
-	if p == nil {
-		return 0
-	}
-	var d float64
-	for _, f := range p.Faults {
-		if !f.Kill && f.Rank == rank && completed >= f.AfterTasks {
-			d += f.DelaySeconds
-		}
-	}
-	return d
-}

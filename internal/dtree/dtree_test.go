@@ -546,35 +546,6 @@ func TestStealRespectsDeadAndInflight(t *testing.T) {
 	}
 }
 
-func TestFaultPlanQueries(t *testing.T) {
-	fp := &FaultPlan{Faults: []Fault{
-		{Rank: 2, AfterTasks: 5, Kill: true},
-		{Rank: 2, AfterTasks: 3, Kill: true}, // earliest kill wins
-		{Rank: 1, AfterTasks: 2, DelaySeconds: 0.5},
-		{Rank: 1, AfterTasks: 4, DelaySeconds: 0.25},
-	}}
-	if after, ok := fp.KillAfter(2); !ok || after != 3 {
-		t.Errorf("KillAfter(2) = %d, %v", after, ok)
-	}
-	if _, ok := fp.KillAfter(0); ok {
-		t.Error("KillAfter(0) found a kill")
-	}
-	if d := fp.DelayFor(1, 1); d != 0 {
-		t.Errorf("delay before trigger = %v", d)
-	}
-	if d := fp.DelayFor(1, 3); d != 0.5 {
-		t.Errorf("delay after first trigger = %v", d)
-	}
-	if d := fp.DelayFor(1, 4); d != 0.75 {
-		t.Errorf("stacked delay = %v", d)
-	}
-	// A nil plan is inert.
-	var nilPlan *FaultPlan
-	if _, ok := nilPlan.KillAfter(0); ok || nilPlan.DelayFor(0, 0) != 0 {
-		t.Error("nil plan not inert")
-	}
-}
-
 // TestTotalDeathParksOrphansForJoiner: when the last live rank fails, its
 // in-flight tasks and pool are parked, not dropped, and the next joiner
 // inherits them — the scheduling half of the coordinator's rejoin grace,
