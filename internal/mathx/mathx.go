@@ -1,7 +1,9 @@
-// Package mathx provides scalar numeric helpers used throughout Celeste:
+// Package mathx provides numeric helpers used throughout Celeste:
 // numerically careful logistic/logit transforms, log-sum-exp, compensated
-// summation, and small statistical utilities. Everything here is pure and
-// allocation-free unless documented otherwise.
+// summation, small statistical utilities, and ExpInto, which takes
+// math.Exp of a whole slice in place with math.Exp's bits (four lanes at a
+// time in assembly where math.Exp runs its amd64 FMA path). Everything here
+// is pure and allocation-free unless documented otherwise.
 package mathx
 
 import "math"

@@ -5,6 +5,7 @@ import (
 
 	"celeste/internal/galprof"
 	"celeste/internal/geom"
+	"celeste/internal/mathx"
 	"celeste/internal/mog"
 )
 
@@ -121,7 +122,12 @@ func AddExpectedCounts(buf []float64, width, height int, w geom.WCS,
 			comps = append(comps, rc)
 		}
 	}
-	s := make([]float64, rect.Width())
+	// s sums the components of one row; q holds one component's span of it
+	// while its exp(−q/2) terms are computed, first the arguments, then, in
+	// place, their exponentials. One allocation serves both.
+	rw := rect.Width()
+	rows := make([]float64, 2*rw)
+	s, q := rows[:rw], rows[rw:]
 	amp := flux * iota
 	for y := rect.Y0; y < rect.Y1; y++ {
 		clear(s)
@@ -140,8 +146,13 @@ func AddExpectedCounts(buf []float64, width, height int, w geom.WCS,
 				x1 = clampPix(math.Ceil(xc+h)+2, rect.X0, rect.X1)
 			}
 			span := s[x0-rect.X0 : x1-rect.X0]
-			for j := range span {
-				span[j] += rc.norm * math.Exp(-0.5*rc.Quad(rc.det, float64(x0+j)-rc.MuX, dy))
+			e := q[:len(span)]
+			for j := range e {
+				e[j] = -0.5 * rc.Quad(rc.det, float64(x0+j)-rc.MuX, dy)
+			}
+			mathx.ExpInto(e)
+			for j, v := range e {
+				span[j] += rc.norm * v
 			}
 		}
 		row := buf[y*width+rect.X0 : y*width+rect.X1]

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"celeste/internal/geom"
@@ -191,6 +192,60 @@ func TestPrepareComp(t *testing.T) {
 // FuzzRenderBitwise renders one source on a random frame, WCS and two-
 // component PSF and requires AddExpectedCounts to match the per-pixel
 // reference bit for bit.
+// TestRenderAllocs holds AddExpectedCounts to its allocations per call: the
+// source's mixture (a galaxy's profile list and convolution too), the
+// prepared components and one row buffer, which also holds each
+// component's exp arguments.
+func TestRenderAllocs(t *testing.T) {
+	wcs := geom.NewSimpleWCS(0, 0, 1.1e-4)
+	p := psf.Default(1.3)
+	buf := make([]float64, 128*128)
+	star := CatalogEntry{Pos: wcs.PixToWorld(60.3, 70.2), Flux: [NumBands]float64{3, 7, 11, 9, 5}}
+	gal := galaxyAt(wcs, 50.5, 40.2, 0.3, 0.6, 0.8, 1.8)
+	for _, c := range []struct {
+		name string
+		e    CatalogEntry
+		max  float64
+	}{{"star", star, 3}, {"galaxy", gal, 11}} {
+		got := testing.AllocsPerRun(20, func() {
+			AddExpectedCounts(buf, 128, 128, wcs, p, &c.e, RefBand, 100, 5.5)
+		})
+		if got > c.max {
+			t.Errorf("%s: %v allocations per call, want at most %v", c.name, got, c.max)
+		}
+	}
+}
+
+// BenchmarkAddExpectedCounts renders one band of a frame the size of the
+// bench's wide_shallow fields: 128×128 pixels at 0.396″, a 1.3-pixel PSF,
+// and the 25 sources that fall within 50 pixels of it at 40,000 sources per
+// square degree, half of them galaxies of ~1.8″ scale.
+func BenchmarkAddExpectedCounts(b *testing.B) {
+	const side = 128
+	wcs := geom.NewSimpleWCS(0, 0, 1.1e-4)
+	p := psf.Default(1.3)
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([]CatalogEntry, 25)
+	for i := range srcs {
+		px, py := -50+(side+100)*rng.Float64(), -50+(side+100)*rng.Float64()
+		if i%2 == 0 {
+			srcs[i] = galaxyAt(wcs, px, py, rng.Float64(), 0.3+0.7*rng.Float64(),
+				math.Pi*rng.Float64(), 1.8*math.Exp(0.45*rng.NormFloat64()))
+		} else {
+			srcs[i] = CatalogEntry{Pos: wcs.PixToWorld(px, py)}
+		}
+		for band := range srcs[i].Flux {
+			srcs[i].Flux[band] = 20 * math.Exp(rng.NormFloat64())
+		}
+	}
+	buf := make([]float64, side*side)
+	for b.Loop() {
+		for i := range srcs {
+			AddExpectedCounts(buf, side, side, wcs, p, &srcs[i], RefBand, 100, 5.5)
+		}
+	}
+}
+
 func FuzzRenderBitwise(f *testing.F) {
 	f.Add(uint8(48), uint8(40), 20.3, 17.8, false, 0.5, 0.6, 0.9, 2.5, 0.0, 0.0, 1.0, 1.3, 0.0, 0.15, 0.0, 5.5)
 	f.Add(uint8(31), uint8(53), 15.0, 26.0, true, 0.4, 0.8, 2.1, 60.0, 0.7, 0.35, 1.3, 1.1, 0.4, 0.2, 0.5, 6.0)
